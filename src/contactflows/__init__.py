@@ -24,6 +24,7 @@ from .errors import (
 from .extended import (
     ExtendedLiftSpec,
     ExtendedPoint,
+    dual_extended_spec,
     embed_extended,
     extended_invariant_density,
     extended_lifted_field,
@@ -38,14 +39,16 @@ from .geometry import (
     TangentVector,
     contact_form_pairing,
     hamiltonian_vector_field,
+    legendre_swap,
     phase_compressibility,
+    push_swap,
     reeb_field,
+    swap_hamiltonian,
     verify_contact_identities,
 )
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    exponential_map,
     fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
@@ -56,6 +59,7 @@ from .lifts import (
     RestoringFunction,
     build_hamiltonian,
     delta_velocities,
+    dual_spec,
     geodesic_drift_phi,
     geodesic_drift_psi,
     gradient_drift_phi,
@@ -87,6 +91,7 @@ from .potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
     canonical_divergence,
+    conjugate,
     delta_phi,
     delta_psi,
     embed_phi,

@@ -22,6 +22,7 @@ from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, legendre_transf
 from .scenario import (
     EXIT_PASS,
     EXIT_USAGE,
+    _floats,
     divergence_table,
     run_scenario,
     write_divergence_csv,
@@ -58,13 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
-    except ValueError:
-        raise ValueError(f"cannot parse vector {text!r}")
-
-
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
@@ -95,7 +89,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_legendre(args) -> int:
     psi = BUILTIN_POTENTIALS[args.potential](args.n)
-    p = _parse_vector(args.p)
+    p = _floats(args.p)
     if len(p) != psi.n:
         print(f"error: p has dimension {len(p)}, potential needs {psi.n}",
               file=sys.stderr)
@@ -117,18 +111,9 @@ def _cmd_divergence(args) -> int:
     points = [np.array(tup) for tup in itertools.product(axis, repeat=psi.n)]
     ws = DuallyFlatWorkspace(psi)
     rows = divergence_table(ws, [(a, b) for a in points for b in points])
+    write_divergence_csv(rows, args.out or sys.stdout)
     if args.out:
-        write_divergence_csv(rows, args.out)
         print(f"wrote {args.out}")
-    else:
-        print("x,x_prime,D,D_reverse,asymmetry,error")
-        for row in rows:
-            xs = " ".join(repr(float(v)) for v in row["x"])
-            ys = " ".join(repr(float(v)) for v in row["x_prime"])
-            vals = ",".join(
-                "" if row[k] is None else repr(float(row[k]))
-                for k in ("D", "D_reverse", "asymmetry"))
-            print(f"{xs},{ys},{vals},{row['error']}")
     return EXIT_PASS
 
 

@@ -5,12 +5,16 @@ psi~(x, x_extra) = psi(x) + anchor * x_extra, and the lift is arranged so
 that psi~ is exactly conserved along the ambient flow: whatever the base
 potential loses, the extra coordinate absorbs (entropy production in the
 thermal circuit models).
+
+Only the psi side is written out; a phi-side extended lift is the psi-side
+one of the conjugate (``dual_extended_spec``) seen through the Legendre
+swap of the flattened (n+1)-dimensional point.  Its conserved quantity is
+therefore phi(p) + anchor * p_extra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,8 +23,16 @@ from .errors import (
     NonMetricExtensionError,
     OutsideInvariantChartError,
 )
-from .geometry import CanonicalPoint, ContactHamiltonian, hamiltonian_vector_field
-from .lifts import LiftSpec
+from .geometry import (
+    CanonicalPoint,
+    ContactHamiltonian,
+    TangentVector,
+    hamiltonian_vector_field,
+    legendre_swap,
+    push_swap,
+    swap_hamiltonian,
+)
+from .lifts import LiftSpec, dual_spec
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,10 @@ def unflatten(pt: CanonicalPoint) -> ExtendedPoint:
     return ExtendedPoint(pt.x[:-1], pt.x[-1], pt.p[:-1], pt.p[-1], pt.z)
 
 
+def _swap(pt: ExtendedPoint) -> ExtendedPoint:
+    return unflatten(legendre_swap(pt.flatten()))
+
+
 @dataclass(frozen=True)
 class ExtendedTangent:
     dx: np.ndarray
@@ -67,6 +83,15 @@ class ExtendedTangent:
     dp: np.ndarray
     dp_extra: float
     dz: float
+
+    def flatten(self) -> TangentVector:
+        return TangentVector(
+            np.append(self.dx, self.dx_extra), np.append(self.dp, self.dp_extra), self.dz
+        )
+
+
+def _unflatten_tangent(v: TangentVector) -> ExtendedTangent:
+    return ExtendedTangent(v.dx[:-1], v.dx[-1], v.dp[:-1], v.dp[-1], v.dz)
 
 
 @dataclass(frozen=True)
@@ -94,6 +119,11 @@ class ExtendedLiftSpec:
         return self.base.side
 
 
+def dual_extended_spec(spec: ExtendedLiftSpec) -> ExtendedLiftSpec:
+    """The psi-side extension of ``dual_spec(spec.base)`` with the same anchor."""
+    return ExtendedLiftSpec(base=dual_spec(spec.base), anchor=spec.anchor)
+
+
 def dually_flat_workspace(spec: ExtendedLiftSpec):
     """The extended generating function has a degenerate Hessian block.
 
@@ -107,7 +137,7 @@ def dually_flat_workspace(spec: ExtendedLiftSpec):
 
 
 def tilde_potential_value(spec: ExtendedLiftSpec, x, x_extra) -> float:
-    """psi~(x, x_extra) = psi(x) + anchor * x_extra (psi side)."""
+    """psi~(x, x_extra) = psi(x) + anchor * x_extra of the base potential."""
     return spec.base.potential.value_at(x) + spec.anchor * float(x_extra)
 
 
@@ -121,19 +151,10 @@ def tilde_deltas(spec: ExtendedLiftSpec, pt: ExtendedPoint):
     """
     if pt.n != spec.n:
         raise DimensionMismatchError("point dimension mismatch")
-    base = spec.base
-    if spec.side == "psi":
-        d0 = tilde_potential_value(spec, pt.x, pt.x_extra) - pt.z
-        d = (pt.p_extra / spec.anchor) * base.potential.gradient_at(pt.x) - pt.p
-    else:
-        res = base.workspace.transform(pt.p)
-        d0 = (
-            float(pt.x @ pt.p)
-            + (pt.x_extra - spec.anchor) * pt.p_extra
-            - res.phi_value
-            - pt.z
-        )
-        d = pt.x - (pt.x_extra / spec.anchor) * res.x_star
+    if spec.side == "phi":  # the swap flips the sign of both defects
+        return tuple(-d for d in tilde_deltas(dual_extended_spec(spec), _swap(pt)))
+    d0 = tilde_potential_value(spec, pt.x, pt.x_extra) - pt.z
+    d = (pt.p_extra / spec.anchor) * spec.base.potential.gradient_at(pt.x) - pt.p
     return d0, d
 
 
@@ -144,6 +165,8 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     partials are assembled in closed form so the verified canonical-field
     evaluator does all the dynamics.
     """
+    if spec.side == "phi":
+        return swap_hamiltonian(tilde_hamiltonian(dual_extended_spec(spec)))
     base = spec.base
     psi = base.potential
     F = base.drift
@@ -154,69 +177,32 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     def split(X, P):
         return X[:n], X[n], P[:n], P[n]
 
-    if spec.side == "psi":
+    def deltas(x, xe, p, pe, z):
+        d0 = psi.value_at(x) + anchor * xe - z
+        d = (pe / anchor) * psi.gradient_at(x) - p
+        return d0, d
 
-        def deltas(x, xe, p, pe, z):
-            d0 = psi.value_at(x) + anchor * xe - z
-            d = (pe / anchor) * psi.gradient_at(x) - p
-            return d0, d
+    def value(X, P, z):
+        x, xe, p, pe = split(X, P)
+        d0, d = deltas(x, xe, p, pe, z)
+        return float(d @ F.at(x)) + Gam.eval(d0)
 
-        def value(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, d = deltas(x, xe, p, pe, z)
-            return float(d @ F.at(x)) + Gam.eval(d0)
+    def grad_x(X, P, z):
+        x, xe, p, pe = split(X, P)
+        d0, d = deltas(x, xe, p, pe, z)
+        H = psi.hessian_at(x, check_spd=False)
+        gx = (pe / anchor) * (H @ F.at(x)) + F.jacobian_at(x).T @ d \
+            + Gam.derivative(d0) * psi.gradient_at(x)
+        return np.append(gx, Gam.derivative(d0) * anchor)
 
-        def grad_x(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, d = deltas(x, xe, p, pe, z)
-            H = psi.hessian_at(x, check_spd=False)
-            gx = (pe / anchor) * (H @ F.at(x)) + F.jacobian_at(x).T @ d \
-                + Gam.derivative(d0) * psi.gradient_at(x)
-            return np.append(gx, Gam.derivative(d0) * anchor)
+    def grad_p(X, P, z):
+        x, xe, p, pe = split(X, P)
+        return np.append(-F.at(x), float(psi.gradient_at(x) @ F.at(x)) / anchor)
 
-        def grad_p(X, P, z):
-            x, xe, p, pe = split(X, P)
-            return np.append(-F.at(x), float(psi.gradient_at(x) @ F.at(x)) / anchor)
-
-        def dz_partial(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, _ = deltas(x, xe, p, pe, z)
-            return -Gam.derivative(d0)
-
-    else:
-        ws = base.workspace
-
-        def deltas(x, xe, p, pe, z):
-            res = ws.transform(p)
-            d0 = float(x @ p) + (xe - anchor) * pe - res.phi_value - z
-            d = x - (xe / anchor) * res.x_star
-            return d0, d, res
-
-        def value(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, d, _ = deltas(x, xe, p, pe, z)
-            return float(d @ F.at(p)) + Gam.eval(d0)
-
-        def grad_x(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, d, res = deltas(x, xe, p, pe, z)
-            gx = F.at(p) + Gam.derivative(d0) * p
-            ge = -float(res.x_star @ F.at(p)) / anchor + Gam.derivative(d0) * pe
-            return np.append(gx, ge)
-
-        def grad_p(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, d, res = deltas(x, xe, p, pe, z)
-            Hphi = np.linalg.inv(psi.hessian_at(res.x_star, check_spd=False))
-            gp = -(xe / anchor) * (Hphi @ F.at(p)) + F.jacobian_at(p).T @ d \
-                + Gam.derivative(d0) * (x - res.x_star)
-            ge = Gam.derivative(d0) * (xe - anchor)
-            return np.append(gp, ge)
-
-        def dz_partial(X, P, z):
-            x, xe, p, pe = split(X, P)
-            d0, _, _ = deltas(x, xe, p, pe, z)
-            return -Gam.derivative(d0)
+    def dz_partial(X, P, z):
+        x, xe, p, pe = split(X, P)
+        d0, _ = deltas(x, xe, p, pe, z)
+        return -Gam.derivative(d0)
 
     return ContactHamiltonian(
         n=n + 1, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
@@ -225,8 +211,7 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
 
 def extended_lifted_field(spec: ExtendedLiftSpec, pt: ExtendedPoint) -> ExtendedTangent:
     """Ambient canonical field of h~ at any extended point."""
-    v = hamiltonian_vector_field(tilde_hamiltonian(spec), pt.flatten())
-    return ExtendedTangent(v.dx[:-1], v.dx[-1], v.dp[:-1], v.dp[-1], v.dz)
+    return _unflatten_tangent(hamiltonian_vector_field(tilde_hamiltonian(spec), pt.flatten()))
 
 
 def restricted_extended_field(spec: ExtendedLiftSpec, u) -> ExtendedTangent:
@@ -235,19 +220,20 @@ def restricted_extended_field(spec: ExtendedLiftSpec, u) -> ExtendedTangent:
 
     The extra fiber coordinate absorbs the potential's drift:
     anchor * (dx_extra/dt) = -d psi / dt on the psi side, and the pinned
-    coordinates z and the opposite extra stay exactly constant.
+    coordinates z and p_extra stay exactly constant.  On the phi side
+    p_extra absorbs the drift of phi, x_extra stays pinned, and z moves
+    at p . Hess phi . F.
     """
+    if spec.side == "phi":
+        dual = dual_extended_spec(spec)
+        pt = embed_extended(dual, u, 0.0).flatten()
+        return _unflatten_tangent(push_swap(pt, restricted_extended_field(dual, u).flatten()))
     base = spec.base
     u = np.atleast_1d(np.asarray(u, dtype=float))
     f = base.drift.at(u)
-    if spec.side == "psi":
-        dp = base.potential.hessian_at(u) @ f
-        dxe = -float(base.potential.gradient_at(u) @ f) / spec.anchor
-        return ExtendedTangent(f, dxe, dp, 0.0, 0.0)
-    Hphi = base.workspace.dual_metric_at_p(u)
-    xs = base.workspace.x_star(u)
-    dpe = -float(xs @ f) / spec.anchor
-    return ExtendedTangent(Hphi @ f, 0.0, f, dpe, 0.0)
+    dp = base.potential.hessian_at(u) @ f
+    dxe = -float(base.potential.gradient_at(u) @ f) / spec.anchor
+    return ExtendedTangent(f, dxe, dp, 0.0, 0.0)
 
 
 def embed_extended(spec: ExtendedLiftSpec, u, extra: float) -> ExtendedPoint:
@@ -256,15 +242,12 @@ def embed_extended(spec: ExtendedLiftSpec, u, extra: float) -> ExtendedPoint:
     ``extra`` is the free coordinate (x_extra on the psi side, p_extra on
     the phi side); the rest are pinned by the generating function.
     """
-    base = spec.base
+    if spec.side == "phi":
+        return _swap(embed_extended(dual_extended_spec(spec), u, extra))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if spec.side == "psi":
-        p = base.potential.gradient_at(u)
-        z = tilde_potential_value(spec, u, extra)
-        return ExtendedPoint(u, float(extra), p, spec.anchor, z)
-    res = base.workspace.transform(u)
-    z = float(u @ res.x_star) - res.phi_value
-    return ExtendedPoint(res.x_star, spec.anchor, u, float(extra), z)
+    p = spec.base.potential.gradient_at(u)
+    z = tilde_potential_value(spec, u, extra)
+    return ExtendedPoint(u, float(extra), p, spec.anchor, z)
 
 
 def extended_invariant_density(

@@ -157,6 +157,51 @@ def contact_form_pairing(pt: CanonicalPoint, v: TangentVector) -> float:
     return float(v.dz - pt.p @ v.dx)
 
 
+def legendre_swap(pt: CanonicalPoint) -> CanonicalPoint:
+    """S(x, p, z) = (p, x, x.p - z): the involution exchanging the two charts.
+
+    S pulls the contact form back to its negative, S*lambda = -lambda, so it
+    maps the graph of a potential onto the graph of its conjugate.
+    """
+    return CanonicalPoint(pt.p, pt.x, float(pt.x @ pt.p) - pt.z)
+
+
+def push_swap(pt: CanonicalPoint, v: TangentVector) -> TangentVector:
+    """Pushforward of a tangent vector at ``pt`` under the swap.
+
+    (dx, dp, dz) -> (dp, dx, p.dx + x.dp - dz).
+    """
+    return TangentVector(v.dp, v.dx, float(pt.p @ v.dx + pt.x @ v.dp) - v.dz)
+
+
+def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
+    """-h o S, whose contact field is the pushforward of X_h under the swap.
+
+    Closed-form partials follow by the chain rule through S.
+    """
+
+    def value(x, p, z):
+        return -h.value(p, x, float(x @ p) - z)
+
+    if h.derivative_mode != "closed_form":
+        return ContactHamiltonian(n=h.n, value=value)
+
+    def grad_x(x, p, z):
+        zs = float(x @ p) - z
+        return -(h.grad_p(p, x, zs) + h.dz_partial(p, x, zs) * p)
+
+    def grad_p(x, p, z):
+        zs = float(x @ p) - z
+        return -(h.grad_x(p, x, zs) + h.dz_partial(p, x, zs) * x)
+
+    def dz_partial(x, p, z):
+        return h.dz_partial(p, x, float(x @ p) - z)
+
+    return ContactHamiltonian(
+        n=h.n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
+    )
+
+
 def reeb_field(n: int) -> TangentVector:
     """The Reeb field: unit dz component, independent of the base point."""
     if n < 1:

@@ -2,21 +2,30 @@
 
 States are flat arrays: (x, p, z) for a base lift, (x, x_extra, p, p_extra, z)
 for an extended one.  Diagnostics (h, defect norms, compressibility,
-conserved quantities) are recorded at every accepted step.
+conserved quantities) are recorded at every accepted step; on the phi side
+they are the psi-side diagnostics of the conjugate on the swapped states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import IntegrationAbort
-from .extended import ExtendedLiftSpec, ExtendedPoint, tilde_hamiltonian, tilde_potential_value
+from .extended import (
+    ExtendedLiftSpec,
+    ExtendedPoint,
+    dual_extended_spec,
+    tilde_deltas,
+    tilde_hamiltonian,
+    tilde_potential_value,
+    unflatten,
+)
 from .geometry import CanonicalPoint, hamiltonian_vector_field
-from .lifts import LiftSpec, build_hamiltonian
-from .potentials import delta_phi, delta_psi
+from .lifts import build_hamiltonian, dual_spec
+from .potentials import delta_psi
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
@@ -138,26 +147,18 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TO
 # ---------------------------------------------------------------------------
 # Lift-aware integration with per-step diagnostics.
 
-def _base_rhs(spec: LiftSpec):
-    h = build_hamiltonian(spec)
-    n = spec.n
-
-    def f(t, y):
-        pt = CanonicalPoint(y[:n], y[n:2 * n], y[2 * n])
-        return hamiltonian_vector_field(h, pt).as_array()
-
-    return f, h
+def _hamiltonian(spec, extended: bool):
+    return tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
 
 
-def _extended_rhs(spec: ExtendedLiftSpec):
-    h = tilde_hamiltonian(spec)
-    m = spec.n + 1
+def _rhs(h):
+    m = h.n
 
     def f(t, y):
         pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
         return hamiltonian_vector_field(h, pt).as_array()
 
-    return f, h
+    return f
 
 
 def pack_state(pt) -> np.ndarray:
@@ -185,22 +186,33 @@ def integrate_lift(spec, initial, t_end: float,
         raise ValueError("t_end must be positive")
     config = config or IntegratorConfig()
     extended = isinstance(spec, ExtendedLiftSpec)
-    f, ham = (_extended_rhs if extended else _base_rhs)(spec)
+    f = _rhs(_hamiltonian(spec, extended))
     y0 = initial if isinstance(initial, np.ndarray) else pack_state(initial)
     try:
         traj = _run(f, y0, t_end, config)
     except IntegrationAbort as exc:
         traj = exc.trajectory
         traj.abort_reason = str(exc)
-    traj.diagnostics = _diagnostics(spec, ham, traj.states, extended)
+    traj.diagnostics = _diagnostics(spec, traj.states, extended)
     return traj
 
 
-def _diagnostics(spec, ham, states, extended: bool) -> dict:
+def _swap_states(states: np.ndarray, m: int) -> np.ndarray:
+    """The Legendre swap (x, p, z) -> (p, x, x.p - z) applied to every row."""
+    x, p, z = states[:, :m], states[:, m:2 * m], states[:, 2 * m]
+    return np.column_stack([p, x, np.einsum("ij,ij->i", x, p) - z])
+
+
+def _diagnostics(spec, states, extended: bool) -> dict:
     n = spec.n
     m = n + 1 if extended else n
+    if spec.side == "phi":  # h and the defects change sign under the swap
+        dual = dual_extended_spec(spec) if extended else dual_spec(spec)
+        out = _diagnostics(dual, _swap_states(states, m), extended)
+        return {**out, "h": -out["h"], "delta0": -out["delta0"]}
+    ham = _hamiltonian(spec, extended)
     hs, d0s, dnorms = [], [], []
-    psit, htot, entropy = [], [], []
+    psit, entropy = [], []
     gamma_rate = (
         spec.base.restoring.derivative if extended else spec.restoring.derivative
     )
@@ -209,21 +221,13 @@ def _diagnostics(spec, ham, states, extended: bool) -> dict:
         pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
         hs.append(ham(pt))
         if extended:
-            from .extended import tilde_deltas, unflatten
-
             ept = unflatten(pt)
             d0, d = tilde_deltas(spec, ept)
-            psi_t = tilde_potential_value(spec, ept.x, ept.x_extra) if spec.side == "psi" else None
-            if psi_t is not None:
-                psit.append(psi_t)
-                htot.append(psi_t)
-                entropy.append(ept.x_extra)
+            psit.append(tilde_potential_value(spec, ept.x, ept.x_extra))
+            entropy.append(ept.x_extra)
             kappas.append(-(n + 2) * gamma_rate(d0))
         else:
-            if spec.side == "psi":
-                d0, d = delta_psi(spec.potential, pt)
-            else:
-                d0, d = delta_phi(spec.potential, pt)
+            d0, d = delta_psi(spec.potential, pt)
             kappas.append(-(n + 1) * gamma_rate(d0))
         d0s.append(d0)
         dnorms.append(float(np.linalg.norm(d)))
@@ -233,9 +237,9 @@ def _diagnostics(spec, ham, states, extended: bool) -> dict:
         "delta_norm": np.array(dnorms),
         "kappa": np.array(kappas),
     }
-    if psit:
+    if extended:
         out["psi_tilde"] = np.array(psit)
-        out["H_tot"] = np.array(htot)
+        out["H_tot"] = np.array(psit)
         out["S"] = np.array(entropy)
     return out
 
@@ -245,8 +249,8 @@ def integrate_on_submanifold(ws, drift, side: str, start, t_end: float,
     """Integrate the chart ODE du/dt = F(u) and return the endpoint.
 
     side "psi": u = x and F is a drift in x; side "phi": u = p.
-    This is the integrator behind exponential maps of geodesic and
-    gradient drifts.
+    This is the integrator behind the flows of geodesic and gradient
+    drifts.
     """
     config = config or IntegratorConfig()
 
@@ -258,11 +262,6 @@ def integrate_on_submanifold(ws, drift, side: str, start, t_end: float,
         raise IntegrationAbort(f"submanifold flow truncated: {traj.abort_reason}",
                                trajectory=traj)
     return traj.final_state
-
-
-def exponential_map(ws, drift, side: str, start) -> np.ndarray:
-    """Unit-time flow of a drift in its chart coordinate."""
-    return integrate_on_submanifold(ws, drift, side, start, 1.0)
 
 
 def fit_decay_rate(times, values) -> float:

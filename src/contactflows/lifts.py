@@ -5,6 +5,10 @@ a drift F on the submanifold, and a restoring function of the scalar defect.
 The induced contact Hamiltonian is  h = Delta . F + Gamma(Delta_0); its
 canonical vector field reproduces the drift on the submanifold and pulls
 the defect coordinates back to zero off it.
+
+Only the psi side is written out.  A phi-side lift of psi is the psi-side
+lift of the conjugate phi (``dual_spec``) seen through the Legendre swap
+S(x, p, z) = (p, x, x.p - z).
 """
 
 from __future__ import annotations
@@ -22,8 +26,17 @@ from .geometry import (
     TangentVector,
     fd_step,
     hamiltonian_vector_field,
+    legendre_swap,
+    push_swap,
+    swap_hamiltonian,
 )
-from .potentials import ConvexPotential, DuallyFlatWorkspace
+from .potentials import (
+    ConvexPotential,
+    DuallyFlatWorkspace,
+    conjugate,
+    delta_psi,
+    embed_psi,
+)
 
 
 @dataclass(frozen=True)
@@ -39,16 +52,6 @@ class DriftField:
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     structure: Optional[tuple] = None
-
-    def __post_init__(self):
-        # degenerate F == 0 is allowed but almost surely a mistake
-        try:
-            grid = [np.full(self.n, s) for s in np.linspace(-1.0, 1.0, 5)]
-            vanishes = all(np.allclose(self.eval(g), 0.0) for g in grid)
-        except Exception:
-            return  # unevaluable off-domain; skip the advisory check
-        if vanishes:
-            warnings.warn("drift field vanishes on the sample grid", stacklevel=2)
 
     def at(self, u) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.eval(np.asarray(u, dtype=float)), dtype=float))
@@ -162,59 +165,51 @@ class LiftSpec:
         return self.potential.n
 
 
+def dual_spec(spec: LiftSpec) -> LiftSpec:
+    """The psi-side lift of the conjugate that a phi-side lift becomes under the swap.
+
+    The drift carries over; the restoring function becomes
+    Gamma~(d) = -Gamma(-d), which is Gamma itself when Gamma is linear.
+    Every transform goes through ``spec.workspace``, so its cache is shared.
+    """
+    if spec.side != "phi":
+        raise ValueError("dual_spec needs a phi-side lift")
+    gam = spec.restoring
+    if gam.kind != "linear":
+        gam = RestoringFunction(eval=lambda d: -spec.restoring.eval(-d),
+                                derivative=lambda d: spec.restoring.derivative(-d))
+    return LiftSpec(side="psi", potential=conjugate(spec.workspace),
+                    drift=spec.drift, restoring=gam)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly.
 
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """h = Delta . F + Gamma(Delta_0) on the chosen side, with analytic partials."""
+    if spec.side == "phi":
+        return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
     psi = spec.potential
     F = spec.drift
     Gam = spec.restoring
     n = spec.n
 
-    if spec.side == "psi":
+    def value(x, p, z):
+        d0 = psi.value_at(x) - z
+        d = psi.gradient_at(x) - p
+        return float(d @ F.at(x)) + Gam.eval(d0)
 
-        def value(x, p, z):
-            d0 = psi.value_at(x) - z
-            d = psi.gradient_at(x) - p
-            return float(d @ F.at(x)) + Gam.eval(d0)
+    def grad_x(x, p, z):
+        d0 = psi.value_at(x) - z
+        d = psi.gradient_at(x) - p
+        H = psi.hessian_at(x, check_spd=False)
+        return H @ F.at(x) + F.jacobian_at(x).T @ d + Gam.derivative(d0) * psi.gradient_at(x)
 
-        def grad_x(x, p, z):
-            d0 = psi.value_at(x) - z
-            d = psi.gradient_at(x) - p
-            H = psi.hessian_at(x, check_spd=False)
-            return H @ F.at(x) + F.jacobian_at(x).T @ d + Gam.derivative(d0) * psi.gradient_at(x)
+    def grad_p(x, p, z):
+        return -F.at(x)
 
-        def grad_p(x, p, z):
-            return -F.at(x)
-
-        def dz_partial(x, p, z):
-            return -Gam.derivative(psi.value_at(x) - z)
-
-    else:
-        ws = spec.workspace
-
-        def value(x, p, z):
-            res = ws.transform(p)
-            d0 = float(x @ p) - res.phi_value - z
-            d = x - res.x_star
-            return float(d @ F.at(p)) + Gam.eval(d0)
-
-        def grad_x(x, p, z):
-            res = ws.transform(p)
-            d0 = float(x @ p) - res.phi_value - z
-            return F.at(p) + Gam.derivative(d0) * p
-
-        def grad_p(x, p, z):
-            res = ws.transform(p)
-            d0 = float(x @ p) - res.phi_value - z
-            d = x - res.x_star
-            Hphi = np.linalg.inv(psi.hessian_at(res.x_star, check_spd=False))
-            return -Hphi @ F.at(p) + F.jacobian_at(p).T @ d + Gam.derivative(d0) * d
-
-        def dz_partial(x, p, z):
-            res = ws.transform(p)
-            return -Gam.derivative(float(x @ p) - res.phi_value - z)
+    def dz_partial(x, p, z):
+        return -Gam.derivative(psi.value_at(x) - z)
 
     return ContactHamiltonian(
         n=n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
@@ -237,13 +232,9 @@ def restricted_field_psi(spec: LiftSpec, x):
 
 def restricted_field_phi(spec: LiftSpec, p):
     """On the phi-graph: dp = F, dx = Hess phi . F, dz = p . Hess phi . F."""
-    if spec.side != "phi":
-        raise ValueError("spec is not a phi-side lift")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    f = spec.drift.at(p)
-    Hphi = spec.workspace.dual_metric_at_p(p)
-    dx = Hphi @ f
-    return dx, f, float(p @ dx)
+    dual = dual_spec(spec)
+    v = push_swap(embed_psi(dual.potential, p), TangentVector(*restricted_field_psi(dual, p)))
+    return v.dx, v.dp, v.dz
 
 
 def lifted_field(spec: LiftSpec, pt: CanonicalPoint) -> TangentVector:
@@ -257,14 +248,10 @@ def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):
     Returns (dDelta_0/dt, dDelta/dt) from the triangular system
     dDelta_a = -(dF/du)^T Delta - Gamma' Delta_a,  dDelta_0 = -Gamma(Delta_0).
     """
-    from .potentials import delta_phi, delta_psi
-
-    if spec.side == "psi":
-        d0, d = delta_psi(spec.potential, pt)
-        J = spec.drift.jacobian_at(pt.x)
-    else:
-        d0, d = delta_phi(spec.potential, pt)
-        J = spec.drift.jacobian_at(pt.p)
+    if spec.side == "phi":  # the swap flips the sign of every defect
+        return tuple(-r for r in delta_velocities(dual_spec(spec), legendre_swap(pt)))
+    d0, d = delta_psi(spec.potential, pt)
+    J = spec.drift.jacobian_at(pt.x)
     gp = spec.restoring.derivative(d0)
     return -spec.restoring.eval(d0), -J.T @ d - gp * d
 

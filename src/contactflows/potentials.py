@@ -3,13 +3,14 @@ the dually flat machinery built on top of them.
 
 The conjugate potential is never stored in closed form: every quantity on
 the dual side goes through the unique solution x*(p) of grad psi(x) = p,
-obtained by damped Newton.
+obtained by damped Newton.  ``conjugate`` packages that solve as a
+potential of p, so the dual side reuses every psi-side construction through
+the Legendre swap.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     NewtonConvergenceError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, fd_step
+from .geometry import CanonicalPoint, fd_step, legendre_swap
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -229,19 +230,14 @@ def involution_check(psi: ConvexPotential, x) -> float:
     return float(np.max(np.abs(res.x_star - x)))
 
 
-def metric(psi: ConvexPotential, x) -> np.ndarray:
-    """Hessian metric of psi at x."""
-    return psi.hessian_at(x)
-
-
-def dual_metric(psi: ConvexPotential, p, x0=None) -> np.ndarray:
-    """Hessian of the conjugate at p, computed as the inverse Hessian at x*(p)."""
-    res = legendre_transform(psi, p, x0=x0)
-    return np.linalg.inv(psi.hessian_at(res.x_star))
+def dual_metric(psi: ConvexPotential, p) -> np.ndarray:
+    """Hessian of the conjugate at p: the inverse Hessian of psi at x*(p)."""
+    return conjugate(DuallyFlatWorkspace(psi)).hessian_at(p)
 
 
 # ---------------------------------------------------------------------------
-# Legendre-submanifold embeddings and defect functions.
+# Legendre-submanifold embeddings and defect functions.  The phi-side ones
+# are the psi-side ones of the conjugate, seen through the Legendre swap.
 
 def embed_psi(psi: ConvexPotential, x) -> CanonicalPoint:
     """(x, grad psi(x), psi(x)): the graph of psi in canonical coordinates."""
@@ -249,11 +245,9 @@ def embed_psi(psi: ConvexPotential, x) -> CanonicalPoint:
     return CanonicalPoint(x, psi.gradient_at(x), psi.value_at(x))
 
 
-def embed_phi(psi: ConvexPotential, p, x0=None) -> CanonicalPoint:
+def embed_phi(psi: ConvexPotential, p) -> CanonicalPoint:
     """(x*(p), p, p.x*(p) - phi(p)): the dual-side graph."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    res = legendre_transform(psi, p, x0=x0)
-    return CanonicalPoint(res.x_star, p, float(p @ res.x_star) - res.phi_value)
+    return legendre_swap(embed_psi(conjugate(DuallyFlatWorkspace(psi)), p))
 
 
 def delta_psi(psi: ConvexPotential, pt: CanonicalPoint):
@@ -263,13 +257,13 @@ def delta_psi(psi: ConvexPotential, pt: CanonicalPoint):
     return psi.value_at(pt.x) - pt.z, psi.gradient_at(pt.x) - pt.p
 
 
-def delta_phi(psi: ConvexPotential, pt: CanonicalPoint, x0=None):
-    """Dual defects (Delta^0, Delta^a) = (x.p - phi(p) - z, x - grad phi(p))."""
-    if pt.n != psi.n:
-        raise DimensionMismatchError("point dimension mismatch")
-    res = legendre_transform(psi, pt.p, x0=x0)
-    d0 = float(pt.x @ pt.p) - res.phi_value - pt.z
-    return d0, pt.x - res.x_star
+def delta_phi(psi: ConvexPotential, pt: CanonicalPoint):
+    """Dual defects (Delta^0, Delta^a) = (x.p - phi(p) - z, x - grad phi(p)).
+
+    The swap flips the sign of both defects.
+    """
+    d0, d = delta_psi(conjugate(DuallyFlatWorkspace(psi)), legendre_swap(pt))
+    return -d0, -d
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +272,12 @@ def delta_phi(psi: ConvexPotential, pt: CanonicalPoint, x0=None):
 class DuallyFlatWorkspace:
     """A strictly convex potential together with its numerically-derived dual.
 
-    Caches x*(p) keyed by the rounded argument; the cache only ever grows
-    and entries are immutable, so concurrent readers are safe.
+    Caches the transform at p keyed by the exact bytes of p; the cache only
+    ever grows and entries are immutable, so concurrent readers are safe.
     """
 
-    def __init__(self, psi: ConvexPotential, cache: bool = True):
+    def __init__(self, psi: ConvexPotential):
         self.psi = psi
-        self._cache_enabled = cache
         self._cache: dict = {}
 
     @property
@@ -293,12 +286,10 @@ class DuallyFlatWorkspace:
 
     def transform(self, p) -> LegendreTransformResult:
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        key = p.tobytes() if self._cache_enabled else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        res = legendre_transform(self.psi, p)
-        if key is not None:
-            self._cache[key] = res
+        key = p.tobytes()
+        res = self._cache.get(key)
+        if res is None:
+            res = self._cache[key] = legendre_transform(self.psi, p)
         return res
 
     def phi_value(self, p) -> float:
@@ -307,17 +298,22 @@ class DuallyFlatWorkspace:
     def x_star(self, p) -> np.ndarray:
         return self.transform(p).x_star
 
-    def metric(self, x) -> np.ndarray:
-        return self.psi.hessian_at(x)
 
-    def dual_metric_at_p(self, p) -> np.ndarray:
-        return np.linalg.inv(self.psi.hessian_at(self.x_star(p)))
+def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
+    """The conjugate phi as a potential of p, read through the workspace.
 
-    def embed_psi(self, x) -> CanonicalPoint:
-        return embed_psi(self.psi, x)
-
-    def embed_phi(self, p) -> CanonicalPoint:
-        return embed_phi(self.psi, p)
+    Value phi(p), gradient x*(p), Hessian (Hess psi(x*))^-1.  Hess psi is
+    inverted unchecked, so an unchecked ``hessian_at`` costs no
+    factorisation; a checked one tests the inverse itself.
+    """
+    psi = ws.psi
+    return ConvexPotential(
+        n=ws.n,
+        value=ws.phi_value,
+        gradient=ws.x_star,
+        hessian=lambda p: np.linalg.inv(psi.hessian_at(ws.x_star(p), check_spd=False)),
+        name=f"conjugate of {psi.name}",
+    )
 
 
 def canonical_divergence(ws: DuallyFlatWorkspace, x, x_prime) -> float:
@@ -387,22 +383,3 @@ def _verify_geodesic_endpoints(ws, x1, x2, x3, tol=1e-6):
     p_end = integrate_on_submanifold(ws, drift_primal, side="phi", start=p2, t_end=1.0)
     if float(np.max(np.abs(ws.x_star(p_end) - x3))) > tol:
         raise PythagoreanConfigError("primal geodesic does not reach the endpoint")
-
-
-def dual_christoffel(psi: ConvexPotential, x) -> np.ndarray:
-    """Third-derivative tensor of psi by central differences of the Hessian.
-
-    Diagnostic only; symmetric in its first two slots by construction.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = psi.n
-    G = np.empty((n, n, n))
-    for c in range(n):
-        s = fd_step(x[c])
-        e = np.zeros(n)
-        e[c] = s
-        G[:, :, c] = (
-            psi.hessian_at(x + e, check_spd=False)
-            - psi.hessian_at(x - e, check_spd=False)
-        ) / (2 * s)
-    return G

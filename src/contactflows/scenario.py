@@ -27,6 +27,7 @@ whitespace-separated; matrices separate rows with ';'.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ContactFlowsError, EvaluationError, ScenarioError
-from .extended import ExtendedLiftSpec, ExtendedPoint, embed_extended, unflatten
+from .extended import ExtendedLiftSpec, ExtendedPoint, embed_extended
 from .geometry import CanonicalPoint
 from .integrate import IntegratorConfig, Trajectory, fit_decay_rate, integrate_lift
 from .lifts import LiftSpec
@@ -105,14 +106,11 @@ def _build_initial(section, spec):
     try:
         if "z" not in keys:
             # on-submanifold start in the chart coordinate of the model's side
-            if base.side == "psi":
-                if "x" not in keys:
-                    raise ScenarioError("psi-side start needs 'x'", location="[initial]")
-                chart = _floats(section["x"])
-            else:
-                if "p" not in keys:
-                    raise ScenarioError("phi-side start needs 'p'", location="[initial]")
-                chart = _floats(section["p"])
+            key = "x" if base.side == "psi" else "p"
+            if key not in keys:
+                raise ScenarioError(f"{base.side}-side start needs {key!r}",
+                                    location="[initial]")
+            chart = _floats(section[key])
             if len(chart) != n:
                 raise ScenarioError(
                     f"chart start has dimension {len(chart)}, model needs {n}",
@@ -120,9 +118,8 @@ def _build_initial(section, spec):
             if extended:
                 extra = float(section.get("x_extra", 0.0))
                 return embed_extended(spec, chart, extra)
-            if base.side == "psi":
-                return embed_psi(base.potential, chart)
-            return embed_phi(base.potential, chart)
+            embed = embed_psi if base.side == "psi" else embed_phi
+            return embed(base.potential, chart)
         x = _floats(section["x"])
         p = _floats(section["p"])
         z = float(section["z"])
@@ -139,8 +136,7 @@ def _build_initial(section, spec):
         raise ScenarioError(str(exc), location="[initial]") from exc
 
 
-def parse_scenario(path) -> Scenario:
-    path = Path(path)
+def _read_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
@@ -149,7 +145,14 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"parse error: {exc}") from exc
+    return parser
 
+
+def parse_scenario(path) -> Scenario:
+    return _scenario_from_config(_read_config(path), Path(path))
+
+
+def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scenario:
     for required in ("model", "initial", "integrator"):
         if required not in parser:
             raise ScenarioError(f"missing section [{required}]")
@@ -327,15 +330,10 @@ def run_scenario(path, out_dir=None, tol: float = 1e-8,
                  write_outputs: bool = True) -> ScenarioResult:
     """Run one scenario file; exit semantics 0 pass / 1 fail / 2 parse / 3 abort."""
     try:
-        raw = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        with open(path) as fh:
-            raw.read_file(fh)
+        raw = _read_config(path)
         if raw.has_section("model") and raw["model"].get("name", "").strip() == "pythagorean":
             return _run_pythagorean(raw, tol)
-    except (OSError, configparser.Error) as exc:
-        return ScenarioResult(EXIT_USAGE, message=f"parse error: {exc}")
-    try:
-        scenario = parse_scenario(path)
+        scenario = _scenario_from_config(raw, Path(path))
     except ScenarioError as exc:
         return ScenarioResult(EXIT_USAGE, message=str(exc))
 
@@ -408,8 +406,10 @@ def divergence_table(ws: DuallyFlatWorkspace, pairs) -> List[dict]:
     return rows
 
 
-def write_divergence_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+def write_divergence_csv(rows, dest) -> None:
+    """Write the rows as CSV to a path, or to an already open text stream."""
+    stream = hasattr(dest, "write")
+    with contextlib.nullcontext(dest) if stream else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "x_prime", "D", "D_reverse", "asymmetry", "error"])
         for row in rows:

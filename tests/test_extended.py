@@ -24,10 +24,12 @@ from contactflows.potentials import quadratic_potential, spin_potential
 RNG = np.random.default_rng(31)
 
 
-def make_extended(side="psi", n=1, anchor=1.0, gamma0=1.0, jac=-0.5):
+def make_extended(side="psi", n=1, anchor=1.0, gamma0=1.0, jac=-0.5, potential=None):
+    if potential is None:
+        potential = spin_potential(n) if side == "psi" else quadratic_potential(np.eye(n))
     base = LiftSpec(
         side=side,
-        potential=spin_potential(n) if side == "psi" else quadratic_potential(np.eye(n)),
+        potential=potential,
         drift=linear_drift(jac, n),
         restoring=linear_restoring(gamma0),
     )
@@ -95,20 +97,34 @@ class TestTildeStructure:
 class TestConservation:
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_psi_tilde_conserved_along_ambient_flow(self, side):
-        # the defining property of the conserving lift: psi-tilde (psi-side)
-        # or its dual pairing is constant even off the submanifold
+        # the defining property of the conserving lift: psi~ = psi(x) +
+        # anchor x_extra (psi side) or phi(p) + anchor p_extra (phi side) is
+        # constant even off the submanifold
         spec = make_extended(side=side, anchor=1.0)
         if side == "psi":
             start = ExtendedPoint(np.array([0.3]), 0.2, np.array([0.9]), 1.4, 0.7)
-            traj = integrate_lift(spec, start, 2.0)
-            vals = traj.diagnostics["psi_tilde"]
-            assert np.max(np.abs(vals - vals[0])) < 1e-9
         else:
-            # phi side: the conserved quantity is checked via the restricted
-            # field below; ambient conservation holds for the dual pairing
-            start = embed_extended(spec, np.array([0.8]), 0.1)
-            traj = integrate_lift(spec, start, 2.0)
-            assert np.max(np.abs(traj.diagnostics["h"])) < 1e-9
+            start = ExtendedPoint(np.array([0.9]), 1.4, np.array([0.3]), 0.2, 0.7)
+        traj = integrate_lift(spec, start, 2.0)
+        vals = traj.diagnostics["psi_tilde"]
+        assert np.max(np.abs(vals - vals[0])) < 1e-9
+        if side == "phi":
+            # psi = x^2/2 is its own conjugate: phi(p) = p^2/2
+            p, p_extra = traj.states[:, 2], traj.states[:, 3]
+            assert np.allclose(vals, 0.5 * p ** 2 + p_extra, atol=1e-12)
+            assert np.array_equal(traj.diagnostics["S"], p_extra)
+
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_report_checks_conservation_on_both_sides(self, side):
+        from contactflows.integrate import IntegratorConfig
+        from contactflows.scenario import Scenario, build_invariant_report
+
+        spec = make_extended(side=side, anchor=1.3)
+        start = ExtendedPoint(np.array([0.4]), 1.1, np.array([0.2]), 0.6, 0.3)
+        traj = integrate_lift(spec, start, 2.0)
+        scenario = Scenario("custom", spec, start, 2.0, IntegratorConfig())
+        checks = {c.name: c for c in build_invariant_report(scenario, traj).checks}
+        assert checks["H_tot conserved"].passed
 
     def test_section3_lift_does_not_conserve_psi(self):
         # non-conservation witness: the plain lift moves psi(x) - is not
@@ -130,8 +146,10 @@ class TestConservation:
         # absorbs exactly what the base potential loses
         assert v.dp_extra == 0.0 and v.dz == 0.0
 
-    def test_ambient_field_matches_restricted_on_graph(self):
-        spec = make_extended(anchor=1.5)
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_ambient_field_matches_restricted_on_graph(self, side):
+        # on the phi side the restricted dz is p . Hess phi . F, not zero
+        spec = make_extended(side=side, anchor=1.5, potential=spin_potential(1))
         u = np.array([0.4])
         pt = embed_extended(spec, u, 0.3)
         va = extended_lifted_field(spec, pt)

@@ -21,7 +21,6 @@ from contactflows.potentials import (
     embed_psi,
     involution_check,
     legendre_transform,
-    metric,
     pythagorean_residual,
     quadratic_potential,
     spin_potential,
@@ -108,7 +107,7 @@ class TestMetrics:
     def test_metric_and_dual_metric_are_inverse(self):
         psi = spin_potential(2)
         x = np.array([0.4, -1.1])
-        g = metric(psi, x)
+        g = psi.hessian_at(x)
         g_star = dual_metric(psi, psi.gradient_at(x))
         assert np.allclose(g @ g_star, np.eye(2), atol=1e-8)
 

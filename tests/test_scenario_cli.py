@@ -202,6 +202,16 @@ class TestCLI:
         assert rows[0][:3] == ["x", "x_prime", "D"]
         assert len(rows) == 10  # header + 3x3 pairs
 
+    def test_divergence_to_stdout_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "div.csv"
+        args = ["divergence", "--potential", "spin", "--n", "2", "--grid=-1:1:2"]
+        assert cli_main(args + ["--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert cli_main(args) == EXIT_PASS
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        with open(out, newline="") as fh:
+            assert printed == list(csv.reader(fh))
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "contactflows.cli", "check",
