@@ -162,8 +162,12 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     """h~ = D~ . F + Gamma(D~0) as a canonical Hamiltonian in dimension n+1.
 
     Coordinates are flattened as X = (x, x_extra), P = (p, p_extra); the
-    partials are assembled in closed form so the verified canonical-field
-    evaluator does all the dynamics.
+    partials are assembled in closed form.  The field evaluates psi, its
+    gradient and Hessian, F and its Jacobian once:
+    dX = (F, -grad psi . F / anchor),
+    dP = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
+          Gamma'(D0) (anchor - p_extra)),
+    dz = Gamma(D0).
     """
     if spec.side == "phi":
         return swap_hamiltonian(tilde_hamiltonian(dual_extended_spec(spec)))
@@ -204,8 +208,25 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
         d0, _ = deltas(x, xe, p, pe, z)
         return -Gam.derivative(d0)
 
+    def field(y):
+        x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
+        g = psi.gradient_at(x)
+        d0 = psi.value_at(x) + anchor * xe - y[2 * n + 2]
+        d = (pe / anchor) * g - p
+        f = F.at(x)
+        rate = Gam.derivative(d0)
+        out = np.empty(2 * n + 3)
+        out[:n] = f
+        out[n] = -(g @ f) / anchor
+        out[n + 1:2 * n + 1] = ((pe / anchor) * (psi.hessian_at(x, check_spd=False) @ f)
+                                + F.jacobian_at(x).T @ d + rate * (g - p))
+        out[2 * n + 1] = rate * (anchor - pe)
+        out[2 * n + 2] = Gam.eval(d0)
+        return out
+
     return ContactHamiltonian(
-        n=n + 1, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
+        n=n + 1, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial,
+        field=field,
     )
 
 

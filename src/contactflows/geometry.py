@@ -10,7 +10,8 @@ its components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,6 +94,11 @@ class ContactHamiltonian:
     When the analytic partials are omitted they are replaced by central
     differences of ``value``; ``derivative_mode`` records which route is
     in effect.
+
+    ``field`` maps a flat state y = (x, p, z) to the components of the
+    contact vector field X_h at y.  A builder that knows the structure of h
+    supplies one that evaluates every shared quantity once; otherwise it is
+    assembled from the partials (see ``hamiltonian_vector_field``).
     """
 
     n: int
@@ -100,7 +106,8 @@ class ContactHamiltonian:
     grad_x: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     grad_p: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     dz_partial: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None
-    derivative_mode: str = field(init=False)
+    field: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    derivative_mode: str = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -113,6 +120,8 @@ class ContactHamiltonian:
         object.__setattr__(
             self, "derivative_mode", "closed_form" if closed else "central_difference"
         )
+        if self.field is None:
+            object.__setattr__(self, "field", self._generic_field)
 
     def __call__(self, pt: CanonicalPoint) -> float:
         return float(self.value(pt.x, pt.p, pt.z))
@@ -123,15 +132,14 @@ class ContactHamiltonian:
             raise DimensionMismatchError(
                 f"point dimension {pt.n} != Hamiltonian dimension {self.n}"
             )
-        if self.derivative_mode == "closed_form":
-            hx = np.asarray(self.grad_x(pt.x, pt.p, pt.z), dtype=float)
-            hp = np.asarray(self.grad_p(pt.x, pt.p, pt.z), dtype=float)
-            hz = float(self.dz_partial(pt.x, pt.p, pt.z))
-            return hx, hp, hz
-        return self._fd_partials(pt)
+        return self._partials(pt.x, pt.p, pt.z)
 
-    def _fd_partials(self, pt: CanonicalPoint):
-        x, p, z = pt.x, pt.p, pt.z
+    def _partials(self, x, p, z):
+        if self.derivative_mode == "closed_form":
+            hx = np.asarray(self.grad_x(x, p, z), dtype=float)
+            hp = np.asarray(self.grad_p(x, p, z), dtype=float)
+            hz = float(self.dz_partial(x, p, z))
+            return hx, hp, hz
         hx = np.empty(self.n)
         hp = np.empty(self.n)
         for a in range(self.n):
@@ -146,6 +154,14 @@ class ContactHamiltonian:
         s = fd_step(z)
         hz = (self.value(x, p, z + s) - self.value(x, p, z - s)) / (2 * s)
         return hx, hp, hz
+
+    def _generic_field(self, y):
+        """dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp."""
+        n = self.n
+        x, p, z = y[:n], y[n:2 * n], float(y[2 * n])
+        hx, hp, hz = self._partials(x, p, z)
+        hval = float(self.value(x, p, z))
+        return np.concatenate([-hp, hx + p * hz, [hval - p @ hp]])
 
 
 def contact_form_pairing(pt: CanonicalPoint, v: TangentVector) -> float:
@@ -177,14 +193,22 @@ def push_swap(pt: CanonicalPoint, v: TangentVector) -> TangentVector:
 def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """-h o S, whose contact field is the pushforward of X_h under the swap.
 
-    Closed-form partials follow by the chain rule through S.
+    Closed-form partials follow by the chain rule through S; the field is
+    ``h.field`` evaluated at S(y) and pushed forward.
     """
+    n = h.n
 
     def value(x, p, z):
         return -h.value(p, x, float(x @ p) - z)
 
+    def field(y):
+        x, p = y[:n], y[n:2 * n]
+        v = h.field(np.concatenate([p, x, [x @ p - y[2 * n]]]))
+        dx, dp = v[:n], v[n:2 * n]
+        return np.concatenate([dp, dx, [x @ dx + p @ dp - v[2 * n]]])
+
     if h.derivative_mode != "closed_form":
-        return ContactHamiltonian(n=h.n, value=value)
+        return ContactHamiltonian(n=n, value=value, field=field)
 
     def grad_x(x, p, z):
         zs = float(x @ p) - z
@@ -197,9 +221,8 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     def dz_partial(x, p, z):
         return h.dz_partial(p, x, float(x @ p) - z)
 
-    return ContactHamiltonian(
-        n=h.n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
-    )
+    return ContactHamiltonian(n=n, value=value, grad_x=grad_x, grad_p=grad_p,
+                              dz_partial=dz_partial, field=field)
 
 
 def reeb_field(n: int) -> TangentVector:
@@ -209,19 +232,32 @@ def reeb_field(n: int) -> TangentVector:
     return TangentVector(np.zeros(n), np.zeros(n), 1.0)
 
 
-def hamiltonian_vector_field(h: ContactHamiltonian, pt: CanonicalPoint) -> TangentVector:
-    """Canonical components of the contact Hamiltonian vector field at a point.
+def hamiltonian_vector_field(h: ContactHamiltonian, pt):
+    """Canonical components of the contact Hamiltonian vector field.
 
-    dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp.
+    dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp, evaluated by
+    ``h.field``.  Given a flat state (x, p, z) it returns the flat
+    components; given a ``CanonicalPoint``, a ``TangentVector``.
     """
-    hx, hp, hz = h.partials(pt)
-    if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hp)) and np.isfinite(hz)):
+    n = h.n
+    point = isinstance(pt, CanonicalPoint)
+    if point:
+        if pt.n != n:
+            raise DimensionMismatchError(
+                f"point dimension {pt.n} != Hamiltonian dimension {n}"
+            )
+        y = np.concatenate([pt.x, pt.p, [pt.z]])
+    elif len(pt) != 2 * n + 1:
+        raise DimensionMismatchError(f"state length {len(pt)} != {2 * n + 1}")
+    else:
+        y = pt
+    dy = h.field(y)
+    if not np.isfinite(dy).all():
         raise EvaluationError(
-            "non-finite partial derivatives of the Hamiltonian",
-            coords=(pt.x, pt.p, pt.z),
+            "non-finite contact Hamiltonian vector field",
+            coords=(y[:n], y[n:2 * n], y[2 * n]),
         )
-    hval = h(pt)
-    return TangentVector(-hp, hx + pt.p * hz, hval - pt.p @ hp)
+    return TangentVector(dy[:n], dy[n:2 * n], dy[2 * n]) if point else dy
 
 
 @dataclass(frozen=True)

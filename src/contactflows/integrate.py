@@ -13,34 +13,26 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IntegrationAbort
-from .extended import (
-    ExtendedLiftSpec,
-    ExtendedPoint,
-    dual_extended_spec,
-    tilde_deltas,
-    tilde_hamiltonian,
-    tilde_potential_value,
-    unflatten,
-)
-from .geometry import CanonicalPoint, hamiltonian_vector_field
+from .errors import DimensionMismatchError, EvaluationError, IntegrationAbort
+from .extended import ExtendedLiftSpec, ExtendedPoint, dual_extended_spec, tilde_hamiltonian
+from .geometry import hamiltonian_vector_field
 from .lifts import build_hamiltonian, dual_spec
-from .potentials import delta_psi
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
 
 # Fehlberg 4(5) tableau
-_A = [
-    [],
-    [1 / 4],
-    [3 / 32, 9 / 32],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197],
-    [439 / 216, -8, 3680 / 513, -845 / 4104],
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 4, 0, 0, 0, 0],
+    [3 / 32, 9 / 32, 0, 0, 0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0],
+    [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
     [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
-]
-_B5 = [16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55]
-_B4 = [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]
+])
+_C = _A.sum(axis=1)
+_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_B4 = np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])
 
 
 @dataclass
@@ -79,12 +71,12 @@ def _rk4_step(f, t, y, h):
 
 
 def _rkf45_step(f, t, y, h):
-    ks = []
-    for i in range(6):
-        yi = y + h * sum(a * k for a, k in zip(_A[i], ks)) if ks else y.copy()
-        ks.append(f(t + h * sum(_A[i]) if i else t, yi))
-    y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-    y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
+    K = np.empty((6, len(y)))
+    K[0] = f(t, y)
+    for i in range(1, 6):
+        K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
+    y5 = y + h * (_B5 @ K)
+    y4 = y + h * (_B4 @ K)
     return y5, np.max(np.abs(y5 - y4))
 
 
@@ -96,7 +88,7 @@ def solve_fixed(f, y0, t_end, step):
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
         y = _rk4_step(f, t, ys[-1], h)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationAbort(
                 "NaN during RK4 step",
                 trajectory=Trajectory(np.array(ts), np.array(ys), truncated=True,
@@ -120,7 +112,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TO
     while t < t_end - 1e-15:
         h = min(h, t_end - t)
         y_new, err = _rkf45_step(f, t, y, h)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise IntegrationAbort(
                 "NaN during adaptive step",
                 trajectory=Trajectory(np.array(ts), np.array(ys), truncated=True,
@@ -152,11 +144,8 @@ def _hamiltonian(spec, extended: bool):
 
 
 def _rhs(h):
-    m = h.n
-
     def f(t, y):
-        pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
-        return hamiltonian_vector_field(h, pt).as_array()
+        return hamiltonian_vector_field(h, y)
 
     return f
 
@@ -187,7 +176,13 @@ def integrate_lift(spec, initial, t_end: float,
     config = config or IntegratorConfig()
     extended = isinstance(spec, ExtendedLiftSpec)
     f = _rhs(_hamiltonian(spec, extended))
-    y0 = initial if isinstance(initial, np.ndarray) else pack_state(initial)
+    y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
+        else pack_state(initial)
+    dim = 2 * (spec.n + 1 if extended else spec.n) + 1
+    if y0.shape != (dim,):
+        raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({dim},)")
+    if not np.isfinite(y0).all():
+        raise EvaluationError("initial state has non-finite entries", coords=y0)
     try:
         traj = _run(f, y0, t_end, config)
     except IntegrationAbort as exc:
@@ -204,53 +199,52 @@ def _swap_states(states: np.ndarray, m: int) -> np.ndarray:
 
 
 def _diagnostics(spec, states, extended: bool) -> dict:
+    """h, the defects, compressibility and (extended) conserved quantities per state.
+
+    psi, its gradient and F are evaluated once per state; the rest is
+    whole-array arithmetic on the psi side.
+    """
     n = spec.n
     m = n + 1 if extended else n
     if spec.side == "phi":  # h and the defects change sign under the swap
         dual = dual_extended_spec(spec) if extended else dual_spec(spec)
         out = _diagnostics(dual, _swap_states(states, m), extended)
         return {**out, "h": -out["h"], "delta0": -out["delta0"]}
-    ham = _hamiltonian(spec, extended)
-    hs, d0s, dnorms = [], [], []
-    psit, entropy = [], []
-    gamma_rate = (
-        spec.base.restoring.derivative if extended else spec.restoring.derivative
-    )
-    kappas = []
-    for y in states:
-        pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
-        hs.append(ham(pt))
-        if extended:
-            ept = unflatten(pt)
-            d0, d = tilde_deltas(spec, ept)
-            psit.append(tilde_potential_value(spec, ept.x, ept.x_extra))
-            entropy.append(ept.x_extra)
-            kappas.append(-(n + 2) * gamma_rate(d0))
-        else:
-            d0, d = delta_psi(spec.potential, pt)
-            kappas.append(-(n + 1) * gamma_rate(d0))
-        d0s.append(d0)
-        dnorms.append(float(np.linalg.norm(d)))
+    base = spec.base if extended else spec
+    psi, F, Gam = base.potential, base.drift, base.restoring
+    xs = states[:, :n]
+    potential = np.array([psi.value_at(x) for x in xs])
+    grads = np.array([psi.gradient_at(x) for x in xs])
+    drifts = np.array([F.at(x) for x in xs])
+    p = states[:, m:m + n]
+    if extended:
+        x_extra, p_extra = states[:, n], states[:, m + n]
+        potential = potential + spec.anchor * x_extra
+        d = (p_extra / spec.anchor)[:, None] * grads - p
+    else:
+        d = grads - p
+    d0 = potential - states[:, 2 * m]
     out = {
-        "h": np.array(hs),
-        "delta0": np.array(d0s),
-        "delta_norm": np.array(dnorms),
-        "kappa": np.array(kappas),
+        "h": np.einsum("ij,ij->i", d, drifts) + np.array([Gam.eval(v) for v in d0]),
+        "delta0": d0,
+        "delta_norm": np.sqrt(np.einsum("ij,ij->i", d, d)),
+        # (m + 1) dh/dz in canonical dimension m, with dh/dz = -Gamma'(d0)
+        "kappa": -(m + 1) * np.array([Gam.derivative(v) for v in d0], dtype=float),
     }
     if extended:
-        out["psi_tilde"] = np.array(psit)
-        out["H_tot"] = np.array(psit)
-        out["S"] = np.array(entropy)
+        out["psi_tilde"] = potential
+        out["H_tot"] = potential.copy()
+        out["S"] = x_extra.copy()
     return out
 
 
-def integrate_on_submanifold(ws, drift, side: str, start, t_end: float,
+def integrate_on_submanifold(drift, start, t_end: float,
                              config: IntegratorConfig = None) -> np.ndarray:
     """Integrate the chart ODE du/dt = F(u) and return the endpoint.
 
-    side "psi": u = x and F is a drift in x; side "phi": u = p.
-    This is the integrator behind the flows of geodesic and gradient
-    drifts.
+    u is the chart coordinate the drift is written in (x on the psi side,
+    p on the phi side).  This is the integrator behind the flows of
+    geodesic and gradient drifts.
     """
     config = config or IntegratorConfig()
 

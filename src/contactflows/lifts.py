@@ -186,7 +186,12 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 # Hamiltonian assembly.
 
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
-    """h = Delta . F + Gamma(Delta_0) on the chosen side, with analytic partials."""
+    """h = Delta . F + Gamma(Delta_0) on the chosen side, with analytic partials.
+
+    Its field evaluates psi, its gradient and Hessian, F and its Jacobian
+    once: dx = F, dp = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
+    dz = grad psi . F + Gamma(Delta_0).
+    """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
     psi = spec.potential
@@ -211,8 +216,22 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     def dz_partial(x, p, z):
         return -Gam.derivative(psi.value_at(x) - z)
 
+    def field(y):
+        x = y[:n]
+        d0 = psi.value_at(x) - y[2 * n]
+        g = psi.gradient_at(x)
+        d = g - y[n:2 * n]
+        f = F.at(x)
+        out = np.empty(2 * n + 1)
+        out[:n] = f
+        out[n:2 * n] = (psi.hessian_at(x, check_spd=False) @ f + F.jacobian_at(x).T @ d
+                        + Gam.derivative(d0) * d)
+        out[2 * n] = g @ f + Gam.eval(d0)
+        return out
+
     return ContactHamiltonian(
-        n=n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial
+        n=n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial,
+        field=field,
     )
 
 

@@ -376,10 +376,10 @@ def _verify_geodesic_endpoints(ws, x1, x2, x3, tol=1e-6):
     p1 = ws.psi.gradient_at(x1)
     p2 = ws.psi.gradient_at(x2)
     drift_dual = geodesic_drift_psi(ws, p1, p2)
-    x_end = integrate_on_submanifold(ws, drift_dual, side="psi", start=x1, t_end=1.0)
+    x_end = integrate_on_submanifold(drift_dual, x1, 1.0)
     if float(np.max(np.abs(ws.psi.gradient_at(x_end) - p2))) > tol:
         raise PythagoreanConfigError("dual geodesic does not reach the corner")
     drift_primal = geodesic_drift_phi(ws, x2, x3)
-    p_end = integrate_on_submanifold(ws, drift_primal, side="phi", start=p2, t_end=1.0)
+    p_end = integrate_on_submanifold(drift_primal, p2, 1.0)
     if float(np.max(np.abs(ws.x_star(p_end) - x3))) > tol:
         raise PythagoreanConfigError("primal geodesic does not reach the endpoint")

@@ -87,6 +87,10 @@ def _build_model(section) -> tuple:
         elif name == "spin":
             params = SpinParams(**{k: float(section[k]) for k in keys})
         elif name == "onsager":
+            unknown = sorted(keys - {"l", "gamma0"})
+            if unknown:
+                raise ScenarioError("unknown onsager parameter "
+                                    + ", ".join(map(repr, unknown)), location="[model]")
             kwargs = {}
             if "l" in keys:
                 kwargs["L_matrix"] = _matrix(section["l"])
@@ -340,7 +344,8 @@ def run_scenario(path, out_dir=None, tol: float = 1e-8,
     try:
         traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end,
                               scenario.config)
-    except Exception as exc:  # NaN aborts, step floors, evaluation failures
+    except (ContactFlowsError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # NaN aborts, evaluation and Newton failures; anything else is a bug
         return ScenarioResult(EXIT_NUMERICAL, message=f"integration aborted: {exc}")
     if traj.truncated:
         return ScenarioResult(EXIT_NUMERICAL, trajectory=traj,

@@ -188,7 +188,7 @@ def test_criterion_6_geodesics_and_gradient_flows():
     ts = np.linspace(0.1, 1.0, 10)
     ps = []
     for t in ts:
-        x_t = integrate_on_submanifold(ws, drift, "psi", x0, float(t))
+        x_t = integrate_on_submanifold(drift, x0, float(t))
         ps.append(ws.psi.gradient_at(np.atleast_1d(x_t))[0])
     # linear regression residual of p(t) against t
     coeffs = np.polyfit(ts, ps, 1)
@@ -199,8 +199,7 @@ def test_criterion_6_geodesics_and_gradient_flows():
     x_start = ws.x_star(np.array([-0.2]))
     prev = None
     for t in ts:
-        x_t = np.atleast_1d(integrate_on_submanifold(ws, gdrift, "psi",
-                                                     x_start, float(t)))
+        x_t = np.atleast_1d(integrate_on_submanifold(gdrift, x_start, float(t)))
         p_t = ws.psi.gradient_at(x_t)
         expect = target + (np.array([-0.2]) - target) * np.exp(-t)
         assert np.max(np.abs(p_t - expect)) < 1e-8
@@ -311,7 +310,7 @@ def test_criterion_10_onsager_special_case():
         spec = onsager_spec(OnsagerParams(L_matrix=L))
         p0 = RNG.standard_normal(2)
         x0 = spec.workspace.x_star(p0)
-        x1 = integrate_on_submanifold(spec.workspace, spec.drift, "psi", x0, 1.0)
+        x1 = integrate_on_submanifold(spec.drift, x0, 1.0)
         p1 = spec.potential.gradient_at(np.atleast_1d(x1))
         assert np.max(np.abs(p1 - p0 / np.e)) < 1e-8
 

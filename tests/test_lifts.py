@@ -151,7 +151,7 @@ class TestGeodesicAndGradientDrifts:
         from contactflows.integrate import integrate_on_submanifold
 
         for t in (0.25, 0.5, 1.0):
-            x_t = integrate_on_submanifold(ws, drift, "psi", x0, t)
+            x_t = integrate_on_submanifold(drift, x0, t)
             p_t = ws.psi.gradient_at(np.atleast_1d(x_t))
             expect = p_from + t * (p_to - p_from)
             assert np.allclose(p_t, expect, atol=1e-8)
@@ -164,7 +164,7 @@ class TestGeodesicAndGradientDrifts:
         x0 = ws.x_star(np.array([-0.2]))
         from contactflows.integrate import integrate_on_submanifold
 
-        x1 = integrate_on_submanifold(ws, drift, "psi", x0, 1.0)
+        x1 = integrate_on_submanifold(drift, x0, 1.0)
         p1 = ws.psi.gradient_at(np.atleast_1d(x1))
         expect = target_p + (np.array([-0.2]) - target_p) * np.exp(-1.0)
         assert np.allclose(p1, expect, atol=1e-8)
@@ -178,7 +178,7 @@ class TestGeodesicAndGradientDrifts:
         x = np.array([1.5, 1.0])
         prev = canonical_divergence(ws, x, target)
         for t in (0.2, 0.4, 0.8, 1.6):
-            x_t = integrate_on_submanifold(ws, drift, "psi", np.array([1.5, 1.0]), t)
+            x_t = integrate_on_submanifold(drift, np.array([1.5, 1.0]), t)
             cur = canonical_divergence(ws, np.atleast_1d(x_t), target)
             assert cur <= prev + 1e-12
             prev = cur

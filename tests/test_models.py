@@ -175,7 +175,7 @@ class TestRLC:
             from scipy.linalg import expm
 
             expect = expm(A * t) @ p0
-            p_t = integrate_on_submanifold(spec.workspace, spec.drift, "phi", p0, t)
+            p_t = integrate_on_submanifold(spec.drift, p0, t)
             assert np.allclose(p_t, expect, atol=1e-6)
 
     def test_thermal_entropy_rate_pointwise(self):
@@ -246,7 +246,7 @@ class TestOnsager:
         spec = onsager_spec(OnsagerParams(L_matrix=np.diag([2.0, 0.5])))
         p0 = np.array([1.0, 1.0])
         x0 = spec.workspace.x_star(p0)
-        x1 = integrate_on_submanifold(spec.workspace, spec.drift, "psi", x0, 1.0)
+        x1 = integrate_on_submanifold(spec.drift, x0, 1.0)
         p1 = spec.potential.gradient_at(np.atleast_1d(x1))
         assert np.allclose(p1, p0 / np.e, atol=1e-8)
 
@@ -273,6 +273,5 @@ class TestOnsager:
         )
         spec = onsager_spec(OnsagerParams(L_matrix=np.eye(2), U=U, gamma0=10.0))
         assert stability_certificate(spec).verdict == "approaches-fixed-point"
-        x_end = integrate_on_submanifold(spec.workspace, spec.drift, "psi",
-                                         np.array([2.0, 2.0]), 25.0)
+        x_end = integrate_on_submanifold(spec.drift, np.array([2.0, 2.0]), 25.0)
         assert np.allclose(x_end, x_bar, atol=1e-6)

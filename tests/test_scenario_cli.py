@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
+from contactflows.errors import EvaluationError
 from contactflows.potentials import DuallyFlatWorkspace, quadratic_potential, spin_potential
 from contactflows.scenario import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
     divergence_table,
@@ -71,6 +74,36 @@ class TestParsing:
     def test_malformed_number_rejected(self, tmp_path):
         path = write(tmp_path, RC_TEXT.replace("R = 1.0", "R = one"))
         assert run_scenario(path).exit_code == EXIT_USAGE
+
+    def test_unknown_onsager_key_rejected(self, tmp_path):
+        text = RC_TEXT.replace("name = rc\nR = 1.0\nC = 1.0",
+                               "name = onsager\nL = 1.0\ngama0 = 5.0\ntypo_key = 1")
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == EXIT_USAGE
+        assert "gama0" in result.message and "typo_key" in result.message
+
+    def test_valid_onsager_keys_accepted(self, tmp_path):
+        text = RC_TEXT.replace("name = rc\nR = 1.0\nC = 1.0",
+                               "name = onsager\nL = 1.0\ngamma0 = 5.0")
+        assert run_scenario(write(tmp_path, text), out_dir=tmp_path).exit_code == EXIT_PASS
+
+
+class TestAbortSemantics:
+    def _run_raising(self, tmp_path, monkeypatch, exc):
+        def raise_(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(scenario_module, "integrate_lift", raise_)
+        return run_scenario(write(tmp_path, RC_TEXT), out_dir=tmp_path)
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        with pytest.raises(TypeError):
+            self._run_raising(tmp_path, monkeypatch, TypeError("bad operand"))
+
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
+        result = self._run_raising(tmp_path, monkeypatch, EvaluationError("non-finite"))
+        assert result.exit_code == EXIT_NUMERICAL
+        assert "integration aborted" in result.message
 
 
 class TestRunScenario:

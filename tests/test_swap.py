@@ -77,6 +77,20 @@ def test_swapped_hamiltonian_field_is_the_pushforward(case):
     assert np.allclose(va, vb, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(points_and_tangents())
+def test_swapped_difference_hamiltonian_field_is_the_pushforward(case):
+    # no analytic partials: the swap composes the central-difference field
+    pt, _ = case
+    h = ContactHamiltonian(n=pt.n, value=lambda x, p, z: float(np.sin(x) @ p + z * (x @ x)))
+    swapped = swap_hamiltonian(h)
+    assert swapped.derivative_mode == "central_difference"
+    back = legendre_swap(pt)
+    va = hamiltonian_vector_field(swapped, pt).as_array()
+    vb = push_swap(back, hamiltonian_vector_field(h, back)).as_array()
+    assert np.allclose(va, vb, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # phi-side lifts against the paper's phi Hamiltonian, written out directly:
 #   h = (x - x*(p)) . F(p) + Gamma(x.p - phi(p) - z)
