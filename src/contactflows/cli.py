@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContactFlowsError, NewtonConvergenceError
 from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, legendre_transform
 from .scenario import (
+    EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
     _floats,
@@ -67,23 +68,17 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid must be START:STOP:COUNT, got {text!r}")
 
 
-def _cmd_simulate(args) -> int:
-    result = run_scenario(args.scenario, out_dir=args.out, tol=args.tol)
+def _cmd_run(args) -> int:
+    """simulate and check: run the scenario; only simulate writes artifacts."""
+    simulate = args.command == "simulate"
+    result = run_scenario(args.scenario, out_dir=args.out if simulate else None,
+                          tol=args.tol, write_outputs=simulate)
     if result.message:
         print(result.message, file=sys.stderr)
     if result.report is not None:
         sys.stdout.write(result.report.render())
     for artifact in result.artifacts:
         print(f"wrote {artifact}")
-    return result.exit_code
-
-
-def _cmd_check(args) -> int:
-    result = run_scenario(args.scenario, tol=args.tol, write_outputs=False)
-    if result.message:
-        print(result.message, file=sys.stderr)
-    if result.report is not None:
-        sys.stdout.write(result.report.render())
     return result.exit_code
 
 
@@ -98,7 +93,7 @@ def _cmd_legendre(args) -> int:
         res = legendre_transform(psi, p)
     except NewtonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_NUMERICAL
     print(f"phi({np.array2string(p)}) = {res.phi_value!r}")
     print(f"x*  = {np.array2string(res.x_star, separator=', ')}")
     print(f"iterations = {res.iterations}, residual = {res.residual:.3e}")
@@ -124,8 +119,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handlers = {
-        "simulate": _cmd_simulate,
-        "check": _cmd_check,
+        "simulate": _cmd_run,
+        "check": _cmd_run,
         "legendre": _cmd_legendre,
         "divergence": _cmd_divergence,
     }

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ContactFlowsError(Exception):
     """Base class for all package errors."""
@@ -61,8 +63,13 @@ class ScenarioError(ContactFlowsError):
 
 
 class IntegrationAbort(ContactFlowsError):
-    """Integration hit NaN or the adaptive step floor; carries partial data."""
+    """A flow that must run to its end stopped early; carries the partial trajectory."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+# A numerical failure, as opposed to a programming error: it stops a run
+# with its cause instead of propagating.
+NUMERICAL_ERRORS = (ContactFlowsError, ArithmeticError, np.linalg.LinAlgError)

@@ -80,9 +80,6 @@ class TangentVector:
     def n(self) -> int:
         return len(self.dx)
 
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.dx + other.dx, self.dp + other.dp, self.dz + other.dz)
-
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.dx, self.dp, [self.dz]])
 

@@ -4,6 +4,11 @@ States are flat arrays: (x, p, z) for a base lift, (x, x_extra, p, p_extra, z)
 for an extended one.  Diagnostics (h, defect norms, compressibility,
 conserved quantities) are recorded at every accepted step; on the phi side
 they are the psi-side diagnostics of the conjugate on the swapped states.
+
+A non-finite state, a numerical error (``errors.NUMERICAL_ERRORS``) raised
+during a step, the RKF45 step floor and its step budget all stop a run the
+same way: the states accepted so far are returned with ``abort_reason``
+"<cause> at t = ..., h = ...".  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, IntegrationAbort
+from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
 from .extended import ExtendedLiftSpec, ExtendedPoint, dual_extended_spec, tilde_hamiltonian
 from .geometry import hamiltonian_vector_field
 from .lifts import build_hamiltonian, dual_spec
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
+MAX_STEP_ATTEMPTS = 2_000_000  # RKF45 step attempts, accepted or rejected
 
 # Fehlberg 4(5) tableau
 _A = np.array([
@@ -54,8 +60,11 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (len(times), dim)
     diagnostics: dict = field(default_factory=dict)
-    truncated: bool = False
-    abort_reason: Optional[str] = None
+    abort_reason: Optional[str] = None  # why the run stopped before t_end, and where
+
+    @property
+    def truncated(self) -> bool:
+        return self.abort_reason is not None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -80,44 +89,48 @@ def _rkf45_step(f, t, y, h):
     return y5, np.max(np.abs(y5 - y4))
 
 
-def solve_fixed(f, y0, t_end, step):
+def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
+    """The states accepted so far, ended by ``cause`` in the step from t of size h."""
+    return Trajectory(np.array(ts), np.array(ys),
+                      abort_reason=f"{cause} at t = {t:.12g}, h = {h:.12g}")
+
+
+def solve_fixed(f, y0, t_end, step) -> Trajectory:
     """RK4 with a fixed step; the last step is shortened to land on t_end."""
     ts = [0.0]
     ys = [np.asarray(y0, dtype=float)]
     t = 0.0
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
-        y = _rk4_step(f, t, ys[-1], h)
+        try:
+            y = _rk4_step(f, t, ys[-1], h)
+        except NUMERICAL_ERRORS as exc:
+            return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not np.isfinite(y).all():
-            raise IntegrationAbort(
-                "NaN during RK4 step",
-                trajectory=Trajectory(np.array(ts), np.array(ys), truncated=True,
-                                      abort_reason="nan"),
-            )
+            return _stop(ts, ys, "non-finite state", t, h)
         t += h
         ts.append(t)
         ys.append(y)
-    return np.array(ts), np.array(ys)
+    return Trajectory(np.array(ts), np.array(ys))
 
 
-def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL,
-                   h0=None, max_steps=2_000_000):
+def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
+                   abs_tol=DEFAULT_ABS_TOL) -> Trajectory:
     """RKF45 with standard step control; accepted steps only are recorded."""
     y = np.asarray(y0, dtype=float)
     ts, ys = [0.0], [y]
     t = 0.0
-    h = h0 if h0 is not None else min(1e-2, t_end)
+    h = min(1e-2, t_end)
     h_min = t_end * 1e-14
     steps = 0
     while t < t_end - 1e-15:
         h = min(h, t_end - t)
-        y_new, err = _rkf45_step(f, t, y, h)
+        try:
+            y_new, err = _rkf45_step(f, t, y, h)
+        except NUMERICAL_ERRORS as exc:
+            return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not np.isfinite(y_new).all():
-            raise IntegrationAbort(
-                "NaN during adaptive step",
-                trajectory=Trajectory(np.array(ts), np.array(ys), truncated=True,
-                                      abort_reason="nan"),
-            )
+            return _stop(ts, ys, "non-finite state", t, h)
         tol = abs_tol + rel_tol * max(1.0, float(np.max(np.abs(y))))
         if err <= tol:
             t += h
@@ -127,67 +140,47 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TO
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
         h *= min(4.0, max(0.1, factor))
         if h < h_min:
-            return Trajectory(np.array(ts), np.array(ys), truncated=True,
-                              abort_reason="step floor reached")
+            return _stop(ts, ys, f"step floor {h_min:.3g} reached", t, h)
         steps += 1
-        if steps > max_steps:
-            return Trajectory(np.array(ts), np.array(ys), truncated=True,
-                              abort_reason="step budget exhausted")
-    return np.array(ts), np.array(ys)
+        if steps > MAX_STEP_ATTEMPTS:
+            return _stop(ts, ys, f"step budget {MAX_STEP_ATTEMPTS} exhausted", t, h)
+    return Trajectory(np.array(ts), np.array(ys))
 
 
 # ---------------------------------------------------------------------------
 # Lift-aware integration with per-step diagnostics.
 
-def _hamiltonian(spec, extended: bool):
-    return tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
-
-
-def _rhs(h):
-    def f(t, y):
-        return hamiltonian_vector_field(h, y)
-
-    return f
-
-
-def pack_state(pt) -> np.ndarray:
-    if isinstance(pt, ExtendedPoint):
-        fp = pt.flatten()
-        return np.concatenate([fp.x, fp.p, [fp.z]])
-    return np.concatenate([pt.x, pt.p, [pt.z]])
-
-
 def _run(f, y0, t_end, config: IntegratorConfig):
     if config.method == "rk4":
-        out = solve_fixed(f, y0, t_end, config.step)
-    else:
-        out = solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol)
-    if isinstance(out, Trajectory):
-        return out
-    times, states = out
-    return Trajectory(times, states)
+        return solve_fixed(f, y0, t_end, config.step)
+    return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol)
 
 
 def integrate_lift(spec, initial, t_end: float,
                    config: IntegratorConfig = None) -> Trajectory:
-    """Integrate a base or extended lift to t_end with diagnostics."""
+    """Integrate a base or extended lift to t_end with diagnostics.
+
+    A numerical failure truncates the returned trajectory (see the module
+    docstring); it does not raise.
+    """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    config = config or IntegratorConfig()
     extended = isinstance(spec, ExtendedLiftSpec)
-    f = _rhs(_hamiltonian(spec, extended))
+    h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
+
+    def f(t, y):
+        return hamiltonian_vector_field(h, y)
+
+    if isinstance(initial, ExtendedPoint):
+        initial = initial.flatten()
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
-        else pack_state(initial)
+        else np.concatenate([initial.x, initial.p, [initial.z]])
     dim = 2 * (spec.n + 1 if extended else spec.n) + 1
     if y0.shape != (dim,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({dim},)")
     if not np.isfinite(y0).all():
         raise EvaluationError("initial state has non-finite entries", coords=y0)
-    try:
-        traj = _run(f, y0, t_end, config)
-    except IntegrationAbort as exc:
-        traj = exc.trajectory
-        traj.abort_reason = str(exc)
+    traj = _run(f, y0, t_end, config or IntegratorConfig())
     traj.diagnostics = _diagnostics(spec, traj.states, extended)
     return traj
 

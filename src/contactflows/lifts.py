@@ -290,14 +290,11 @@ def geodesic_drift_psi(ws: DuallyFlatWorkspace, p_from, p_to) -> DriftField:
 
 
 def geodesic_drift_phi(ws: DuallyFlatWorkspace, x_from, x_to) -> DriftField:
-    """Dual-chart drift whose flow moves x at the constant rate x_to - x_from."""
-    dx = np.atleast_1d(np.asarray(x_to, dtype=float)) - np.atleast_1d(
-        np.asarray(x_from, dtype=float)
-    )
-    return DriftField(
-        n=ws.n,
-        eval=lambda p: ws.psi.hessian_at(ws.x_star(p)) @ dx,
-    )
+    """Dual-chart drift whose flow moves x at the constant rate x_to - x_from.
+
+    The psi-side geodesic drift of the conjugate: F(p) = Hess psi(x*(p)) . dx.
+    """
+    return geodesic_drift_psi(DuallyFlatWorkspace(conjugate(ws)), x_from, x_to)
 
 
 def gradient_drift_psi(ws: DuallyFlatWorkspace, target_x) -> DriftField:
@@ -316,15 +313,11 @@ def gradient_drift_psi(ws: DuallyFlatWorkspace, target_x) -> DriftField:
 
 
 def gradient_drift_phi(ws: DuallyFlatWorkspace, target_p) -> DriftField:
-    """Dual-chart mirror: along the flow x(t) - x' = (x(0) - x') e^{-t}."""
-    target_p = np.atleast_1d(np.asarray(target_p, dtype=float))
-    x_prime = ws.x_star(target_p)
+    """Dual-chart mirror: along the flow x(t) - x' = (x(0) - x') e^{-t}.
 
-    def F(p):
-        xs = ws.x_star(p)
-        return -(ws.psi.hessian_at(xs) @ (xs - x_prime))
-
-    return DriftField(n=ws.n, eval=F)
+    The psi-side gradient drift of the conjugate toward target_p.
+    """
+    return gradient_drift_psi(DuallyFlatWorkspace(conjugate(ws)), target_p)
 
 
 # ---------------------------------------------------------------------------

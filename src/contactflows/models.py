@@ -74,11 +74,6 @@ class SpinParams:
         if self.lambda0 < 0:
             raise ValueError("lambda0 must be nonnegative")
 
-    @property
-    def eta(self) -> float:
-        """Equilibrium magnetization tanh(theta)."""
-        return float(np.tanh(self.theta))
-
 
 @dataclass(frozen=True)
 class OnsagerParams:

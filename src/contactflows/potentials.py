@@ -19,12 +19,15 @@ from .errors import (
     DimensionMismatchError,
     EvaluationError,
     NewtonConvergenceError,
+    PythagoreanConfigError,
     StrictConvexityError,
 )
 from .geometry import CanonicalPoint, fd_step, legendre_swap
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+PYTHAGOREAN_ORTHO_TOL = 1e-6  # relative right-angle tolerance of a Pythagorean triple
+GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic lands
 
 
 def _cholesky_or_raise(H, where=""):
@@ -41,14 +44,12 @@ class ConvexPotential:
     """A strictly convex scalar function with value/gradient/Hessian access.
 
     Gradient and Hessian default to central differences of ``value``.
-    ``domain_hint`` is an optional (lower, upper) box used to seed solvers.
     """
 
     n: int
     value: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_hint: Optional[tuple] = None
     name: str = "user"
 
     def __post_init__(self):
@@ -85,12 +86,6 @@ class ConvexPotential:
         if check_spd:
             _cholesky_or_raise(H, where=np.array2string(x, precision=4))
         return H
-
-    def initial_guess(self) -> np.ndarray:
-        if self.domain_hint is not None:
-            lo, hi = (np.asarray(b, dtype=float) for b in self.domain_hint)
-            return 0.5 * (lo + hi)
-        return np.zeros(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +162,15 @@ def legendre_transform(
 ) -> LegendreTransformResult:
     """phi(p) = sup_x [x.p - psi(x)], solved via grad psi(x) = p.
 
-    Damped Newton with Armijo backtracking on the squared gradient residual.
+    Damped Newton with Armijo backtracking on the squared gradient residual,
+    started from ``x0`` (default: the origin).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if len(p) != psi.n:
         raise DimensionMismatchError(f"p has length {len(p)}, expected {psi.n}")
     if not np.all(np.isfinite(p)):
         raise EvaluationError("p has non-finite entries", coords=p)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)) if x0 is not None else psi.initial_guess()
+    x = np.atleast_1d(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(psi.n)
 
     r = psi.gradient_at(x) - p
     best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
@@ -226,7 +222,7 @@ def legendre_transform(
 def involution_check(psi: ConvexPotential, x) -> float:
     """Transform forward then back: sup-norm of x*(grad psi(x)) - x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    res = legendre_transform(psi, psi.gradient_at(x), x0=psi.initial_guess())
+    res = legendre_transform(psi, psi.gradient_at(x))
     return float(np.max(np.abs(res.x_star - x)))
 
 
@@ -330,24 +326,15 @@ def canonical_divergence(ws: DuallyFlatWorkspace, x, x_prime) -> float:
     return ws.psi.value_at(x) + phi_p - float(x @ p_prime)
 
 
-def pythagorean_residual(
-    ws: DuallyFlatWorkspace,
-    x1,
-    x2,
-    x3,
-    check_tol: float = 1e-6,
-    verify_flows: bool = True,
-) -> float:
+def pythagorean_residual(ws: DuallyFlatWorkspace, x1, x2, x3) -> float:
     """Three-term divergence identity residual for a right-angled triple.
 
     ``x1``/``x2``/``x3`` are x-coordinates of the endpoints and the corner:
     the corner x2 joins x1 by a dual-side geodesic and x3 by a primal-side
     geodesic.  The right angle requires (x3 - x2).(p2 - p1) = 0; violating
-    it raises.  When ``verify_flows`` is set, the two geodesic drifts are
-    integrated for unit time and checked to land on the supplied points.
+    it raises.  Unless x1 = x2, the two geodesic drifts are integrated for
+    unit time and checked to land on the supplied points.
     """
-    from .errors import PythagoreanConfigError
-
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     x3 = np.atleast_1d(np.asarray(x3, dtype=float))
@@ -355,11 +342,11 @@ def pythagorean_residual(
     p2 = ws.psi.gradient_at(x2)
     ortho = float((x3 - x2) @ (p2 - p1))
     scale = max(1.0, float(np.linalg.norm(x3 - x2) * np.linalg.norm(p2 - p1)))
-    if abs(ortho) > check_tol * scale:
+    if abs(ortho) > PYTHAGOREAN_ORTHO_TOL * scale:
         raise PythagoreanConfigError(
             f"not a Pythagorean configuration: inner product {ortho:.3g}"
         )
-    if verify_flows and not np.allclose(x1, x2):
+    if not np.allclose(x1, x2):
         _verify_geodesic_endpoints(ws, x1, x2, x3)
     d31 = canonical_divergence(ws, x3, x1)
     d32 = canonical_divergence(ws, x3, x2)
@@ -367,9 +354,8 @@ def pythagorean_residual(
     return abs(d31 - d32 - d21)
 
 
-def _verify_geodesic_endpoints(ws, x1, x2, x3, tol=1e-6):
+def _verify_geodesic_endpoints(ws, x1, x2, x3):
     """Integrate the two unit-time geodesic flows and confirm the corners."""
-    from .errors import PythagoreanConfigError
     from .integrate import integrate_on_submanifold
     from .lifts import geodesic_drift_phi, geodesic_drift_psi
 
@@ -377,9 +363,9 @@ def _verify_geodesic_endpoints(ws, x1, x2, x3, tol=1e-6):
     p2 = ws.psi.gradient_at(x2)
     drift_dual = geodesic_drift_psi(ws, p1, p2)
     x_end = integrate_on_submanifold(drift_dual, x1, 1.0)
-    if float(np.max(np.abs(ws.psi.gradient_at(x_end) - p2))) > tol:
+    if float(np.max(np.abs(ws.psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
         raise PythagoreanConfigError("dual geodesic does not reach the corner")
     drift_primal = geodesic_drift_phi(ws, x2, x3)
     p_end = integrate_on_submanifold(drift_primal, p2, 1.0)
-    if float(np.max(np.abs(ws.x_star(p_end) - x3))) > tol:
+    if float(np.max(np.abs(ws.x_star(p_end) - x3))) > GEODESIC_ENDPOINT_TOL:
         raise PythagoreanConfigError("primal geodesic does not reach the endpoint")

@@ -35,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ContactFlowsError, EvaluationError, ScenarioError
+from .errors import NUMERICAL_ERRORS, ContactFlowsError, EvaluationError, ScenarioError
 from .extended import ExtendedLiftSpec, ExtendedPoint, embed_extended
 from .geometry import CanonicalPoint
 from .integrate import IntegratorConfig, Trajectory, fit_decay_rate, integrate_lift
@@ -60,6 +60,24 @@ def _matrix(text: str) -> np.ndarray:
     return np.array([_floats(row) for row in text.split(";")])
 
 
+_CIRCUIT_KEYS = {"rc": {"r", "c"}, "rl": {"r", "l"}, "rlc": {"r", "c", "l"}}
+# [model] keys per model name, lower-cased as configparser reads them
+MODEL_KEYS = {
+    **{name: keys | {"gamma0"} for name, keys in _CIRCUIT_KEYS.items()},
+    **{f"{name}_thermal": keys | {"gamma0", "t0"} for name, keys in _CIRCUIT_KEYS.items()},
+    "spin": {"theta", "gamma0", "lambda0"},
+    "onsager": {"l", "gamma0"},
+}
+
+
+def _check_keys(section, allowed, where: str) -> None:
+    """Reject every key of ``section`` that the parser would never read."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {', '.join(map(repr, unknown))}; this section "
+                            f"takes {', '.join(sorted(allowed))}", location=where)
+
+
 @dataclass
 class Scenario:
     model_name: str
@@ -78,25 +96,21 @@ def _build_model(section) -> tuple:
     name = name.strip().lower()
     if name not in MODEL_BUILDERS:
         raise ScenarioError(f"unknown model {name!r}", location="[model]")
+    _check_keys(section, MODEL_KEYS[name] | {"name"}, "[model]")
     keys = {k for k in section if k != "name"}
     try:
-        if name in ("rc", "rc_thermal", "rl", "rl_thermal", "rlc", "rlc_thermal"):
-            kwargs = {k.upper() if k in ("r", "c", "l", "t0") else k: float(section[k])
-                      for k in keys}
-            params = CircuitParams(**kwargs)
-        elif name == "spin":
+        if name == "spin":
             params = SpinParams(**{k: float(section[k]) for k in keys})
         elif name == "onsager":
-            unknown = sorted(keys - {"l", "gamma0"})
-            if unknown:
-                raise ScenarioError("unknown onsager parameter "
-                                    + ", ".join(map(repr, unknown)), location="[model]")
             kwargs = {}
             if "l" in keys:
                 kwargs["L_matrix"] = _matrix(section["l"])
             if "gamma0" in keys:
                 kwargs["gamma0"] = float(section["gamma0"])
             params = OnsagerParams(**kwargs)
+        else:
+            params = CircuitParams(**{k if k == "gamma0" else k.upper(): float(section[k])
+                                      for k in keys})
         return name, MODEL_BUILDERS[name](params)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc), location="[model]") from exc
@@ -107,10 +121,14 @@ def _build_initial(section, spec):
     base = spec.base if extended else spec
     n = base.n
     keys = set(section)
+    key = "x" if base.side == "psi" else "p"
+    full = {"x", "p", "z"} | ({"x_extra", "p_extra"} if extended else set())
+    # without z the start is embedded from the chart coordinate (and x_extra)
+    on_graph = {key} | ({"x_extra"} if extended else set())
+    _check_keys(section, full if "z" in keys else on_graph, "[initial]")
     try:
         if "z" not in keys:
             # on-submanifold start in the chart coordinate of the model's side
-            key = "x" if base.side == "psi" else "p"
             if key not in keys:
                 raise ScenarioError(f"{base.side}-side start needs {key!r}",
                                     location="[initial]")
@@ -165,6 +183,9 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
     initial = _build_initial(parser["initial"], spec)
 
     integ = parser["integrator"]
+    method = integ.get("method", "rkf45").strip().lower()
+    _check_keys(integ, {"method", "t_end"} | ({"step"} if method == "rk4" else
+                                              {"rel_tol", "abs_tol"}), "[integrator]")
     try:
         t_end = float(integ.get("t_end", ""))
     except ValueError as exc:
@@ -173,7 +194,7 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
         raise ScenarioError("t_end must be positive", location="[integrator]")
     try:
         config = IntegratorConfig(
-            method=integ.get("method", "rkf45").strip().lower(),
+            method=method,
             step=float(integ.get("step", 1e-3)),
             rel_tol=float(integ.get("rel_tol", 1e-10)),
             abs_tol=float(integ.get("abs_tol", 1e-12)),
@@ -182,9 +203,8 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
         raise ScenarioError(str(exc), location="[integrator]") from exc
 
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
-    for key in outputs:
-        if key not in ("trajectory_csv", "invariant_report", "divergence_table"):
-            raise ScenarioError(f"unknown output {key!r}", location="[outputs]")
+    _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"},
+                "[outputs]")
     return Scenario(model_name=name, spec=spec, initial=initial, t_end=t_end,
                     config=config, outputs=outputs, path=path)
 
@@ -305,6 +325,7 @@ def _run_pythagorean(parser, tol: float) -> ScenarioResult:
     from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, pythagorean_residual
 
     model = parser["model"]
+    _check_keys(model, {"name", "potential", "n"}, "[model]")
     pot_name = model.get("potential", "quadratic").strip().lower()
     if pot_name not in BUILTIN_POTENTIALS:
         return ScenarioResult(EXIT_USAGE,
@@ -312,6 +333,7 @@ def _run_pythagorean(parser, tol: float) -> ScenarioResult:
     psi = BUILTIN_POTENTIALS[pot_name](int(model.get("n", 1)))
     if "points" not in parser:
         return ScenarioResult(EXIT_USAGE, message="missing section [points]")
+    _check_keys(parser["points"], {"x1", "x2", "x3"}, "[points]")
     try:
         x1 = _floats(parser["points"]["x1"])
         x2 = _floats(parser["points"]["x2"])
@@ -344,8 +366,9 @@ def run_scenario(path, out_dir=None, tol: float = 1e-8,
     try:
         traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end,
                               scenario.config)
-    except (ContactFlowsError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # NaN aborts, evaluation and Newton failures; anything else is a bug
+    except NUMERICAL_ERRORS as exc:
+        # a failure in the step loop truncates the trajectory instead; this
+        # catches the diagnostics of the states reached.  Anything else is a bug
         return ScenarioResult(EXIT_NUMERICAL, message=f"integration aborted: {exc}")
     if traj.truncated:
         return ScenarioResult(EXIT_NUMERICAL, trajectory=traj,
@@ -388,7 +411,8 @@ def _trajectory_grid(traj: Trajectory, base: LiftSpec):
 def divergence_table(ws: DuallyFlatWorkspace, pairs) -> List[dict]:
     """Rows of D(x||x') and the asymmetry D(x||x') - D(x'||x) over point pairs.
 
-    Transform failures are recorded per row (error column), not raised.
+    Numerical failures (``NUMERICAL_ERRORS``) are recorded per row in the
+    error column; any other exception propagates.
     """
     from .potentials import canonical_divergence
 
@@ -405,7 +429,7 @@ def divergence_table(ws: DuallyFlatWorkspace, pairs) -> List[dict]:
                 raise EvaluationError("non-finite divergence", coords=(x, x_prime))
             row["D"], row["D_reverse"] = d, d_rev
             row["asymmetry"] = d - d_rev
-        except Exception as exc:
+        except NUMERICAL_ERRORS as exc:
             row["error"] = str(exc)
         rows.append(row)
     return rows

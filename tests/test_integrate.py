@@ -5,10 +5,12 @@ import pytest
 
 from contactflows.errors import IntegrationAbort
 from contactflows.geometry import CanonicalPoint
+from contactflows import integrate as integrate_module
 from contactflows.integrate import (
     IntegratorConfig,
     fit_decay_rate,
     integrate_lift,
+    integrate_on_submanifold,
     solve_adaptive,
     solve_fixed,
 )
@@ -45,8 +47,8 @@ class TestRK4:
 
         errs = []
         for step in (0.1, 0.05):
-            _, ys = solve_fixed(f, np.array([1.0]), 1.0, step)
-            errs.append(abs(ys[-1][0] - np.exp(-1.0)))
+            traj = solve_fixed(f, np.array([1.0]), 1.0, step)
+            errs.append(abs(traj.final_state[0] - np.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
@@ -54,8 +56,9 @@ class TestRK4:
         def f(t, y):
             return -y
 
-        ts, _ = solve_fixed(f, np.array([1.0]), 0.35, 0.1)
-        assert ts[-1] == pytest.approx(0.35, abs=1e-12)
+        traj = solve_fixed(f, np.array([1.0]), 0.35, 0.1)
+        assert not traj.truncated
+        assert traj.times[-1] == pytest.approx(0.35, abs=1e-12)
 
 
 class TestRKF45:
@@ -84,21 +87,80 @@ class TestRKF45:
         assert np.allclose(two_leg, one_leg, atol=1e-8)
 
 
-class TestAborts:
-    def test_nan_rhs_aborts_with_partial_trajectory(self):
-        from contactflows.lifts import DriftField, LiftSpec, linear_restoring
-        from contactflows.potentials import quadratic_potential
+def blow_up_spec():
+    from contactflows.lifts import DriftField, LiftSpec, linear_restoring
+    from contactflows.potentials import quadratic_potential
 
-        # finite-time blow-up: dx/dt = x^3 from x = 2 diverges before t=1
-        blow = DriftField(n=1, eval=lambda x: x ** 3,
-                          jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]))
-        spec = LiftSpec(side="psi", potential=quadratic_potential(np.eye(1)),
-                        drift=blow, restoring=linear_restoring(1.0))
+    # finite-time blow-up: dx/dt = x^3 from x = 2 diverges at t = 1/8
+    blow = DriftField(n=1, eval=lambda x: x ** 3,
+                      jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]))
+    return LiftSpec(side="psi", potential=quadratic_potential(np.eye(1)),
+                    drift=blow, restoring=linear_restoring(1.0))
+
+
+def assert_stopped_at(traj, cause):
+    """Truncated, with the cause, t and h in the reason and finite partial states."""
+    assert traj.truncated
+    assert cause in traj.abort_reason
+    assert "t = " in traj.abort_reason and "h = " in traj.abort_reason
+    assert len(traj.times) == len(traj.states) >= 1
+    assert np.all(np.isfinite(traj.states))  # last good state retained
+    for values in traj.diagnostics.values():
+        assert len(values) == len(traj.times)
+
+
+class TestAborts:
+    # RK4 steps into the non-finite field; RKF45 shrinks its step to the floor
+    @pytest.mark.parametrize("config, cause", [
+        (IntegratorConfig(method="rk4", step=0.01), "EvaluationError: non-finite"),
+        (IntegratorConfig(), "step floor"),
+    ], ids=["rk4", "rkf45"])
+    def test_nan_rhs_aborts_with_partial_trajectory(self, config, cause):
+        spec = blow_up_spec()
         pt = embed_psi(spec.potential, np.array([2.0]))
-        traj = integrate_lift(spec, pt, 1.0)
-        assert traj.truncated
-        assert traj.abort_reason is not None
-        assert np.all(np.isfinite(traj.states))  # last good state retained
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_lift(spec, pt, 1.0, config)
+        assert_stopped_at(traj, cause)
+        assert traj.times[-1] < 0.2
+
+    def test_phi_spin_past_saturation_stops_rk4_with_newton_failure(self):
+        from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
+        from contactflows.potentials import embed_phi, spin_potential
+
+        # dp/dt = 2 - p from p = 0.5 leaves the spin dual chart |p| < 1 at t = ln 1.5
+        spec = LiftSpec(side="phi", potential=spin_potential(1),
+                        drift=linear_drift(-1.0, 1, offset=[2.0]),
+                        restoring=linear_restoring(1.0))
+        pt = embed_phi(spec.potential, np.array([0.5]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rk4", step=0.01))
+        assert_stopped_at(traj, "Newton")
+        assert traj.times[-1] < np.log(1.5) < traj.times[-1] + 0.01
+
+    def test_step_budget_reports_t_and_h(self, monkeypatch):
+        monkeypatch.setattr(integrate_module, "MAX_STEP_ATTEMPTS", 5)
+        spec = rc_unit()
+        traj = integrate_lift(spec, embed_psi(spec.potential, np.array([1.0])), 1.0)
+        assert_stopped_at(traj, "step budget")
+        assert len(traj.times) == 7  # the initial state and 6 accepted steps
+
+    def test_programming_error_in_rhs_propagates(self):
+        with pytest.raises(TypeError):
+            solve_adaptive(lambda t, y: None + y, np.array([1.0]), 1.0)
+        with pytest.raises(TypeError):
+            solve_fixed(lambda t, y: None + y, np.array([1.0]), 1.0, 0.1)
+
+    def test_overflowing_submanifold_flow_raises_with_partial_trajectory(self):
+        from contactflows.lifts import DriftField
+
+        # du/dt = 100 u: the drift stays finite while u overflows near t = 7.1
+        growth = DriftField(n=1, eval=lambda u: 100.0 * u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationAbort) as info:
+                integrate_on_submanifold(growth, np.array([1.0]), 10.0,
+                                         IntegratorConfig(method="rk4", step=0.01))
+        assert "t = " in str(info.value)
+        assert_stopped_at(info.value.trajectory, "non-finite state")
 
 
 class TestRateFitting:

@@ -188,6 +188,22 @@ class TestGeodesicAndGradientDrifts:
         assert geodesic_drift_phi(ws, np.array([0.0]), np.array([1.0])).n == 1
         assert gradient_drift_phi(ws, np.array([0.3])).n == 1
 
+    @pytest.mark.parametrize("psi", [spin_potential(2),
+                                     quadratic_potential([[2.0, 0.3], [0.3, 1.0]])],
+                             ids=["spin", "quadratic"])
+    def test_phi_side_drifts_match_closed_form(self, psi):
+        # geodesic: Hess psi(x*(p)) . (x_to - x_from); gradient: -Hess psi(x*) . (x* - x*(p'))
+        ws = DuallyFlatWorkspace(psi)
+        x_from, x_to, target_p = np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([0.3, -0.2])
+        geodesic = geodesic_drift_phi(ws, x_from, x_to)
+        gradient = gradient_drift_phi(ws, target_p)
+        for p in RNG.uniform(-0.8, 0.8, (20, 2)):
+            H = psi.hessian_at(ws.x_star(p))
+            expected = H @ (x_to - x_from)
+            assert np.allclose(geodesic.at(p), expected, rtol=1e-12, atol=1e-14)
+            expected = -H @ (ws.x_star(p) - ws.x_star(target_p))
+            assert np.allclose(gradient.at(p), expected, rtol=1e-12, atol=1e-14)
+
 
 class TestStabilityCertificates:
     def test_linear_class_approaches_submanifold(self):

@@ -11,7 +11,12 @@ import pytest
 from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
 from contactflows.errors import EvaluationError
-from contactflows.potentials import DuallyFlatWorkspace, quadratic_potential, spin_potential
+from contactflows.potentials import (
+    ConvexPotential,
+    DuallyFlatWorkspace,
+    quadratic_potential,
+    spin_potential,
+)
 from contactflows.scenario import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -30,6 +35,18 @@ def write(tmp_path, text, name="case.scenario"):
     path.write_text(text)
     return path
 
+
+# the [model] keys each model takes besides its name
+MODEL_KEYS = {
+    "rc": ("R", "C", "gamma0"),
+    "rl": ("R", "L", "gamma0"),
+    "rlc": ("R", "C", "L", "gamma0"),
+    "rc_thermal": ("R", "C", "gamma0", "T0"),
+    "rl_thermal": ("R", "L", "gamma0", "T0"),
+    "rlc_thermal": ("R", "C", "L", "gamma0", "T0"),
+    "spin": ("theta", "gamma0", "lambda0"),
+    "onsager": ("L", "gamma0"),
+}
 
 RC_TEXT = """
 [model]
@@ -87,6 +104,44 @@ class TestParsing:
                                "name = onsager\nL = 1.0\ngamma0 = 5.0")
         assert run_scenario(write(tmp_path, text), out_dir=tmp_path).exit_code == EXIT_PASS
 
+    @pytest.mark.parametrize("section, old, new, key", [
+        ("[model]", "C = 1.0", "C = 1.0\npotential = 2", "potential"),
+        ("[model]", "C = 1.0", "C = 1.0\nL = 3.0", "l"),
+        ("[model]", "C = 1.0", "C = 1.0\nT0 = 1.0", "t0"),
+        ("[initial]", "x = 1.0", "x = 1.0\nx_extra = 3", "x_extra"),
+        ("[initial]", "x = 1.0", "x = 1.0\np = 1.0", "p"),
+        ("[integrator]", "step = 1e-3", "stepp = 0.1", "stepp"),
+        ("[integrator]", "step = 1e-3", "step = 1e-3\nrel_tol = 1e-6", "rel_tol"),
+        ("[integrator]", "method = rk4", "method = rkf45", "step"),
+        ("[outputs]", "invariant_report", "invariant_reprot", "invariant_reprot"),
+    ], ids=["potential", "L", "T0", "x_extra", "p_without_z", "stepp", "rel_tol_under_rk4",
+            "step_under_rkf45", "output"])
+    def test_unread_key_rejected(self, tmp_path, section, old, new, key):
+        result = run_scenario(write(tmp_path, RC_TEXT.replace(old, new)), out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith(section)
+        assert repr(key) in result.message
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("name, keys", sorted(MODEL_KEYS.items()))
+    def test_every_model_key_accepted(self, tmp_path, name, keys):
+        n = 2 if name.startswith("rlc") or name == "onsager" else 1
+        values = {"L": "1.0 0.0; 0.0 2.0" if name == "onsager" else "0.5"}
+        model = "".join(f"{k} = {values.get(k, '0.5')}\n" for k in keys)
+        vec = " ".join(["0.5"] * n)
+        initial = f"x = {vec}\np = {vec}\nz = 0.0\n"
+        if "thermal" in name:
+            initial += "x_extra = 0.0\np_extra = 1.0\n"
+        text = (f"[model]\nname = {name}\n{model}\n[initial]\n{initial}\n"
+                "[integrator]\nmethod = rk4\nstep = 0.1\nt_end = 1.0\n")
+        assert parse_scenario(write(tmp_path, text)).model_name == name
+
+    def test_pythagorean_unknown_point_rejected(self, tmp_path):
+        text = (SCENARIOS / "pythagorean.scenario").read_text() + "x4 = 2.0 2.0\n"
+        result = run_scenario(write(tmp_path, text), write_outputs=False)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[points]") and "'x4'" in result.message
+
 
 class TestAbortSemantics:
     def _run_raising(self, tmp_path, monkeypatch, exc):
@@ -104,6 +159,17 @@ class TestAbortSemantics:
         result = self._run_raising(tmp_path, monkeypatch, EvaluationError("non-finite"))
         assert result.exit_code == EXIT_NUMERICAL
         assert "integration aborted" in result.message
+
+    def test_rk4_blow_up_exits_3_with_t(self, tmp_path):
+        # RK4 at h = 10 amplifies the RC decay by about 291 per step
+        text = RC_TEXT.replace("step = 1e-3", "step = 10").replace("t_end = 1.0", "t_end = 5000")
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_scenario(write(tmp_path, text), out_dir=tmp_path)
+        assert result.exit_code == EXIT_NUMERICAL
+        assert "integration truncated" in result.message
+        assert "t = " in result.message and "h = 10" in result.message
+        assert result.trajectory.truncated
+        assert not (tmp_path / "traj.csv").exists()
 
 
 class TestRunScenario:
@@ -194,6 +260,14 @@ class TestDivergenceTable:
         assert rows[0]["D"] is None
         assert rows[0]["error"]
 
+    def test_programming_error_propagates(self):
+        def broken(x):
+            raise TypeError("bad operand")
+
+        ws = DuallyFlatWorkspace(ConvexPotential(n=1, value=broken, gradient=lambda x: x))
+        with pytest.raises(TypeError):
+            divergence_table(ws, [(np.array([0.0]), np.array([1.0]))])
+
 
 class TestCLI:
     def test_simulate_exit_zero(self, tmp_path):
@@ -220,6 +294,12 @@ class TestCLI:
         assert code == EXIT_PASS
         out = capsys.readouterr().out
         assert "phi(" in out and "x*" in out
+
+    def test_legendre_outside_dual_chart_exit_three(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = cli_main(["legendre", "--potential", "spin", "--p", "1.5"])
+        assert code == EXIT_NUMERICAL
+        assert "Newton" in capsys.readouterr().err
 
     def test_legendre_bad_dimension_exit_two(self, capsys):
         assert cli_main(["legendre", "--potential", "quadratic",
