@@ -166,6 +166,9 @@ def integrate_lift(spec, initial, t_end: float,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     extended = isinstance(spec, ExtendedLiftSpec)
+    # a warm-started solve depends on the one before it at rounding level;
+    # an empty memo makes the run a function of its inputs alone
+    (spec.base if extended else spec).workspace.clear()
     h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
 
     def f(t, y):
@@ -205,10 +208,9 @@ def _diagnostics(spec, states, extended: bool) -> dict:
         return {**out, "h": -out["h"], "delta0": -out["delta0"]}
     base = spec.base if extended else spec
     psi, F, Gam = base.potential, base.drift, base.restoring
-    xs = states[:, :n]
-    potential = np.array([psi.value_at(x) for x in xs])
-    grads = np.array([psi.gradient_at(x) for x in xs])
-    drifts = np.array([F.at(x) for x in xs])
+    # one state at a time, so a conjugate solves each state's p once
+    per_state = [(psi.value_at(x), psi.gradient_at(x), F.at(x)) for x in states[:, :n]]
+    potential, grads, drifts = (np.array(a) for a in zip(*per_state))
     p = states[:, m:m + n]
     if extended:
         x_extra, p_extra = states[:, n], states[:, m + n]

@@ -170,7 +170,7 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 
     The drift carries over; the restoring function becomes
     Gamma~(d) = -Gamma(-d), which is Gamma itself when Gamma is linear.
-    Every transform goes through ``spec.workspace``, so its cache is shared.
+    Every transform goes through ``spec.workspace``, so its latest solve is shared.
     """
     if spec.side != "phi":
         raise ValueError("dual_spec needs a phi-side lift")

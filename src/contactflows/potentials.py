@@ -10,12 +10,13 @@ the Legendre swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
+    NUMERICAL_ERRORS,
     DimensionMismatchError,
     EvaluationError,
     NewtonConvergenceError,
@@ -44,6 +45,9 @@ class ConvexPotential:
     """A strictly convex scalar function with value/gradient/Hessian access.
 
     Gradient and Hessian default to central differences of ``value``.
+    A checked ``hessian_at`` remembers the last Hessian it found positive
+    definite and skips the factorisation only for a Hessian with exactly
+    the same shape and bytes, so a constant Hessian is factored once.
     """
 
     n: int
@@ -51,6 +55,8 @@ class ConvexPotential:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "user"
+    _spd_checked: Optional[tuple] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,8 +90,14 @@ class ConvexPotential:
                 H[:, a] = (self.gradient_at(x + e) - self.gradient_at(x - e)) / (2 * s)
             H = 0.5 * (H + H.T)
         if check_spd:
-            _cholesky_or_raise(H, where=np.array2string(x, precision=4))
+            self._check_spd(H, x)
         return H
+
+    def _check_spd(self, H, x):
+        key = (H.shape, H.tobytes())
+        if key != self._spd_checked:
+            _cholesky_or_raise(H, where=np.array2string(x, precision=4))
+            object.__setattr__(self, "_spd_checked", key)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +107,15 @@ def quadratic_potential(M) -> ConvexPotential:
     """psi(x) = x.M.x / 2 for an SPD matrix M."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     _cholesky_or_raise(M, where="quadratic coefficient matrix")
-    n = M.shape[0]
-    return ConvexPotential(
-        n=n,
+    psi = ConvexPotential(
+        n=M.shape[0],
         value=lambda x: 0.5 * float(x @ M @ x),
         gradient=lambda x: M @ x,
         hessian=lambda x: M,
         name="quadratic",
     )
+    object.__setattr__(psi, "_spd_checked", (M.shape, M.tobytes()))
+    return psi
 
 
 def spin_potential(n: int = 1) -> ConvexPotential:
@@ -263,18 +276,30 @@ def delta_phi(psi: ConvexPotential, pt: CanonicalPoint):
 
 
 # ---------------------------------------------------------------------------
-# Dually flat workspace: psi plus cached access to the conjugate side.
+# Dually flat workspace: psi plus memoised, warm-started access to the conjugate side.
 
 class DuallyFlatWorkspace:
     """A strictly convex potential together with its numerically-derived dual.
 
-    Caches the transform at p keyed by the exact bytes of p; the cache only
-    ever grows and entries are immutable, so concurrent readers are safe.
+    Keeps only its latest solve, keyed by the exact bytes of p, so memory
+    stays bounded however long a run is; repeated lookups at one p (the
+    value, gradient and Hessian of the conjugate in one field evaluation)
+    solve once.  A new p starts Newton at the first-order predictor
+    x*_prev + (Hess psi(x*_prev))^-1 (p - p_prev), reusing the inverse
+    Hessian if the conjugate's Hessian was asked for at p_prev; if the
+    warm solve fails, it is retried cold from the origin.  Warm and cold
+    solves agree to rounding level, so a result may depend at that level
+    on the solve before it; ``clear`` forgets that solve.  Not safe for
+    concurrent use.
     """
 
     def __init__(self, psi: ConvexPotential):
         self.psi = psi
-        self._cache: dict = {}
+        self.clear()
+
+    def clear(self):
+        """Forget the latest solve: the next one starts cold."""
+        self._key = self._p = self._res = self._inv_hessian = None
 
     @property
     def n(self) -> int:
@@ -283,9 +308,21 @@ class DuallyFlatWorkspace:
     def transform(self, p) -> LegendreTransformResult:
         p = np.atleast_1d(np.asarray(p, dtype=float))
         key = p.tobytes()
-        res = self._cache.get(key)
+        if key == self._key:
+            return self._res
+        res = None
+        if self._res is not None and p.shape == self._p.shape:
+            # a warm attempt that overflows or stalls is retried cold, silently
+            try:
+                with np.errstate(all="ignore"):
+                    x0 = self._res.x_star + self.inverse_hessian(self._p) @ (p - self._p)
+                    if np.all(np.isfinite(x0)):
+                        res = legendre_transform(self.psi, p, x0=x0)
+            except NUMERICAL_ERRORS:
+                pass
         if res is None:
-            res = self._cache[key] = legendre_transform(self.psi, p)
+            res = legendre_transform(self.psi, p)
+        self._key, self._p, self._res, self._inv_hessian = key, p.copy(), res, None
         return res
 
     def phi_value(self, p) -> float:
@@ -293,6 +330,17 @@ class DuallyFlatWorkspace:
 
     def x_star(self, p) -> np.ndarray:
         return self.transform(p).x_star
+
+    def inverse_hessian(self, p) -> np.ndarray:
+        """(Hess psi(x*(p)))^-1, the Hessian of the conjugate at p.
+
+        Inverted from the unchecked Hessian of psi and kept with the solve
+        at p, where the next warm start reads it.
+        """
+        res = self.transform(p)
+        if self._inv_hessian is None:
+            self._inv_hessian = np.linalg.inv(self.psi.hessian_at(res.x_star, check_spd=False))
+        return self._inv_hessian
 
 
 def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
@@ -302,13 +350,12 @@ def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
     inverted unchecked, so an unchecked ``hessian_at`` costs no
     factorisation; a checked one tests the inverse itself.
     """
-    psi = ws.psi
     return ConvexPotential(
         n=ws.n,
         value=ws.phi_value,
         gradient=ws.x_star,
-        hessian=lambda p: np.linalg.inv(psi.hessian_at(ws.x_star(p), check_spd=False)),
-        name=f"conjugate of {psi.name}",
+        hessian=ws.inverse_hessian,
+        name=f"conjugate of {ws.psi.name}",
     )
 
 

@@ -321,28 +321,43 @@ class ScenarioResult:
 
 
 def _run_pythagorean(parser, tol: float) -> ScenarioResult:
-    """Special scenario kind: three-term divergence identity via flows."""
+    """Special scenario kind: three-term divergence identity via flows.
+
+    A malformed [model] or [points] raises ``ScenarioError`` (exit 2).
+    """
     from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, pythagorean_residual
 
     model = parser["model"]
     _check_keys(model, {"name", "potential", "n"}, "[model]")
     pot_name = model.get("potential", "quadratic").strip().lower()
     if pot_name not in BUILTIN_POTENTIALS:
-        return ScenarioResult(EXIT_USAGE,
-                              message=f"[model]: unknown potential {pot_name!r}")
-    psi = BUILTIN_POTENTIALS[pot_name](int(model.get("n", 1)))
-    if "points" not in parser:
-        return ScenarioResult(EXIT_USAGE, message="missing section [points]")
-    _check_keys(parser["points"], {"x1", "x2", "x3"}, "[points]")
+        raise ScenarioError(f"unknown potential {pot_name!r}", location="[model]")
     try:
-        x1 = _floats(parser["points"]["x1"])
-        x2 = _floats(parser["points"]["x2"])
-        x3 = _floats(parser["points"]["x3"])
-    except (KeyError, ScenarioError) as exc:
-        return ScenarioResult(EXIT_USAGE, message=f"[points]: {exc}")
+        n = int(model.get("n", "1"))
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ScenarioError(f"'n' must be a positive integer, got {model['n']!r}",
+                            location="[model]")
+    psi = BUILTIN_POTENTIALS[pot_name](n)
+    if "points" not in parser:
+        raise ScenarioError("missing section [points]")
+    section = parser["points"]
+    _check_keys(section, {"x1", "x2", "x3"}, "[points]")
+    points = []
+    for key in ("x1", "x2", "x3"):
+        if key not in section:
+            raise ScenarioError(f"missing {key!r}", location="[points]")
+        try:
+            points.append(_floats(section[key]))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{key!r}: {exc}", location="[points]") from exc
+        if points[-1].shape != (n,):
+            raise ScenarioError(f"{key!r} has {len(points[-1])} entries, but n = {n}",
+                                location="[points]")
     ws = DuallyFlatWorkspace(psi)
     try:
-        resid = abs(pythagorean_residual(ws, x1, x2, x3))
+        resid = abs(pythagorean_residual(ws, *points))
     except ContactFlowsError as exc:
         return ScenarioResult(EXIT_USAGE, message=str(exc))
     check = InvariantCheck("pythagorean three-term identity", "residual = 0",

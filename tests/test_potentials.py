@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactflows import potentials as potentials_module
 from contactflows.errors import (
     NewtonConvergenceError,
     PythagoreanConfigError,
     StrictConvexityError,
 )
 from contactflows.geometry import CanonicalPoint
+from contactflows.integrate import integrate_lift
+from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
+from contactflows.models import CircuitParams, rlc_spec
 from contactflows.potentials import (
+    ConvexPotential,
     DuallyFlatWorkspace,
+    LegendreTransformResult,
     canonical_divergence,
     delta_phi,
     delta_psi,
@@ -27,6 +33,7 @@ from contactflows.potentials import (
 )
 
 RNG = np.random.default_rng(11)
+NON_DIAGONAL_M = np.array([[2.0, 0.3], [0.3, 1.0]])
 
 
 class TestBuiltins:
@@ -190,6 +197,59 @@ class TestPythagorean:
         assert abs(r) < 1e-8
 
 
+class TestConstantHessianCheck:
+    @staticmethod
+    def count_factorisations(monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return calls
+
+    def test_quadratic_factored_once(self, monkeypatch):
+        calls = self.count_factorisations(monkeypatch)
+        psi = quadratic_potential(NON_DIAGONAL_M)
+        for x in RNG.standard_normal((50, 2)):
+            psi.hessian_at(x)
+        legendre_transform(psi, np.array([0.7, -1.2]))
+        assert len(calls) == 1  # at construction
+
+    def test_indefinite_after_accepted_still_raises(self):
+        # Hess psi = diag(1, x_0): SPD for x_0 > 0 only
+        psi = ConvexPotential(n=2, value=lambda x: 0.0,
+                              hessian=lambda x: np.diag([1.0, x[0]]))
+        psi.hessian_at(np.array([0.5, 0.0]))
+        x = np.array([-0.25, 3.0])
+        with pytest.raises(StrictConvexityError) as excinfo:
+            psi.hessian_at(x)
+        assert np.array2string(x, precision=4) in str(excinfo.value)
+
+    def test_mutated_constant_hessian_rechecked(self):
+        M = np.diag([1.0, 2.0])
+        psi = ConvexPotential(n=2, value=lambda x: 0.0, hessian=lambda x: M)
+        psi.hessian_at(np.zeros(2))
+        M[1, 1] = -2.0
+        with pytest.raises(StrictConvexityError):
+            psi.hessian_at(np.zeros(2))
+
+    def test_unchecked_hessian_not_factored(self, monkeypatch):
+        calls = self.count_factorisations(monkeypatch)
+        psi = ConvexPotential(n=2, value=lambda x: 0.0,
+                              hessian=lambda x: np.diag([1.0, -1.0]))
+        assert psi.hessian_at(np.zeros(2), check_spd=False)[1, 1] == -1.0
+        assert not calls
+
+
+def off_graph_rlc():
+    """phi-side rlc (R = C = L = gamma0 = 1) and a start off its submanifold."""
+    spec = rlc_spec(CircuitParams(R=1.0, C=1.0, L=1.0, gamma0=1.0))
+    return spec, CanonicalPoint(np.array([0.3, -0.2]), np.array([1.0, 0.5]), 0.1)
+
+
 class TestWorkspaceCache:
     def test_cache_reuses_transforms(self):
         ws = DuallyFlatWorkspace(spin_potential(1))
@@ -197,3 +257,78 @@ class TestWorkspaceCache:
         first = ws.transform(p)
         second = ws.transform(p)
         assert first is second
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2]), st.data(), st.booleans())
+    def test_warm_spin_solve_matches_cold(self, n, data, with_hessian):
+        # p = tanh u up to |p| = 1 - 6e-7; x* = artanh p is conditioned by cosh^2 u
+        u_prev, u = (np.array(data.draw(st.lists(st.floats(-7.5, 7.5), min_size=n, max_size=n)))
+                     for _ in range(2))
+        psi = spin_potential(n)
+        ws = DuallyFlatWorkspace(psi)
+        ws.transform(np.tanh(u_prev))
+        if with_hessian:
+            ws.inverse_hessian(np.tanh(u_prev))
+        p = np.tanh(u)
+        warm, cold = ws.transform(p), legendre_transform(psi, p)
+        assert np.all(np.abs(warm.x_star - cold.x_star) <= 1e-13 * np.cosh(u) ** 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4), st.booleans())
+    def test_warm_quadratic_solve_matches_cold(self, coords, with_hessian):
+        psi = quadratic_potential(NON_DIAGONAL_M)
+        p_prev, p = np.array(coords[:2]), np.array(coords[2:])
+        ws = DuallyFlatWorkspace(psi)
+        ws.transform(p_prev)
+        if with_hessian:
+            ws.inverse_hessian(p_prev)
+        warm, cold = ws.transform(p), legendre_transform(psi, p)
+        # relative above |x*| = 1; below, Newton's absolute tolerance sets the scale
+        scale = max(1.0, np.max(np.abs(cold.x_star)))
+        assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-13 * scale
+
+    def test_failed_warm_solve_retried_cold(self, monkeypatch):
+        # from x* = artanh(0.999999) the predictor for -0.999999 lands near
+        # x = -1e6, where tanh is flat and Newton stalls; the cold solve does not
+        starts = []
+
+        def recording(psi, p, x0=None):
+            starts.append(x0)
+            return legendre_transform(psi, p, x0=x0)
+
+        monkeypatch.setattr(potentials_module, "legendre_transform", recording)
+        ws = DuallyFlatWorkspace(spin_potential(1))
+        ws.inverse_hessian(np.array([0.999999]))
+        p = np.array([-0.999999])
+        x = ws.x_star(p)
+        assert np.array_equal(x, legendre_transform(spin_potential(1), p).x_star)
+        assert starts[0] is None and starts[1][0] < -1e5 and starts[2] is None
+
+    def test_long_phi_run_keeps_one_solve(self):
+        spec, start = off_graph_rlc()
+        traj = integrate_lift(spec, start, 50.0)
+        assert len(traj.times) > 200
+        held = [v for v in vars(spec.workspace).values() if v is not spec.potential]
+        assert not any(isinstance(v, (dict, list, set, tuple)) for v in held)
+        assert sum(isinstance(v, LegendreTransformResult) for v in held) == 1
+        # the diagnostics of the last state solved last
+        assert np.array_equal(spec.workspace._p, traj.states[-1, 2:4])
+
+    @pytest.mark.parametrize("model", ["rlc", "spin2"])
+    def test_phi_run_independent_of_memo_history(self, model):
+        if model == "rlc":
+            spec, start = off_graph_rlc()
+        else:
+            spec = LiftSpec(side="phi", potential=spin_potential(2),
+                            drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
+            start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
+        first = integrate_lift(spec, start, 5.0)
+        # a short run elsewhere leaves its last solve far from the start
+        integrate_lift(spec, CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0),
+                       0.05)
+        again = integrate_lift(spec, start, 5.0)
+        assert first.times.tobytes() == again.times.tobytes()
+        assert first.states.tobytes() == again.states.tobytes()
+        assert first.diagnostics.keys() == again.diagnostics.keys()
+        for key, values in first.diagnostics.items():
+            assert values.tobytes() == again.diagnostics[key].tobytes(), key

@@ -142,6 +142,21 @@ class TestParsing:
         assert result.exit_code == EXIT_USAGE
         assert result.message.startswith("[points]") and "'x4'" in result.message
 
+    def _pythagorean_with_n(self, tmp_path, n_text):
+        text = (SCENARIOS / "pythagorean.scenario").read_text().replace("n = 2", n_text)
+        return run_scenario(write(tmp_path, text), write_outputs=False)
+
+    def test_pythagorean_point_length_must_match_n(self, tmp_path):
+        result = self._pythagorean_with_n(tmp_path, "n = 3")
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[points]") and "'x1'" in result.message
+
+    @pytest.mark.parametrize("n_text", ["n = two", "n = 0"])
+    def test_pythagorean_n_must_be_positive_integer(self, tmp_path, n_text):
+        result = self._pythagorean_with_n(tmp_path, n_text)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[model]") and "'n'" in result.message
+
 
 class TestAbortSemantics:
     def _run_raising(self, tmp_path, monkeypatch, exc):
