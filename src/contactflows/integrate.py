@@ -167,7 +167,8 @@ def integrate_lift(spec, initial, t_end: float,
         raise ValueError("t_end must be positive")
     extended = isinstance(spec, ExtendedLiftSpec)
     # a warm-started solve depends on the one before it at rounding level;
-    # an empty memo makes the run a function of its inputs alone
+    # emptying the memo makes the lift's own lookups a function of the
+    # inputs alone (a drift that reads another workspace keeps its memo)
     (spec.base if extended else spec).workspace.clear()
     h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
 

@@ -107,15 +107,14 @@ def quadratic_potential(M) -> ConvexPotential:
     """psi(x) = x.M.x / 2 for an SPD matrix M."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     _cholesky_or_raise(M, where="quadratic coefficient matrix")
-    psi = ConvexPotential(
-        n=M.shape[0],
+    n = M.shape[0]
+    return ConvexPotential(
+        n=n,
         value=lambda x: 0.5 * float(x @ M @ x),
         gradient=lambda x: M @ x,
         hessian=lambda x: M,
         name="quadratic",
     )
-    object.__setattr__(psi, "_spd_checked", (M.shape, M.tobytes()))
-    return psi
 
 
 def spin_potential(n: int = 1) -> ConvexPotential:
@@ -335,11 +334,14 @@ class DuallyFlatWorkspace:
         """(Hess psi(x*(p)))^-1, the Hessian of the conjugate at p.
 
         Inverted from the unchecked Hessian of psi and kept with the solve
-        at p, where the next warm start reads it.
+        at p, where the next warm start reads it; read-only, because every
+        caller at p and that warm start share the one array.
         """
         res = self.transform(p)
         if self._inv_hessian is None:
-            self._inv_hessian = np.linalg.inv(self.psi.hessian_at(res.x_star, check_spd=False))
+            inv = np.linalg.inv(self.psi.hessian_at(res.x_star, check_spd=False))
+            inv.flags.writeable = False
+            self._inv_hessian = inv
         return self._inv_hessian
 
 

@@ -13,13 +13,14 @@ from contactflows.errors import (
 )
 from contactflows.geometry import CanonicalPoint
 from contactflows.integrate import integrate_lift
-from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
+from contactflows.lifts import LiftSpec, geodesic_drift_phi, linear_drift, linear_restoring
 from contactflows.models import CircuitParams, rlc_spec
 from contactflows.potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
     LegendreTransformResult,
     canonical_divergence,
+    conjugate,
     delta_phi,
     delta_psi,
     dual_metric,
@@ -216,7 +217,7 @@ class TestConstantHessianCheck:
         for x in RNG.standard_normal((50, 2)):
             psi.hessian_at(x)
         legendre_transform(psi, np.array([0.7, -1.2]))
-        assert len(calls) == 1  # at construction
+        assert len(calls) == 2  # at construction and on first use
 
     def test_indefinite_after_accepted_still_raises(self):
         # Hess psi = diag(1, x_0): SPD for x_0 > 0 only
@@ -287,6 +288,14 @@ class TestWorkspaceCache:
         scale = max(1.0, np.max(np.abs(cold.x_star)))
         assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-13 * scale
 
+    def test_shared_inverse_hessian_is_read_only(self):
+        ws = DuallyFlatWorkspace(quadratic_potential(NON_DIAGONAL_M))
+        p = np.array([0.4, -0.9])
+        H = conjugate(ws).hessian_at(p)
+        with pytest.raises(ValueError):
+            H[0, 0] = 99.0
+        assert np.array_equal(ws.inverse_hessian(p), np.linalg.inv(NON_DIAGONAL_M))
+
     def test_failed_warm_solve_retried_cold(self, monkeypatch):
         # from x* = artanh(0.999999) the predictor for -0.999999 lands near
         # x = -1e6, where tanh is flat and Newton stalls; the cold solve does not
@@ -314,18 +323,27 @@ class TestWorkspaceCache:
         # the diagnostics of the last state solved last
         assert np.array_equal(spec.workspace._p, traj.states[-1, 2:4])
 
-    @pytest.mark.parametrize("model", ["rlc", "spin2"])
+    @pytest.mark.parametrize("model", ["rlc", "spin2", "spin2_geodesic"])
     def test_phi_run_independent_of_memo_history(self, model):
+        start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
+        elsewhere = CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0)
         if model == "rlc":
             spec, start = off_graph_rlc()
-        else:
+        elif model == "spin2":
             spec = LiftSpec(side="phi", potential=spin_potential(2),
                             drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
-            start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
+        else:
+            # a drift that reads the conjugate through the lift's own workspace;
+            # on a workspace of its own this pair of runs differs in the last digits
+            ws = DuallyFlatWorkspace(spin_potential(2))
+            drift = geodesic_drift_phi(ws, np.array([0.1, -0.1]), np.array([0.3, 0.2]))
+            spec = LiftSpec(side="phi", potential=ws.psi, drift=drift,
+                            restoring=linear_restoring(1.0), workspace=ws)
+            start = CanonicalPoint(np.array([0.66, 0.32]), np.array([0.35, 0.61]), 0.1)
+            elsewhere = CanonicalPoint(np.array([-0.14, 0.52]), np.array([0.756, -0.795]), 0.0)
         first = integrate_lift(spec, start, 5.0)
-        # a short run elsewhere leaves its last solve far from the start
-        integrate_lift(spec, CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0),
-                       0.05)
+        # a short run elsewhere leaves another solve in the memo
+        integrate_lift(spec, elsewhere, 0.05)
         again = integrate_lift(spec, start, 5.0)
         assert first.times.tobytes() == again.times.tobytes()
         assert first.states.tobytes() == again.states.tobytes()
