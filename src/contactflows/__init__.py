@@ -15,7 +15,6 @@ from .errors import (
     EvaluationError,
     IntegrationAbort,
     NewtonConvergenceError,
-    NonMetricExtensionError,
     OutsideInvariantChartError,
     PythagoreanConfigError,
     ScenarioError,

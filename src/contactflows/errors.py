@@ -48,10 +48,6 @@ class PythagoreanConfigError(ContactFlowsError):
     """The three supplied points do not form a right-angled configuration."""
 
 
-class NonMetricExtensionError(TypeError, ContactFlowsError):
-    """The extended generating function carries no (pseudo-)Riemannian metric."""
-
-
 class ScenarioError(ContactFlowsError):
     """Scenario file is malformed or references unknown entities."""
 

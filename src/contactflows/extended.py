@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonMetricExtensionError,
-    OutsideInvariantChartError,
-)
+from .errors import DimensionMismatchError, OutsideInvariantChartError
 from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -124,18 +120,6 @@ def dual_extended_spec(spec: ExtendedLiftSpec) -> ExtendedLiftSpec:
     return ExtendedLiftSpec(base=dual_spec(spec.base), anchor=spec.anchor)
 
 
-def dually_flat_workspace(spec: ExtendedLiftSpec):
-    """The extended generating function has a degenerate Hessian block.
-
-    It induces neither a Riemannian nor a pseudo-Riemannian metric, so no
-    dually flat workspace exists; asking for one is a type error.
-    """
-    raise NonMetricExtensionError(
-        "the extended potential is affine in the extra coordinate and "
-        "does not induce a dually flat space"
-    )
-
-
 def tilde_potential_value(spec: ExtendedLiftSpec, x, x_extra) -> float:
     """psi~(x, x_extra) = psi(x) + anchor * x_extra of the base potential."""
     return spec.base.potential.value_at(x) + spec.anchor * float(x_extra)
@@ -167,7 +151,9 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     dX = (F, -grad psi . F / anchor),
     dP = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
           Gamma'(D0) (anchor - p_extra)),
-    dz = Gamma(D0).
+    dz = Gamma(D0).  Asked for diagnostics, it stores what the base lift's
+    field does (in dimension n + 1) and the conserved psi_tilde and the
+    entropy S = x_extra.
     """
     if spec.side == "phi":
         return swap_hamiltonian(tilde_hamiltonian(dual_extended_spec(spec)))
@@ -208,20 +194,25 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
         d0, _ = deltas(x, xe, p, pe, z)
         return -Gam.derivative(d0)
 
-    def field(y):
+    def field(y, diag=None):
         x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
         g = psi.gradient_at(x)
-        d0 = psi.value_at(x) + anchor * xe - y[2 * n + 2]
+        psi_tilde = psi.value_at(x) + anchor * xe
+        d0 = psi_tilde - y[2 * n + 2]
         d = (pe / anchor) * g - p
         f = F.at(x)
-        rate = Gam.derivative(d0)
+        rate, restoring = Gam.derivative(d0), Gam.eval(d0)
         out = np.empty(2 * n + 3)
         out[:n] = f
         out[n] = -(g @ f) / anchor
         out[n + 1:2 * n + 1] = ((pe / anchor) * (psi.hessian_at(x, check_spd=False) @ f)
                                 + F.jacobian_at(x).T @ d + rate * (g - p))
         out[2 * n + 1] = rate * (anchor - pe)
-        out[2 * n + 2] = Gam.eval(d0)
+        out[2 * n + 2] = restoring
+        if diag is not None:  # the extra component of the defect vanishes
+            diag.update(h=np.einsum("i,i->", d, f) + restoring, delta0=d0,
+                        delta_norm=np.sqrt(np.einsum("i,i->", d, d)), kappa=-(n + 2) * rate,
+                        psi_tilde=psi_tilde, S=xe)
         return out
 
     return ContactHamiltonian(

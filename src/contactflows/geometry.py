@@ -92,10 +92,12 @@ class ContactHamiltonian:
     differences of ``value``; ``derivative_mode`` records which route is
     in effect.
 
-    ``field`` maps a flat state y = (x, p, z) to the components of the
-    contact vector field X_h at y.  A builder that knows the structure of h
-    supplies one that evaluates every shared quantity once; otherwise it is
-    assembled from the partials (see ``hamiltonian_vector_field``).
+    ``field(y, diag=None)`` maps a flat state y = (x, p, z) to the
+    components of the contact vector field X_h at y.  A builder that knows
+    the structure of h supplies one that evaluates every shared quantity
+    once, and that on request also stores the state's diagnostics in the
+    dict ``diag``; otherwise the field is assembled from the partials (see
+    ``hamiltonian_vector_field``) and stores none.
     """
 
     n: int
@@ -152,7 +154,7 @@ class ContactHamiltonian:
         hz = (self.value(x, p, z + s) - self.value(x, p, z - s)) / (2 * s)
         return hx, hp, hz
 
-    def _generic_field(self, y):
+    def _generic_field(self, y, diag=None):
         """dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp."""
         n = self.n
         x, p, z = y[:n], y[n:2 * n], float(y[2 * n])
@@ -191,16 +193,19 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """-h o S, whose contact field is the pushforward of X_h under the swap.
 
     Closed-form partials follow by the chain rule through S; the field is
-    ``h.field`` evaluated at S(y) and pushed forward.
+    ``h.field`` evaluated at S(y) and pushed forward, and its diagnostics
+    are those of h at S(y) with h and the scalar defect negated.
     """
     n = h.n
 
     def value(x, p, z):
         return -h.value(p, x, float(x @ p) - z)
 
-    def field(y):
+    def field(y, diag=None):
         x, p = y[:n], y[n:2 * n]
-        v = h.field(np.concatenate([p, x, [x @ p - y[2 * n]]]))
+        v = h.field(np.concatenate([p, x, [x @ p - y[2 * n]]]), diag)
+        if diag:  # empty when h's field records no diagnostics
+            diag["h"], diag["delta0"] = -diag["h"], -diag["delta0"]
         dx, dp = v[:n], v[n:2 * n]
         return np.concatenate([dp, dx, [x @ dx + p @ dp - v[2 * n]]])
 
@@ -229,12 +234,13 @@ def reeb_field(n: int) -> TangentVector:
     return TangentVector(np.zeros(n), np.zeros(n), 1.0)
 
 
-def hamiltonian_vector_field(h: ContactHamiltonian, pt):
+def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
     """Canonical components of the contact Hamiltonian vector field.
 
     dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp, evaluated by
-    ``h.field``.  Given a flat state (x, p, z) it returns the flat
-    components; given a ``CanonicalPoint``, a ``TangentVector``.
+    ``h.field``, which also fills ``diag`` when it is given.  Given a flat
+    state (x, p, z) it returns the flat components; given a
+    ``CanonicalPoint``, a ``TangentVector``.
     """
     n = h.n
     point = isinstance(pt, CanonicalPoint)
@@ -248,7 +254,7 @@ def hamiltonian_vector_field(h: ContactHamiltonian, pt):
         raise DimensionMismatchError(f"state length {len(pt)} != {2 * n + 1}")
     else:
         y = pt
-    dy = h.field(y)
+    dy = h.field(y, diag)
     if not np.isfinite(dy).all():
         raise EvaluationError(
             "non-finite contact Hamiltonian vector field",

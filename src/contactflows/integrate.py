@@ -2,8 +2,11 @@
 
 States are flat arrays: (x, p, z) for a base lift, (x, x_extra, p, p_extra, z)
 for an extended one.  Diagnostics (h, defect norms, compressibility,
-conserved quantities) are recorded at every accepted step; on the phi side
-they are the psi-side diagnostics of the conjugate on the swapped states.
+conserved quantities) are recorded at every accepted state by the field
+evaluation the step from it starts with (RK4's k1, RKF45's first stage);
+only the final state is evaluated once more.  A state whose diagnostics
+could not be evaluated (a numerical error in its field evaluation) keeps
+its row with NaN diagnostics.
 
 A non-finite state, a numerical error (``errors.NUMERICAL_ERRORS``) raised
 during a step, the RKF45 step floor and its step budget all stop a run the
@@ -13,15 +16,16 @@ same way: the states accepted so far are returned with ``abort_reason``
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
-from .extended import ExtendedLiftSpec, ExtendedPoint, dual_extended_spec, tilde_hamiltonian
+from .extended import ExtendedLiftSpec, ExtendedPoint, tilde_hamiltonian
 from .geometry import hamiltonian_vector_field
-from .lifts import build_hamiltonian, dual_spec
+from .lifts import build_hamiltonian
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
@@ -71,17 +75,17 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, f0):
+    k1 = f0(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
     k4 = f(t + h, y + h * k3)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rkf45_step(f, t, y, h):
+def _rkf45_step(f, t, y, h, f0):
     K = np.empty((6, len(y)))
-    K[0] = f(t, y)
+    K[0] = f0(t, y)
     for i in range(1, 6):
         K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
     y5 = y + h * (_B5 @ K)
@@ -95,15 +99,20 @@ def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
                       abort_reason=f"{cause} at t = {t:.12g}, h = {h:.12g}")
 
 
-def solve_fixed(f, y0, t_end, step) -> Trajectory:
-    """RK4 with a fixed step; the last step is shortened to land on t_end."""
+def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
+    """RK4 with a fixed step; the last step is shortened to land on t_end.
+
+    ``f0``, if given, replaces ``f`` at each step's first stage, the one
+    evaluated at the accepted state the step starts from.
+    """
+    f0 = f0 or f
     ts = [0.0]
     ys = [np.asarray(y0, dtype=float)]
     t = 0.0
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
         try:
-            y = _rk4_step(f, t, ys[-1], h)
+            y = _rk4_step(f, t, ys[-1], h, f0)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not np.isfinite(y).all():
@@ -115,8 +124,13 @@ def solve_fixed(f, y0, t_end, step) -> Trajectory:
 
 
 def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
-                   abs_tol=DEFAULT_ABS_TOL) -> Trajectory:
-    """RKF45 with standard step control; accepted steps only are recorded."""
+                   abs_tol=DEFAULT_ABS_TOL, f0=None) -> Trajectory:
+    """RKF45 with standard step control; accepted steps only are recorded.
+
+    ``f0`` is as in ``solve_fixed``; a rejected step calls it again at the
+    same state.
+    """
+    f0 = f0 or f
     y = np.asarray(y0, dtype=float)
     ts, ys = [0.0], [y]
     t = 0.0
@@ -126,7 +140,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     while t < t_end - 1e-15:
         h = min(h, t_end - t)
         try:
-            y_new, err = _rkf45_step(f, t, y, h)
+            y_new, err = _rkf45_step(f, t, y, h, f0)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not np.isfinite(y_new).all():
@@ -150,10 +164,10 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
 # ---------------------------------------------------------------------------
 # Lift-aware integration with per-step diagnostics.
 
-def _run(f, y0, t_end, config: IntegratorConfig):
+def _run(f, y0, t_end, config: IntegratorConfig, f0=None):
     if config.method == "rk4":
-        return solve_fixed(f, y0, t_end, config.step)
-    return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol)
+        return solve_fixed(f, y0, t_end, config.step, f0)
+    return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol, f0)
 
 
 def integrate_lift(spec, initial, t_end: float,
@@ -171,9 +185,13 @@ def integrate_lift(spec, initial, t_end: float,
     # inputs alone (a drift that reads another workspace keeps its memo)
     (spec.base if extended else spec).workspace.clear()
     h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
+    diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 
     def f(t, y):
         return hamiltonian_vector_field(h, y)
+
+    def f0(t, y):
+        return hamiltonian_vector_field(h, y, diags.setdefault(t, {}))
 
     if isinstance(initial, ExtendedPoint):
         initial = initial.flatten()
@@ -184,54 +202,16 @@ def integrate_lift(spec, initial, t_end: float,
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({dim},)")
     if not np.isfinite(y0).all():
         raise EvaluationError("initial state has non-finite entries", coords=y0)
-    traj = _run(f, y0, t_end, config or IntegratorConfig())
-    traj.diagnostics = _diagnostics(spec, traj.states, extended)
+    traj = _run(f, y0, t_end, config or IntegratorConfig(), f0)
+    if traj.times[-1] not in diags:  # no step started from the final state
+        with contextlib.suppress(*NUMERICAL_ERRORS):
+            h.field(traj.final_state, diags.setdefault(traj.times[-1], {}))
+    rows = [diags[t] for t in traj.times]
+    names = ("h", "delta0", "delta_norm", "kappa") + (("psi_tilde", "S") if extended else ())
+    traj.diagnostics = {k: np.array([r.get(k, np.nan) for r in rows], dtype=float) for k in names}
+    if extended:
+        traj.diagnostics["H_tot"] = traj.diagnostics["psi_tilde"].copy()
     return traj
-
-
-def _swap_states(states: np.ndarray, m: int) -> np.ndarray:
-    """The Legendre swap (x, p, z) -> (p, x, x.p - z) applied to every row."""
-    x, p, z = states[:, :m], states[:, m:2 * m], states[:, 2 * m]
-    return np.column_stack([p, x, np.einsum("ij,ij->i", x, p) - z])
-
-
-def _diagnostics(spec, states, extended: bool) -> dict:
-    """h, the defects, compressibility and (extended) conserved quantities per state.
-
-    psi, its gradient and F are evaluated once per state; the rest is
-    whole-array arithmetic on the psi side.
-    """
-    n = spec.n
-    m = n + 1 if extended else n
-    if spec.side == "phi":  # h and the defects change sign under the swap
-        dual = dual_extended_spec(spec) if extended else dual_spec(spec)
-        out = _diagnostics(dual, _swap_states(states, m), extended)
-        return {**out, "h": -out["h"], "delta0": -out["delta0"]}
-    base = spec.base if extended else spec
-    psi, F, Gam = base.potential, base.drift, base.restoring
-    # one state at a time, so a conjugate solves each state's p once
-    per_state = [(psi.value_at(x), psi.gradient_at(x), F.at(x)) for x in states[:, :n]]
-    potential, grads, drifts = (np.array(a) for a in zip(*per_state))
-    p = states[:, m:m + n]
-    if extended:
-        x_extra, p_extra = states[:, n], states[:, m + n]
-        potential = potential + spec.anchor * x_extra
-        d = (p_extra / spec.anchor)[:, None] * grads - p
-    else:
-        d = grads - p
-    d0 = potential - states[:, 2 * m]
-    out = {
-        "h": np.einsum("ij,ij->i", d, drifts) + np.array([Gam.eval(v) for v in d0]),
-        "delta0": d0,
-        "delta_norm": np.sqrt(np.einsum("ij,ij->i", d, d)),
-        # (m + 1) dh/dz in canonical dimension m, with dh/dz = -Gamma'(d0)
-        "kappa": -(m + 1) * np.array([Gam.derivative(v) for v in d0], dtype=float),
-    }
-    if extended:
-        out["psi_tilde"] = potential
-        out["H_tot"] = potential.copy()
-        out["S"] = x_extra.copy()
-    return out
 
 
 def integrate_on_submanifold(drift, start, t_end: float,

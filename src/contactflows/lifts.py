@@ -190,7 +190,9 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
 
     Its field evaluates psi, its gradient and Hessian, F and its Jacobian
     once: dx = F, dp = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
-    dz = grad psi . F + Gamma(Delta_0).
+    dz = grad psi . F + Gamma(Delta_0).  Asked for diagnostics, it also
+    stores h, delta0, delta_norm = |Delta| and the compressibility
+    kappa = (n + 1) dh/dz = -(n + 1) Gamma'(Delta_0).
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
@@ -216,17 +218,21 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     def dz_partial(x, p, z):
         return -Gam.derivative(psi.value_at(x) - z)
 
-    def field(y):
+    def field(y, diag=None):
         x = y[:n]
         d0 = psi.value_at(x) - y[2 * n]
         g = psi.gradient_at(x)
         d = g - y[n:2 * n]
         f = F.at(x)
+        rate, restoring = Gam.derivative(d0), Gam.eval(d0)
         out = np.empty(2 * n + 1)
         out[:n] = f
         out[n:2 * n] = (psi.hessian_at(x, check_spd=False) @ f + F.jacobian_at(x).T @ d
-                        + Gam.derivative(d0) * d)
-        out[2 * n] = g @ f + Gam.eval(d0)
+                        + rate * d)
+        out[2 * n] = g @ f + restoring
+        if diag is not None:
+            diag.update(h=np.einsum("i,i->", d, f) + restoring, delta0=d0,
+                        delta_norm=np.sqrt(np.einsum("i,i->", d, d)), kappa=-(n + 1) * rate)
         return out
 
     return ContactHamiltonian(

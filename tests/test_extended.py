@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from contactflows.errors import NonMetricExtensionError
 from contactflows.extended import (
     ExtendedLiftSpec,
     ExtendedPoint,
-    dually_flat_workspace,
     embed_extended,
     extended_invariant_density,
     extended_lifted_field,
@@ -50,12 +48,6 @@ class TestConstruction:
         assert np.allclose(back.x, pt.x) and back.x_extra == pt.x_extra
         assert np.allclose(back.p, pt.p) and back.p_extra == pt.p_extra
         assert back.z == pt.z
-
-    def test_extension_is_not_metric(self):
-        # the extended generating function is affine in the extra
-        # coordinate, so there is no Hessian metric on the extension
-        with pytest.raises(NonMetricExtensionError):
-            dually_flat_workspace(make_extended())
 
 
 class TestTildeStructure:

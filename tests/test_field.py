@@ -9,6 +9,7 @@ field is assembled from the partials by the canonical formulas.
 import numpy as np
 import pytest
 
+from contactflows import integrate, potentials
 from contactflows.errors import DimensionMismatchError, EvaluationError
 from contactflows.extended import (
     ExtendedLiftSpec,
@@ -167,7 +168,7 @@ class TestInitialState:
 
 
 # ---------------------------------------------------------------------------
-# The whole-array diagnostics against a per-state reference through points.
+# The diagnostics the step loop records against a per-state reference through points.
 
 def reference_diagnostics(spec, states):
     extended = isinstance(spec, ExtendedLiftSpec)
@@ -194,11 +195,7 @@ def reference_diagnostics(spec, states):
     return {k: np.array(v) for k, v in rows.items() if v}
 
 
-DIAGNOSTIC_CASES = [c for c in CASES if c[0].startswith(("rlc", "spin", "extended"))]
-
-
-@pytest.mark.parametrize("spec", [s for _, s in DIAGNOSTIC_CASES],
-                         ids=[i for i, _ in DIAGNOSTIC_CASES])
+@pytest.mark.parametrize("spec", [s for _, s in CASES], ids=[i for i, _ in CASES])
 def test_diagnostics_match_per_state_reference(spec):
     extended = isinstance(spec, ExtendedLiftSpec)
     dim = 2 * (spec.n + 1 if extended else spec.n) + 1
@@ -210,3 +207,25 @@ def test_diagnostics_match_per_state_reference(spec):
         assert np.max(np.abs(got[key] - ref)) <= 1e-12 * scale, key
     if extended:
         assert np.array_equal(got["H_tot"], got["psi_tilde"])
+
+
+def test_phi_diagnostics_solve_only_the_final_state_again(monkeypatch):
+    # every stage solves its own p once; the recorded states add no solve
+    # except the final one, from which no step starts
+    calls = {"field": 0, "legendre": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(integrate, "hamiltonian_vector_field",
+                        counted(integrate.hamiltonian_vector_field, "field"))
+    monkeypatch.setattr(potentials, "legendre_transform",
+                        counted(potentials.legendre_transform, "legendre"))
+    spec = MODEL_BUILDERS["rlc"](CIRCUIT)
+    assert spec.side == "phi"
+    traj = integrate_lift(spec, random_state(5), 1.0)
+    assert len(traj.times) > 2
+    assert calls["legendre"] == calls["field"] + 1

@@ -137,6 +137,23 @@ class TestAborts:
         assert_stopped_at(traj, "Newton")
         assert traj.times[-1] < np.log(1.5) < traj.times[-1] + 0.01
 
+    def test_state_whose_field_fails_keeps_its_row_with_nan_diagnostics(self):
+        from contactflows.lifts import DriftField, LiftSpec, linear_restoring
+        from contactflows.potentials import embed_phi, spin_potential
+
+        # dp/dt = e^{4p}: the last accepted RK4 step lands past the spin dual
+        # chart's edge |p| < 1, so the field cannot be evaluated there
+        spec = LiftSpec(side="phi", potential=spin_potential(1),
+                        drift=DriftField(n=1, eval=lambda p: np.exp(4 * p)),
+                        restoring=linear_restoring(1.0))
+        pt = embed_phi(spec.potential, np.array([0.0]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rk4", step=0.01067669))
+        assert_stopped_at(traj, "NewtonConvergenceError")
+        assert traj.final_state[1] > 1.0
+        for values in traj.diagnostics.values():
+            assert np.isnan(values[-1]) and np.all(np.isfinite(values[:-1]))
+
     def test_step_budget_reports_t_and_h(self, monkeypatch):
         monkeypatch.setattr(integrate_module, "MAX_STEP_ATTEMPTS", 5)
         spec = rc_unit()

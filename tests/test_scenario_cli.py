@@ -1,6 +1,7 @@
 """Scenario parsing, artifact emission, divergence tables, CLI exit codes."""
 
 import csv
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
 from contactflows.errors import EvaluationError
+from contactflows.integrate import integrate_lift
+from contactflows.lifts import linear_restoring
 from contactflows.potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
@@ -22,6 +25,7 @@ from contactflows.scenario import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    build_invariant_report,
     divergence_table,
     parse_scenario,
     run_scenario,
@@ -65,6 +69,24 @@ t_end = 1.0
 [outputs]
 trajectory_csv = traj.csv
 invariant_report = report.txt
+"""
+
+# an RLC circuit on the dual chart, started off the submanifold and run long
+PHI_RLC_OFF = """
+[model]
+name = rlc
+R = 1.0
+C = 1.0
+L = 1.0
+gamma0 = 1.0
+
+[initial]
+x = 0.5 -0.3
+p = 0.2 0.4
+z = 0.1
+
+[integrator]
+t_end = 50
 """
 
 
@@ -135,6 +157,19 @@ class TestParsing:
         text = (f"[model]\nname = {name}\n{model}\n[initial]\n{initial}\n"
                 "[integrator]\nmethod = rk4\nstep = 0.1\nt_end = 1.0\n")
         assert parse_scenario(write(tmp_path, text)).model_name == name
+
+    @pytest.mark.parametrize("old, new", [
+        ("x = 1.0", "x = 1e400"),
+        ("name = rc\nR = 1.0\nC = 1.0\n\n[initial]\nx = 1.0",
+         "name = rlc\nR = 1.0\nC = 1.0\nL = 1.0\n\n[initial]\np = nan 0.2"),
+    ], ids=["rc-inf-x", "rlc-nan-p"])
+    def test_nonfinite_initial_rejected(self, tmp_path, capsys, old, new):
+        path = write(tmp_path, RC_TEXT.replace(old, new))
+        result = run_scenario(path, out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[initial]") and "non-finite" in result.message
+        assert cli_main(["check", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("[initial]")
 
     def test_pythagorean_unknown_point_rejected(self, tmp_path):
         text = (SCENARIOS / "pythagorean.scenario").read_text() + "x4 = 2.0 2.0\n"
@@ -233,6 +268,27 @@ t_end = 8.0
         assert result.exit_code == EXIT_PASS
         names = {c.name for c in result.report.checks}
         assert "delta0 decay rate" in names
+
+    def test_long_decay_fit_stops_at_noise_floor(self, tmp_path):
+        # by t = 50, h and delta0 are far below the integration noise; a fit
+        # through that noise found rates of about -0.97
+        result = run_scenario(write(tmp_path, PHI_RLC_OFF))
+        assert result.exit_code == EXIT_PASS
+        decay = [c for c in result.report.checks if "decay" in c.name]
+        assert len(decay) == 2
+        for check in decay:
+            assert check.passed and check.residual < 1e-4
+            assert "noise floor" in check.expected and "reached at t = " in check.expected
+
+    def test_wrong_decay_rate_still_fails(self, tmp_path):
+        scenario = parse_scenario(write(tmp_path, PHI_RLC_OFF))
+        traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end, scenario.config)
+        # the flow decays at 1.0; a report that expects 1.01 must fail
+        wrong = dataclasses.replace(
+            scenario, spec=dataclasses.replace(scenario.spec, restoring=linear_restoring(1.01)))
+        report = build_invariant_report(wrong, traj)
+        decay = [c for c in report.checks if "decay" in c.name]
+        assert len(decay) == 2 and not any(c.passed for c in decay)
 
     def test_bundled_rc_thermal(self, tmp_path):
         result = run_scenario(SCENARIOS / "rc_thermal.scenario", out_dir=tmp_path)
