@@ -147,7 +147,7 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
 
     Coordinates are flattened as X = (x, x_extra), P = (p, p_extra); the
     partials are assembled in closed form.  The field evaluates psi, its
-    gradient and Hessian, F and its Jacobian once:
+    gradient and Hessian (one ``jet_at``), F and its Jacobian once:
     dX = (F, -grad psi . F / anchor),
     dP = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
           Gamma'(D0) (anchor - p_extra)),
@@ -196,8 +196,8 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
 
     def field(y, diag=None):
         x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
-        g = psi.gradient_at(x)
-        psi_tilde = psi.value_at(x) + anchor * xe
+        value, g, H = psi.jet_at(x)
+        psi_tilde = value + anchor * xe
         d0 = psi_tilde - y[2 * n + 2]
         d = (pe / anchor) * g - p
         f = F.at(x)
@@ -205,8 +205,7 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
         out = np.empty(2 * n + 3)
         out[:n] = f
         out[n] = -(g @ f) / anchor
-        out[n + 1:2 * n + 1] = ((pe / anchor) * (psi.hessian_at(x, check_spd=False) @ f)
-                                + F.jacobian_at(x).T @ d + rate * (g - p))
+        out[n + 1:2 * n + 1] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
         out[2 * n + 1] = rate * (anchor - pe)
         out[2 * n + 2] = restoring
         if diag is not None:  # the extra component of the defect vanishes

@@ -141,17 +141,19 @@ class ContactHamiltonian:
             return hx, hp, hz
         hx = np.empty(self.n)
         hp = np.empty(self.n)
-        for a in range(self.n):
-            s = fd_step(x[a])
-            e = np.zeros(self.n)
-            e[a] = s
-            hx[a] = (self.value(x + e, p, z) - self.value(x - e, p, z)) / (2 * s)
-            s = fd_step(p[a])
-            e = np.zeros(self.n)
-            e[a] = s
-            hp[a] = (self.value(x, p + e, z) - self.value(x, p - e, z)) / (2 * s)
-        s = fd_step(z)
-        hz = (self.value(x, p, z + s) - self.value(x, p, z - s)) / (2 * s)
+        # a non-finite value's partials are non-finite: EvaluationError, no warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            for a in range(self.n):
+                s = fd_step(x[a])
+                e = np.zeros(self.n)
+                e[a] = s
+                hx[a] = (self.value(x + e, p, z) - self.value(x - e, p, z)) / (2 * s)
+                s = fd_step(p[a])
+                e = np.zeros(self.n)
+                e[a] = s
+                hp[a] = (self.value(x, p + e, z) - self.value(x, p - e, z)) / (2 * s)
+            s = fd_step(z)
+            hz = (self.value(x, p, z + s) - self.value(x, p, z - s)) / (2 * s)
         return hx, hp, hz
 
     def _generic_field(self, y, diag=None):

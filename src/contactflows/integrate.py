@@ -180,10 +180,12 @@ def integrate_lift(spec, initial, t_end: float,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     extended = isinstance(spec, ExtendedLiftSpec)
+    base = spec.base if extended else spec
     # a warm-started solve depends on the one before it at rounding level;
-    # emptying the memo makes the lift's own lookups a function of the
-    # inputs alone (a drift that reads another workspace keeps its memo)
-    (spec.base if extended else spec).workspace.clear()
+    # emptying the memos the lift and its drift read makes the run a
+    # function of its inputs alone
+    for ws in {base.workspace, base.drift.workspace} - {None}:
+        ws.clear()
     h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
     diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 

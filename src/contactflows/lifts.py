@@ -14,7 +14,7 @@ S(x, p, z) = (p, x, x.p - z).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,12 +46,14 @@ class DriftField:
     ``structure`` tags the recognized stability classes:
     ("linear", jac_const), ("rotational", omega), or
     ("onsager", L, U_hessian).  Untagged drifts get no certificate.
+    ``workspace`` is the one a dual-chart drift reads; ``integrate_lift`` clears it.
     """
 
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     structure: Optional[tuple] = None
+    workspace: Optional[DuallyFlatWorkspace] = field(default=None, repr=False)
 
     def at(self, u) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.eval(np.asarray(u, dtype=float)), dtype=float))
@@ -188,8 +190,8 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """h = Delta . F + Gamma(Delta_0) on the chosen side, with analytic partials.
 
-    Its field evaluates psi, its gradient and Hessian, F and its Jacobian
-    once: dx = F, dp = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
+    Its field evaluates psi, its gradient and Hessian (one ``jet_at``), F
+    and its Jacobian once: dx = F, dp = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
     dz = grad psi . F + Gamma(Delta_0).  Asked for diagnostics, it also
     stores h, delta0, delta_norm = |Delta| and the compressibility
     kappa = (n + 1) dh/dz = -(n + 1) Gamma'(Delta_0).
@@ -220,15 +222,14 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
 
     def field(y, diag=None):
         x = y[:n]
-        d0 = psi.value_at(x) - y[2 * n]
-        g = psi.gradient_at(x)
+        value, g, H = psi.jet_at(x)
+        d0 = value - y[2 * n]
         d = g - y[n:2 * n]
         f = F.at(x)
         rate, restoring = Gam.derivative(d0), Gam.eval(d0)
         out = np.empty(2 * n + 1)
         out[:n] = f
-        out[n:2 * n] = (psi.hessian_at(x, check_spd=False) @ f + F.jacobian_at(x).T @ d
-                        + rate * d)
+        out[n:2 * n] = H @ f + F.jacobian_at(x).T @ d + rate * d
         out[2 * n] = g @ f + restoring
         if diag is not None:
             diag.update(h=np.einsum("i,i->", d, f) + restoring, delta0=d0,
@@ -300,7 +301,8 @@ def geodesic_drift_phi(ws: DuallyFlatWorkspace, x_from, x_to) -> DriftField:
 
     The psi-side geodesic drift of the conjugate: F(p) = Hess psi(x*(p)) . dx.
     """
-    return geodesic_drift_psi(DuallyFlatWorkspace(conjugate(ws)), x_from, x_to)
+    drift = geodesic_drift_psi(DuallyFlatWorkspace(conjugate(ws)), x_from, x_to)
+    return replace(drift, workspace=ws)
 
 
 def gradient_drift_psi(ws: DuallyFlatWorkspace, target_x) -> DriftField:
@@ -323,7 +325,8 @@ def gradient_drift_phi(ws: DuallyFlatWorkspace, target_p) -> DriftField:
 
     The psi-side gradient drift of the conjugate toward target_p.
     """
-    return gradient_drift_psi(DuallyFlatWorkspace(conjugate(ws)), target_p)
+    drift = gradient_drift_psi(DuallyFlatWorkspace(conjugate(ws)), target_p)
+    return replace(drift, workspace=ws)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ from .errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, fd_step, legendre_swap
+from .geometry import CanonicalPoint, _as_vector, fd_step, legendre_swap
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+_EPS = float(np.finfo(float).eps)
 PYTHAGOREAN_ORTHO_TOL = 1e-6  # relative right-angle tolerance of a Pythagorean triple
 GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic lands
 
@@ -48,6 +49,7 @@ class ConvexPotential:
     A checked ``hessian_at`` remembers the last Hessian it found positive
     definite and skips the factorisation only for a Hessian with exactly
     the same shape and bytes, so a constant Hessian is factored once.
+    ``jet_at`` calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call.
     """
 
     n: int
@@ -55,6 +57,7 @@ class ConvexPotential:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "user"
+    jet: Optional[Callable[[np.ndarray], tuple]] = None
     _spd_checked: Optional[tuple] = field(default=None, init=False, repr=False,
                                           compare=False)
 
@@ -92,6 +95,12 @@ class ConvexPotential:
         if check_spd:
             self._check_spd(H, x)
         return H
+
+    def jet_at(self, x):
+        """(psi(x), grad psi(x), unchecked Hess psi(x))."""
+        if self.jet is not None:
+            return self.jet(np.asarray(x, dtype=float))
+        return self.value_at(x), self.gradient_at(x), self.hessian_at(x, check_spd=False)
 
     def _check_spd(self, H, x):
         key = (H.shape, H.tobytes())
@@ -175,7 +184,8 @@ def legendre_transform(
     """phi(p) = sup_x [x.p - psi(x)], solved via grad psi(x) = p.
 
     Damped Newton with Armijo backtracking on the squared gradient residual,
-    started from ``x0`` (default: the origin).
+    started from ``x0`` (default: the origin).  Overflow past the dual
+    chart ends in ``NewtonConvergenceError``, not a warning.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if len(p) != psi.n:
@@ -184,44 +194,46 @@ def legendre_transform(
         raise EvaluationError("p has non-finite entries", coords=p)
     x = np.atleast_1d(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(psi.n)
 
-    r = psi.gradient_at(x) - p
-    best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
-    for it in range(max_iter):
-        norm = float(np.max(np.abs(r)))
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-        if norm <= tol:
-            # one undamped polish step: near the root Newton is quadratic,
-            # so this drives the residual to rounding level (matters where
-            # the dual chart is ill-conditioned, e.g. saturated spin sites)
+    with np.errstate(all="ignore"):
+        r = psi.gradient_at(x) - p
+        best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
+        for it in range(max_iter):
+            norm = float(np.max(np.abs(r)))
+            if norm < best_norm:
+                best_x, best_norm = x.copy(), norm
+            if norm <= tol:
+                # one undamped polish step unless the residual is at rounding level
+                # already: near the root Newton is quadratic, so this drives it there
+                # (matters where the dual chart is ill-conditioned, e.g. saturated spin)
+                if norm > 4 * _EPS * max(1.0, float(np.max(np.abs(p)))):
+                    try:
+                        x_p = x - np.linalg.solve(psi.hessian_at(x), r)
+                        r_p = psi.gradient_at(x_p) - p
+                        if float(np.max(np.abs(r_p))) < norm:
+                            x, r, norm = x_p, r_p, float(np.max(np.abs(r_p)))
+                    except (StrictConvexityError, np.linalg.LinAlgError):
+                        pass
+                phi = float(x @ p) - psi.value_at(x)
+                return LegendreTransformResult(phi, x, it, norm)
             try:
-                x_p = x - np.linalg.solve(psi.hessian_at(x), r)
-                r_p = psi.gradient_at(x_p) - p
-                if float(np.max(np.abs(r_p))) < norm:
-                    x, r, norm = x_p, r_p, float(np.max(np.abs(r_p)))
+                H = psi.hessian_at(x)
+                step = np.linalg.solve(H, r)
             except (StrictConvexityError, np.linalg.LinAlgError):
-                pass
-            phi = float(x @ p) - psi.value_at(x)
-            return LegendreTransformResult(phi, x, it, norm)
-        try:
-            H = psi.hessian_at(x)
-            step = np.linalg.solve(H, r)
-        except (StrictConvexityError, np.linalg.LinAlgError):
-            # iterate escaped into a flat region (e.g. p outside the dual
-            # chart drives x to infinity): report non-convergence
-            break
-        # Armijo backtracking on ||grad psi - p||^2
-        f0 = float(r @ r)
-        t = 1.0
-        while t > 1e-14:
-            x_new = x - t * step
-            r_new = psi.gradient_at(x_new) - p
-            if float(r_new @ r_new) <= f0 * (1 - 1e-4 * t):
+                # iterate escaped into a flat region (e.g. p outside the dual
+                # chart drives x to infinity): report non-convergence
                 break
-            t *= 0.5
-        else:
-            break
-        x, r = x_new, r_new
+            # Armijo backtracking on ||grad psi - p||^2
+            f0 = float(r @ r)
+            t = 1.0
+            while t > 1e-14:
+                x_new = x - t * step
+                r_new = psi.gradient_at(x_new) - p
+                if float(r_new @ r_new) <= f0 * (1 - 1e-4 * t):
+                    break
+                t *= 0.5
+            else:
+                break
+            x, r = x_new, r_new
     raise NewtonConvergenceError(
         f"Newton did not reach tolerance {tol:g} in {max_iter} iterations "
         f"(best residual {best_norm:g})",
@@ -281,15 +293,16 @@ class DuallyFlatWorkspace:
     """A strictly convex potential together with its numerically-derived dual.
 
     Keeps only its latest solve, keyed by the exact bytes of p, so memory
-    stays bounded however long a run is; repeated lookups at one p (the
-    value, gradient and Hessian of the conjugate in one field evaluation)
-    solve once.  A new p starts Newton at the first-order predictor
+    stays bounded however long a run is; repeated lookups at one p solve
+    once, and ``jet`` reads the conjugate's value, gradient and Hessian
+    with one lookup.  A new p starts Newton at the first-order predictor
     x*_prev + (Hess psi(x*_prev))^-1 (p - p_prev), reusing the inverse
     Hessian if the conjugate's Hessian was asked for at p_prev; if the
     warm solve fails, it is retried cold from the origin.  Warm and cold
     solves agree to rounding level, so a result may depend at that level
-    on the solve before it; ``clear`` forgets that solve.  Not safe for
-    concurrent use.
+    on the solve before it; ``clear`` forgets that solve.  A Hessian with
+    the bytes of the last one inverted reuses its inverse, so a constant
+    one is inverted once.  Not safe for concurrent use.
     """
 
     def __init__(self, psi: ConvexPotential):
@@ -297,8 +310,9 @@ class DuallyFlatWorkspace:
         self.clear()
 
     def clear(self):
-        """Forget the latest solve: the next one starts cold."""
+        """Forget the latest solve and inverse: the next solve starts cold."""
         self._key = self._p = self._res = self._inv_hessian = None
+        self._inverted = self._last_inverse = None  # bytes of a Hessian, and its inverse
 
     @property
     def n(self) -> int:
@@ -314,7 +328,7 @@ class DuallyFlatWorkspace:
             # a warm attempt that overflows or stalls is retried cold, silently
             try:
                 with np.errstate(all="ignore"):
-                    x0 = self._res.x_star + self.inverse_hessian(self._p) @ (p - self._p)
+                    x0 = self._res.x_star + self._inverse() @ (p - self._p)
                     if np.all(np.isfinite(x0)):
                         res = legendre_transform(self.psi, p, x0=x0)
             except NUMERICAL_ERRORS:
@@ -337,20 +351,30 @@ class DuallyFlatWorkspace:
         at p, where the next warm start reads it; read-only, because every
         caller at p and that warm start share the one array.
         """
+        return self.jet(p)[2]
+
+    def jet(self, p):
+        """(phi(p), x*(p), (Hess psi(x*(p)))^-1) from one lookup."""
         res = self.transform(p)
+        return res.phi_value, res.x_star, self._inverse()
+
+    def _inverse(self) -> np.ndarray:
+        """The inverse Hessian of psi at the latest solve."""
         if self._inv_hessian is None:
-            inv = np.linalg.inv(self.psi.hessian_at(res.x_star, check_spd=False))
-            inv.flags.writeable = False
-            self._inv_hessian = inv
+            H = self.psi.hessian_at(self._res.x_star, check_spd=False)
+            if H.tobytes() != self._inverted:
+                self._inverted, self._last_inverse = H.tobytes(), np.linalg.inv(H)
+                self._last_inverse.flags.writeable = False
+            self._inv_hessian = self._last_inverse
         return self._inv_hessian
 
 
 def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
     """The conjugate phi as a potential of p, read through the workspace.
 
-    Value phi(p), gradient x*(p), Hessian (Hess psi(x*))^-1.  Hess psi is
-    inverted unchecked, so an unchecked ``hessian_at`` costs no
-    factorisation; a checked one tests the inverse itself.
+    Value phi(p), gradient x*(p), Hessian (Hess psi(x*))^-1, and all three
+    from one lookup as its jet.  Hess psi is inverted unchecked, so an
+    unchecked ``hessian_at`` costs no factorisation; a checked one tests the inverse itself.
     """
     return ConvexPotential(
         n=ws.n,
@@ -358,6 +382,7 @@ def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
         gradient=ws.x_star,
         hessian=ws.inverse_hessian,
         name=f"conjugate of {ws.psi.name}",
+        jet=ws.jet,
     )
 
 
@@ -367,8 +392,7 @@ def canonical_divergence(ws: DuallyFlatWorkspace, x, x_prime) -> float:
     Both arguments are x-coordinates of points on the psi-graph.
     Nonnegative, zero exactly on the diagonal.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
+    x, x_prime = _as_vector(x, "x"), _as_vector(x_prime, "x_prime")
     p_prime = ws.psi.gradient_at(x_prime)
     # phi(p') = x'.p' - psi(x') exactly, no solve needed on-graph
     phi_p = float(x_prime @ p_prime) - ws.psi.value_at(x_prime)

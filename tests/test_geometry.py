@@ -1,5 +1,7 @@
 """Contact geometry core: canonical field, identities, compressibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,14 @@ class TestCanonicalField:
         with pytest.raises(EvaluationError):
             hamiltonian_vector_field(h, CanonicalPoint(np.array([0.0]),
                                                        np.array([1.0]), 0.0))
+
+    def test_nonfinite_value_is_a_typed_error_not_a_warning(self):
+        # inf - inf in the central differences is no warning of the library's
+        h = ContactHamiltonian(n=2, value=lambda x, p, z: np.sum(x) + np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                hamiltonian_vector_field(h, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
 
 
 class TestIdentities:

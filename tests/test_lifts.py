@@ -197,6 +197,7 @@ class TestGeodesicAndGradientDrifts:
         x_from, x_to, target_p = np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([0.3, -0.2])
         geodesic = geodesic_drift_phi(ws, x_from, x_to)
         gradient = gradient_drift_phi(ws, target_p)
+        assert geodesic.workspace is ws and gradient.workspace is ws  # integrate_lift clears it
         for p in RNG.uniform(-0.8, 0.8, (20, 2)):
             H = psi.hessian_at(ws.x_star(p))
             expected = H @ (x_to - x_from)

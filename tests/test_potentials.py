@@ -1,5 +1,7 @@
 """Convex potentials, numeric Legendre transform, divergences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,22 @@ from hypothesis import strategies as st
 
 from contactflows import potentials as potentials_module
 from contactflows.errors import (
+    EvaluationError,
     NewtonConvergenceError,
     PythagoreanConfigError,
     StrictConvexityError,
 )
+from contactflows.extended import ExtendedLiftSpec, tilde_hamiltonian
 from contactflows.geometry import CanonicalPoint
 from contactflows.integrate import integrate_lift
-from contactflows.lifts import LiftSpec, geodesic_drift_phi, linear_drift, linear_restoring
-from contactflows.models import CircuitParams, rlc_spec
+from contactflows.lifts import (
+    LiftSpec,
+    build_hamiltonian,
+    geodesic_drift_phi,
+    linear_drift,
+    linear_restoring,
+)
+from contactflows.models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams, rlc_spec
 from contactflows.potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
@@ -30,6 +40,7 @@ from contactflows.potentials import (
     legendre_transform,
     pythagorean_residual,
     quadratic_potential,
+    separable_potential,
     spin_potential,
 )
 
@@ -94,6 +105,14 @@ class TestLegendreTransform:
             legendre_transform(spin_potential(1), np.array([1.5]))
         assert excinfo.value.best_x is not None
         assert excinfo.value.iterations > 0
+
+    @pytest.mark.parametrize("p", [[1.5], [0.3, -1.2]])
+    def test_overflow_past_dual_chart_is_a_typed_error_not_a_warning(self, p):
+        # Newton drives x past cosh's overflow; that ends the solve, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonConvergenceError):
+                legendre_transform(spin_potential(len(p)), np.array(p))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-0.99, 0.99))
@@ -163,6 +182,14 @@ class TestDivergence:
         b = canonical_divergence(ws, np.array([1.4]), np.array([0.1]))
         assert a > 0 and b > 0
         assert abs(a - b) > 1e-4
+
+    @pytest.mark.parametrize("x, xp", [([np.inf], [0.0]), ([0.0], [np.nan])])
+    def test_nonfinite_point_is_a_typed_error_not_a_warning(self, x, xp):
+        ws = DuallyFlatWorkspace(spin_potential(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                canonical_divergence(ws, np.array(x), np.array(xp))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2))
@@ -245,6 +272,132 @@ class TestConstantHessianCheck:
         assert not calls
 
 
+# psi(x) = e^x0 + ln cosh x1 + 3 x2^2 / 2, and per coordinate its conjugate's
+# x*(p) and phi(p)  [DERIVED: invert exp, tanh and 3x]
+SEPARABLE_PIECES = [
+    (np.exp, np.exp, np.exp),
+    (lambda t: np.log(np.cosh(t)), np.tanh, lambda t: 1.0 / np.cosh(t) ** 2),
+    (lambda t: 1.5 * t * t, lambda t: 3.0 * t, lambda t: 3.0),
+]
+SEPARABLE_CONJUGATE = [
+    (np.log, lambda q: q * np.log(q) - q),
+    (np.arctanh, lambda q: q * np.arctanh(q) - np.log(np.cosh(np.arctanh(q)))),
+    (lambda q: q / 3.0, lambda q: q * q / 6.0),
+]
+
+
+def potential_cases():
+    """(id, psi) for the potential of every model in MODEL_BUILDERS, plus spin n = 2."""
+    params = {"spin": SpinParams(theta=0.4, gamma0=2.0, lambda0=0.5),
+              "onsager": OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.3, 1.0]]))}
+    cases = [("spin2", spin_potential(2))]
+    for name, build in MODEL_BUILDERS.items():
+        spec = build(params.get(name, CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8)))
+        cases.append((name, (spec.base if isinstance(spec, ExtendedLiftSpec) else spec).potential))
+    return cases
+
+
+def three_callables(psi, x):
+    return psi.value_at(x), psi.gradient_at(x), psi.hessian_at(x, check_spd=False)
+
+
+def assert_same_jet(got, expect):
+    assert type(got[0]) is type(expect[0]) and got[0] == expect[0]
+    for a, b in zip(got[1:], expect[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestJet:
+    @pytest.mark.parametrize("psi", [c for _, c in potential_cases()],
+                             ids=[i for i, _ in potential_cases()])
+    def test_jet_is_the_three_callables_bit_for_bit(self, psi):
+        xs = np.random.default_rng(7).uniform(-1.5, 1.5, (6, psi.n))
+        for x in xs:
+            assert_same_jet(psi.jet_at(x), three_callables(psi, x))
+        # the conjugate's jet and its three callables, each on its own
+        # workspace with the same history of warm solves
+        jet_side = conjugate(DuallyFlatWorkspace(psi))
+        callables_side = conjugate(DuallyFlatWorkspace(psi))
+        assert jet_side.jet is not None
+        for x in xs:
+            p = psi.gradient_at(x)
+            assert_same_jet(jet_side.jet_at(p), three_callables(callables_side, p))
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["base", "extended"])
+    def test_phi_field_call_does_one_lookup(self, monkeypatch, extended):
+        lookups = []
+        transform = DuallyFlatWorkspace.transform
+
+        def counting(ws, p):
+            lookups.append(p)
+            return transform(ws, p)
+
+        monkeypatch.setattr(DuallyFlatWorkspace, "transform", counting)
+        spec, start = off_graph_rlc()
+        y = np.concatenate([start.x, start.p, [start.z]])
+        h = build_hamiltonian(spec)
+        if extended:  # flat state (x, x_extra, p, p_extra, z) of the extended lift
+            h = tilde_hamiltonian(ExtendedLiftSpec(spec, anchor=1.3))
+            y = np.concatenate([start.x, [0.2], start.p, [1.1], [start.z]])
+        for k in range(5):
+            diag = {} if k % 2 else None
+            h.field(y + 0.01 * k, diag)
+            assert len(lookups) == k + 1
+
+    def test_phi_rlc_run_inverts_its_constant_hessian_once(self, monkeypatch):
+        inversions = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+        spec, start = off_graph_rlc()
+        traj = integrate_lift(spec, start, 5.0)
+        assert len(traj.times) > 20 and len(inversions) == 1
+
+    def test_phi_spin_run_inverts_once_per_new_p(self, monkeypatch):
+        inversions, solves = [], []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+
+        def counting(psi, p, x0=None):
+            solves.append(p)
+            return legendre_transform(psi, p, x0=x0)
+
+        monkeypatch.setattr(potentials_module, "legendre_transform", counting)
+        spec = LiftSpec(side="phi", potential=spin_potential(2),
+                        drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
+        start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
+        traj = integrate_lift(spec, start, 1.0)
+        assert len(traj.times) > 5 and len(inversions) == len(solves)
+
+    def test_warm_quadratic_solve_does_no_linear_solve(self, monkeypatch):
+        ws = DuallyFlatWorkspace(quadratic_potential(NON_DIAGONAL_M))
+        ws.jet(np.array([0.4, -0.9]))
+        solved = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        for p in ([0.41, -0.88], [1.7, 2.3], [-30.0, 12.5]):
+            _, x, _ = ws.jet(np.array(p))
+            rounding = 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(p)))
+            assert np.max(np.abs(NON_DIAGONAL_M @ x - p)) <= rounding
+        assert not solved
+
+    def test_separable_potential(self):
+        psi = separable_potential(SEPARABLE_PIECES)
+        x = np.array([0.3, -0.8, 1.2])
+        value, g, H = psi.jet_at(x)
+        assert psi.jet is None
+        assert_same_jet((value, g, H), three_callables(psi, x))
+        assert value == pytest.approx(np.exp(0.3) + np.log(np.cosh(-0.8)) + 1.5 * 1.44)
+        assert np.allclose(g, [np.exp(0.3), np.tanh(-0.8), 3.6])
+        assert np.allclose(H, np.diag([np.exp(0.3), 1 / np.cosh(0.8) ** 2, 3.0]))
+        for p in ([0.5, 0.4, -2.0], [3.0, -0.9, 0.1]):
+            res = legendre_transform(psi, np.array(p))
+            x_star = [xs(q) for (xs, _), q in zip(SEPARABLE_CONJUGATE, p)]
+            phi = sum(f(q) for (_, f), q in zip(SEPARABLE_CONJUGATE, p))
+            assert np.allclose(res.x_star, x_star, rtol=1e-12, atol=1e-12)
+            assert res.phi_value == pytest.approx(phi, rel=1e-12, abs=1e-12)
+            assert np.allclose(psi.gradient_at(res.x_star), p, rtol=0, atol=1e-12)
+
+
 def off_graph_rlc():
     """phi-side rlc (R = C = L = gamma0 = 1) and a start off its submanifold."""
     spec = rlc_spec(CircuitParams(R=1.0, C=1.0, L=1.0, gamma0=1.0))
@@ -323,7 +476,8 @@ class TestWorkspaceCache:
         # the diagnostics of the last state solved last
         assert np.array_equal(spec.workspace._p, traj.states[-1, 2:4])
 
-    @pytest.mark.parametrize("model", ["rlc", "spin2", "spin2_geodesic"])
+    @pytest.mark.parametrize("model", ["rlc", "spin2", "spin2_geodesic",
+                                       "spin2_geodesic_own_workspace"])
     def test_phi_run_independent_of_memo_history(self, model):
         start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
         elsewhere = CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0)
@@ -333,14 +487,18 @@ class TestWorkspaceCache:
             spec = LiftSpec(side="phi", potential=spin_potential(2),
                             drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
         else:
-            # a drift that reads the conjugate through the lift's own workspace;
-            # on a workspace of its own this pair of runs differs in the last digits
+            # a drift that reads the conjugate through the lift's own workspace,
+            # or through one of its own that integrate_lift clears as well
             ws = DuallyFlatWorkspace(spin_potential(2))
-            drift = geodesic_drift_phi(ws, np.array([0.1, -0.1]), np.array([0.3, 0.2]))
+            drift_ws = ws if model == "spin2_geodesic" else DuallyFlatWorkspace(ws.psi)
+            drift = geodesic_drift_phi(drift_ws, np.array([0.1, -0.1]), np.array([0.3, 0.2]))
+            assert drift.workspace is drift_ws
             spec = LiftSpec(side="phi", potential=ws.psi, drift=drift,
                             restoring=linear_restoring(1.0), workspace=ws)
             start = CanonicalPoint(np.array([0.66, 0.32]), np.array([0.35, 0.61]), 0.1)
             elsewhere = CanonicalPoint(np.array([-0.14, 0.52]), np.array([0.756, -0.795]), 0.0)
+            if drift_ws is not ws:  # a start whose runs differed while nothing cleared drift_ws
+                start = CanonicalPoint(np.array([0.02, 0.9]), np.array([-0.57, 0.72]), 0.1)
         first = integrate_lift(spec, start, 5.0)
         # a short run elsewhere leaves another solve in the memo
         integrate_lift(spec, elsewhere, 0.05)
