@@ -6,6 +6,11 @@ that psi~ is exactly conserved along the ambient flow: whatever the base
 potential loses, the extra coordinate absorbs (entropy production in the
 thermal circuit models).
 
+The lift is the base lift of psi~ in dimension n+1, with drift
+F~ = (F, -grad psi . F / anchor), which keeps psi~ level
+(``extension_spec``); its Hamiltonian takes its value and partials from
+``lifts.build_hamiltonian`` and adds a field fused for the extension.
+
 Only the psi side is written out; a phi-side extended lift is the psi-side
 one of the conjugate (``dual_extended_spec``) seen through the Legendre
 swap of the flattened (n+1)-dimensional point.  Its conserved quantity is
@@ -14,7 +19,7 @@ therefore phi(p) + anchor * p_extra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +33,8 @@ from .geometry import (
     push_swap,
     swap_hamiltonian,
 )
-from .lifts import LiftSpec, dual_spec
+from .lifts import DriftField, LiftSpec, build_hamiltonian, dual_spec
+from .potentials import ConvexPotential
 
 
 @dataclass(frozen=True)
@@ -142,57 +148,59 @@ def tilde_deltas(spec: ExtendedLiftSpec, pt: ExtendedPoint):
     return d0, d
 
 
+def extension_spec(spec: ExtendedLiftSpec) -> LiftSpec:
+    """The base lift in dimension n+1 whose Hamiltonian is h~.
+
+    Its potential is psi~(X) = psi(x) + anchor * x_extra, with gradient
+    (grad psi, anchor) and Hess psi padded with zeros (singular, so only
+    unchecked); its drift is F~ = (F, -grad psi . F / anchor), whose
+    Jacobian has the rows (J, 0) and (-(Hess psi . F + J^T grad psi) / anchor, 0);
+    the restoring function is the same.
+    """
+    if spec.side != "psi":
+        raise ValueError("extension_spec needs a psi-side extended lift")
+    psi, F, n, anchor = spec.base.potential, spec.base.drift, spec.n, spec.anchor
+
+    def drift(X):
+        f = F.at(X[:n])
+        return np.append(f, -(psi.gradient_at(X[:n]) @ f) / anchor)
+
+    def jacobian(X):
+        x = X[:n]
+        f, J = F.at(x), F.jacobian_at(x)
+        row = -(psi.hessian_at(x, check_spd=False) @ f + J.T @ psi.gradient_at(x)) / anchor
+        return np.pad(np.vstack([J, row]), ((0, 0), (0, 1)))
+
+    potential = ConvexPotential(
+        n=n + 1, value=lambda X: psi.value_at(X[:n]) + anchor * X[n],
+        gradient=lambda X: np.append(psi.gradient_at(X[:n]), anchor),
+        hessian=lambda X: np.pad(psi.hessian_at(X[:n], check_spd=False), (0, 1)),
+        name=f"extension of {psi.name}",
+    )
+    return LiftSpec(side="psi", potential=potential,
+                    drift=DriftField(n=n + 1, eval=drift, jacobian=jacobian,
+                                     workspace=F.workspace),
+                    restoring=spec.base.restoring)
+
+
 def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     """h~ = D~ . F + Gamma(D~0) as a canonical Hamiltonian in dimension n+1.
 
-    Coordinates are flattened as X = (x, x_extra), P = (p, p_extra); the
-    partials are assembled in closed form.  The field evaluates psi, its
-    gradient and Hessian (one ``jet_at``), F and its Jacobian once:
+    Coordinates are flattened as X = (x, x_extra), P = (p, p_extra).  Its
+    value and partials are those of the base lift of ``extension_spec``.
+    Its field evaluates psi, its gradient and Hessian (one ``jet_at``), F
+    and its Jacobian once:
     dX = (F, -grad psi . F / anchor),
     dP = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
           Gamma'(D0) (anchor - p_extra)),
-    dz = Gamma(D0).  Asked for diagnostics, it stores what the base lift's
-    field does (in dimension n + 1) and the conserved psi_tilde and the
-    entropy S = x_extra.
+    dz = Gamma(D0), with D = (p_extra / anchor) grad psi - p.  Asked for
+    diagnostics, it stores what the base lift's field does (in dimension
+    n + 1) and the conserved psi_tilde and the entropy S = x_extra.
     """
     if spec.side == "phi":
         return swap_hamiltonian(tilde_hamiltonian(dual_extended_spec(spec)))
     base = spec.base
-    psi = base.potential
-    F = base.drift
-    Gam = base.restoring
-    n = spec.n
-    anchor = spec.anchor
-
-    def split(X, P):
-        return X[:n], X[n], P[:n], P[n]
-
-    def deltas(x, xe, p, pe, z):
-        d0 = psi.value_at(x) + anchor * xe - z
-        d = (pe / anchor) * psi.gradient_at(x) - p
-        return d0, d
-
-    def value(X, P, z):
-        x, xe, p, pe = split(X, P)
-        d0, d = deltas(x, xe, p, pe, z)
-        return float(d @ F.at(x)) + Gam.eval(d0)
-
-    def grad_x(X, P, z):
-        x, xe, p, pe = split(X, P)
-        d0, d = deltas(x, xe, p, pe, z)
-        H = psi.hessian_at(x, check_spd=False)
-        gx = (pe / anchor) * (H @ F.at(x)) + F.jacobian_at(x).T @ d \
-            + Gam.derivative(d0) * psi.gradient_at(x)
-        return np.append(gx, Gam.derivative(d0) * anchor)
-
-    def grad_p(X, P, z):
-        x, xe, p, pe = split(X, P)
-        return np.append(-F.at(x), float(psi.gradient_at(x) @ F.at(x)) / anchor)
-
-    def dz_partial(X, P, z):
-        x, xe, p, pe = split(X, P)
-        d0, _ = deltas(x, xe, p, pe, z)
-        return -Gam.derivative(d0)
+    psi, F, Gam, n, anchor = base.potential, base.drift, base.restoring, spec.n, spec.anchor
 
     def field(y, diag=None):
         x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
@@ -214,10 +222,7 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
                         psi_tilde=psi_tilde, S=xe)
         return out
 
-    return ContactHamiltonian(
-        n=n + 1, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial,
-        field=field,
-    )
+    return replace(build_hamiltonian(extension_spec(spec)), field=field)
 
 
 def extended_lifted_field(spec: ExtendedLiftSpec, pt: ExtendedPoint) -> ExtendedTangent:

@@ -35,6 +35,22 @@ def fd_step(value: float) -> float:
     return _CBRT_EPS * max(1.0, abs(value))
 
 
+def central_jacobian(f, u) -> np.ndarray:
+    """Central differences of f at u, one column per coordinate.
+
+    Column a is (f(u + s e_a) - f(u - s e_a)) / 2s with s = fd_step(u_a);
+    a scalar f gives its gradient.
+    """
+    u = np.asarray(u, dtype=float)
+    cols = []
+    for a in range(len(u)):
+        s = fd_step(u[a])
+        e = np.zeros(len(u))
+        e[a] = s
+        cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2 * s))
+    return np.stack(cols, axis=-1)
+
+
 @dataclass(frozen=True)
 class CanonicalPoint:
     """A point (x, p, z) of a (2n+1)-dimensional contact manifold."""
@@ -139,29 +155,20 @@ class ContactHamiltonian:
             hp = np.asarray(self.grad_p(x, p, z), dtype=float)
             hz = float(self.dz_partial(x, p, z))
             return hx, hp, hz
-        hx = np.empty(self.n)
-        hp = np.empty(self.n)
+        n = self.n
         # a non-finite value's partials are non-finite: EvaluationError, no warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            for a in range(self.n):
-                s = fd_step(x[a])
-                e = np.zeros(self.n)
-                e[a] = s
-                hx[a] = (self.value(x + e, p, z) - self.value(x - e, p, z)) / (2 * s)
-                s = fd_step(p[a])
-                e = np.zeros(self.n)
-                e[a] = s
-                hp[a] = (self.value(x, p + e, z) - self.value(x, p - e, z)) / (2 * s)
-            s = fd_step(z)
-            hz = (self.value(x, p, z + s) - self.value(x, p, z - s)) / (2 * s)
-        return hx, hp, hz
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = central_jacobian(lambda y: self.value(y[:n], y[n:2 * n], y[2 * n]),
+                                 np.concatenate([x, p, [z]]))
+        return g[:n], g[n:2 * n], float(g[2 * n])
 
     def _generic_field(self, y, diag=None):
         """dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp."""
         n = self.n
         x, p, z = y[:n], y[n:2 * n], float(y[2 * n])
         hx, hp, hz = self._partials(x, p, z)
-        hval = float(self.value(x, p, z))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hval = float(self.value(x, p, z))
         return np.concatenate([-hp, hx + p * hz, [hval - p @ hp]])
 
 
@@ -299,26 +306,8 @@ def verify_contact_identities(
 
 def _numeric_divergence(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
     """Euclidean divergence of the field components by central differences."""
-    n = pt.n
-    div = 0.0
-    for a in range(n):
-        s = fd_step(pt.x[a])
-        e = np.zeros(n)
-        e[a] = s
-        plus = hamiltonian_vector_field(h, CanonicalPoint(pt.x + e, pt.p, pt.z))
-        minus = hamiltonian_vector_field(h, CanonicalPoint(pt.x - e, pt.p, pt.z))
-        div += (plus.dx[a] - minus.dx[a]) / (2 * s)
-        s = fd_step(pt.p[a])
-        e = np.zeros(n)
-        e[a] = s
-        plus = hamiltonian_vector_field(h, CanonicalPoint(pt.x, pt.p + e, pt.z))
-        minus = hamiltonian_vector_field(h, CanonicalPoint(pt.x, pt.p - e, pt.z))
-        div += (plus.dp[a] - minus.dp[a]) / (2 * s)
-    s = fd_step(pt.z)
-    plus = hamiltonian_vector_field(h, CanonicalPoint(pt.x, pt.p, pt.z + s))
-    minus = hamiltonian_vector_field(h, CanonicalPoint(pt.x, pt.p, pt.z - s))
-    div += (plus.dz - minus.dz) / (2 * s)
-    return div
+    y = np.concatenate([pt.x, pt.p, [pt.z]])
+    return float(np.trace(central_jacobian(lambda u: hamiltonian_vector_field(h, u), y)))
 
 
 def phase_compressibility(

@@ -9,9 +9,11 @@ could not be evaluated (a numerical error in its field evaluation) keeps
 its row with NaN diagnostics.
 
 A non-finite state, a numerical error (``errors.NUMERICAL_ERRORS``) raised
-during a step, the RKF45 step floor and its step budget all stop a run the
-same way: the states accepted so far are returned with ``abort_reason``
-"<cause> at t = ..., h = ...".  Any other exception propagates.
+during an RK4 step, the RKF45 step floor and its step budget all stop a
+run the same way: the states accepted so far are returned with
+``abort_reason`` "<cause> at t = ..., h = ...".  RKF45 treats a numerical
+error in a stage as a rejected step and shrinks it, so such an error stops
+it only at the step floor.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -128,7 +130,9 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     """RKF45 with standard step control; accepted steps only are recorded.
 
     ``f0`` is as in ``solve_fixed``; a rejected step calls it again at the
-    same state.
+    same state.  A stage that raises a numerical error rejects the step
+    with the smallest shrink factor; if that ends at the step floor, the
+    reason names the last such error.
     """
     f0 = f0 or f
     y = np.asarray(y0, dtype=float)
@@ -137,24 +141,27 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     h = min(1e-2, t_end)
     h_min = t_end * 1e-14
     steps = 0
+    failure = ""  # the stage error that rejected a step since the last accepted one
     while t < t_end - 1e-15:
         h = min(h, t_end - t)
         try:
             y_new, err = _rkf45_step(f, t, y, h, f0)
         except NUMERICAL_ERRORS as exc:
-            return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
-        if not np.isfinite(y_new).all():
-            return _stop(ts, ys, "non-finite state", t, h)
-        tol = abs_tol + rel_tol * max(1.0, float(np.max(np.abs(y))))
-        if err <= tol:
-            t += h
-            y = y_new
-            ts.append(t)
-            ys.append(y)
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
+            failure, factor = f" after {type(exc).__name__}: {exc}", 0.1
+        else:
+            if not np.isfinite(y_new).all():
+                return _stop(ts, ys, "non-finite state", t, h)
+            tol = abs_tol + rel_tol * max(1.0, float(np.max(np.abs(y))))
+            if err <= tol:
+                t += h
+                y = y_new
+                ts.append(t)
+                ys.append(y)
+                failure = ""
+            factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
         h *= min(4.0, max(0.1, factor))
         if h < h_min:
-            return _stop(ts, ys, f"step floor {h_min:.3g} reached", t, h)
+            return _stop(ts, ys, f"step floor {h_min:.3g} reached{failure}", t, h)
         steps += 1
         if steps > MAX_STEP_ATTEMPTS:
             return _stop(ts, ys, f"step budget {MAX_STEP_ATTEMPTS} exhausted", t, h)

@@ -24,7 +24,7 @@ from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     TangentVector,
-    fd_step,
+    central_jacobian,
     hamiltonian_vector_field,
     legendre_swap,
     push_swap,
@@ -62,13 +62,7 @@ class DriftField:
         u = np.asarray(u, dtype=float)
         if self.jacobian is not None:
             return np.atleast_2d(np.asarray(self.jacobian(u), dtype=float))
-        J = np.empty((self.n, self.n))
-        for a in range(self.n):
-            s = fd_step(u[a])
-            e = np.zeros(self.n)
-            e[a] = s
-            J[:, a] = (self.at(u + e) - self.at(u - e)) / (2 * s)
-        return J
+        return central_jacobian(self.at, u)
 
 
 def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:

@@ -23,7 +23,7 @@ from .errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, _as_vector, fd_step, legendre_swap
+from .geometry import CanonicalPoint, _as_vector, central_jacobian, legendre_swap
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -72,25 +72,14 @@ class ConvexPotential:
         x = np.asarray(x, dtype=float)
         if self.gradient is not None:
             return np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
-        g = np.empty(self.n)
-        for a in range(self.n):
-            s = fd_step(x[a])
-            e = np.zeros(self.n)
-            e[a] = s
-            g[a] = (self.value(x + e) - self.value(x - e)) / (2 * s)
-        return g
+        return central_jacobian(self.value, x)
 
     def hessian_at(self, x, check_spd: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.hessian is not None:
             H = np.atleast_2d(np.asarray(self.hessian(x), dtype=float))
         else:
-            H = np.empty((self.n, self.n))
-            for a in range(self.n):
-                s = fd_step(x[a])
-                e = np.zeros(self.n)
-                e[a] = s
-                H[:, a] = (self.gradient_at(x + e) - self.gradient_at(x - e)) / (2 * s)
+            H = central_jacobian(self.gradient_at, x)
             H = 0.5 * (H + H.T)
         if check_spd:
             self._check_spd(H, x)

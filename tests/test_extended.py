@@ -40,6 +40,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ExtendedLiftSpec(base=base, anchor=0.0)
 
+    def test_extension_spec_needs_psi_side(self):
+        from contactflows.extended import extension_spec
+
+        with pytest.raises(ValueError):
+            extension_spec(make_extended(side="phi"))
+
     def test_flatten_round_trip(self):
         pt = ExtendedPoint(np.array([0.1]), 0.7, np.array([0.2]), 0.3, 1.0)
         from contactflows.extended import unflatten

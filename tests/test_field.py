@@ -3,7 +3,10 @@
 Every Hamiltonian the lift builders return carries a ``field`` that
 evaluates psi, its derivatives and the drift once.  The oracle is a
 Hamiltonian built from the same value and partials but no field, whose
-field is assembled from the partials by the canonical formulas.
+field is assembled from the partials by the canonical formulas.  An
+extended lift's value and partials are those of the base lift on psi~
+(``extension_spec``), so its hand-fused field is checked against a
+derivation of its own.
 """
 
 import numpy as np
@@ -14,6 +17,8 @@ from contactflows.errors import DimensionMismatchError, EvaluationError
 from contactflows.extended import (
     ExtendedLiftSpec,
     ExtendedPoint,
+    dual_extended_spec,
+    extension_spec,
     tilde_deltas,
     tilde_hamiltonian,
 )
@@ -21,6 +26,7 @@ from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     hamiltonian_vector_field,
+    swap_hamiltonian,
 )
 from contactflows.integrate import integrate_lift
 from contactflows.lifts import (
@@ -120,6 +126,29 @@ def test_fused_field_matches_generic_field(spec):
         assert fused.shape == generic.shape == y.shape
         scale = max(1.0, float(np.max(np.abs(generic))))
         assert np.max(np.abs(fused - generic)) <= REL_TOL * scale
+
+
+EXTENDED = [(i, s) for i, s in CASES if isinstance(s, ExtendedLiftSpec)]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in EXTENDED], ids=[i for i, _ in EXTENDED])
+def test_extended_field_is_the_base_field_on_psi_tilde(spec):
+    # h~ is the base lift of psi~(x, x_extra) = psi(x) + anchor x_extra with
+    # drift F~ = (F, -grad psi . F / anchor), whose gradient F~ keeps level
+    psi_side = spec if spec.side == "psi" else dual_extended_spec(spec)
+    ext = extension_spec(psi_side)
+    base = build_hamiltonian(ext)
+    if spec.side == "phi":
+        base = swap_hamiltonian(base)
+    h = tilde_hamiltonian(spec)
+    for _ in range(10):
+        y = random_state(2 * h.n + 1)
+        fused, reference = h.field(y), base.field(y)
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(fused - reference)) <= REL_TOL * scale
+        X = y[:h.n]
+        grad, f = ext.potential.gradient_at(X), ext.drift.at(X)
+        assert abs(grad @ f) <= REL_TOL * max(1.0, float(np.abs(grad) @ np.abs(f)))
 
 
 def test_point_and_flat_state_give_the_same_field():

@@ -1,9 +1,11 @@
 """Integrators: order, tolerance behavior, semigroup property, aborts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from contactflows.errors import IntegrationAbort
+from contactflows.errors import EvaluationError, IntegrationAbort
 from contactflows.geometry import CanonicalPoint
 from contactflows import integrate as integrate_module
 from contactflows.integrate import (
@@ -136,6 +138,32 @@ class TestAborts:
             traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rk4", step=0.01))
         assert_stopped_at(traj, "Newton")
         assert traj.times[-1] < np.log(1.5) < traj.times[-1] + 0.01
+
+    def test_rkf45_shrinks_past_a_failed_stage(self):
+        from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
+        from contactflows.potentials import embed_phi, spin_potential
+
+        # dp/dt = -300 (p - 0.99): the first step's later stages overshoot the
+        # spin dual chart |p| < 1, so Newton fails there and the step shrinks
+        spec = LiftSpec(side="phi", potential=spin_potential(1),
+                        drift=linear_drift(-300.0, 1, offset=[0.99]),
+                        restoring=linear_restoring(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_lift(spec, embed_phi(spec.potential, np.array([0.0])), 1.0)
+        assert not traj.truncated
+        assert abs(traj.final_state[1] - 0.99 * (1 - np.exp(-300.0))) < 1e-13
+
+    def test_rkf45_step_floor_names_the_last_stage_error(self):
+        def f(t, y):  # dy/dt = 1, evaluable up to y = 1, reached at t = 0.5
+            if y[0] > 1.0:
+                raise EvaluationError("outside the domain")
+            return np.ones(1)
+
+        traj = solve_adaptive(f, np.array([0.5]), 1.0)
+        assert_stopped_at(traj, "reached after EvaluationError: outside the domain")
+        assert traj.abort_reason.startswith("step floor")
+        assert 0.5 - 1e-9 < traj.times[-1] <= 0.5
 
     def test_state_whose_field_fails_keeps_its_row_with_nan_diagnostics(self):
         from contactflows.lifts import DriftField, LiftSpec, linear_restoring
