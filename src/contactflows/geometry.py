@@ -212,11 +212,15 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
 
     def field(y, diag=None):
         x, p = y[:n], y[n:2 * n]
-        v = h.field(np.concatenate([p, x, [x @ p - y[2 * n]]]), diag)
+        s = np.empty(2 * n + 1)
+        s[:n], s[n:2 * n], s[2 * n] = p, x, x @ p - y[2 * n]
+        v = h.field(s, diag)
         if diag:  # empty when h's field records no diagnostics
             diag["h"], diag["delta0"] = -diag["h"], -diag["delta0"]
         dx, dp = v[:n], v[n:2 * n]
-        return np.concatenate([dp, dx, [x @ dx + p @ dp - v[2 * n]]])
+        out = np.empty(2 * n + 1)
+        out[:n], out[n:2 * n], out[2 * n] = dp, dx, x @ dx + p @ dp - v[2 * n]
+        return out
 
     if h.derivative_mode != "closed_form":
         return ContactHamiltonian(n=n, value=value, field=field)

@@ -92,7 +92,7 @@ def _rkf45_step(f, t, y, h, f0):
         K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
     y5 = y + h * (_B5 @ K)
     y4 = y + h * (_B4 @ K)
-    return y5, np.max(np.abs(y5 - y4))
+    return y5, np.abs(y5 - y4).max()
 
 
 def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
@@ -151,7 +151,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
         else:
             if not np.isfinite(y_new).all():
                 return _stop(ts, ys, "non-finite state", t, h)
-            tol = abs_tol + rel_tol * max(1.0, float(np.max(np.abs(y))))
+            tol = abs_tol + rel_tol * max(1.0, float(np.abs(y).max()))
             if err <= tol:
                 t += h
                 y = y_new

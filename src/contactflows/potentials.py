@@ -173,36 +173,39 @@ def legendre_transform(
     """phi(p) = sup_x [x.p - psi(x)], solved via grad psi(x) = p.
 
     Damped Newton with Armijo backtracking on the squared gradient residual,
-    started from ``x0`` (default: the origin).  Overflow past the dual
-    chart ends in ``NewtonConvergenceError``, not a warning.
+    started from a copy of ``x0`` (default: the origin); x* comes back
+    read-only, so a memo can hand it out.  Overflow past the dual chart ends
+    in ``NewtonConvergenceError``, not a warning; its message names the
+    cause and the iterations run.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if len(p) != psi.n:
         raise DimensionMismatchError(f"p has length {len(p)}, expected {psi.n}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise EvaluationError("p has non-finite entries", coords=p)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(psi.n)
+    x = np.array(x0, dtype=float, ndmin=1) if x0 is not None else np.zeros(psi.n)
 
     with np.errstate(all="ignore"):
         r = psi.gradient_at(x) - p
-        best_x, best_norm = x.copy(), float(np.max(np.abs(r)))
+        norm = float(np.abs(r).max())
+        best_x, best_norm = x, norm
         for it in range(max_iter):
-            norm = float(np.max(np.abs(r)))
             if norm < best_norm:
-                best_x, best_norm = x.copy(), norm
+                best_x, best_norm = x, norm
             if norm <= tol:
-                # one undamped polish step unless the residual is at rounding level
-                # already: near the root Newton is quadratic, so this drives it there
+                # one undamped polish step unless the residual is at rounding level,
+                # <= 4 eps max(1, |p|_inf), already: Newton is quadratic near the root
                 # (matters where the dual chart is ill-conditioned, e.g. saturated spin)
-                if norm > 4 * _EPS * max(1.0, float(np.max(np.abs(p)))):
+                if norm > 4 * _EPS and norm > 4 * _EPS * float(np.abs(p).max()):
                     try:
                         x_p = x - np.linalg.solve(psi.hessian_at(x), r)
-                        r_p = psi.gradient_at(x_p) - p
-                        if float(np.max(np.abs(r_p))) < norm:
-                            x, r, norm = x_p, r_p, float(np.max(np.abs(r_p)))
+                        norm_p = float(np.abs(psi.gradient_at(x_p) - p).max())
+                        if norm_p < norm:
+                            x, norm = x_p, norm_p
                     except (StrictConvexityError, np.linalg.LinAlgError):
                         pass
                 phi = float(x @ p) - psi.value_at(x)
+                x.flags.writeable = False
                 return LegendreTransformResult(phi, x, it, norm)
             try:
                 H = psi.hessian_at(x)
@@ -210,6 +213,7 @@ def legendre_transform(
             except (StrictConvexityError, np.linalg.LinAlgError):
                 # iterate escaped into a flat region (e.g. p outside the dual
                 # chart drives x to infinity): report non-convergence
+                cause = "Hessian not positive definite"
                 break
             # Armijo backtracking on ||grad psi - p||^2
             f0 = float(r @ r)
@@ -221,14 +225,18 @@ def legendre_transform(
                     break
                 t *= 0.5
             else:
+                cause = "line search stalled"
                 break
             x, r = x_new, r_new
+            norm = float(np.abs(r).max())
+        else:
+            it, cause = max_iter, "iteration budget exhausted"
     raise NewtonConvergenceError(
-        f"Newton did not reach tolerance {tol:g} in {max_iter} iterations "
+        f"Newton did not reach tolerance {tol:g}: {cause} after {it} iterations "
         f"(best residual {best_norm:g})",
         best_x=best_x,
         residual=best_norm,
-        iterations=max_iter,
+        iterations=it,
     )
 
 
@@ -318,8 +326,8 @@ class DuallyFlatWorkspace:
             try:
                 with np.errstate(all="ignore"):
                     x0 = self._res.x_star + self._inverse() @ (p - self._p)
-                    if np.all(np.isfinite(x0)):
-                        res = legendre_transform(self.psi, p, x0=x0)
+                if np.isfinite(x0).all():
+                    res = legendre_transform(self.psi, p, x0=x0)
             except NUMERICAL_ERRORS:
                 pass
         if res is None:

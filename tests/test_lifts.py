@@ -12,6 +12,7 @@ from contactflows.geometry import (
 from contactflows.integrate import fit_decay_rate, integrate_lift
 from contactflows.lifts import (
     LiftSpec,
+    RestoringFunction,
     build_hamiltonian,
     delta_velocities,
     geodesic_drift_phi,
@@ -240,6 +241,12 @@ class TestStabilityCertificates:
             drift=onsager_drift(L, psi.gradient_at, psi.hessian_at),
             restoring=linear_restoring(1e-3))
         assert stability_certificate(spec).verdict == "inconclusive"
+
+
+def test_restoring_function_warns_on_a_nonzero_root():
+    # Gamma(d) = d + d^2/2 vanishes at d = -2 as well as at 0
+    with pytest.warns(UserWarning, match="vanishes at nonzero defect -2.0"):
+        RestoringFunction(eval=lambda d: d + d * d / 2, derivative=lambda d: 1.0 + d)
 
 
 class TestInvariantDensity:

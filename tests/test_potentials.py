@@ -26,6 +26,7 @@ from contactflows.lifts import (
 )
 from contactflows.models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams, rlc_spec
 from contactflows.potentials import (
+    NEWTON_MAX_ITER,
     ConvexPotential,
     DuallyFlatWorkspace,
     LegendreTransformResult,
@@ -105,6 +106,25 @@ class TestLegendreTransform:
             legendre_transform(spin_potential(1), np.array([1.5]))
         assert excinfo.value.best_x is not None
         assert excinfo.value.iterations > 0
+
+    def test_failure_names_its_cause_and_the_iterations_run(self):
+        # past the dual chart x grows until sech^2 x underflows to a zero
+        # Hessian, a few iterations in, long before the iteration budget
+        with pytest.raises(NewtonConvergenceError, match="Hessian not positive definite") as excinfo:
+            legendre_transform(spin_potential(1), np.array([1.5]))
+        assert 0 < excinfo.value.iterations < NEWTON_MAX_ITER
+        assert f"after {excinfo.value.iterations} iterations" in str(excinfo.value)
+        with pytest.raises(NewtonConvergenceError, match="iteration budget exhausted after 2 "):
+            legendre_transform(spin_potential(1), np.array([0.5]), max_iter=2)
+
+    def test_converged_start_is_not_returned(self):
+        # a start that already solves grad psi(x) = p ends the solve at once;
+        # x* is still an array of the solve's own, so the caller's stays theirs
+        start = np.array([0.2])
+        res = legendre_transform(quadratic_potential([[1.0]]), np.array([0.2]), x0=start)
+        assert res.iterations == 0 and res.x_star is not start
+        start[0] = 99.0
+        assert res.x_star[0] == 0.2
 
     @pytest.mark.parametrize("p", [[1.5], [0.3, -1.2]])
     def test_overflow_past_dual_chart_is_a_typed_error_not_a_warning(self, p):
@@ -449,9 +469,19 @@ class TestWorkspaceCache:
             H[0, 0] = 99.0
         assert np.array_equal(ws.inverse_hessian(p), np.linalg.inv(NON_DIAGONAL_M))
 
+    def test_shared_x_star_is_read_only(self):
+        # the memo hands the same x* to every caller at p and to the next warm start
+        ws = DuallyFlatWorkspace(spin_potential(1))
+        with pytest.raises(ValueError):
+            ws.x_star(np.array([0.5]))[0] = 99.0
+        assert ws.x_star(np.array([0.5]))[0] == pytest.approx(np.arctanh(0.5), abs=1e-15)
+        assert ws.phi_value(np.array([0.5])) == pytest.approx(
+            0.5 * np.arctanh(0.5) - np.log(2 * np.cosh(np.arctanh(0.5))), abs=1e-15)
+
     def test_failed_warm_solve_retried_cold(self, monkeypatch):
         # from x* = artanh(0.999999) the predictor for -0.999999 lands near
-        # x = -1e6, where tanh is flat and Newton stalls; the cold solve does not
+        # x = -1e6, where sech^2 underflows to a zero Hessian and Newton stops
+        # at once; the cold solve does not
         starts = []
 
         def recording(psi, p, x0=None):

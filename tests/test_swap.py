@@ -1,13 +1,14 @@
 """The Legendre swap S(x, p, z) = (p, x, x.p - z) and the phi lifts built on it."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     TangentVector,
+    central_jacobian,
     contact_form_pairing,
     hamiltonian_vector_field,
     legendre_swap,
@@ -17,13 +18,16 @@ from contactflows.geometry import (
 from contactflows.lifts import (
     LiftSpec,
     RestoringFunction,
+    build_hamiltonian,
     dual_spec,
+    invariant_density,
     lifted_field,
     linear_drift,
     linear_restoring,
 )
 from contactflows.models import CircuitParams, rl_spec, rlc_spec
 from contactflows.potentials import spin_potential
+from test_field import CASES
 
 coord = st.floats(-2.0, 2.0)
 
@@ -111,7 +115,7 @@ def _spin_phi(p):
 
 
 @st.composite
-def phi_cases(draw):
+def phi_cases(draw, nonlinear_gamma=True):
     model = draw(st.sampled_from(["rl", "rlc", "spin2"]))
     pos = st.floats(0.5, 2.0)
     gamma0 = draw(pos)
@@ -131,10 +135,12 @@ def phi_cases(draw):
                         restoring=linear_restoring(gamma0))
         x_star, phi = _spin_x_star, _spin_phi
         p_range = 0.9
-    if draw(st.booleans()):
+    if nonlinear_gamma and draw(st.booleans()):
         # a restoring function that is neither linear nor odd, so that the
-        # swap's Gamma~(d) = -Gamma(-d) differs from Gamma
-        c = draw(st.floats(-0.5, 0.5))
+        # swap's Gamma~(d) = -Gamma(-d) differs from Gamma; its other root,
+        # -gamma0 / c, lies beyond |d| = 2, the farthest point at which
+        # RestoringFunction looks for one
+        c = gamma0 * draw(st.floats(-0.45, 0.45))
         restoring = RestoringFunction(eval=lambda d: gamma0 * d + c * d * d,
                                       derivative=lambda d: gamma0 + 2 * c * d)
         spec = LiftSpec(side="phi", potential=spec.potential, drift=spec.drift,
@@ -167,3 +173,37 @@ def test_phi_lift_is_the_swapped_psi_lift_of_the_conjugate(case):
     swapped = legendre_swap(pt)
     pushed = push_swap(swapped, lifted_field(dual_spec(spec), swapped)).as_array()
     assert np.allclose(lifted_field(spec, pt).as_array(), pushed, rtol=1e-12, atol=1e-12)
+
+
+# psi-side lifts with a linear restoring function, the class invariant_density covers
+PSI_LINEAR = [s for _, s in CASES
+              if isinstance(s, LiftSpec) and s.side == "psi" and s.restoring.kind == "linear"]
+
+
+@st.composite
+def psi_cases(draw):
+    spec = draw(st.sampled_from(PSI_LINEAR))
+    coords = vectors(spec.n, st.floats(-0.9, 0.9))
+    return spec, CanonicalPoint(draw(coords), draw(coords), draw(st.floats(-0.9, 0.9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(phi_cases(nonlinear_gamma=False).map(lambda c: (c[0], c[3])), psi_cases()))
+def test_invariant_measure_on_both_charts(case):
+    # div(rho X_h) = 0 for rho = h^-(n+1) on h > 0: rho div X_h = (n+1) rho dh/dz
+    # and X_h rho = -(n+1) rho X_h h / h = -(n+1) rho dh/dz  [DERIVED]
+    spec, pt = case
+    h = build_hamiltonian(spec)
+    assume(h(pt) > 0.1)
+    n = spec.n
+
+    def weighted_field(y):
+        rho = invariant_density(spec, CanonicalPoint(y[:n], y[n:2 * n], float(y[2 * n])))
+        return rho * hamiltonian_vector_field(h, y)
+
+    y = np.concatenate([pt.x, pt.p, [pt.z]])
+    div = np.trace(central_jacobian(weighted_field, y))
+    # relative to the size rho (n+1) |dh/dz| of each term, with dh/dz = -gamma0;
+    # the difference error grows like (|grad h| / h)^2 and reaches 1e-6 at
+    # h = 0.1, while an exponent off by one leaves 1/(n+1)
+    assert abs(div) <= 1e-4 * invariant_density(spec, pt) * (n + 1) * spec.restoring.gamma0
