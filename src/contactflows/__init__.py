@@ -22,11 +22,8 @@ from .errors import (
 )
 from .extended import (
     ExtendedLiftSpec,
-    ExtendedPoint,
     dual_extended_spec,
     embed_extended,
-    extended_invariant_density,
-    extended_lifted_field,
     restricted_extended_field,
     tilde_deltas,
     tilde_hamiltonian,
@@ -38,6 +35,7 @@ from .geometry import (
     TangentVector,
     contact_form_pairing,
     hamiltonian_vector_field,
+    invariant_density,
     legendre_swap,
     phase_compressibility,
     push_swap,
@@ -63,7 +61,6 @@ from .lifts import (
     geodesic_drift_psi,
     gradient_drift_phi,
     gradient_drift_psi,
-    invariant_density,
     lifted_field,
     linear_drift,
     linear_restoring,

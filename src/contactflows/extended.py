@@ -6,15 +6,19 @@ that psi~ is exactly conserved along the ambient flow: whatever the base
 potential loses, the extra coordinate absorbs (entropy production in the
 thermal circuit models).
 
-The lift is the base lift of psi~ in dimension n+1, with drift
+The extended manifold is the contact manifold of dimension 2(n+1)+1: a
+point is a ``CanonicalPoint`` in Darboux coordinates X = (x, x_extra),
+P = (p, p_extra) and z, so x_extra = X[-1] and p_extra = P[-1], and a
+tangent vector is a ``TangentVector`` of the same dimension.  The lift is
+the base lift of psi~ in dimension n+1, with drift
 F~ = (F, -grad psi . F / anchor), which keeps psi~ level
 (``extension_spec``); its Hamiltonian takes its value and partials from
 ``lifts.build_hamiltonian`` and adds a field fused for the extension.
 
 Only the psi side is written out; a phi-side extended lift is the psi-side
 one of the conjugate (``dual_extended_spec``) seen through the Legendre
-swap of the flattened (n+1)-dimensional point.  Its conserved quantity is
-therefore phi(p) + anchor * p_extra.
+swap in dimension n+1.  Its conserved quantity is therefore
+phi(p) + anchor * p_extra.
 """
 
 from __future__ import annotations
@@ -23,82 +27,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutsideInvariantChartError
+from .errors import DimensionMismatchError
 from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     TangentVector,
-    hamiltonian_vector_field,
     legendre_swap,
     push_swap,
     swap_hamiltonian,
 )
 from .lifts import DriftField, LiftSpec, build_hamiltonian, dual_spec
-from .potentials import ConvexPotential
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A point (x, x_extra, p, p_extra, z) of the extended contact manifold."""
-
-    x: np.ndarray
-    x_extra: float
-    p: np.ndarray
-    p_extra: float
-    z: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
-        object.__setattr__(self, "x_extra", float(self.x_extra))
-        object.__setattr__(self, "p_extra", float(self.p_extra))
-        object.__setattr__(self, "z", float(self.z))
-        if self.x.shape != self.p.shape:
-            raise DimensionMismatchError("x and p lengths differ")
-        vals = np.concatenate([self.x, self.p, [self.x_extra, self.p_extra, self.z]])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("extended point has non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    def flatten(self) -> CanonicalPoint:
-        """Reinterpret as a canonical point of dimension n+1."""
-        return CanonicalPoint(
-            np.append(self.x, self.x_extra), np.append(self.p, self.p_extra), self.z
-        )
-
-
-def unflatten(pt: CanonicalPoint) -> ExtendedPoint:
-    return ExtendedPoint(pt.x[:-1], pt.x[-1], pt.p[:-1], pt.p[-1], pt.z)
-
-
-def _swap(pt: ExtendedPoint) -> ExtendedPoint:
-    return unflatten(legendre_swap(pt.flatten()))
-
-
-@dataclass(frozen=True)
-class ExtendedTangent:
-    dx: np.ndarray
-    dx_extra: float
-    dp: np.ndarray
-    dp_extra: float
-    dz: float
-
-    def flatten(self) -> TangentVector:
-        return TangentVector(
-            np.append(self.dx, self.dx_extra), np.append(self.dp, self.dp_extra), self.dz
-        )
-
-
-def _unflatten_tangent(v: TangentVector) -> ExtendedTangent:
-    return ExtendedTangent(v.dx[:-1], v.dx[-1], v.dp[:-1], v.dp[-1], v.dz)
+from .potentials import ConvexPotential, embed_psi
 
 
 @dataclass(frozen=True)
 class ExtendedLiftSpec:
-    """A base lift plus the nonzero anchor constant of the extension.
+    """A base lift plus the nonzero, finite anchor constant of the extension.
 
     On the psi side the anchor is the pinned value of p_extra; on the phi
     side, of x_extra.
@@ -108,9 +52,9 @@ class ExtendedLiftSpec:
     anchor: float
 
     def __post_init__(self):
-        if float(self.anchor) == 0.0:
-            raise ValueError("anchor must be nonzero")
         object.__setattr__(self, "anchor", float(self.anchor))
+        if not np.isfinite(self.anchor) or self.anchor == 0.0:
+            raise ValueError("anchor must be nonzero and finite")
 
     @property
     def n(self) -> int:
@@ -131,20 +75,22 @@ def tilde_potential_value(spec: ExtendedLiftSpec, x, x_extra) -> float:
     return spec.base.potential.value_at(x) + spec.anchor * float(x_extra)
 
 
-def tilde_deltas(spec: ExtendedLiftSpec, pt: ExtendedPoint):
-    """Defect functions of the extended Legendre submanifold.
+def tilde_deltas(spec: ExtendedLiftSpec, pt: CanonicalPoint):
+    """Defect functions of the extended Legendre submanifold at an
+    (n+1)-dimensional point.
 
     psi side:  D0 = psi(x) + anchor x_extra - z,
                Da = (p_extra / anchor) dpsi/dx_a - p_a.
     phi side:  D0 = x.p + (x_extra - anchor) p_extra - phi(p) - z,
                Da = x_a - (x_extra / anchor) dphi/dp_a.
     """
-    if pt.n != spec.n:
-        raise DimensionMismatchError("point dimension mismatch")
+    if pt.n != spec.n + 1:
+        raise DimensionMismatchError(f"point dimension {pt.n} != {spec.n + 1}")
     if spec.side == "phi":  # the swap flips the sign of both defects
-        return tuple(-d for d in tilde_deltas(dual_extended_spec(spec), _swap(pt)))
-    d0 = tilde_potential_value(spec, pt.x, pt.x_extra) - pt.z
-    d = (pt.p_extra / spec.anchor) * spec.base.potential.gradient_at(pt.x) - pt.p
+        return tuple(-d for d in tilde_deltas(dual_extended_spec(spec), legendre_swap(pt)))
+    x = pt.x[:-1]
+    d0 = tilde_potential_value(spec, x, pt.x[-1]) - pt.z
+    d = (pt.p[-1] / spec.anchor) * spec.base.potential.gradient_at(x) - pt.p[:-1]
     return d0, d
 
 
@@ -186,7 +132,7 @@ def extension_spec(spec: ExtendedLiftSpec) -> LiftSpec:
 def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     """h~ = D~ . F + Gamma(D~0) as a canonical Hamiltonian in dimension n+1.
 
-    Coordinates are flattened as X = (x, x_extra), P = (p, p_extra).  Its
+    Coordinates are X = (x, x_extra), P = (p, p_extra).  Its
     value and partials are those of the base lift of ``extension_spec``.
     Its field evaluates psi, its gradient and Hessian (one ``jet_at``), F
     and its Jacobian once:
@@ -225,12 +171,7 @@ def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
     return replace(build_hamiltonian(extension_spec(spec)), field=field)
 
 
-def extended_lifted_field(spec: ExtendedLiftSpec, pt: ExtendedPoint) -> ExtendedTangent:
-    """Ambient canonical field of h~ at any extended point."""
-    return _unflatten_tangent(hamiltonian_vector_field(tilde_hamiltonian(spec), pt.flatten()))
-
-
-def restricted_extended_field(spec: ExtendedLiftSpec, u) -> ExtendedTangent:
+def restricted_extended_field(spec: ExtendedLiftSpec, u) -> TangentVector:
     """Field restricted to the extended submanifold, driven by the chart
     coordinate u (x on the psi side, p on the phi side).
 
@@ -242,41 +183,23 @@ def restricted_extended_field(spec: ExtendedLiftSpec, u) -> ExtendedTangent:
     """
     if spec.side == "phi":
         dual = dual_extended_spec(spec)
-        pt = embed_extended(dual, u, 0.0).flatten()
-        return _unflatten_tangent(push_swap(pt, restricted_extended_field(dual, u).flatten()))
+        return push_swap(embed_extended(dual, u, 0.0), restricted_extended_field(dual, u))
     base = spec.base
     u = np.atleast_1d(np.asarray(u, dtype=float))
     f = base.drift.at(u)
     dp = base.potential.hessian_at(u) @ f
     dxe = -float(base.potential.gradient_at(u) @ f) / spec.anchor
-    return ExtendedTangent(f, dxe, dp, 0.0, 0.0)
+    return TangentVector(np.append(f, dxe), np.append(dp, 0.0), 0.0)
 
 
-def embed_extended(spec: ExtendedLiftSpec, u, extra: float) -> ExtendedPoint:
+def embed_extended(spec: ExtendedLiftSpec, u, extra: float) -> CanonicalPoint:
     """A point of the extended submanifold over chart coordinate u.
 
     ``extra`` is the free coordinate (x_extra on the psi side, p_extra on
-    the phi side); the rest are pinned by the generating function.
+    the phi side); the rest are pinned by the generating function: on the
+    psi side the point is the graph of psi~ over X = (u, extra).
     """
     if spec.side == "phi":
-        return _swap(embed_extended(dual_extended_spec(spec), u, extra))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = spec.base.potential.gradient_at(u)
-    z = tilde_potential_value(spec, u, extra)
-    return ExtendedPoint(u, float(extra), p, spec.anchor, z)
+        return legendre_swap(embed_extended(dual_extended_spec(spec), u, extra))
+    return embed_psi(extension_spec(spec).potential, np.append(u, extra))
 
-
-def extended_invariant_density(
-    spec: ExtendedLiftSpec, pt: ExtendedPoint, Z: float = 1.0
-) -> float:
-    """Density h~^-(n+2) / Z on the invariant chart h~ > 0."""
-    if spec.base.restoring.kind != "linear" or spec.base.restoring.gamma0 == 0:
-        raise ValueError("invariant density requires linear restoring with nonzero rate")
-    if Z <= 0:
-        raise ValueError("normalization constant must be positive")
-    hval = tilde_hamiltonian(spec)(pt.flatten())
-    if hval <= 0:
-        raise OutsideInvariantChartError(
-            f"h~ = {hval:.6g} <= 0: point is outside the invariant chart"
-        )
-    return hval ** (-(spec.n + 2)) / Z

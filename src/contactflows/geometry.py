@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, CompressibilityMismatchError
+from .errors import (CompressibilityMismatchError, DimensionMismatchError, EvaluationError,
+                     OutsideInvariantChartError)
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -332,3 +333,21 @@ def phase_compressibility(
             f"analytic {analytic:.6g} vs numeric {numeric:.6g} divergence"
         )
     return float(analytic)
+
+
+def invariant_density(h: ContactHamiltonian, pt: CanonicalPoint, Z: float = 1.0) -> float:
+    """Density h^-(n+1) / Z of an invariant measure of X_h, on the chart h > 0.
+
+    Every contact Hamiltonian has X_h h = h dh/dz and div X_h = (n+1) dh/dz,
+    so div(h^-(n+1) X_h) = 0 wherever h > 0, whatever the restoring
+    function; n is the Hamiltonian's canonical dimension (n+1 for an
+    extended lift).
+    """
+    if not np.isfinite(Z) or Z <= 0:
+        raise ValueError("normalization constant must be positive and finite")
+    hval = h(pt)
+    if hval <= 0:
+        raise OutsideInvariantChartError(
+            f"h = {hval:.6g} <= 0: point is outside the invariant chart"
+        )
+    return hval ** (-(h.n + 1)) / Z

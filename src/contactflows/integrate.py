@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
-from .extended import ExtendedLiftSpec, ExtendedPoint, tilde_hamiltonian
+from .extended import ExtendedLiftSpec, tilde_hamiltonian
 from .geometry import hamiltonian_vector_field
 from .lifts import build_hamiltonian
 
@@ -57,8 +57,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown integrator {self.method!r}")
-        if self.step <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("step and tolerances must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.step, self.rel_tol, self.abs_tol)):
+            raise ValueError("step and tolerances must be positive and finite")
 
 
 @dataclass
@@ -184,8 +184,8 @@ def integrate_lift(spec, initial, t_end: float,
     A numerical failure truncates the returned trajectory (see the module
     docstring); it does not raise.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not np.isfinite(t_end) or t_end <= 0:
+        raise ValueError("t_end must be positive and finite")
     extended = isinstance(spec, ExtendedLiftSpec)
     base = spec.base if extended else spec
     # a warm-started solve depends on the one before it at rounding level;
@@ -202,8 +202,6 @@ def integrate_lift(spec, initial, t_end: float,
     def f0(t, y):
         return hamiltonian_vector_field(h, y, diags.setdefault(t, {}))
 
-    if isinstance(initial, ExtendedPoint):
-        initial = initial.flatten()
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
         else np.concatenate([initial.x, initial.p, [initial.z]])
     dim = 2 * (spec.n + 1 if extended else spec.n) + 1

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OutsideInvariantChartError
+from .errors import DimensionMismatchError
 from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -386,19 +386,3 @@ def stability_certificate(spec: LiftSpec, sample_points=None) -> StabilityVerdic
 
     return StabilityVerdict(INCONCLUSIVE, {"reason": f"unknown structure {s[0]!r}"})
 
-
-# ---------------------------------------------------------------------------
-# Invariant measure density.
-
-def invariant_density(spec: LiftSpec, pt: CanonicalPoint, Z: float = 1.0) -> float:
-    """Density h^-(n+1) / Z of the invariant measure, on the chart h > 0."""
-    if spec.restoring.kind != "linear" or spec.restoring.gamma0 == 0:
-        raise ValueError("invariant density requires linear restoring with nonzero rate")
-    if Z <= 0:
-        raise ValueError("normalization constant must be positive")
-    hval = build_hamiltonian(spec)(pt)
-    if hval <= 0:
-        raise OutsideInvariantChartError(
-            f"h = {hval:.6g} <= 0: point is outside the invariant chart"
-        )
-    return hval ** (-(spec.n + 1)) / Z

@@ -7,7 +7,7 @@ pairs); there is no unit system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,16 +39,12 @@ class CircuitParams:
     potential: Optional[ConvexPotential] = None
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
-        if self.C is not None and self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.L is not None and self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.T0 < 0:
-            raise ValueError("T0 must be nonnegative")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        for name in ("R", "C", "L", "gamma0"):
+            value = getattr(self, name)
+            if value is not None and (not np.isfinite(value) or value <= 0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not np.isfinite(self.T0) or self.T0 < 0:
+            raise ValueError("T0 must be nonnegative and finite")
 
     def require(self, *names):
         for name in names:
@@ -69,10 +65,12 @@ class SpinParams:
     lambda0: float = 0.0
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+        if not np.isfinite(self.gamma0) or self.gamma0 <= 0:
+            raise ValueError("gamma0 must be positive and finite")
+        if not np.isfinite(self.lambda0) or self.lambda0 < 0:
+            raise ValueError("lambda0 must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,8 @@ class OnsagerParams:
 
     def __post_init__(self):
         L = np.atleast_2d(np.asarray(self.L_matrix, dtype=float))
+        if not np.isfinite(L).all():
+            raise ValueError("L must have finite entries")
         if not np.allclose(L, L.T):
             raise ValueError("L must be symmetric")
         try:
@@ -96,12 +96,19 @@ class OnsagerParams:
         except np.linalg.LinAlgError as exc:
             raise ValueError("L must be positive definite") from exc
         object.__setattr__(self, "L_matrix", L)
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not np.isfinite(self.gamma0) or self.gamma0 <= 0:
+            raise ValueError("gamma0 must be positive and finite")
 
     @property
     def M_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.L_matrix)
+
+
+def _thermal(params: CircuitParams, base: LiftSpec) -> ExtendedLiftSpec:
+    """The conserving lift of a circuit's psi-side lift, anchored at T0."""
+    if params.T0 <= 0:
+        raise ValueError("thermal model requires T0 > 0")
+    return ExtendedLiftSpec(base=base, anchor=params.T0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +138,13 @@ def rc_spec(params: CircuitParams) -> LiftSpec:
 
 
 def rc_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
-    if params.T0 <= 0:
-        raise ValueError("thermal model requires T0 > 0")
-    return ExtendedLiftSpec(base=_rc_base(params), anchor=params.T0)
+    return _thermal(params, _rc_base(params))
 
 
 # ---------------------------------------------------------------------------
 # RL circuit.  Plain model lives on the phi side in the current I with
-# dual potential H_L*(I) = L I^2/2; the thermal model is psi-side in the
-# flux N with H_L(N) = N^2/(2L).
+# dual potential H_L*(I) = L I^2/2; the thermal model is the same lift on
+# the psi side, in the flux N with H_L(N) = N^2/(2L).
 
 def _rl_potential(params: CircuitParams) -> ConvexPotential:
     params.require("L")
@@ -156,13 +161,7 @@ def rl_spec(params: CircuitParams) -> LiftSpec:
 
 
 def rl_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
-    if params.T0 <= 0:
-        raise ValueError("thermal model requires T0 > 0")
-    psi = _rl_potential(params)
-    drift = linear_drift(-params.R / params.L, 1)
-    base = LiftSpec(side="psi", potential=psi, drift=drift,
-                    restoring=linear_restoring(params.gamma0))
-    return ExtendedLiftSpec(base=base, anchor=params.T0)
+    return _thermal(params, replace(rl_spec(params), side="psi"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,6 @@ def rlc_spec(params: CircuitParams) -> LiftSpec:
 
 
 def rlc_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
-    if params.T0 <= 0:
-        raise ValueError("thermal model requires T0 > 0")
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
     drift = DriftField(
@@ -199,9 +196,8 @@ def rlc_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
         eval=lambda x: np.array([x[1] / L, -x[0] / C - R * x[1] / L]),
         jacobian=lambda x: np.array([[0.0, 1.0 / L], [-1.0 / C, -R / L]]),
     )
-    base = LiftSpec(side="psi", potential=psi, drift=drift,
-                    restoring=linear_restoring(params.gamma0))
-    return ExtendedLiftSpec(base=base, anchor=params.T0)
+    return _thermal(params, LiftSpec(side="psi", potential=psi, drift=drift,
+                                     restoring=linear_restoring(params.gamma0)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, ContactFlowsError, EvaluationError, ScenarioError
-from .extended import ExtendedLiftSpec, ExtendedPoint, embed_extended
+from .extended import ExtendedLiftSpec, embed_extended
 from .geometry import CanonicalPoint
 from .integrate import IntegratorConfig, Trajectory, fit_decay_rate, integrate_lift
 from .lifts import LiftSpec
@@ -82,7 +82,7 @@ def _check_keys(section, allowed, where: str) -> None:
 class Scenario:
     model_name: str
     spec: object  # LiftSpec | ExtendedLiftSpec
-    initial: object  # CanonicalPoint | ExtendedPoint
+    initial: CanonicalPoint  # of dimension n+1 for an extended lift
     t_end: float
     config: IntegratorConfig
     outputs: dict = field(default_factory=dict)
@@ -149,8 +149,8 @@ def _build_initial(section, spec):
             raise ScenarioError(
                 f"state dimension mismatch (model needs n={n})", location="[initial]")
         if extended:
-            return ExtendedPoint(x, float(section.get("x_extra", 0.0)), p,
-                                 float(section.get("p_extra", 0.0)), z)
+            x = np.append(x, float(section.get("x_extra", 0.0)))
+            p = np.append(p, float(section.get("p_extra", 0.0)))
         return CanonicalPoint(x, p, z)
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc}", location="[initial]") from exc
@@ -192,8 +192,8 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
         t_end = float(integ.get("t_end", ""))
     except ValueError as exc:
         raise ScenarioError("t_end must be a number", location="[integrator]") from exc
-    if t_end <= 0:
-        raise ScenarioError("t_end must be positive", location="[integrator]")
+    if not np.isfinite(t_end) or t_end <= 0:
+        raise ScenarioError("t_end must be positive and finite", location="[integrator]")
     try:
         config = IntegratorConfig(
             method=method,

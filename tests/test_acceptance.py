@@ -12,13 +12,13 @@ import pytest
 
 from contactflows.extended import (
     ExtendedLiftSpec,
-    ExtendedPoint,
     embed_extended,
     tilde_hamiltonian,
     tilde_potential_value,
 )
 from contactflows.geometry import (
     CanonicalPoint,
+    hamiltonian_vector_field,
     phase_compressibility,
     verify_contact_identities,
 )
@@ -256,13 +256,11 @@ def test_criterion_8_circuits():
     th = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=2.0))
     traj = integrate_lift(th, embed_extended(th, np.array([1.0, 0.5]), 0.0), 2.0)
     # pointwise identity dS/dt = R I^2 / T0 via the field itself
-    from contactflows.extended import extended_lifted_field, unflatten
-
+    h = tilde_hamiltonian(th)
     for i in range(0, len(traj.times), 7):
-        pt = unflatten(CanonicalPoint(traj.states[i][:3], traj.states[i][3:6],
-                                      traj.states[i][6]))
-        v = extended_lifted_field(th, pt)
-        assert abs(v.dx_extra - 1.0 * pt.x[1] ** 2 / 2.0) < 1e-9
+        pt = CanonicalPoint(traj.states[i][:3], traj.states[i][3:6], traj.states[i][6])
+        v = hamiltonian_vector_field(h, pt)
+        assert abs(v.dx[-1] - 1.0 * pt.x[1] ** 2 / 2.0) < 1e-9
 
 
 def test_criterion_9_conserving_lift():
@@ -282,11 +280,10 @@ def test_criterion_9_conserving_lift():
 
     for spec in cases:
         n = spec.n
-        start = ExtendedPoint(0.5 * RNG.standard_normal(n),
-                              float(RNG.uniform(0.0, 0.5)),
-                              0.5 * RNG.standard_normal(n),
-                              spec.anchor + float(0.3 * RNG.standard_normal()),
-                              float(RNG.standard_normal()))
+        x = np.append(0.5 * RNG.standard_normal(n), RNG.uniform(0.0, 0.5))
+        p = np.append(0.5 * RNG.standard_normal(n),
+                      spec.anchor + float(0.3 * RNG.standard_normal()))
+        start = CanonicalPoint(x, p, float(RNG.standard_normal()))
         traj = integrate_lift(spec, start, 2.0)
         vals = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(vals - vals[0])) / 2.0 < 1e-9

@@ -5,16 +5,18 @@ import pytest
 
 from contactflows.extended import (
     ExtendedLiftSpec,
-    ExtendedPoint,
     embed_extended,
-    extended_invariant_density,
-    extended_lifted_field,
     restricted_extended_field,
     tilde_deltas,
     tilde_hamiltonian,
     tilde_potential_value,
 )
-from contactflows.geometry import CanonicalPoint, phase_compressibility
+from contactflows.geometry import (
+    CanonicalPoint,
+    hamiltonian_vector_field,
+    invariant_density,
+    phase_compressibility,
+)
 from contactflows.integrate import integrate_lift
 from contactflows.lifts import LiftSpec, build_hamiltonian, lifted_field, linear_drift, linear_restoring
 from contactflows.potentials import quadratic_potential, spin_potential
@@ -37,23 +39,15 @@ def make_extended(side="psi", n=1, anchor=1.0, gamma0=1.0, jac=-0.5, potential=N
 class TestConstruction:
     def test_zero_anchor_rejected(self):
         base = make_extended().base
-        with pytest.raises(ValueError):
-            ExtendedLiftSpec(base=base, anchor=0.0)
+        for anchor in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                ExtendedLiftSpec(base=base, anchor=anchor)
 
     def test_extension_spec_needs_psi_side(self):
         from contactflows.extended import extension_spec
 
         with pytest.raises(ValueError):
             extension_spec(make_extended(side="phi"))
-
-    def test_flatten_round_trip(self):
-        pt = ExtendedPoint(np.array([0.1]), 0.7, np.array([0.2]), 0.3, 1.0)
-        from contactflows.extended import unflatten
-
-        back = unflatten(pt.flatten())
-        assert np.allclose(back.x, pt.x) and back.x_extra == pt.x_extra
-        assert np.allclose(back.p, pt.p) and back.p_extra == pt.p_extra
-        assert back.z == pt.z
 
 
 class TestTildeStructure:
@@ -74,7 +68,7 @@ class TestTildeStructure:
         spec = make_extended(anchor=1.5)
         h = tilde_hamiltonian(spec)
         pt = embed_extended(spec, np.array([-0.3]), 0.8)
-        assert abs(h(pt.flatten())) < 1e-12
+        assert abs(h(pt)) < 1e-12
 
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_closed_form_partials_match_fd(self, side):
@@ -100,9 +94,9 @@ class TestConservation:
         # constant even off the submanifold
         spec = make_extended(side=side, anchor=1.0)
         if side == "psi":
-            start = ExtendedPoint(np.array([0.3]), 0.2, np.array([0.9]), 1.4, 0.7)
+            start = CanonicalPoint(np.array([0.3, 0.2]), np.array([0.9, 1.4]), 0.7)
         else:
-            start = ExtendedPoint(np.array([0.9]), 1.4, np.array([0.3]), 0.2, 0.7)
+            start = CanonicalPoint(np.array([0.9, 1.4]), np.array([0.3, 0.2]), 0.7)
         traj = integrate_lift(spec, start, 2.0)
         vals = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(vals - vals[0])) < 1e-9
@@ -118,7 +112,7 @@ class TestConservation:
         from contactflows.scenario import Scenario, build_invariant_report
 
         spec = make_extended(side=side, anchor=1.3)
-        start = ExtendedPoint(np.array([0.4]), 1.1, np.array([0.2]), 0.6, 0.3)
+        start = CanonicalPoint(np.array([0.4, 1.1]), np.array([0.2, 0.6]), 0.3)
         traj = integrate_lift(spec, start, 2.0)
         scenario = Scenario("custom", spec, start, 2.0, IntegratorConfig())
         checks = {c.name: c for c in build_invariant_report(scenario, traj).checks}
@@ -139,10 +133,10 @@ class TestConservation:
         v = restricted_extended_field(spec, np.array([0.6]))
         psi = spec.base.potential
         expect = -float(psi.gradient_at(np.array([0.6])) @ (-0.5 * np.array([0.6]))) / 2.0
-        assert v.dx_extra == pytest.approx(expect, abs=1e-12)
+        assert v.dx[-1] == pytest.approx(expect, abs=1e-12)
         # z = psi~ on the graph stays constant: the extra coordinate
         # absorbs exactly what the base potential loses
-        assert v.dp_extra == 0.0 and v.dz == 0.0
+        assert v.dp[-1] == 0.0 and v.dz == 0.0
 
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_ambient_field_matches_restricted_on_graph(self, side):
@@ -150,13 +144,9 @@ class TestConservation:
         spec = make_extended(side=side, anchor=1.5, potential=spin_potential(1))
         u = np.array([0.4])
         pt = embed_extended(spec, u, 0.3)
-        va = extended_lifted_field(spec, pt)
+        va = hamiltonian_vector_field(tilde_hamiltonian(spec), pt)
         vr = restricted_extended_field(spec, u)
-        assert np.allclose(va.dx, vr.dx, atol=1e-10)
-        assert va.dx_extra == pytest.approx(vr.dx_extra, abs=1e-10)
-        assert np.allclose(va.dp, vr.dp, atol=1e-10)
-        assert va.dp_extra == pytest.approx(vr.dp_extra, abs=1e-10)
-        assert va.dz == pytest.approx(vr.dz, abs=1e-10)
+        assert np.allclose(va.as_array(), vr.as_array(), rtol=0, atol=1e-10)
 
 
 class TestExtendedDensity:
@@ -171,7 +161,7 @@ class TestExtendedDensity:
     def test_density_exponent(self):
         spec = make_extended()
         h = tilde_hamiltonian(spec)
-        pt = ExtendedPoint(np.array([0.0]), 0.0, np.array([0.0]), 1.0, -1.0)
-        hval = h(pt.flatten())
+        pt = CanonicalPoint(np.array([0.0, 0.0]), np.array([0.0, 1.0]), -1.0)
+        hval = h(pt)
         assert hval > 0
-        assert extended_invariant_density(spec, pt) == pytest.approx(hval ** -3)
+        assert invariant_density(h, pt) == pytest.approx(hval ** -3)

@@ -16,7 +16,6 @@ from contactflows import integrate, potentials
 from contactflows.errors import DimensionMismatchError, EvaluationError
 from contactflows.extended import (
     ExtendedLiftSpec,
-    ExtendedPoint,
     dual_extended_spec,
     extension_spec,
     tilde_deltas,
@@ -209,14 +208,13 @@ def reference_diagnostics(spec, states):
         rows["h"].append(h(pt))
         rows["kappa"].append((m + 1) * h.partials(pt)[2])
         if extended:
-            ept = ExtendedPoint(y[:m - 1], y[m - 1], y[m:2 * m - 1], y[2 * m - 1], y[2 * m])
-            d0, d = tilde_deltas(spec, ept)
-            x, p = ept.x, ept.p
-            conserved = (spec.base.potential.value_at(x) + spec.anchor * ept.x_extra
+            d0, d = tilde_deltas(spec, pt)
+            x, p = pt.x[:-1], pt.p[:-1]
+            conserved = (spec.base.potential.value_at(x) + spec.anchor * pt.x[-1]
                          if spec.side == "psi" else
-                         spec.base.workspace.phi_value(p) + spec.anchor * ept.p_extra)
+                         spec.base.workspace.phi_value(p) + spec.anchor * pt.p[-1])
             rows["psi_tilde"].append(conserved)
-            rows["S"].append(ept.x_extra if spec.side == "psi" else ept.p_extra)
+            rows["S"].append(pt.x[-1] if spec.side == "psi" else pt.p[-1])
         else:
             d0, d = (delta_psi if spec.side == "psi" else delta_phi)(spec.potential, pt)
         rows["delta0"].append(d0)

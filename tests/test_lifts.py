@@ -7,6 +7,7 @@ from contactflows.errors import OutsideInvariantChartError
 from contactflows.geometry import (
     CanonicalPoint,
     hamiltonian_vector_field,
+    invariant_density,
     phase_compressibility,
 )
 from contactflows.integrate import fit_decay_rate, integrate_lift
@@ -19,7 +20,6 @@ from contactflows.lifts import (
     geodesic_drift_psi,
     gradient_drift_phi,
     gradient_drift_psi,
-    invariant_density,
     lifted_field,
     linear_drift,
     linear_restoring,
@@ -255,13 +255,21 @@ class TestInvariantDensity:
         pt = CanonicalPoint(np.array([0.0]), np.array([0.0]), -1.0)  # Delta_0 > 0
         h = build_hamiltonian(spec)
         assert h(pt) > 0
-        assert invariant_density(spec, pt) == pytest.approx(h(pt) ** -2)
+        assert invariant_density(h, pt) == pytest.approx(h(pt) ** -2)
+
+    def test_normalization_must_be_positive_and_finite(self):
+        h = build_hamiltonian(make_spec())
+        pt = CanonicalPoint(np.array([0.0]), np.array([0.0]), -1.0)
+        assert invariant_density(h, pt, Z=2.0) == pytest.approx(h(pt) ** -2 / 2.0)
+        for Z in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                invariant_density(h, pt, Z=Z)
 
     def test_outside_chart_raises(self):
         spec = make_spec()
         pt = CanonicalPoint(np.array([0.0]), np.array([0.0]), 2.0)  # Delta_0 < 0
         with pytest.raises(OutsideInvariantChartError):
-            invariant_density(spec, pt)
+            invariant_density(build_hamiltonian(spec), pt)
 
     def test_transport_identity(self):
         # d/dt f + kappa f = 0 along the flow for f = h^{-(n+1)}  [DERIVED:

@@ -105,7 +105,7 @@ class TestRC:
         # constant  [oracle: thermal component expressions]
         spec = rc_thermal_spec(CircuitParams(R=1.0, C=1.0, T0=1.0))
         v = restricted_extended_field(spec, np.array([1.0]))
-        assert v.dx_extra == pytest.approx(1.0)
+        assert v.dx[-1] == pytest.approx(1.0)
         traj = integrate_lift(spec, embed_extended(spec, np.array([1.0]), 0.0), 2.0)
         H = traj.diagnostics["H_tot"]
         assert np.max(np.abs(H - H[0])) < 1e-9
@@ -135,7 +135,7 @@ class TestRL:
         spec = rl_thermal_spec(CircuitParams(R=1.0, L=1.0, T0=1.0))
         # thermal RL is psi-side in the flux N = L I
         v = restricted_extended_field(spec, np.array([2.0]))
-        assert v.dx_extra == pytest.approx(4.0)
+        assert v.dx[-1] == pytest.approx(4.0)
 
     def test_rc_rl_duality(self):
         # RC in (Q, V) and RL in (N, I) coincide under C <-> L relabeling;
@@ -184,7 +184,7 @@ class TestRLC:
         u = np.array([0.5, 1.2])  # (Q, N)
         v = restricted_extended_field(spec, u)
         current = 1.2 / 2.0
-        assert v.dx_extra == pytest.approx(0.8 * current ** 2 / 1.5, abs=1e-12)
+        assert v.dx[-1] == pytest.approx(0.8 * current ** 2 / 1.5, abs=1e-12)
 
     def test_thermal_total_energy_conserved(self):
         spec = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=1.0))

@@ -171,6 +171,42 @@ class TestParsing:
         assert cli_main(["check", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("[initial]")
 
+    @pytest.mark.parametrize("section, old, new", [
+        ("[model]", "R = 1.0", "R = nan"),
+        ("[model]", "C = 1.0", "C = inf"),
+        ("[model]", "C = 1.0", "C = 1.0\ngamma0 = -inf"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0", "name = rl\nR = 1.0\nL = nan"),
+        ("[model]", "name = rc\n", "name = rc_thermal\nT0 = nan\n"),
+        ("[model]", "name = rc\n", "name = rc_thermal\nT0 = inf\n"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0", "name = spin\ntheta = nan\ngamma0 = 1.0"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0", "name = spin\ntheta = 0.5\ngamma0 = inf"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0",
+         "name = spin\ntheta = 0.5\ngamma0 = 1.0\nlambda0 = nan"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0", "name = onsager\nL = 1.0\ngamma0 = nan"),
+        ("[model]", "name = rc\nR = 1.0\nC = 1.0", "name = onsager\nL = inf"),
+        ("[integrator]", "step = 1e-3", "step = nan"),
+        ("[integrator]", "step = 1e-3", "step = inf"),
+        ("[integrator]", "method = rk4\nstep = 1e-3", "method = rkf45\nrel_tol = nan"),
+        ("[integrator]", "method = rk4\nstep = 1e-3", "method = rkf45\nabs_tol = inf"),
+        ("[integrator]", "t_end = 1.0", "t_end = nan"),
+        ("[integrator]", "t_end = 1.0", "t_end = inf"),
+        ("[integrator]", "t_end = 1.0", "t_end = -inf"),
+    ], ids=["R-nan", "C-inf", "gamma0-neg-inf", "L-nan", "T0-nan", "T0-inf", "theta-nan",
+            "spin-gamma0-inf", "lambda0-nan", "onsager-gamma0-nan", "onsager-L-inf",
+            "step-nan", "step-inf", "rel_tol-nan", "abs_tol-inf", "t_end-nan", "t_end-inf",
+            "t_end-neg-inf"])
+    def test_nonfinite_number_rejected(self, tmp_path, capsys, section, old, new):
+        # before the checks tested finiteness, R = nan ended in a step-floor
+        # abort, t_end = nan in a one-row PASS and t_end = inf under rk4 in
+        # a run that never stopped
+        path = write(tmp_path, RC_TEXT.replace(old, new))
+        result = run_scenario(path, out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith(section) and "finite" in result.message
+        assert not (tmp_path / "traj.csv").exists()
+        assert cli_main(["check", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(section)
+
     def test_pythagorean_unknown_point_rejected(self, tmp_path):
         text = (SCENARIOS / "pythagorean.scenario").read_text() + "x4 = 2.0 2.0\n"
         result = run_scenario(write(tmp_path, text), write_outputs=False)

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from contactflows.extended import ExtendedLiftSpec
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -11,6 +12,7 @@ from contactflows.geometry import (
     central_jacobian,
     contact_form_pairing,
     hamiltonian_vector_field,
+    invariant_density,
     legendre_swap,
     push_swap,
     swap_hamiltonian,
@@ -20,14 +22,13 @@ from contactflows.lifts import (
     RestoringFunction,
     build_hamiltonian,
     dual_spec,
-    invariant_density,
     lifted_field,
     linear_drift,
     linear_restoring,
 )
 from contactflows.models import CircuitParams, rl_spec, rlc_spec
 from contactflows.potentials import spin_potential
-from test_field import CASES
+from test_field import CASES, hamiltonian
 
 coord = st.floats(-2.0, 2.0)
 
@@ -115,7 +116,7 @@ def _spin_phi(p):
 
 
 @st.composite
-def phi_cases(draw, nonlinear_gamma=True):
+def phi_cases(draw):
     model = draw(st.sampled_from(["rl", "rlc", "spin2"]))
     pos = st.floats(0.5, 2.0)
     gamma0 = draw(pos)
@@ -135,7 +136,7 @@ def phi_cases(draw, nonlinear_gamma=True):
                         restoring=linear_restoring(gamma0))
         x_star, phi = _spin_x_star, _spin_phi
         p_range = 0.9
-    if nonlinear_gamma and draw(st.booleans()):
+    if draw(st.booleans()):
         # a restoring function that is neither linear nor odd, so that the
         # swap's Gamma~(d) = -Gamma(-d) differs from Gamma; its other root,
         # -gamma0 / c, lies beyond |d| = 2, the farthest point at which
@@ -175,35 +176,37 @@ def test_phi_lift_is_the_swapped_psi_lift_of_the_conjugate(case):
     assert np.allclose(lifted_field(spec, pt).as_array(), pushed, rtol=1e-12, atol=1e-12)
 
 
-# psi-side lifts with a linear restoring function, the class invariant_density covers
-PSI_LINEAR = [s for _, s in CASES
-              if isinstance(s, LiftSpec) and s.side == "psi" and s.restoring.kind == "linear"]
+# psi-side lifts, two with a nonlinear restoring function, and every
+# extended lift, whose canonical dimension m is n+1
+PSI_AND_EXTENDED = [hamiltonian(s) for _, s in CASES
+                    if isinstance(s, ExtendedLiftSpec) or s.side == "psi"]
 
 
 @st.composite
-def psi_cases(draw):
-    spec = draw(st.sampled_from(PSI_LINEAR))
-    coords = vectors(spec.n, st.floats(-0.9, 0.9))
-    return spec, CanonicalPoint(draw(coords), draw(coords), draw(st.floats(-0.9, 0.9)))
+def psi_and_extended_cases(draw):
+    h = draw(st.sampled_from(PSI_AND_EXTENDED))
+    coords = vectors(h.n, st.floats(-0.9, 0.9))
+    return h, CanonicalPoint(draw(coords), draw(coords), draw(st.floats(-0.9, 0.9)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(phi_cases(nonlinear_gamma=False).map(lambda c: (c[0], c[3])), psi_cases()))
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(phi_cases().map(lambda c: (build_hamiltonian(c[0]), c[3])),
+                 psi_and_extended_cases()))
 def test_invariant_measure_on_both_charts(case):
-    # div(rho X_h) = 0 for rho = h^-(n+1) on h > 0: rho div X_h = (n+1) rho dh/dz
-    # and X_h rho = -(n+1) rho X_h h / h = -(n+1) rho dh/dz  [DERIVED]
-    spec, pt = case
-    h = build_hamiltonian(spec)
-    assume(h(pt) > 0.1)
-    n = spec.n
+    # div(rho X_h) = 0 for rho = h^-(m+1) on h > 0, for any Gamma: rho div X_h
+    # = (m+1) rho dh/dz and X_h rho = -(m+1) rho X_h h / h = -(m+1) rho dh/dz
+    h, pt = case
+    hz = h.partials(pt)[2]
+    assume(h(pt) > 0.1 and abs(hz) >= 0.1)
+    m = h.n
 
     def weighted_field(y):
-        rho = invariant_density(spec, CanonicalPoint(y[:n], y[n:2 * n], float(y[2 * n])))
+        rho = invariant_density(h, CanonicalPoint(y[:m], y[m:2 * m], float(y[2 * m])))
         return rho * hamiltonian_vector_field(h, y)
 
     y = np.concatenate([pt.x, pt.p, [pt.z]])
     div = np.trace(central_jacobian(weighted_field, y))
-    # relative to the size rho (n+1) |dh/dz| of each term, with dh/dz = -gamma0;
-    # the difference error grows like (|grad h| / h)^2 and reaches 1e-6 at
-    # h = 0.1, while an exponent off by one leaves 1/(n+1)
-    assert abs(div) <= 1e-4 * invariant_density(spec, pt) * (n + 1) * spec.restoring.gamma0
+    # relative to the size rho (m+1) |dh/dz| of each term; the difference
+    # error grows like (|grad h| / h)^2, while an exponent off by one leaves
+    # 1/(m+1)
+    assert abs(div) <= 1e-4 * invariant_density(h, pt) * (m + 1) * abs(hz)
