@@ -61,7 +61,6 @@ from .lifts import (
     geodesic_drift_psi,
     gradient_drift_phi,
     gradient_drift_psi,
-    lifted_field,
     linear_drift,
     linear_restoring,
     onsager_drift,

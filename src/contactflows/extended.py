@@ -12,8 +12,8 @@ P = (p, p_extra) and z, so x_extra = X[-1] and p_extra = P[-1], and a
 tangent vector is a ``TangentVector`` of the same dimension.  The lift is
 the base lift of psi~ in dimension n+1, with drift
 F~ = (F, -grad psi . F / anchor), which keeps psi~ level
-(``extension_spec``); its Hamiltonian takes its value and partials from
-``lifts.build_hamiltonian`` and adds a field fused for the extension.
+(``extension_spec``); its Hamiltonian writes that lift's jet out for
+the extension.
 
 Only the psi side is written out; a phi-side extended lift is the psi-side
 one of the conjugate (``dual_extended_spec``) seen through the Legendre
@@ -23,7 +23,7 @@ phi(p) + anchor * p_extra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .geometry import (
     push_swap,
     swap_hamiltonian,
 )
-from .lifts import DriftField, LiftSpec, build_hamiltonian, dual_spec
+from .lifts import DriftField, LiftSpec, dual_spec
 from .potentials import ConvexPotential, embed_psi
 
 
@@ -130,45 +130,41 @@ def extension_spec(spec: ExtendedLiftSpec) -> LiftSpec:
 
 
 def tilde_hamiltonian(spec: ExtendedLiftSpec) -> ContactHamiltonian:
-    """h~ = D~ . F + Gamma(D~0) as a canonical Hamiltonian in dimension n+1.
+    """h~ = D . F + Gamma(D0) as a canonical Hamiltonian in dimension n+1.
 
-    Coordinates are X = (x, x_extra), P = (p, p_extra).  Its
-    value and partials are those of the base lift of ``extension_spec``.
-    Its field evaluates psi, its gradient and Hessian (one ``jet_at``), F
-    and its Jacobian once:
-    dX = (F, -grad psi . F / anchor),
-    dP = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
+    Coordinates are X = (x, x_extra), P = (p, p_extra), and
+    D = (p_extra / anchor) grad psi - p.  h~ is the base lift of
+    ``extension_spec``; its jet, written out for the extension, evaluates
+    psi, its gradient and Hessian (one ``jet_at``), F and its Jacobian once:
+    Eh = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
           Gamma'(D0) (anchor - p_extra)),
-    dz = Gamma(D0), with D = (p_extra / anchor) grad psi - p.  Asked for
-    diagnostics, it stores what the base lift's field does (in dimension
-    n + 1) and the conserved psi_tilde and the entropy S = x_extra.
+    dh/dP = (-F, grad psi . F / anchor) and dh/dz = -Gamma'(D0).  Asked for
+    diagnostics, it stores what the base lift's jet does (in dimension
+    n + 1), the conserved psi_tilde and the entropy S = x_extra.
     """
     if spec.side == "phi":
         return swap_hamiltonian(tilde_hamiltonian(dual_extended_spec(spec)))
     base = spec.base
     psi, F, Gam, n, anchor = base.potential, base.drift, base.restoring, spec.n, spec.anchor
 
-    def field(y, diag=None):
+    def jet(y, diag=None):
         x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
         value, g, H = psi.jet_at(x)
         psi_tilde = value + anchor * xe
         d0 = psi_tilde - y[2 * n + 2]
         d = (pe / anchor) * g - p
         f = F.at(x)
-        rate, restoring = Gam.derivative(d0), Gam.eval(d0)
-        out = np.empty(2 * n + 3)
-        out[:n] = f
-        out[n] = -(g @ f) / anchor
-        out[n + 1:2 * n + 1] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
-        out[2 * n + 1] = rate * (anchor - pe)
-        out[2 * n + 2] = restoring
+        rate = Gam.derivative(d0)
+        eh, hp = np.empty(n + 1), np.empty(n + 1)
+        eh[:n] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
+        eh[n] = rate * (anchor - pe)
+        hp[:n] = -f
+        hp[n] = (g @ f) / anchor
         if diag is not None:  # the extra component of the defect vanishes
-            diag.update(h=np.einsum("i,i->", d, f) + restoring, delta0=d0,
-                        delta_norm=np.sqrt(np.einsum("i,i->", d, d)), kappa=-(n + 2) * rate,
-                        psi_tilde=psi_tilde, S=xe)
-        return out
+            diag.update(delta0=d0, delta_norm=np.sqrt(d @ d), psi_tilde=psi_tilde, S=xe)
+        return d @ f + Gam.eval(d0), eh, hp, -rate
 
-    return replace(build_hamiltonian(extension_spec(spec)), field=field)
+    return ContactHamiltonian(n=n + 1, jet=jet)
 
 
 def restricted_extended_field(spec: ExtendedLiftSpec, u) -> TangentVector:

@@ -10,7 +10,6 @@ its components.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -103,41 +102,32 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class ContactHamiltonian:
-    """A scalar field h(x, p, z) together with its first partial derivatives.
+    """A scalar field h(x, p, z) given by its jet in the frame E, d/dp, R.
 
-    When the analytic partials are omitted they are replaced by central
-    differences of ``value``; ``derivative_mode`` records which route is
-    in effect.
-
-    ``field(y, diag=None)`` maps a flat state y = (x, p, z) to the
-    components of the contact vector field X_h at y.  A builder that knows
-    the structure of h supplies one that evaluates every shared quantity
-    once, and that on request also stores the state's diagnostics in the
-    dict ``diag``; otherwise the field is assembled from the partials (see
-    ``hamiltonian_vector_field``) and stores none.
+    E_a = d/dx^a + p_a d/dz, d/dp_a and the Reeb field R = d/dz span the
+    tangent space; ``jet(y, diag=None)`` maps a flat state y = (x, p, z) to
+    (h, Eh, dh/dp, dh/dz) there, with Eh = dh/dx + p dh/dz.  A builder that
+    knows the structure of h writes the jet once, evaluating every shared
+    quantity once, and on request stores the state's defect diagnostics in
+    the dict ``diag``.  Given a value alone, the jet is taken by central
+    differences; given a jet alone, the value is read from it.
     """
 
     n: int
-    value: Callable[[np.ndarray, np.ndarray, float], float]
-    grad_x: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
-    grad_p: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
-    dz_partial: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None
-    field: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    derivative_mode: str = dataclasses.field(init=False)
+    value: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None
+    jet: Optional[Callable[..., tuple]] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatchError("dimension n must be >= 1")
-        closed = all(f is not None for f in (self.grad_x, self.grad_p, self.dz_partial))
-        if not closed and any(
-            f is not None for f in (self.grad_x, self.grad_p, self.dz_partial)
-        ):
-            raise ValueError("supply all three analytic partials or none")
-        object.__setattr__(
-            self, "derivative_mode", "closed_form" if closed else "central_difference"
-        )
-        if self.field is None:
-            object.__setattr__(self, "field", self._generic_field)
+        if self.jet is None:
+            if self.value is None:
+                raise ValueError("supply a value, a jet or both")
+            object.__setattr__(self, "jet", self._numeric_jet)
+        elif self.value is None:
+            jet = self.jet
+            object.__setattr__(self, "value",
+                               lambda x, p, z: jet(np.concatenate([x, p, [z]]))[0])
 
     def __call__(self, pt: CanonicalPoint) -> float:
         return float(self.value(pt.x, pt.p, pt.z))
@@ -148,29 +138,34 @@ class ContactHamiltonian:
             raise DimensionMismatchError(
                 f"point dimension {pt.n} != Hamiltonian dimension {self.n}"
             )
-        return self._partials(pt.x, pt.p, pt.z)
+        _, eh, hp, hz = self.jet(np.concatenate([pt.x, pt.p, [pt.z]]))
+        return eh - pt.p * hz, hp, hz
 
-    def _partials(self, x, p, z):
-        if self.derivative_mode == "closed_form":
-            hx = np.asarray(self.grad_x(x, p, z), dtype=float)
-            hp = np.asarray(self.grad_p(x, p, z), dtype=float)
-            hz = float(self.dz_partial(x, p, z))
-            return hx, hp, hz
+    def field(self, y, diag=None):
+        """X_h = -dh/dp . E + Eh . d/dp + h R at the flat state y, as a flat array.
+
+        In canonical components dx = -dh/dp, dp = Eh, dz = h - p . dh/dp.
+        Asked for diagnostics, it stores h and the compressibility
+        kappa = (n + 1) dh/dz with those of the jet.
+        """
+        n = self.n
+        h, eh, hp, hz = self.jet(y, diag)
+        out = np.empty(2 * n + 1)
+        out[:n] = -hp
+        out[n:2 * n] = eh
+        out[2 * n] = h - y[n:2 * n] @ hp
+        if diag is not None:
+            diag["h"], diag["kappa"] = h, (n + 1) * hz
+        return out
+
+    def _numeric_jet(self, y, diag=None):
         n = self.n
         # a non-finite value's partials are non-finite: EvaluationError, no warning
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = central_jacobian(lambda y: self.value(y[:n], y[n:2 * n], y[2 * n]),
-                                 np.concatenate([x, p, [z]]))
-        return g[:n], g[n:2 * n], float(g[2 * n])
-
-    def _generic_field(self, y, diag=None):
-        """dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp."""
-        n = self.n
-        x, p, z = y[:n], y[n:2 * n], float(y[2 * n])
-        hx, hp, hz = self._partials(x, p, z)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            hval = float(self.value(x, p, z))
-        return np.concatenate([-hp, hx + p * hz, [hval - p @ hp]])
+            g = central_jacobian(lambda u: self.value(u[:n], u[n:2 * n], u[2 * n]), y)
+            h = float(self.value(y[:n], y[n:2 * n], y[2 * n]))
+            hz = float(g[2 * n])
+            return h, g[:n] + y[n:2 * n] * hz, g[n:2 * n], hz
 
 
 def contact_form_pairing(pt: CanonicalPoint, v: TangentVector) -> float:
@@ -202,43 +197,23 @@ def push_swap(pt: CanonicalPoint, v: TangentVector) -> TangentVector:
 def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """-h o S, whose contact field is the pushforward of X_h under the swap.
 
-    Closed-form partials follow by the chain rule through S; the field is
-    ``h.field`` evaluated at S(y) and pushed forward, and its diagnostics
-    are those of h at S(y) with h and the scalar defect negated.
+    S exchanges E and d/dp and negates the contact form, so the jet of
+    -h o S at y is (-h, -dh/dp, -Eh, dh/dz) of h at S(y): a relabelling,
+    with no chain rule.  Its diagnostics are those of h at S(y) with the
+    scalar defect negated.
     """
     n = h.n
 
-    def value(x, p, z):
-        return -h.value(p, x, float(x @ p) - z)
-
-    def field(y, diag=None):
+    def jet(y, diag=None):
         x, p = y[:n], y[n:2 * n]
         s = np.empty(2 * n + 1)
         s[:n], s[n:2 * n], s[2 * n] = p, x, x @ p - y[2 * n]
-        v = h.field(s, diag)
-        if diag:  # empty when h's field records no diagnostics
-            diag["h"], diag["delta0"] = -diag["h"], -diag["delta0"]
-        dx, dp = v[:n], v[n:2 * n]
-        out = np.empty(2 * n + 1)
-        out[:n], out[n:2 * n], out[2 * n] = dp, dx, x @ dx + p @ dp - v[2 * n]
-        return out
+        hv, eh, hp, hz = h.jet(s, diag)
+        if diag is not None and "delta0" in diag:  # absent when h stores no defects
+            diag["delta0"] = -diag["delta0"]
+        return -hv, -hp, -eh, hz
 
-    if h.derivative_mode != "closed_form":
-        return ContactHamiltonian(n=n, value=value, field=field)
-
-    def grad_x(x, p, z):
-        zs = float(x @ p) - z
-        return -(h.grad_p(p, x, zs) + h.dz_partial(p, x, zs) * p)
-
-    def grad_p(x, p, z):
-        zs = float(x @ p) - z
-        return -(h.grad_x(p, x, zs) + h.dz_partial(p, x, zs) * x)
-
-    def dz_partial(x, p, z):
-        return h.dz_partial(p, x, float(x @ p) - z)
-
-    return ContactHamiltonian(n=n, value=value, grad_x=grad_x, grad_p=grad_p,
-                              dz_partial=dz_partial, field=field)
+    return ContactHamiltonian(n=n, jet=jet)
 
 
 def reeb_field(n: int) -> TangentVector:
@@ -251,9 +226,9 @@ def reeb_field(n: int) -> TangentVector:
 def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
     """Canonical components of the contact Hamiltonian vector field.
 
-    dx = -dh/dp,  dp = dh/dx + p dh/dz,  dz = h - p . dh/dp, evaluated by
-    ``h.field``, which also fills ``diag`` when it is given.  Given a flat
-    state (x, p, z) it returns the flat components; given a
+    dx = -dh/dp,  dp = Eh = dh/dx + p dh/dz,  dz = h - p . dh/dp, assembled
+    from the jet by ``h.field``, which also fills ``diag`` when it is given.
+    Given a flat state (x, p, z) it returns the flat components; given a
     ``CanonicalPoint``, a ``TangentVector``.
     """
     n = h.n

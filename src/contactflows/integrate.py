@@ -216,8 +216,6 @@ def integrate_lift(spec, initial, t_end: float,
     rows = [diags[t] for t in traj.times]
     names = ("h", "delta0", "delta_norm", "kappa") + (("psi_tilde", "S") if extended else ())
     traj.diagnostics = {k: np.array([r.get(k, np.nan) for r in rows], dtype=float) for k in names}
-    if extended:
-        traj.diagnostics["H_tot"] = traj.diagnostics["psi_tilde"].copy()
     return traj
 
 

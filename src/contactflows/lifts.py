@@ -25,7 +25,6 @@ from .geometry import (
     ContactHamiltonian,
     TangentVector,
     central_jacobian,
-    hamiltonian_vector_field,
     legendre_swap,
     push_swap,
     swap_hamiltonian,
@@ -182,13 +181,12 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 # Hamiltonian assembly.
 
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
-    """h = Delta . F + Gamma(Delta_0) on the chosen side, with analytic partials.
+    """h = Delta . F + Gamma(Delta_0) on the chosen side, by its jet.
 
-    Its field evaluates psi, its gradient and Hessian (one ``jet_at``), F
-    and its Jacobian once: dx = F, dp = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
-    dz = grad psi . F + Gamma(Delta_0).  Asked for diagnostics, it also
-    stores h, delta0, delta_norm = |Delta| and the compressibility
-    kappa = (n + 1) dh/dz = -(n + 1) Gamma'(Delta_0).
+    The jet evaluates psi, its gradient and Hessian (one ``jet_at``), F
+    and its Jacobian once: Eh = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
+    dh/dp = -F and dh/dz = -Gamma'(Delta_0).  Asked for diagnostics, it
+    stores delta0 and delta_norm = |Delta|.
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
@@ -197,43 +195,18 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     Gam = spec.restoring
     n = spec.n
 
-    def value(x, p, z):
-        d0 = psi.value_at(x) - z
-        d = psi.gradient_at(x) - p
-        return float(d @ F.at(x)) + Gam.eval(d0)
-
-    def grad_x(x, p, z):
-        d0 = psi.value_at(x) - z
-        d = psi.gradient_at(x) - p
-        H = psi.hessian_at(x, check_spd=False)
-        return H @ F.at(x) + F.jacobian_at(x).T @ d + Gam.derivative(d0) * psi.gradient_at(x)
-
-    def grad_p(x, p, z):
-        return -F.at(x)
-
-    def dz_partial(x, p, z):
-        return -Gam.derivative(psi.value_at(x) - z)
-
-    def field(y, diag=None):
+    def jet(y, diag=None):
         x = y[:n]
         value, g, H = psi.jet_at(x)
         d0 = value - y[2 * n]
         d = g - y[n:2 * n]
         f = F.at(x)
-        rate, restoring = Gam.derivative(d0), Gam.eval(d0)
-        out = np.empty(2 * n + 1)
-        out[:n] = f
-        out[n:2 * n] = H @ f + F.jacobian_at(x).T @ d + rate * d
-        out[2 * n] = g @ f + restoring
+        rate = Gam.derivative(d0)
         if diag is not None:
-            diag.update(h=np.einsum("i,i->", d, f) + restoring, delta0=d0,
-                        delta_norm=np.sqrt(np.einsum("i,i->", d, d)), kappa=-(n + 1) * rate)
-        return out
+            diag.update(delta0=d0, delta_norm=np.sqrt(d @ d))
+        return d @ f + Gam.eval(d0), H @ f + F.jacobian_at(x).T @ d + rate * d, -f, -rate
 
-    return ContactHamiltonian(
-        n=n, value=value, grad_x=grad_x, grad_p=grad_p, dz_partial=dz_partial,
-        field=field,
-    )
+    return ContactHamiltonian(n=n, jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +228,6 @@ def restricted_field_phi(spec: LiftSpec, p):
     dual = dual_spec(spec)
     v = push_swap(embed_psi(dual.potential, p), TangentVector(*restricted_field_psi(dual, p)))
     return v.dx, v.dp, v.dz
-
-
-def lifted_field(spec: LiftSpec, pt: CanonicalPoint) -> TangentVector:
-    """Ambient canonical field of the built Hamiltonian at any point."""
-    return hamiltonian_vector_field(build_hamiltonian(spec), pt)
 
 
 def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):

@@ -112,6 +112,7 @@ def quadratic_potential(M) -> ConvexPotential:
         gradient=lambda x: M @ x,
         hessian=lambda x: M,
         name="quadratic",
+        jet=lambda x: (0.5 * float(x @ M @ x), M @ x, M),
     )
 
 

@@ -229,7 +229,7 @@ def state_columns(spec) -> List[str]:
 
 def write_trajectory_csv(traj: Trajectory, spec, path) -> None:
     diag_names = [k for k in ("h", "delta0", "delta_norm", "kappa",
-                              "psi_tilde", "H_tot", "S") if k in traj.diagnostics]
+                              "psi_tilde", "S") if k in traj.diagnostics]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + state_columns(spec) + diag_names)
@@ -303,7 +303,7 @@ def build_invariant_report(scenario: Scenario, traj: Trajectory,
             checks.append(InvariantCheck(name, expected, rate, resid, resid < 1e-3))
 
     if extended:
-        H = traj.diagnostics.get("H_tot")
+        H = traj.diagnostics.get("psi_tilde")  # the total energy H_tot
         S = traj.diagnostics.get("S")
         if H is not None:
             resid = float(np.max(np.abs(H - H[0]))) / max(traj.times[-1], 1.0)

@@ -33,7 +33,6 @@ from contactflows.lifts import (
     build_hamiltonian,
     geodesic_drift_psi,
     gradient_drift_psi,
-    lifted_field,
     linear_drift,
     linear_restoring,
     rotational_drift,
@@ -224,7 +223,7 @@ def test_criterion_7_pythagorean_identity():
 
 def test_criterion_8_circuits():
     """RC/RL closed forms < 1e-8; lossless RLC conserves H* to 1e-9;
-    thermal variants conserve H_tot with positive entropy production."""
+    thermal variants conserve H_tot = psi~ with positive entropy production."""
     rc = rc_spec(CircuitParams(R=1.0, C=1.0))
     traj = integrate_lift(rc, embed_psi(rc.potential, np.array([1.0])), 1.0)
     assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-8
@@ -247,7 +246,7 @@ def test_criterion_8_circuits():
          np.array([1.0, 0.5])),
     ):
         traj = integrate_lift(spec, embed_extended(spec, u0, 0.0), 2.0)
-        H = traj.diagnostics["H_tot"]
+        H = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(H - H[0])) / 2.0 < 1e-9
         rate = np.polyfit(traj.times, traj.diagnostics["S"], 1)[0]
         assert rate > 0
@@ -293,7 +292,7 @@ def test_criterion_9_conserving_lift():
         lie_vals = []
         for _ in range(20):
             pt = _random_point(n, scale=0.8)
-            v = lifted_field(base, pt)
+            v = hamiltonian_vector_field(build_hamiltonian(base), pt)
             lie_vals.append(abs(float(base.potential.gradient_at(pt.x) @ v.dx)))
         assert max(lie_vals) > 0.01
 

@@ -18,7 +18,7 @@ from contactflows.geometry import (
     phase_compressibility,
 )
 from contactflows.integrate import integrate_lift
-from contactflows.lifts import LiftSpec, build_hamiltonian, lifted_field, linear_drift, linear_restoring
+from contactflows.lifts import LiftSpec, build_hamiltonian, linear_drift, linear_restoring
 from contactflows.potentials import quadratic_potential, spin_potential
 
 RNG = np.random.default_rng(31)
@@ -123,7 +123,7 @@ class TestConservation:
         # constant because dx/dt = F does not annihilate grad psi
         base = make_extended().base
         pt = CanonicalPoint(np.array([0.8]), np.array([0.5]), 0.9)
-        v = lifted_field(base, pt)
+        v = hamiltonian_vector_field(build_hamiltonian(base), pt)
         lie = float(base.potential.gradient_at(pt.x) @ v.dx)
         assert abs(lie) > 0.01
 

@@ -1,16 +1,19 @@
-"""The fused canonical field of each lift against the generic field of its partials.
+"""Each lift's jet against central differences of an independent h.
 
-Every Hamiltonian the lift builders return carries a ``field`` that
-evaluates psi, its derivatives and the drift once.  The oracle is a
-Hamiltonian built from the same value and partials but no field, whose
-field is assembled from the partials by the canonical formulas.  An
-extended lift's value and partials are those of the base lift on psi~
-(``extension_spec``), so its hand-fused field is checked against a
-derivation of its own.
+Every Hamiltonian the lift builders return carries a hand-written jet
+(h, Eh, dh/dp, dh/dz) that evaluates psi, its derivatives and the drift
+once, and ``ContactHamiltonian.field`` assembles the canonical field and
+the h and kappa diagnostics from it.  The oracle reads no jet: it writes
+h = D . F + Gamma(D0) from the defect functions (``delta_psi``,
+``delta_phi``, ``tilde_deltas``) and the drift of the lift's own chart,
+and takes its partials by central differences.  The extended lift's jet
+is also checked against the base lift on psi~ (``extension_spec``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactflows import integrate, potentials
 from contactflows.errors import DimensionMismatchError, EvaluationError
@@ -25,7 +28,9 @@ from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     hamiltonian_vector_field,
+    phase_compressibility,
     swap_hamiltonian,
+    verify_contact_identities,
 )
 from contactflows.integrate import integrate_lift
 from contactflows.lifts import (
@@ -50,6 +55,7 @@ from contactflows.potentials import (
 
 RNG = np.random.default_rng(20151)
 REL_TOL = 1e-13
+FD_TOL = 1e-7  # central differences of h, relative to the field's magnitude
 
 PARAMS = {
     "spin": SpinParams(theta=0.4, gamma0=2.0, lambda0=0.5),
@@ -113,18 +119,50 @@ def random_state(dim):
     return RNG.uniform(-0.9, 0.9, dim)
 
 
+def base_of(spec) -> LiftSpec:
+    return spec.base if isinstance(spec, ExtendedLiftSpec) else spec
+
+
+def defects(spec, pt):
+    """(D0, D) of the lift at a point, from its defect functions alone."""
+    if isinstance(spec, ExtendedLiftSpec):
+        return tilde_deltas(spec, pt)
+    return (delta_psi if spec.side == "psi" else delta_phi)(spec.potential, pt)
+
+
+def independent_h(spec):
+    """h = D . F + Gamma(D0), with F read at the chart coordinate of the base lift."""
+    base = base_of(spec)
+
+    def value(x, p, z):
+        pt = CanonicalPoint(x, p, z)
+        d0, d = defects(spec, pt)
+        u = (pt.x if spec.side == "psi" else pt.p)[:spec.n]
+        return float(d @ base.drift.at(u)) + base.restoring.eval(d0)
+
+    return value
+
+
 @pytest.mark.parametrize("spec", [s for _, s in CASES], ids=[i for i, _ in CASES])
 def test_fused_field_matches_generic_field(spec):
+    # the field, partials and h, kappa diagnostics read from the lift's jet,
+    # against the generic ones of the independent h given as a value alone
     h = hamiltonian(spec)
-    oracle = ContactHamiltonian(n=h.n, value=h.value, grad_x=h.grad_x,
-                                grad_p=h.grad_p, dz_partial=h.dz_partial)
-    assert oracle.derivative_mode == "closed_form"
+    m = h.n
+    oracle = ContactHamiltonian(n=m, value=independent_h(spec))
     for _ in range(10):
-        y = random_state(2 * h.n + 1)
-        fused, generic = h.field(y), oracle.field(y)
-        assert fused.shape == generic.shape == y.shape
+        y = random_state(2 * m + 1)
+        pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
+        diag = {}
+        lifted, generic = h.field(y, diag), oracle.field(y)
+        assert lifted.shape == generic.shape == y.shape
         scale = max(1.0, float(np.max(np.abs(generic))))
-        assert np.max(np.abs(fused - generic)) <= REL_TOL * scale
+        assert np.max(np.abs(lifted - generic)) <= FD_TOL * scale
+        expect = oracle.partials(pt)
+        for got, want in zip(h.partials(pt), expect):
+            assert np.max(np.abs(got - want)) <= FD_TOL * scale
+        assert abs(diag["h"] - oracle(pt)) <= 1e-12 * scale
+        assert abs(diag["kappa"] - (m + 1) * expect[2]) <= FD_TOL * scale
 
 
 EXTENDED = [(i, s) for i, s in CASES if isinstance(s, ExtendedLiftSpec)]
@@ -142,9 +180,9 @@ def test_extended_field_is_the_base_field_on_psi_tilde(spec):
     h = tilde_hamiltonian(spec)
     for _ in range(10):
         y = random_state(2 * h.n + 1)
-        fused, reference = h.field(y), base.field(y)
+        lifted, reference = h.field(y), base.field(y)
         scale = max(1.0, float(np.max(np.abs(reference))))
-        assert np.max(np.abs(fused - reference)) <= REL_TOL * scale
+        assert np.max(np.abs(lifted - reference)) <= REL_TOL * scale
         X = y[:h.n]
         grad, f = ext.potential.gradient_at(X), ext.drift.at(X)
         assert abs(grad @ f) <= REL_TOL * max(1.0, float(np.abs(grad) @ np.abs(f)))
@@ -200,23 +238,22 @@ class TestInitialState:
 
 def reference_diagnostics(spec, states):
     extended = isinstance(spec, ExtendedLiftSpec)
-    h = hamiltonian(spec)
-    m = h.n
+    m = spec.n + 1 if extended else spec.n
+    value, restoring = independent_h(spec), base_of(spec).restoring
     rows = {k: [] for k in ("h", "delta0", "delta_norm", "kappa", "psi_tilde", "S")}
     for y in states:
         pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
-        rows["h"].append(h(pt))
-        rows["kappa"].append((m + 1) * h.partials(pt)[2])
+        d0, d = defects(spec, pt)
+        rows["h"].append(value(pt.x, pt.p, pt.z))
+        # every D0 is a function minus z, and D does not read z: dh/dz = -Gamma'(D0)
+        rows["kappa"].append(-(m + 1) * restoring.derivative(d0))
         if extended:
-            d0, d = tilde_deltas(spec, pt)
             x, p = pt.x[:-1], pt.p[:-1]
             conserved = (spec.base.potential.value_at(x) + spec.anchor * pt.x[-1]
                          if spec.side == "psi" else
                          spec.base.workspace.phi_value(p) + spec.anchor * pt.p[-1])
             rows["psi_tilde"].append(conserved)
             rows["S"].append(pt.x[-1] if spec.side == "psi" else pt.p[-1])
-        else:
-            d0, d = (delta_psi if spec.side == "psi" else delta_phi)(spec.potential, pt)
         rows["delta0"].append(d0)
         rows["delta_norm"].append(float(np.linalg.norm(d)))
     return {k: np.array(v) for k, v in rows.items() if v}
@@ -229,11 +266,10 @@ def test_diagnostics_match_per_state_reference(spec):
     traj = integrate_lift(spec, random_state(dim), 0.3)
     expect = reference_diagnostics(spec, traj.states)
     got = traj.diagnostics
+    assert set(got) == set(expect)
     for key, ref in expect.items():
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(got[key] - ref)) <= 1e-12 * scale, key
-    if extended:
-        assert np.array_equal(got["H_tot"], got["psi_tilde"])
 
 
 def test_phi_diagnostics_solve_only_the_final_state_again(monkeypatch):
@@ -256,3 +292,39 @@ def test_phi_diagnostics_solve_only_the_final_state_again(monkeypatch):
     traj = integrate_lift(spec, random_state(5), 1.0)
     assert len(traj.times) > 2
     assert calls["legendre"] == calls["field"] + 1
+
+
+# ---------------------------------------------------------------------------
+# The contact identities as properties over the lifts of CASES.  lambda(X_h) = h
+# holds by construction of the field's assembly from the jet (dz = h - p . dh/dp),
+# so it is no evidence about a lift and is not asserted here.
+
+HAMILTONIANS = [hamiltonian(s) for _, s in CASES]
+
+
+@st.composite
+def lift_states(draw):
+    h = draw(st.sampled_from(HAMILTONIANS))
+    coords = st.lists(st.floats(-0.9, 0.9), min_size=h.n, max_size=h.n).map(np.array)
+    return h, CanonicalPoint(draw(coords), draw(coords), draw(st.floats(-0.9, 0.9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lift_states())
+def test_field_derives_h_along_the_reeb_rate(case):
+    # X_h h = (Rh) h, with both derivatives by central differences of step 1e-4
+    h, pt = case
+    rep = verify_contact_identities(h, pt)
+    v = hamiltonian_vector_field(h, pt)
+    assert rep.derivation_residual <= 1e-6 * (1.0 + float(np.max(np.abs(v.as_array()))) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lift_states())
+def test_recorded_kappa_is_the_phase_compressibility(case):
+    # div X_h = (n+1) dh/dz: phase_compressibility raises unless the numeric
+    # divergence agrees with (n+1) dh/dz, and the step loop records that as kappa
+    h, pt = case
+    diag = {}
+    h.field(np.concatenate([pt.x, pt.p, [pt.z]]), diag)
+    assert phase_compressibility(h, pt) == diag["kappa"]

@@ -28,15 +28,21 @@ def random_point(n, scale=1.0):
     )
 
 
+def closed_form_h(n, value, grad_x, grad_p, dz_partial):
+    """The Hamiltonian whose jet is assembled from hand-written partials."""
+
+    def jet(y, diag=None):
+        x, p, z = y[:n], y[n:2 * n], y[2 * n]
+        hz = dz_partial(x, p, z)
+        return value(x, p, z), grad_x(x, p, z) + p * hz, grad_p(x, p, z), hz
+
+    return ContactHamiltonian(n=n, value=value, jet=jet)
+
+
 def linear_h(n):
     """h = z (Reeb-conjugate): dx = 0, dp = p, dz = z."""
-    return ContactHamiltonian(
-        n=n,
-        value=lambda x, p, z: z,
-        grad_x=lambda x, p, z: np.zeros(n),
-        grad_p=lambda x, p, z: np.zeros(n),
-        dz_partial=lambda x, p, z: 1.0,
-    )
+    return closed_form_h(n, lambda x, p, z: z, lambda x, p, z: np.zeros(n),
+                         lambda x, p, z: np.zeros(n), lambda x, p, z: 1.0)
 
 
 class TestCanonicalPoint:
@@ -78,13 +84,8 @@ class TestCanonicalField:
 
     def test_quadratic_h_closed_form(self):
         # h = p^2/2: dx = -p, dp = 0, dz = p^2/2 - p.p = -p^2/2  [DERIVED]
-        h = ContactHamiltonian(
-            n=1,
-            value=lambda x, p, z: 0.5 * float(p @ p),
-            grad_x=lambda x, p, z: np.zeros(1),
-            grad_p=lambda x, p, z: p,
-            dz_partial=lambda x, p, z: 0.0,
-        )
+        h = closed_form_h(1, lambda x, p, z: 0.5 * float(p @ p), lambda x, p, z: np.zeros(1),
+                          lambda x, p, z: p, lambda x, p, z: 0.0)
         pt = CanonicalPoint(np.array([0.0]), np.array([2.0]), 0.0)
         v = hamiltonian_vector_field(h, pt)
         assert v.dx[0] == pytest.approx(-2.0)
@@ -92,25 +93,21 @@ class TestCanonicalField:
         assert v.dz == pytest.approx(-2.0)
 
     def test_fd_partials_match_closed_form(self):
-        closed = ContactHamiltonian(
-            n=2,
-            value=lambda x, p, z: float(x @ p) + np.sin(z),
-            grad_x=lambda x, p, z: p,
-            grad_p=lambda x, p, z: x,
-            dz_partial=lambda x, p, z: np.cos(z),
-        )
+        closed = closed_form_h(2, lambda x, p, z: float(x @ p) + np.sin(z),
+                               lambda x, p, z: p, lambda x, p, z: x,
+                               lambda x, p, z: np.cos(z))
         fd = ContactHamiltonian(n=2, value=closed.value)
-        assert fd.derivative_mode == "central_difference"
         for _ in range(20):
             pt = random_point(2)
             va = hamiltonian_vector_field(closed, pt)
             vb = hamiltonian_vector_field(fd, pt)
             assert np.allclose(va.as_array(), vb.as_array(), atol=1e-7)
+            for a, b in zip(closed.partials(pt), fd.partials(pt)):
+                assert np.allclose(a, b, atol=1e-7)
 
-    def test_partial_analytic_partials_rejected(self):
+    def test_hamiltonian_needs_a_value_or_a_jet(self):
         with pytest.raises(ValueError):
-            ContactHamiltonian(n=1, value=lambda x, p, z: z,
-                               grad_x=lambda x, p, z: np.zeros(1))
+            ContactHamiltonian(n=1)
 
     def test_nonfinite_partials_raise(self):
         # the value divides by zero at the point: a typed error, no warning
@@ -150,13 +147,8 @@ class TestCompressibility:
         # sum the canonical component partials; the x/p cross terms cancel]
         gamma0 = 0.7
         n = 2
-        h = ContactHamiltonian(
-            n=n,
-            value=lambda x, p, z: float(x @ p) - gamma0 * z,
-            grad_x=lambda x, p, z: p,
-            grad_p=lambda x, p, z: x,
-            dz_partial=lambda x, p, z: -gamma0,
-        )
+        h = closed_form_h(n, lambda x, p, z: float(x @ p) - gamma0 * z,
+                          lambda x, p, z: p, lambda x, p, z: x, lambda x, p, z: -gamma0)
         kappa = phase_compressibility(h, random_point(n))
         assert kappa == pytest.approx(-(n + 1) * gamma0, abs=1e-6)
 

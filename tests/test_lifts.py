@@ -20,7 +20,6 @@ from contactflows.lifts import (
     geodesic_drift_psi,
     gradient_drift_phi,
     gradient_drift_psi,
-    lifted_field,
     linear_drift,
     linear_restoring,
     onsager_drift,
@@ -113,7 +112,7 @@ class TestRestrictedFields:
         spec = make_spec(side="psi", n=2, jac=-0.5)
         u = np.array([0.3, -0.4])
         pt = embed_psi(spec.potential, u)
-        v = lifted_field(spec, pt)
+        v = hamiltonian_vector_field(build_hamiltonian(spec), pt)
         dx, dp, dz = restricted_field_psi(spec, u)
         assert np.allclose(v.dx, dx, atol=1e-12)
         assert np.allclose(v.dp, dp, atol=1e-10)

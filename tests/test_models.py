@@ -10,8 +10,9 @@ from contactflows.integrate import (
     integrate_lift,
     integrate_on_submanifold,
 )
-from contactflows.geometry import CanonicalPoint
+from contactflows.geometry import CanonicalPoint, hamiltonian_vector_field
 from contactflows.lifts import (
+    build_hamiltonian,
     gradient_drift_psi,
     restricted_field_phi,
     restricted_field_psi,
@@ -107,7 +108,7 @@ class TestRC:
         v = restricted_extended_field(spec, np.array([1.0]))
         assert v.dx[-1] == pytest.approx(1.0)
         traj = integrate_lift(spec, embed_extended(spec, np.array([1.0]), 0.0), 2.0)
-        H = traj.diagnostics["H_tot"]
+        H = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(H - H[0])) < 1e-9
         # closed-form entropy: S(t) = (1 - e^{-2t})/2  [DERIVED: integral
         # of e^{-2t}]
@@ -189,7 +190,7 @@ class TestRLC:
     def test_thermal_total_energy_conserved(self):
         spec = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=1.0))
         traj = integrate_lift(spec, embed_extended(spec, np.array([1.0, 0.0]), 0.0), 3.0)
-        H = traj.diagnostics["H_tot"]
+        H = traj.diagnostics["psi_tilde"]
         S = traj.diagnostics["S"]
         assert np.max(np.abs(H - H[0])) / 3.0 < 1e-9
         assert np.all(np.diff(S) >= -1e-13)
@@ -213,9 +214,7 @@ class TestSpin:
         spec = spin_spec(SpinParams(theta=1.0, gamma0=2.0, lambda0=0.0))
         pt = CanonicalPoint(np.array([0.4]), np.array([0.1]), np.log(2.0) +
                             np.log(np.cosh(0.4)))
-        from contactflows.lifts import lifted_field
-
-        v = lifted_field(spec, pt)
+        v = hamiltonian_vector_field(build_hamiltonian(spec), pt)
         assert v.dx[0] == pytest.approx(0.0, abs=1e-14)
         assert v.dp[0] == pytest.approx(2.0 * (np.tanh(0.4) - 0.1), abs=1e-10)
 

@@ -343,6 +343,13 @@ class TestJet:
             p = psi.gradient_at(x)
             assert_same_jet(jet_side.jet_at(p), three_callables(callables_side, p))
 
+    def test_quadratic_jet_is_the_three_callables_bit_for_bit(self):
+        # the quadratic potential writes its jet; jet_at then skips the wrappers
+        psi = quadratic_potential([[2.0, 0.4, 0.1], [0.4, 1.0, -0.2], [0.1, -0.2, 0.7]])
+        assert psi.jet is not None
+        for x in np.random.default_rng(11).uniform(-1.5, 1.5, (6, 3)):
+            assert_same_jet(psi.jet_at(x), three_callables(psi, x))
+
     @pytest.mark.parametrize("extended", [False, True], ids=["base", "extended"])
     def test_phi_field_call_does_one_lookup(self, monkeypatch, extended):
         lookups = []

@@ -22,13 +22,13 @@ from contactflows.lifts import (
     RestoringFunction,
     build_hamiltonian,
     dual_spec,
-    lifted_field,
     linear_drift,
     linear_restoring,
 )
 from contactflows.models import CircuitParams, rl_spec, rlc_spec
 from contactflows.potentials import spin_potential
 from test_field import CASES, hamiltonian
+from test_geometry import closed_form_h
 
 coord = st.floats(-2.0, 2.0)
 
@@ -69,13 +69,9 @@ def test_swap_pulls_the_contact_form_back_to_its_negative(case):
 @given(points_and_tangents())
 def test_swapped_hamiltonian_field_is_the_pushforward(case):
     pt, _ = case
-    h = ContactHamiltonian(
-        n=pt.n,
-        value=lambda x, p, z: float(np.sin(x) @ p + 0.5 * z ** 2 + (x @ x) * z),
-        grad_x=lambda x, p, z: np.cos(x) * p + 2 * x * z,
-        grad_p=lambda x, p, z: np.sin(x),
-        dz_partial=lambda x, p, z: z + float(x @ x),
-    )
+    h = closed_form_h(pt.n, lambda x, p, z: float(np.sin(x) @ p + 0.5 * z ** 2 + (x @ x) * z),
+                      lambda x, p, z: np.cos(x) * p + 2 * x * z,
+                      lambda x, p, z: np.sin(x), lambda x, p, z: z + float(x @ x))
     swapped = legendre_swap(pt)
     va = hamiltonian_vector_field(swap_hamiltonian(h), swapped).as_array()
     vb = push_swap(pt, hamiltonian_vector_field(h, pt)).as_array()
@@ -85,11 +81,10 @@ def test_swapped_hamiltonian_field_is_the_pushforward(case):
 @settings(max_examples=40, deadline=None)
 @given(points_and_tangents())
 def test_swapped_difference_hamiltonian_field_is_the_pushforward(case):
-    # no analytic partials: the swap composes the central-difference field
+    # no analytic partials: the swap relabels the central-difference jet
     pt, _ = case
     h = ContactHamiltonian(n=pt.n, value=lambda x, p, z: float(np.sin(x) @ p + z * (x @ x)))
     swapped = swap_hamiltonian(h)
-    assert swapped.derivative_mode == "central_difference"
     back = legendre_swap(pt)
     va = hamiltonian_vector_field(swapped, pt).as_array()
     vb = push_swap(back, hamiltonian_vector_field(h, back)).as_array()
@@ -163,7 +158,7 @@ def test_phi_lift_matches_paper_hamiltonian(case):
         return float((x - x_star(p)) @ F.at(p)) + Gam.eval(float(x @ p) - phi(p) - z)
 
     reference = hamiltonian_vector_field(ContactHamiltonian(n=spec.n, value=h), pt).as_array()
-    field = lifted_field(spec, pt).as_array()
+    field = hamiltonian_vector_field(build_hamiltonian(spec), pt).as_array()
     assert np.allclose(field, reference, rtol=1e-7, atol=1e-7)
 
 
@@ -172,8 +167,10 @@ def test_phi_lift_matches_paper_hamiltonian(case):
 def test_phi_lift_is_the_swapped_psi_lift_of_the_conjugate(case):
     spec, _, _, pt = case
     swapped = legendre_swap(pt)
-    pushed = push_swap(swapped, lifted_field(dual_spec(spec), swapped)).as_array()
-    assert np.allclose(lifted_field(spec, pt).as_array(), pushed, rtol=1e-12, atol=1e-12)
+    pushed = push_swap(swapped, hamiltonian_vector_field(build_hamiltonian(dual_spec(spec)),
+                                                         swapped)).as_array()
+    field = hamiltonian_vector_field(build_hamiltonian(spec), pt).as_array()
+    assert np.allclose(field, pushed, rtol=1e-12, atol=1e-12)
 
 
 # psi-side lifts, two with a nonlinear restoring function, and every
