@@ -21,12 +21,9 @@ from .errors import (
     StrictConvexityError,
 )
 from .extended import (
-    ExtendedLiftSpec,
-    dual_extended_spec,
     embed_extended,
     restricted_extended_field,
     tilde_deltas,
-    tilde_hamiltonian,
     tilde_potential_value,
 )
 from .geometry import (

@@ -25,13 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
-from .extended import ExtendedLiftSpec, tilde_hamiltonian
 from .geometry import hamiltonian_vector_field
 from .lifts import build_hamiltonian
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
-MAX_STEP_ATTEMPTS = 2_000_000  # RKF45 step attempts, accepted or rejected
+MAX_STEP_ATTEMPTS = 2_000_000  # RK4 steps, or RKF45 step attempts accepted or rejected
 
 # Fehlberg 4(5) tableau
 _A = np.array([
@@ -105,8 +104,12 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     """RK4 with a fixed step; the last step is shortened to land on t_end.
 
     ``f0``, if given, replaces ``f`` at each step's first stage, the one
-    evaluated at the accepted state the step starts from.
+    evaluated at the accepted state the step starts from.  A run of more
+    than ``MAX_STEP_ATTEMPTS`` steps raises ``ValueError`` before it starts.
     """
+    if t_end / step > MAX_STEP_ATTEMPTS:
+        raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the step budget "
+                         f"{MAX_STEP_ATTEMPTS}")
     f0 = f0 or f
     ts = [0.0]
     ys = [np.asarray(y0, dtype=float)]
@@ -179,21 +182,19 @@ def _run(f, y0, t_end, config: IntegratorConfig, f0=None):
 
 def integrate_lift(spec, initial, t_end: float,
                    config: IntegratorConfig = None) -> Trajectory:
-    """Integrate a base or extended lift to t_end with diagnostics.
+    """Integrate a lift, base or (with an anchor) extended, to t_end with diagnostics.
 
     A numerical failure truncates the returned trajectory (see the module
     docstring); it does not raise.
     """
     if not np.isfinite(t_end) or t_end <= 0:
         raise ValueError("t_end must be positive and finite")
-    extended = isinstance(spec, ExtendedLiftSpec)
-    base = spec.base if extended else spec
     # a warm-started solve depends on the one before it at rounding level;
     # emptying the memos the lift and its drift read makes the run a
     # function of its inputs alone
-    for ws in {base.workspace, base.drift.workspace} - {None}:
+    for ws in {spec.workspace, spec.drift.workspace} - {None}:
         ws.clear()
-    h = tilde_hamiltonian(spec) if extended else build_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 
     def f(t, y):
@@ -204,7 +205,7 @@ def integrate_lift(spec, initial, t_end: float,
 
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
         else np.concatenate([initial.x, initial.p, [initial.z]])
-    dim = 2 * (spec.n + 1 if extended else spec.n) + 1
+    dim = 2 * h.n + 1
     if y0.shape != (dim,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({dim},)")
     if not np.isfinite(y0).all():
@@ -214,7 +215,8 @@ def integrate_lift(spec, initial, t_end: float,
         with contextlib.suppress(*NUMERICAL_ERRORS):
             h.field(traj.final_state, diags.setdefault(traj.times[-1], {}))
     rows = [diags[t] for t in traj.times]
-    names = ("h", "delta0", "delta_norm", "kappa") + (("psi_tilde", "S") if extended else ())
+    names = ("h", "delta0", "delta_norm", "kappa") + (
+        ("psi_tilde", "S") if spec.anchor is not None else ())
     traj.diagnostics = {k: np.array([r.get(k, np.nan) for r in rows], dtype=float) for k in names}
     return traj
 

@@ -4,7 +4,8 @@ A lift is specified by a side (primal ``psi`` chart or dual ``phi`` chart),
 a drift F on the submanifold, and a restoring function of the scalar defect.
 The induced contact Hamiltonian is  h = Delta . F + Gamma(Delta_0); its
 canonical vector field reproduces the drift on the submanifold and pulls
-the defect coordinates back to zero off it.
+the defect coordinates back to zero off it.  A lift with an anchor is the
+conserving lift on the (2n+3)-dimensional manifold (see ``extended``).
 
 Only the psi side is written out.  A phi-side lift of psi is the psi-side
 lift of the conjugate phi (``dual_spec``) seen through the Legendre swap
@@ -137,17 +138,27 @@ def linear_restoring(gamma0: float) -> RestoringFunction:
 
 @dataclass(frozen=True)
 class LiftSpec:
-    """Recipe for a lifted flow: chart side, potential, drift, restoring."""
+    """Recipe for a lifted flow: chart side, potential, drift, restoring.
+
+    A nonzero, finite ``anchor`` makes it the conserving lift on the
+    (2n+3)-dimensional manifold (``extended``): on the psi side the anchor
+    is the pinned value of p_extra; on the phi side, of x_extra.
+    """
 
     side: str  # "psi" | "phi"
     potential: ConvexPotential
     drift: DriftField
     restoring: RestoringFunction
     workspace: DuallyFlatWorkspace = field(default=None, repr=False)
+    anchor: Optional[float] = None
 
     def __post_init__(self):
         if self.side not in ("psi", "phi"):
             raise ValueError(f"side must be 'psi' or 'phi', got {self.side!r}")
+        if self.anchor is not None:
+            object.__setattr__(self, "anchor", float(self.anchor))
+            if not np.isfinite(self.anchor) or self.anchor == 0.0:
+                raise ValueError("anchor must be nonzero and finite")
         if self.potential.n != self.drift.n:
             raise DimensionMismatchError(
                 f"potential dimension {self.potential.n} != drift dimension {self.drift.n}"
@@ -163,7 +174,7 @@ class LiftSpec:
 def dual_spec(spec: LiftSpec) -> LiftSpec:
     """The psi-side lift of the conjugate that a phi-side lift becomes under the swap.
 
-    The drift carries over; the restoring function becomes
+    The drift and the anchor carry over; the restoring function becomes
     Gamma~(d) = -Gamma(-d), which is Gamma itself when Gamma is linear.
     Every transform goes through ``spec.workspace``, so its latest solve is shared.
     """
@@ -174,7 +185,7 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
         gam = RestoringFunction(eval=lambda d: -spec.restoring.eval(-d),
                                 derivative=lambda d: spec.restoring.derivative(-d))
     return LiftSpec(side="psi", potential=conjugate(spec.workspace),
-                    drift=spec.drift, restoring=gam)
+                    drift=spec.drift, restoring=gam, anchor=spec.anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +198,16 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     and its Jacobian once: Eh = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
     dh/dp = -F and dh/dz = -Gamma'(Delta_0).  Asked for diagnostics, it
     stores delta0 and delta_norm = |Delta|.
+
+    With an anchor, h~ = D . F + Gamma(D0) in dimension n+1, with
+    coordinates X = (x, x_extra), P = (p, p_extra) and
+    D = (p_extra / anchor) grad psi - p.  h~ is the base lift of
+    ``extended.extension_spec``; its jet, written out for the extension, is
+    Eh = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
+          Gamma'(D0) (anchor - p_extra)),
+    dh/dP = (-F, grad psi . F / anchor) and dh/dz = -Gamma'(D0).  It stores
+    what the base jet does (in dimension n+1), the conserved psi_tilde and
+    the entropy S = x_extra.
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
@@ -194,6 +215,7 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     F = spec.drift
     Gam = spec.restoring
     n = spec.n
+    anchor = spec.anchor
 
     def jet(y, diag=None):
         x = y[:n]
@@ -206,16 +228,38 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
             diag.update(delta0=d0, delta_norm=np.sqrt(d @ d))
         return d @ f + Gam.eval(d0), H @ f + F.jacobian_at(x).T @ d + rate * d, -f, -rate
 
-    return ContactHamiltonian(n=n, jet=jet)
+    def extended_jet(y, diag=None):
+        x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
+        value, g, H = psi.jet_at(x)
+        psi_tilde = value + anchor * xe
+        d0 = psi_tilde - y[2 * n + 2]
+        d = (pe / anchor) * g - p
+        f = F.at(x)
+        rate = Gam.derivative(d0)
+        eh, hp = np.empty(n + 1), np.empty(n + 1)
+        eh[:n] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
+        eh[n] = rate * (anchor - pe)
+        hp[:n] = -f
+        hp[n] = (g @ f) / anchor
+        if diag is not None:  # the extra component of the defect vanishes
+            diag.update(delta0=d0, delta_norm=np.sqrt(d @ d), psi_tilde=psi_tilde, S=xe)
+        return d @ f + Gam.eval(d0), eh, hp, -rate
+
+    if anchor is None:
+        return ContactHamiltonian(n=n, jet=jet)
+    return ContactHamiltonian(n=n + 1, jet=extended_jet)
 
 
 # ---------------------------------------------------------------------------
 # Restricted (on-submanifold) fields; closed form, no Hamiltonian needed.
 
 def restricted_field_psi(spec: LiftSpec, x):
-    """On the psi-graph: dx = F, dp = Hess psi . F, dz = grad psi . F."""
-    if spec.side != "psi":
-        raise ValueError("spec is not a psi-side lift")
+    """On the psi-graph: dx = F, dp = Hess psi . F, dz = grad psi . F.
+
+    A lift with an anchor has ``extended.restricted_extended_field``.
+    """
+    if spec.side != "psi" or spec.anchor is not None:
+        raise ValueError("spec is not a psi-side base lift")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     f = spec.drift.at(x)
     dp = spec.potential.hessian_at(x) @ f
@@ -235,7 +279,10 @@ def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):
 
     Returns (dDelta_0/dt, dDelta/dt) from the triangular system
     dDelta_a = -(dF/du)^T Delta - Gamma' Delta_a,  dDelta_0 = -Gamma(Delta_0).
+    Only a base lift has these defects; one with an anchor raises ``ValueError``.
     """
+    if spec.anchor is not None:
+        raise ValueError("delta_velocities needs a base lift, without an anchor")
     if spec.side == "phi":  # the swap flips the sign of every defect
         return tuple(-r for r in delta_velocities(dual_spec(spec), legendre_swap(pt)))
     d0, d = delta_psi(spec.potential, pt)

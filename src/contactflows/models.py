@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .extended import ExtendedLiftSpec
 from .lifts import (
     DriftField,
     LiftSpec,
@@ -104,17 +103,17 @@ class OnsagerParams:
         return np.linalg.inv(self.L_matrix)
 
 
-def _thermal(params: CircuitParams, base: LiftSpec) -> ExtendedLiftSpec:
+def _thermal(params: CircuitParams, base: LiftSpec) -> LiftSpec:
     """The conserving lift of a circuit's psi-side lift, anchored at T0."""
     if params.T0 <= 0:
         raise ValueError("thermal model requires T0 > 0")
-    return ExtendedLiftSpec(base=base, anchor=params.T0)
+    return replace(base, anchor=params.T0)
 
 
 # ---------------------------------------------------------------------------
 # RC circuit: psi(Q) = Q^2/(2C), dQ/dt = -Q/(RC).
 
-def _rc_base(params: CircuitParams) -> LiftSpec:
+def rc_spec(params: CircuitParams) -> LiftSpec:
     params.require("C")
     if params.potential is not None:
         psi = params.potential
@@ -133,12 +132,8 @@ def _rc_base(params: CircuitParams) -> LiftSpec:
                     restoring=linear_restoring(params.gamma0))
 
 
-def rc_spec(params: CircuitParams) -> LiftSpec:
-    return _rc_base(params)
-
-
-def rc_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
-    return _thermal(params, _rc_base(params))
+def rc_thermal_spec(params: CircuitParams) -> LiftSpec:
+    return _thermal(params, rc_spec(params))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def rl_spec(params: CircuitParams) -> LiftSpec:
                     restoring=linear_restoring(params.gamma0))
 
 
-def rl_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
+def rl_thermal_spec(params: CircuitParams) -> LiftSpec:
     return _thermal(params, replace(rl_spec(params), side="psi"))
 
 
@@ -188,7 +183,7 @@ def rlc_spec(params: CircuitParams) -> LiftSpec:
                     restoring=linear_restoring(params.gamma0))
 
 
-def rlc_thermal_spec(params: CircuitParams) -> ExtendedLiftSpec:
+def rlc_thermal_spec(params: CircuitParams) -> LiftSpec:
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
     drift = DriftField(

@@ -36,9 +36,15 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, ContactFlowsError, EvaluationError, ScenarioError
-from .extended import ExtendedLiftSpec, embed_extended
+from .extended import embed_extended
 from .geometry import CanonicalPoint
-from .integrate import IntegratorConfig, Trajectory, fit_decay_rate, integrate_lift
+from .integrate import (
+    MAX_STEP_ATTEMPTS,
+    IntegratorConfig,
+    Trajectory,
+    fit_decay_rate,
+    integrate_lift,
+)
 from .lifts import LiftSpec
 from .models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams
 from .potentials import DuallyFlatWorkspace, embed_phi, embed_psi
@@ -81,8 +87,8 @@ def _check_keys(section, allowed, where: str) -> None:
 @dataclass
 class Scenario:
     model_name: str
-    spec: object  # LiftSpec | ExtendedLiftSpec
-    initial: CanonicalPoint  # of dimension n+1 for an extended lift
+    spec: LiftSpec
+    initial: CanonicalPoint  # of dimension n+1 for a lift with an anchor
     t_end: float
     config: IntegratorConfig
     outputs: dict = field(default_factory=dict)
@@ -116,12 +122,11 @@ def _build_model(section) -> tuple:
         raise ScenarioError(str(exc), location="[model]") from exc
 
 
-def _build_initial(section, spec):
-    extended = isinstance(spec, ExtendedLiftSpec)
-    base = spec.base if extended else spec
-    n = base.n
+def _build_initial(section, spec: LiftSpec):
+    extended = spec.anchor is not None
+    n = spec.n
     keys = set(section)
-    key = "x" if base.side == "psi" else "p"
+    key = "x" if spec.side == "psi" else "p"
     full = {"x", "p", "z"} | ({"x_extra", "p_extra"} if extended else set())
     # without z the start is embedded from the chart coordinate (and x_extra)
     on_graph = {key} | ({"x_extra"} if extended else set())
@@ -130,7 +135,7 @@ def _build_initial(section, spec):
         if "z" not in keys:
             # on-submanifold start in the chart coordinate of the model's side
             if key not in keys:
-                raise ScenarioError(f"{base.side}-side start needs {key!r}",
+                raise ScenarioError(f"{spec.side}-side start needs {key!r}",
                                     location="[initial]")
             chart = _floats(section[key])
             if len(chart) != n:
@@ -140,8 +145,8 @@ def _build_initial(section, spec):
             if extended:
                 extra = float(section.get("x_extra", 0.0))
                 return embed_extended(spec, chart, extra)
-            embed = embed_psi if base.side == "psi" else embed_phi
-            return embed(base.potential, chart)
+            embed = embed_psi if spec.side == "psi" else embed_phi
+            return embed(spec.potential, chart)
         x = _floats(section["x"])
         p = _floats(section["p"])
         z = float(section["z"])
@@ -203,6 +208,9 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
         )
     except ValueError as exc:
         raise ScenarioError(str(exc), location="[integrator]") from exc
+    if method == "rk4" and t_end / config.step > MAX_STEP_ATTEMPTS:
+        raise ScenarioError(f"t_end / step = {t_end / config.step:.3g} exceeds the step "
+                            f"budget {MAX_STEP_ATTEMPTS}", location="[integrator]")
 
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"},
@@ -214,13 +222,12 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
 # ---------------------------------------------------------------------------
 # Artifacts.
 
-def state_columns(spec) -> List[str]:
-    extended = isinstance(spec, ExtendedLiftSpec)
-    n = (spec.base if extended else spec).n
-    cols = [f"x{a + 1}" for a in range(n)]
+def state_columns(spec: LiftSpec) -> List[str]:
+    extended = spec.anchor is not None
+    cols = [f"x{a + 1}" for a in range(spec.n)]
     if extended:
         cols.append("x_extra")
-    cols += [f"p{a + 1}" for a in range(n)]
+    cols += [f"p{a + 1}" for a in range(spec.n)]
     if extended:
         cols.append("p_extra")
     cols.append("z")
@@ -228,8 +235,7 @@ def state_columns(spec) -> List[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, spec, path) -> None:
-    diag_names = [k for k in ("h", "delta0", "delta_norm", "kappa",
-                              "psi_tilde", "S") if k in traj.diagnostics]
+    diag_names = list(traj.diagnostics)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + state_columns(spec) + diag_names)
@@ -270,9 +276,7 @@ class InvariantReport:
 def build_invariant_report(scenario: Scenario, traj: Trajectory,
                            tol: float = 1e-8) -> InvariantReport:
     spec = scenario.spec
-    extended = isinstance(spec, ExtendedLiftSpec)
-    base = spec.base if extended else spec
-    gamma0 = base.restoring.gamma0
+    gamma0 = spec.restoring.gamma0
     checks = []
 
     h = traj.diagnostics["h"]
@@ -302,14 +306,13 @@ def build_invariant_report(scenario: Scenario, traj: Trajectory,
             resid = abs(rate + gamma0)
             checks.append(InvariantCheck(name, expected, rate, resid, resid < 1e-3))
 
-    if extended:
-        H = traj.diagnostics.get("psi_tilde")  # the total energy H_tot
-        S = traj.diagnostics.get("S")
-        if H is not None:
-            resid = float(np.max(np.abs(H - H[0]))) / max(traj.times[-1], 1.0)
-            checks.append(InvariantCheck("H_tot conserved", "dH_tot/dt = 0",
-                                         resid, resid, resid < 1e-9))
-        if S is not None and len(S) > 1:
+    if spec.anchor is not None:
+        H = traj.diagnostics["psi_tilde"]  # the total energy H_tot
+        S = traj.diagnostics["S"]
+        resid = float(np.max(np.abs(H - H[0]))) / max(traj.times[-1], 1.0)
+        checks.append(InvariantCheck("H_tot conserved", "dH_tot/dt = 0",
+                                     resid, resid, resid < 1e-9))
+        if len(S) > 1:
             dS = np.diff(S)
             fitted = float(np.min(dS))
             ok = bool(np.all(dS >= -1e-13))
@@ -415,18 +418,17 @@ def run_scenario(path, out_dir=None, tol: float = 1e-8,
             dest.write_text(report.render())
             artifacts.append(dest)
         if "divergence_table" in scenario.outputs:
-            base = scenario.spec.base if isinstance(scenario.spec, ExtendedLiftSpec) else scenario.spec
             dest = out_dir / scenario.outputs["divergence_table"]
-            grid = _trajectory_grid(traj, base)
-            write_divergence_csv(divergence_table(base.workspace, grid), dest)
+            grid = _trajectory_grid(traj, scenario.spec)
+            write_divergence_csv(divergence_table(scenario.spec.workspace, grid), dest)
             artifacts.append(dest)
     code = EXIT_PASS if report.passed else EXIT_CHECK_FAILED
     return ScenarioResult(code, report=report, trajectory=traj, artifacts=artifacts)
 
 
-def _trajectory_grid(traj: Trajectory, base: LiftSpec):
+def _trajectory_grid(traj: Trajectory, spec: LiftSpec):
     """A small grid of x-points sampled along the trajectory."""
-    n = base.n
+    n = spec.n
     idx = np.linspace(0, len(traj.times) - 1, min(5, len(traj.times))).astype(int)
     pts = [traj.states[i][:n] for i in idx]
     return [(a, b) for a in pts for b in pts]

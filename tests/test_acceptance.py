@@ -6,16 +6,12 @@ algebraic identities, each derived independently in the test body.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from contactflows.extended import (
-    ExtendedLiftSpec,
-    embed_extended,
-    tilde_hamiltonian,
-    tilde_potential_value,
-)
+from contactflows.extended import embed_extended
 from contactflows.geometry import (
     CanonicalPoint,
     hamiltonian_vector_field,
@@ -170,8 +166,7 @@ def test_criterion_5_compressibility_and_density():
     expect = f[0] * np.exp(-kappa * traj.times)
     assert np.max(np.abs(f - expect) / np.abs(expect)) < 1e-6
 
-    ext = ExtendedLiftSpec(base=spec, anchor=1.0)
-    ht = tilde_hamiltonian(ext)
+    ht = build_hamiltonian(replace(spec, anchor=1.0))
     for _ in range(50):
         kappa = phase_compressibility(ht, _random_point(2))
         assert abs(kappa - (-3 * gamma0)) < 1e-5
@@ -255,7 +250,7 @@ def test_criterion_8_circuits():
     th = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=2.0))
     traj = integrate_lift(th, embed_extended(th, np.array([1.0, 0.5]), 0.0), 2.0)
     # pointwise identity dS/dt = R I^2 / T0 via the field itself
-    h = tilde_hamiltonian(th)
+    h = build_hamiltonian(th)
     for i in range(0, len(traj.times), 7):
         pt = CanonicalPoint(traj.states[i][:3], traj.states[i][3:6], traj.states[i][6])
         v = hamiltonian_vector_field(h, pt)
@@ -275,7 +270,7 @@ def test_criterion_9_conserving_lift():
         base = LiftSpec(side="psi", potential=quadratic_potential(np.eye(1)),
                         drift=linear_drift(float(jac), 1),
                         restoring=linear_restoring(1.0))
-        cases.append(ExtendedLiftSpec(base=base, anchor=float(RNG.uniform(0.5, 2.0))))
+        cases.append(replace(base, anchor=float(RNG.uniform(0.5, 2.0))))
 
     for spec in cases:
         n = spec.n
@@ -288,7 +283,7 @@ def test_criterion_9_conserving_lift():
         assert np.max(np.abs(vals - vals[0])) / 2.0 < 1e-9
 
         # witness: the section-3 lift does not conserve the base potential
-        base = spec.base
+        base = replace(spec, anchor=None)
         lie_vals = []
         for _ in range(20):
             pt = _random_point(n, scale=0.8)

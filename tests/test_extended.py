@@ -1,14 +1,15 @@
 """Extended (2n+3)-dimensional conserving lift."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contactflows.extended import (
-    ExtendedLiftSpec,
     embed_extended,
+    extension_spec,
     restricted_extended_field,
     tilde_deltas,
-    tilde_hamiltonian,
     tilde_potential_value,
 )
 from contactflows.geometry import (
@@ -27,33 +28,35 @@ RNG = np.random.default_rng(31)
 def make_extended(side="psi", n=1, anchor=1.0, gamma0=1.0, jac=-0.5, potential=None):
     if potential is None:
         potential = spin_potential(n) if side == "psi" else quadratic_potential(np.eye(n))
-    base = LiftSpec(
+    return LiftSpec(
         side=side,
         potential=potential,
         drift=linear_drift(jac, n),
         restoring=linear_restoring(gamma0),
+        anchor=anchor,
     )
-    return ExtendedLiftSpec(base=base, anchor=anchor)
 
 
 class TestConstruction:
     def test_zero_anchor_rejected(self):
-        base = make_extended().base
+        spec = make_extended()
         for anchor in (0.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
-                ExtendedLiftSpec(base=base, anchor=anchor)
+                replace(spec, anchor=anchor)
 
     def test_extension_spec_needs_psi_side(self):
-        from contactflows.extended import extension_spec
-
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="psi-side lift with an anchor"):
             extension_spec(make_extended(side="phi"))
+
+    def test_extension_spec_needs_an_anchor(self):
+        with pytest.raises(ValueError, match="psi-side lift with an anchor"):
+            extension_spec(replace(make_extended(), anchor=None))
 
 
 class TestTildeStructure:
     def test_tilde_potential_value(self):
         spec = make_extended(anchor=2.0)
-        psi = spec.base.potential
+        psi = spec.potential
         x = np.array([0.4])
         assert tilde_potential_value(spec, x, 0.3) == pytest.approx(
             psi.value_at(x) + 2.0 * 0.3)
@@ -66,7 +69,7 @@ class TestTildeStructure:
 
     def test_tilde_h_vanishes_on_extended_graph(self):
         spec = make_extended(anchor=1.5)
-        h = tilde_hamiltonian(spec)
+        h = build_hamiltonian(spec)
         pt = embed_extended(spec, np.array([-0.3]), 0.8)
         assert abs(h(pt)) < 1e-12
 
@@ -75,7 +78,7 @@ class TestTildeStructure:
         from contactflows.geometry import ContactHamiltonian, hamiltonian_vector_field
 
         spec = make_extended(side=side, anchor=1.3, gamma0=0.9, jac=-0.4)
-        h = tilde_hamiltonian(spec)
+        h = build_hamiltonian(spec)
         fd = ContactHamiltonian(n=2, value=h.value)
         for _ in range(10):
             pt = CanonicalPoint(0.4 * RNG.standard_normal(2),
@@ -121,7 +124,7 @@ class TestConservation:
     def test_section3_lift_does_not_conserve_psi(self):
         # non-conservation witness: the plain lift moves psi(x) - is not
         # constant because dx/dt = F does not annihilate grad psi
-        base = make_extended().base
+        base = replace(make_extended(), anchor=None)
         pt = CanonicalPoint(np.array([0.8]), np.array([0.5]), 0.9)
         v = hamiltonian_vector_field(build_hamiltonian(base), pt)
         lie = float(base.potential.gradient_at(pt.x) @ v.dx)
@@ -131,36 +134,26 @@ class TestConservation:
         # psi side: dx_extra/dt = -(grad psi . F)/anchor  [DERIVED]
         spec = make_extended(anchor=2.0, jac=-0.5)
         v = restricted_extended_field(spec, np.array([0.6]))
-        psi = spec.base.potential
+        psi = spec.potential
         expect = -float(psi.gradient_at(np.array([0.6])) @ (-0.5 * np.array([0.6]))) / 2.0
         assert v.dx[-1] == pytest.approx(expect, abs=1e-12)
         # z = psi~ on the graph stays constant: the extra coordinate
         # absorbs exactly what the base potential loses
         assert v.dp[-1] == 0.0 and v.dz == 0.0
 
-    @pytest.mark.parametrize("side", ["psi", "phi"])
-    def test_ambient_field_matches_restricted_on_graph(self, side):
-        # on the phi side the restricted dz is p . Hess phi . F, not zero
-        spec = make_extended(side=side, anchor=1.5, potential=spin_potential(1))
-        u = np.array([0.4])
-        pt = embed_extended(spec, u, 0.3)
-        va = hamiltonian_vector_field(tilde_hamiltonian(spec), pt)
-        vr = restricted_extended_field(spec, u)
-        assert np.allclose(va.as_array(), vr.as_array(), rtol=0, atol=1e-10)
-
 
 class TestExtendedDensity:
     def test_compressibility_is_n_plus_two(self):
         # the extended lift lives in n+1 dimensions: kappa = -(n+2) gamma0
         spec = make_extended(gamma0=1.1)
-        h = tilde_hamiltonian(spec)
+        h = build_hamiltonian(spec)
         pt = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, 0.9]), -0.5)
         kappa = phase_compressibility(h, pt)
         assert kappa == pytest.approx(-3 * 1.1, abs=1e-6)
 
     def test_density_exponent(self):
         spec = make_extended()
-        h = tilde_hamiltonian(spec)
+        h = build_hamiltonian(spec)
         pt = CanonicalPoint(np.array([0.0, 0.0]), np.array([0.0, 1.0]), -1.0)
         hval = h(pt)
         assert hval > 0

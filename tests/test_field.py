@@ -7,7 +7,10 @@ the h and kappa diagnostics from it.  The oracle reads no jet: it writes
 h = D . F + Gamma(D0) from the defect functions (``delta_psi``,
 ``delta_phi``, ``tilde_deltas``) and the drift of the lift's own chart,
 and takes its partials by central differences.  The extended lift's jet
-is also checked against the base lift on psi~ (``extension_spec``).
+is also checked against the base lift on psi~ (``extension_spec``).  Over
+the same lifts, properties check the contact identities, that the field on
+the submanifold is the restricted field, and that off it the defects move
+at ``delta_velocities``.
 """
 
 import numpy as np
@@ -18,15 +21,16 @@ from hypothesis import strategies as st
 from contactflows import integrate, potentials
 from contactflows.errors import DimensionMismatchError, EvaluationError
 from contactflows.extended import (
-    ExtendedLiftSpec,
-    dual_extended_spec,
+    embed_extended,
     extension_spec,
+    restricted_extended_field,
     tilde_deltas,
-    tilde_hamiltonian,
 )
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
+    TangentVector,
+    central_jacobian,
     hamiltonian_vector_field,
     phase_compressibility,
     swap_hamiltonian,
@@ -38,7 +42,11 @@ from contactflows.lifts import (
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
+    delta_velocities,
+    dual_spec,
     linear_drift,
+    restricted_field_phi,
+    restricted_field_psi,
 )
 from contactflows.models import (
     MODEL_BUILDERS,
@@ -49,6 +57,8 @@ from contactflows.models import (
 from contactflows.potentials import (
     delta_phi,
     delta_psi,
+    embed_phi,
+    embed_psi,
     quadratic_potential,
     spin_potential,
 )
@@ -74,9 +84,10 @@ def other(side):
     return "phi" if side == "psi" else "psi"
 
 
-def on_side(base: LiftSpec, side: str) -> LiftSpec:
-    return LiftSpec(side=side, potential=base.potential, drift=base.drift,
-                    restoring=base.restoring)
+def on_side(spec: LiftSpec, side: str) -> LiftSpec:
+    """The base lift (no anchor) of the spec's potential, drift and restoring on a side."""
+    return LiftSpec(side=side, potential=spec.potential, drift=spec.drift,
+                    restoring=spec.restoring)
 
 
 def model_cases():
@@ -85,8 +96,7 @@ def model_cases():
     for name, build in MODEL_BUILDERS.items():
         spec = build(PARAMS.get(name, CIRCUIT))
         cases.append((name, spec))
-        base = spec.base if isinstance(spec, ExtendedLiftSpec) else spec
-        cases.append((f"{name}-base-{other(base.side)}", on_side(base, other(base.side))))
+        cases.append((f"{name}-base-{other(spec.side)}", on_side(spec, other(spec.side))))
     return cases
 
 
@@ -101,17 +111,12 @@ def custom_cases():
                       LiftSpec(side=side, potential=quadratic_potential([[2.0, 0.4], [0.4, 1.0]]),
                                drift=NO_JACOBIAN, restoring=QUADRATIC_GAMMA)))
         cases.append((f"extended-quadratic-gamma-{side}",
-                      ExtendedLiftSpec(LiftSpec(side=side, potential=spin_potential(2),
-                                                drift=NO_JACOBIAN, restoring=QUADRATIC_GAMMA),
-                                       anchor=1.3)))
+                      LiftSpec(side=side, potential=spin_potential(2), drift=NO_JACOBIAN,
+                               restoring=QUADRATIC_GAMMA, anchor=1.3)))
     return cases
 
 
 CASES = model_cases() + custom_cases()
-
-
-def hamiltonian(spec):
-    return tilde_hamiltonian(spec) if isinstance(spec, ExtendedLiftSpec) else build_hamiltonian(spec)
 
 
 def random_state(dim):
@@ -119,26 +124,21 @@ def random_state(dim):
     return RNG.uniform(-0.9, 0.9, dim)
 
 
-def base_of(spec) -> LiftSpec:
-    return spec.base if isinstance(spec, ExtendedLiftSpec) else spec
-
-
 def defects(spec, pt):
     """(D0, D) of the lift at a point, from its defect functions alone."""
-    if isinstance(spec, ExtendedLiftSpec):
+    if spec.anchor is not None:
         return tilde_deltas(spec, pt)
     return (delta_psi if spec.side == "psi" else delta_phi)(spec.potential, pt)
 
 
 def independent_h(spec):
     """h = D . F + Gamma(D0), with F read at the chart coordinate of the base lift."""
-    base = base_of(spec)
 
     def value(x, p, z):
         pt = CanonicalPoint(x, p, z)
         d0, d = defects(spec, pt)
         u = (pt.x if spec.side == "psi" else pt.p)[:spec.n]
-        return float(d @ base.drift.at(u)) + base.restoring.eval(d0)
+        return float(d @ spec.drift.at(u)) + spec.restoring.eval(d0)
 
     return value
 
@@ -147,7 +147,7 @@ def independent_h(spec):
 def test_fused_field_matches_generic_field(spec):
     # the field, partials and h, kappa diagnostics read from the lift's jet,
     # against the generic ones of the independent h given as a value alone
-    h = hamiltonian(spec)
+    h = build_hamiltonian(spec)
     m = h.n
     oracle = ContactHamiltonian(n=m, value=independent_h(spec))
     for _ in range(10):
@@ -165,19 +165,19 @@ def test_fused_field_matches_generic_field(spec):
         assert abs(diag["kappa"] - (m + 1) * expect[2]) <= FD_TOL * scale
 
 
-EXTENDED = [(i, s) for i, s in CASES if isinstance(s, ExtendedLiftSpec)]
+EXTENDED = [(i, s) for i, s in CASES if s.anchor is not None]
 
 
 @pytest.mark.parametrize("spec", [s for _, s in EXTENDED], ids=[i for i, _ in EXTENDED])
 def test_extended_field_is_the_base_field_on_psi_tilde(spec):
     # h~ is the base lift of psi~(x, x_extra) = psi(x) + anchor x_extra with
     # drift F~ = (F, -grad psi . F / anchor), whose gradient F~ keeps level
-    psi_side = spec if spec.side == "psi" else dual_extended_spec(spec)
+    psi_side = spec if spec.side == "psi" else dual_spec(spec)
     ext = extension_spec(psi_side)
     base = build_hamiltonian(ext)
     if spec.side == "phi":
         base = swap_hamiltonian(base)
-    h = tilde_hamiltonian(spec)
+    h = build_hamiltonian(spec)
     for _ in range(10):
         y = random_state(2 * h.n + 1)
         lifted, reference = h.field(y), base.field(y)
@@ -189,14 +189,14 @@ def test_extended_field_is_the_base_field_on_psi_tilde(spec):
 
 
 def test_point_and_flat_state_give_the_same_field():
-    h = hamiltonian(MODEL_BUILDERS["rlc"](CIRCUIT))
+    h = build_hamiltonian(MODEL_BUILDERS["rlc"](CIRCUIT))
     y = random_state(5)
     v = hamiltonian_vector_field(h, CanonicalPoint(y[:2], y[2:4], y[4]))
     assert np.array_equal(v.as_array(), hamiltonian_vector_field(h, y))
 
 
 def test_flat_state_of_wrong_length_rejected():
-    h = hamiltonian(MODEL_BUILDERS["rlc"](CIRCUIT))
+    h = build_hamiltonian(MODEL_BUILDERS["rlc"](CIRCUIT))
     with pytest.raises(DimensionMismatchError):
         hamiltonian_vector_field(h, np.zeros(4))
 
@@ -237,9 +237,9 @@ class TestInitialState:
 # The diagnostics the step loop records against a per-state reference through points.
 
 def reference_diagnostics(spec, states):
-    extended = isinstance(spec, ExtendedLiftSpec)
+    extended = spec.anchor is not None
     m = spec.n + 1 if extended else spec.n
-    value, restoring = independent_h(spec), base_of(spec).restoring
+    value, restoring = independent_h(spec), spec.restoring
     rows = {k: [] for k in ("h", "delta0", "delta_norm", "kappa", "psi_tilde", "S")}
     for y in states:
         pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
@@ -249,9 +249,9 @@ def reference_diagnostics(spec, states):
         rows["kappa"].append(-(m + 1) * restoring.derivative(d0))
         if extended:
             x, p = pt.x[:-1], pt.p[:-1]
-            conserved = (spec.base.potential.value_at(x) + spec.anchor * pt.x[-1]
+            conserved = (spec.potential.value_at(x) + spec.anchor * pt.x[-1]
                          if spec.side == "psi" else
-                         spec.base.workspace.phi_value(p) + spec.anchor * pt.p[-1])
+                         spec.workspace.phi_value(p) + spec.anchor * pt.p[-1])
             rows["psi_tilde"].append(conserved)
             rows["S"].append(pt.x[-1] if spec.side == "psi" else pt.p[-1])
         rows["delta0"].append(d0)
@@ -261,8 +261,7 @@ def reference_diagnostics(spec, states):
 
 @pytest.mark.parametrize("spec", [s for _, s in CASES], ids=[i for i, _ in CASES])
 def test_diagnostics_match_per_state_reference(spec):
-    extended = isinstance(spec, ExtendedLiftSpec)
-    dim = 2 * (spec.n + 1 if extended else spec.n) + 1
+    dim = 2 * (spec.n + 1 if spec.anchor is not None else spec.n) + 1
     traj = integrate_lift(spec, random_state(dim), 0.3)
     expect = reference_diagnostics(spec, traj.states)
     got = traj.diagnostics
@@ -299,7 +298,7 @@ def test_phi_diagnostics_solve_only_the_final_state_again(monkeypatch):
 # holds by construction of the field's assembly from the jet (dz = h - p . dh/dp),
 # so it is no evidence about a lift and is not asserted here.
 
-HAMILTONIANS = [hamiltonian(s) for _, s in CASES]
+HAMILTONIANS = [build_hamiltonian(s) for _, s in CASES]
 
 
 @st.composite
@@ -328,3 +327,68 @@ def test_recorded_kappa_is_the_phase_compressibility(case):
     diag = {}
     h.field(np.concatenate([pt.x, pt.p, [pt.z]]), diag)
     assert phase_compressibility(h, pt) == diag["kappa"]
+
+
+# ---------------------------------------------------------------------------
+# What the lift is built for, as properties over the lifts of CASES: on the
+# submanifold it reproduces the restricted field, and off it the defects move
+# by the triangular system of delta_velocities.
+
+def on_submanifold(spec, u, extra):
+    """The point of the lift's submanifold over chart coordinate u (and the
+    extra coordinate of an extended lift), and the restricted field there."""
+    if spec.anchor is not None:
+        return embed_extended(spec, u, extra), restricted_extended_field(spec, u)
+    embed, restricted = ((embed_psi, restricted_field_psi) if spec.side == "psi"
+                         else (embed_phi, restricted_field_phi))
+    return embed(spec.potential, u), TangentVector(*restricted(spec, u))
+
+
+def vectors(n):
+    return st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def chart_starts(draw):
+    spec = draw(st.sampled_from([s for _, s in CASES]))
+    return spec, draw(vectors(spec.n)), draw(st.floats(-0.9, 0.9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_starts())
+def test_lifted_field_is_the_restricted_field_on_the_submanifold(case):
+    # base and extended lifts on both charts; on the phi side the restricted
+    # dz is p . Hess phi . F, not zero
+    spec, u, extra = case
+    pt, restricted = on_submanifold(spec, u, extra)
+    v = hamiltonian_vector_field(build_hamiltonian(spec), pt).as_array()
+    expect = restricted.as_array()
+    assert np.max(np.abs(v - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
+
+
+@st.composite
+def base_lift_states(draw):
+    spec = draw(st.sampled_from([s for _, s in CASES if s.anchor is None]))
+    return spec, CanonicalPoint(draw(vectors(spec.n)), draw(vectors(spec.n)),
+                                draw(st.floats(-0.9, 0.9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_lift_states())
+def test_defects_move_along_the_field_at_their_velocities(case):
+    # d/dt (D0, D) along X_h, by central differences of delta_psi or delta_phi,
+    # is (-Gamma(D0), -J^T D - Gamma'(D0) D)
+    spec, pt = case
+    m = spec.n
+    y = np.concatenate([pt.x, pt.p, [pt.z]])
+    v = hamiltonian_vector_field(build_hamiltonian(spec), y)
+    delta = delta_psi if spec.side == "psi" else delta_phi
+
+    def along(t):
+        s = y + t[0] * v
+        d0, d = delta(spec.potential, CanonicalPoint(s[:m], s[m:2 * m], s[2 * m]))
+        return np.append(d0, d)
+
+    rate = central_jacobian(along, np.zeros(1))[:, 0]
+    expect = np.append(*delta_velocities(spec, pt))
+    assert np.max(np.abs(rate - expect)) <= 1e-8 * (1.0 + float(np.max(np.abs(v)))) ** 2

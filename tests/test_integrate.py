@@ -62,6 +62,25 @@ class TestRK4:
         assert not traj.truncated
         assert traj.times[-1] == pytest.approx(0.35, abs=1e-12)
 
+    def test_run_over_the_step_budget_rejected_before_it_starts(self):
+        # t_end / step = 1e11 steps
+        def f(t, y):
+            raise AssertionError("a run over the step budget was started")
+
+        with pytest.raises(ValueError, match="step budget"):
+            solve_fixed(f, np.array([1.0]), 1e4, 1e-7)
+        spec = rc_unit()
+        with pytest.raises(ValueError, match="step budget"):
+            integrate_lift(spec, embed_psi(spec.potential, np.array([1.0])), 1e4,
+                           IntegratorConfig(method="rk4", step=1e-7))
+
+    def test_run_of_exactly_the_step_budget_runs(self, monkeypatch):
+        monkeypatch.setattr(integrate_module, "MAX_STEP_ATTEMPTS", 5)
+        traj = solve_fixed(lambda t, y: -y, np.array([1.0]), 0.5, 0.1)
+        assert len(traj.times) == 6 and not traj.truncated
+        with pytest.raises(ValueError, match="step budget"):
+            solve_fixed(lambda t, y: -y, np.array([1.0]), 0.6, 0.1)
+
 
 class TestRKF45:
     def test_respects_tolerance(self):
@@ -144,15 +163,16 @@ class TestAborts:
         from contactflows.potentials import embed_phi, spin_potential
 
         # dp/dt = -300 (p - 0.99): the first step's later stages overshoot the
-        # spin dual chart |p| < 1, so Newton fails there and the step shrinks
+        # spin dual chart |p| < 1, so Newton fails there and the step shrinks;
+        # t = 0.1 is 30 time constants
         spec = LiftSpec(side="phi", potential=spin_potential(1),
                         drift=linear_drift(-300.0, 1, offset=[0.99]),
                         restoring=linear_restoring(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate_lift(spec, embed_phi(spec.potential, np.array([0.0])), 1.0)
+            traj = integrate_lift(spec, embed_phi(spec.potential, np.array([0.0])), 0.1)
         assert not traj.truncated
-        assert abs(traj.final_state[1] - 0.99 * (1 - np.exp(-300.0))) < 1e-13
+        assert abs(traj.final_state[1] - 0.99 * (1 - np.exp(-30.0))) < 1e-13
 
     def test_rkf45_step_floor_names_the_last_stage_error(self):
         def f(t, y):  # dy/dt = 1, evaluable up to y = 1, reached at t = 0.5

@@ -1,5 +1,7 @@
 """Lifted vector fields, defect decay, stability certificates, densities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,16 @@ class TestRestrictedFields:
         assert np.allclose(v.dx, dx, atol=1e-12)
         assert np.allclose(v.dp, dp, atol=1e-10)
         assert v.dz == pytest.approx(dz, abs=1e-10)
+
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_base_lift_formulas_reject_an_anchor(self, side):
+        # a lift with an anchor has restricted_extended_field and tilde_deltas
+        spec = replace(make_spec(side=side, n=1), anchor=1.3)
+        restricted = restricted_field_psi if side == "psi" else restricted_field_phi
+        with pytest.raises(ValueError, match="base lift"):
+            restricted(spec, np.array([0.3]))
+        with pytest.raises(ValueError, match="base lift"):
+            delta_velocities(spec, CanonicalPoint(np.array([0.2]), np.array([0.5]), 1.0))
 
 
 class TestDeltaDecay:

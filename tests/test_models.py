@@ -1,5 +1,7 @@
 """Prebuilt models: circuits (plain + thermal), spin, Onsager flows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestRL:
         # RC in (Q, V) and RL in (N, I) coincide under C <-> L relabeling;
         # the decay rates 1/(RC) and R/L agree when R = 1
         rc = rc_spec(CircuitParams(R=1.0, C=0.7))
-        rl = rl_thermal_spec(CircuitParams(R=1.0, L=0.7, T0=1.0)).base
+        rl = replace(rl_thermal_spec(CircuitParams(R=1.0, L=0.7, T0=1.0)), anchor=None)
         x0 = np.array([0.9])
         t_rc = integrate_lift(rc, embed_psi(rc.potential, x0), 1.0)
         t_rl = integrate_lift(rl, embed_psi(rl.potential, x0), 1.0)

@@ -1,6 +1,7 @@
 """Convex potentials, numeric Legendre transform, divergences."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from contactflows.errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from contactflows.extended import ExtendedLiftSpec, tilde_hamiltonian
 from contactflows.geometry import CanonicalPoint
 from contactflows.integrate import integrate_lift
 from contactflows.lifts import (
@@ -313,7 +313,7 @@ def potential_cases():
     cases = [("spin2", spin_potential(2))]
     for name, build in MODEL_BUILDERS.items():
         spec = build(params.get(name, CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8)))
-        cases.append((name, (spec.base if isinstance(spec, ExtendedLiftSpec) else spec).potential))
+        cases.append((name, spec.potential))
     return cases
 
 
@@ -364,7 +364,7 @@ class TestJet:
         y = np.concatenate([start.x, start.p, [start.z]])
         h = build_hamiltonian(spec)
         if extended:  # flat state (x, x_extra, p, p_extra, z) of the extended lift
-            h = tilde_hamiltonian(ExtendedLiftSpec(spec, anchor=1.3))
+            h = build_hamiltonian(replace(spec, anchor=1.3))
             y = np.concatenate([start.x, [0.2], start.p, [1.1], [start.z]])
         for k in range(5):
             diag = {} if k % 2 else None
@@ -518,6 +518,7 @@ class TestWorkspaceCache:
     def test_phi_run_independent_of_memo_history(self, model):
         start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
         elsewhere = CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0)
+        t_end = 5.0
         if model == "rlc":
             spec, start = off_graph_rlc()
         elif model == "spin2":
@@ -532,14 +533,16 @@ class TestWorkspaceCache:
             assert drift.workspace is drift_ws
             spec = LiftSpec(side="phi", potential=ws.psi, drift=drift,
                             restoring=linear_restoring(1.0), workspace=ws)
-            start = CanonicalPoint(np.array([0.66, 0.32]), np.array([0.35, 0.61]), 0.1)
+            # starts whose runs differed while nothing cleared ws, or drift_ws
+            start = CanonicalPoint(np.array([0.27, -0.46]), np.array([-0.73, -0.77]), 0.1)
             elsewhere = CanonicalPoint(np.array([-0.14, 0.52]), np.array([0.756, -0.795]), 0.0)
-            if drift_ws is not ws:  # a start whose runs differed while nothing cleared drift_ws
+            if drift_ws is not ws:
                 start = CanonicalPoint(np.array([0.02, 0.9]), np.array([-0.57, 0.72]), 0.1)
-        first = integrate_lift(spec, start, 5.0)
+            t_end = 0.3
+        first = integrate_lift(spec, start, t_end)
         # a short run elsewhere leaves another solve in the memo
         integrate_lift(spec, elsewhere, 0.05)
-        again = integrate_lift(spec, start, 5.0)
+        again = integrate_lift(spec, start, t_end)
         assert first.times.tobytes() == again.times.tobytes()
         assert first.states.tobytes() == again.states.tobytes()
         assert first.diagnostics.keys() == again.diagnostics.keys()

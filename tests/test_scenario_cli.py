@@ -207,6 +207,20 @@ class TestParsing:
         assert cli_main(["check", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(section)
 
+    def test_rk4_run_over_the_step_budget_rejected(self, tmp_path, capsys, monkeypatch):
+        # t_end / step = 1e11 RK4 steps: rejected at parse time, never integrated
+        def started(*args, **kwargs):
+            raise AssertionError("a run over the step budget was started")
+
+        monkeypatch.setattr(scenario_module, "integrate_lift", started)
+        text = RC_TEXT.replace("step = 1e-3", "step = 1e-7").replace("t_end = 1.0", "t_end = 1e4")
+        path = write(tmp_path, text)
+        result = run_scenario(path, out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[integrator]") and "step budget" in result.message
+        assert cli_main(["check", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("[integrator]")
+
     def test_pythagorean_unknown_point_rejected(self, tmp_path):
         text = (SCENARIOS / "pythagorean.scenario").read_text() + "x4 = 2.0 2.0\n"
         result = run_scenario(write(tmp_path, text), write_outputs=False)

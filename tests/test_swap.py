@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactflows.extended import ExtendedLiftSpec
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -27,7 +26,7 @@ from contactflows.lifts import (
 )
 from contactflows.models import CircuitParams, rl_spec, rlc_spec
 from contactflows.potentials import spin_potential
-from test_field import CASES, hamiltonian
+from test_field import CASES
 from test_geometry import closed_form_h
 
 coord = st.floats(-2.0, 2.0)
@@ -175,8 +174,8 @@ def test_phi_lift_is_the_swapped_psi_lift_of_the_conjugate(case):
 
 # psi-side lifts, two with a nonlinear restoring function, and every
 # extended lift, whose canonical dimension m is n+1
-PSI_AND_EXTENDED = [hamiltonian(s) for _, s in CASES
-                    if isinstance(s, ExtendedLiftSpec) or s.side == "psi"]
+PSI_AND_EXTENDED = [build_hamiltonian(s) for _, s in CASES
+                    if s.anchor is not None or s.side == "psi"]
 
 
 @st.composite
