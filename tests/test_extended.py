@@ -141,6 +141,16 @@ class TestConservation:
         # absorbs exactly what the base potential loses
         assert v.dp[-1] == 0.0 and v.dz == 0.0
 
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_ambient_field_matches_restricted_on_graph(self, side):
+        # on the phi side the restricted dz is p . Hess phi . F, not zero
+        spec = make_extended(side=side, anchor=1.5, potential=spin_potential(1))
+        u = np.array([0.4])
+        pt = embed_extended(spec, u, 0.3)
+        va = hamiltonian_vector_field(build_hamiltonian(spec), pt)
+        vr = restricted_extended_field(spec, u)
+        assert np.allclose(va.as_array(), vr.as_array(), rtol=0, atol=1e-10)
+
 
 class TestExtendedDensity:
     def test_compressibility_is_n_plus_two(self):
