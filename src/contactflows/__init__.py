@@ -20,12 +20,6 @@ from .errors import (
     ScenarioError,
     StrictConvexityError,
 )
-from .extended import (
-    embed_extended,
-    restricted_extended_field,
-    tilde_deltas,
-    tilde_potential_value,
-)
 from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -52,8 +46,10 @@ from .lifts import (
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
+    defects,
     delta_velocities,
     dual_spec,
+    embed,
     geodesic_drift_phi,
     geodesic_drift_psi,
     gradient_drift_phi,
@@ -61,8 +57,7 @@ from .lifts import (
     linear_drift,
     linear_restoring,
     onsager_drift,
-    restricted_field_phi,
-    restricted_field_psi,
+    restricted_field,
     rotational_drift,
     stability_certificate,
 )
@@ -84,9 +79,7 @@ from .potentials import (
     DuallyFlatWorkspace,
     canonical_divergence,
     conjugate,
-    delta_phi,
     delta_psi,
-    embed_phi,
     embed_psi,
     legendre_transform,
     pythagorean_residual,

@@ -4,12 +4,23 @@ A lift is specified by a side (primal ``psi`` chart or dual ``phi`` chart),
 a drift F on the submanifold, and a restoring function of the scalar defect.
 The induced contact Hamiltonian is  h = Delta . F + Gamma(Delta_0); its
 canonical vector field reproduces the drift on the submanifold and pulls
-the defect coordinates back to zero off it.  A lift with an anchor is the
-conserving lift on the (2n+3)-dimensional manifold (see ``extended``).
+the defect coordinates back to zero off it.
+
+A lift with an anchor is the conserving lift on the (2n+3)-dimensional
+manifold.  The potential is extended by a linear term in one extra
+coordinate, psi~(x, x_extra) = psi(x) + anchor * x_extra, and psi~ is
+exactly conserved along the ambient flow: whatever the base potential
+loses, the extra coordinate absorbs (entropy production in the thermal
+circuit models).  That manifold is the contact manifold of dimension
+2(n+1)+1, so a point is a ``CanonicalPoint`` with X = (x, x_extra) and
+P = (p, p_extra), and the lift is the base lift of psi~ in dimension n+1
+with drift F~ = (F, -grad psi . F / anchor) (``extension_spec``).
 
 Only the psi side is written out.  A phi-side lift of psi is the psi-side
-lift of the conjugate phi (``dual_spec``) seen through the Legendre swap
-S(x, p, z) = (p, x, x.p - z).
+lift of the conjugate phi (``dual_spec``, which keeps the anchor) seen
+through the Legendre swap S(x, p, z) = (p, x, x.p - z); with an anchor its
+conserved quantity is phi(p) + anchor * p_extra.  A lift's submanifold is
+reached through ``embed``, ``defects`` and ``restricted_field``.
 """
 
 from __future__ import annotations
@@ -141,8 +152,10 @@ class LiftSpec:
     """Recipe for a lifted flow: chart side, potential, drift, restoring.
 
     A nonzero, finite ``anchor`` makes it the conserving lift on the
-    (2n+3)-dimensional manifold (``extended``): on the psi side the anchor
-    is the pinned value of p_extra; on the phi side, of x_extra.
+    (2n+3)-dimensional manifold: on the psi side the anchor is the pinned
+    value of p_extra; on the phi side, of x_extra.  ``workspace`` must be
+    one of ``potential``, so ``replace(spec, potential=...)`` raises
+    ``ValueError`` unless it is given a new workspace (or None) too.
     """
 
     side: str  # "psi" | "phi"
@@ -165,6 +178,8 @@ class LiftSpec:
             )
         if self.workspace is None:
             object.__setattr__(self, "workspace", DuallyFlatWorkspace(self.potential))
+        elif self.workspace.psi is not self.potential:
+            raise ValueError("workspace is not one of this spec's potential")
 
     @property
     def n(self) -> int:
@@ -202,7 +217,7 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     With an anchor, h~ = D . F + Gamma(D0) in dimension n+1, with
     coordinates X = (x, x_extra), P = (p, p_extra) and
     D = (p_extra / anchor) grad psi - p.  h~ is the base lift of
-    ``extended.extension_spec``; its jet, written out for the extension, is
+    ``extension_spec``; its jet, written out for the extension, is
     Eh = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
           Gamma'(D0) (anchor - p_extra)),
     dh/dP = (-F, grad psi . F / anchor) and dh/dz = -Gamma'(D0).  It stores
@@ -251,27 +266,100 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# Restricted (on-submanifold) fields; closed form, no Hamiltonian needed.
+# The lift's Legendre submanifold: the graph of psi, or with an anchor of
+# psi~; on the phi side, that of the conjugate seen through the swap.
 
-def restricted_field_psi(spec: LiftSpec, x):
-    """On the psi-graph: dx = F, dp = Hess psi . F, dz = grad psi . F.
+def embed(spec: LiftSpec, u, extra: float = 0.0) -> CanonicalPoint:
+    """The point of the lift's submanifold over chart coordinate u.
 
-    A lift with an anchor has ``extended.restricted_extended_field``.
+    u is x on the psi side and p on the phi side.  With an anchor,
+    ``extra`` is the free extra coordinate (x_extra on the psi side,
+    p_extra on the phi side) and the psi-side point is the graph of psi~
+    over X = (u, extra); a base lift has no extra coordinate and ignores it.
     """
-    if spec.side != "psi" or spec.anchor is not None:
-        raise ValueError("spec is not a psi-side base lift")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f = spec.drift.at(x)
-    dp = spec.potential.hessian_at(x) @ f
-    dz = float(spec.potential.gradient_at(x) @ f)
-    return f, dp, dz
+    if spec.side == "phi":
+        return legendre_swap(embed(dual_spec(spec), u, extra))
+    if spec.anchor is None:
+        return embed_psi(spec.potential, u)
+    return embed_psi(extension_spec(spec).potential, np.append(u, extra))
 
 
-def restricted_field_phi(spec: LiftSpec, p):
-    """On the phi-graph: dp = F, dx = Hess phi . F, dz = p . Hess phi . F."""
-    dual = dual_spec(spec)
-    v = push_swap(embed_psi(dual.potential, p), TangentVector(*restricted_field_psi(dual, p)))
-    return v.dx, v.dp, v.dz
+def defects(spec: LiftSpec, pt: CanonicalPoint):
+    """(D0, D) of the lift's submanifold at pt; both vanish exactly on it.
+
+    Base lift, psi side:  D0 = psi(x) - z,  D = grad psi(x) - p.
+    With an anchor, at a point of dimension n+1:
+        D0 = psi(x) + anchor x_extra - z,  D = (p_extra / anchor) grad psi(x) - p,
+    whose norm the jet stores as delta_norm.  The phi side's defects are
+    those of ``dual_spec`` at the swapped point, negated: the swap flips
+    the sign of both.
+    """
+    if spec.side == "phi":
+        return tuple(-d for d in defects(dual_spec(spec), legendre_swap(pt)))
+    if spec.anchor is None:
+        return delta_psi(spec.potential, pt)
+    if pt.n != spec.n + 1:
+        raise DimensionMismatchError(f"point dimension {pt.n} != {spec.n + 1}")
+    x = pt.x[:-1]
+    d0 = spec.potential.value_at(x) + spec.anchor * pt.x[-1] - pt.z
+    return d0, (pt.p[-1] / spec.anchor) * spec.potential.gradient_at(x) - pt.p[:-1]
+
+
+def restricted_field(spec: LiftSpec, u) -> TangentVector:
+    """The lifted field on the submanifold over chart coordinate u, in closed form.
+
+    On the psi side dx = F, dp = Hess psi . F and dz = grad psi . F.  With
+    an anchor the extra coordinate absorbs the potential's drift,
+    anchor * dx_extra = -grad psi . F, and z and p_extra stay exactly
+    constant.  The phi side is the push of the dual's field through the
+    swap: dp = F, dx = Hess phi . F and dz = p . Hess phi . F; with an
+    anchor p_extra absorbs the drift of phi and x_extra stays pinned.
+    """
+    if spec.side == "phi":
+        dual = dual_spec(spec)
+        return push_swap(embed(dual, u), restricted_field(dual, u))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    f = spec.drift.at(u)
+    dp = spec.potential.hessian_at(u) @ f
+    dz = float(spec.potential.gradient_at(u) @ f)
+    if spec.anchor is None:
+        return TangentVector(f, dp, dz)
+    return TangentVector(np.append(f, -dz / spec.anchor), np.append(dp, 0.0), 0.0)
+
+
+def extension_spec(spec: LiftSpec) -> LiftSpec:
+    """The base lift in dimension n+1 whose Hamiltonian is that of ``spec``.
+
+    Its potential is psi~(X) = psi(x) + anchor * x_extra, with gradient
+    (grad psi, anchor) and Hess psi padded with zeros (singular, so only
+    unchecked); its drift is F~ = (F, -grad psi . F / anchor), whose
+    Jacobian has the rows (J, 0) and (-(Hess psi . F + J^T grad psi) / anchor, 0);
+    the restoring function is the same.
+    """
+    if spec.side != "psi" or spec.anchor is None:
+        raise ValueError("extension_spec needs a psi-side lift with an anchor")
+    psi, F, n, anchor = spec.potential, spec.drift, spec.n, spec.anchor
+
+    def drift(X):
+        f = F.at(X[:n])
+        return np.append(f, -(psi.gradient_at(X[:n]) @ f) / anchor)
+
+    def jacobian(X):
+        x = X[:n]
+        f, J = F.at(x), F.jacobian_at(x)
+        row = -(psi.hessian_at(x, check_spd=False) @ f + J.T @ psi.gradient_at(x)) / anchor
+        return np.pad(np.vstack([J, row]), ((0, 0), (0, 1)))
+
+    potential = ConvexPotential(
+        n=n + 1, value=lambda X: psi.value_at(X[:n]) + anchor * X[n],
+        gradient=lambda X: np.append(psi.gradient_at(X[:n]), anchor),
+        hessian=lambda X: np.pad(psi.hessian_at(X[:n], check_spd=False), (0, 1)),
+        name=f"extension of {psi.name}",
+    )
+    return LiftSpec(side="psi", potential=potential,
+                    drift=DriftField(n=n + 1, eval=drift, jacobian=jacobian,
+                                     workspace=F.workspace),
+                    restoring=spec.restoring)
 
 
 def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):
@@ -279,14 +367,12 @@ def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):
 
     Returns (dDelta_0/dt, dDelta/dt) from the triangular system
     dDelta_a = -(dF/du)^T Delta - Gamma' Delta_a,  dDelta_0 = -Gamma(Delta_0).
-    Only a base lift has these defects; one with an anchor raises ``ValueError``.
+    Only a base lift is covered; one with an anchor raises ``ValueError``.
     """
     if spec.anchor is not None:
         raise ValueError("delta_velocities needs a base lift, without an anchor")
-    if spec.side == "phi":  # the swap flips the sign of every defect
-        return tuple(-r for r in delta_velocities(dual_spec(spec), legendre_swap(pt)))
-    d0, d = delta_psi(spec.potential, pt)
-    J = spec.drift.jacobian_at(pt.x)
+    d0, d = defects(spec, pt)
+    J = spec.drift.jacobian_at(pt.x if spec.side == "psi" else pt.p)
     gp = spec.restoring.derivative(d0)
     return -spec.restoring.eval(d0), -J.T @ d - gp * d
 

@@ -23,7 +23,7 @@ from .errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, _as_vector, central_jacobian, legendre_swap
+from .geometry import CanonicalPoint, _as_vector, central_jacobian
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -123,11 +123,15 @@ def spin_potential(n: int = 1) -> ConvexPotential:
         # log(2 cosh t) written stably for large |t|
         return float(np.sum(np.abs(x) + np.log1p(np.exp(-2 * np.abs(x)))))
 
+    @np.errstate(over="ignore")  # cosh^2 overflows past |x| ~ 355, where 1 / cosh^2 is 0
+    def hessian(x):
+        return np.diag(1.0 / np.cosh(x) ** 2)
+
     return ConvexPotential(
         n=n,
         value=value,
         gradient=lambda x: np.tanh(x),
-        hessian=lambda x: np.diag(1.0 / np.cosh(x) ** 2),
+        hessian=hessian,
         name="spin",
     )
 
@@ -254,8 +258,9 @@ def dual_metric(psi: ConvexPotential, p) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Legendre-submanifold embeddings and defect functions.  The phi-side ones
-# are the psi-side ones of the conjugate, seen through the Legendre swap.
+# The graph of a potential and its defect functions.  A lift's submanifold
+# on either chart, with or without an anchor, is ``lifts.embed`` and
+# ``lifts.defects``, which call these.
 
 def embed_psi(psi: ConvexPotential, x) -> CanonicalPoint:
     """(x, grad psi(x), psi(x)): the graph of psi in canonical coordinates."""
@@ -263,25 +268,11 @@ def embed_psi(psi: ConvexPotential, x) -> CanonicalPoint:
     return CanonicalPoint(x, psi.gradient_at(x), psi.value_at(x))
 
 
-def embed_phi(psi: ConvexPotential, p) -> CanonicalPoint:
-    """(x*(p), p, p.x*(p) - phi(p)): the dual-side graph."""
-    return legendre_swap(embed_psi(conjugate(DuallyFlatWorkspace(psi)), p))
-
-
 def delta_psi(psi: ConvexPotential, pt: CanonicalPoint):
     """(Delta_0, Delta) = (psi(x) - z, grad psi(x) - p); zero exactly on the graph."""
     if pt.n != psi.n:
         raise DimensionMismatchError("point dimension mismatch")
     return psi.value_at(pt.x) - pt.z, psi.gradient_at(pt.x) - pt.p
-
-
-def delta_phi(psi: ConvexPotential, pt: CanonicalPoint):
-    """Dual defects (Delta^0, Delta^a) = (x.p - phi(p) - z, x - grad phi(p)).
-
-    The swap flips the sign of both defects.
-    """
-    d0, d = delta_psi(conjugate(DuallyFlatWorkspace(psi)), legendre_swap(pt))
-    return -d0, -d
 
 
 # ---------------------------------------------------------------------------

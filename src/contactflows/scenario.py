@@ -36,7 +36,6 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, ContactFlowsError, EvaluationError, ScenarioError
-from .extended import embed_extended
 from .geometry import CanonicalPoint
 from .integrate import (
     MAX_STEP_ATTEMPTS,
@@ -45,9 +44,9 @@ from .integrate import (
     fit_decay_rate,
     integrate_lift,
 )
-from .lifts import LiftSpec
+from .lifts import LiftSpec, embed
 from .models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams
-from .potentials import DuallyFlatWorkspace, embed_phi, embed_psi
+from .potentials import DuallyFlatWorkspace
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -74,6 +73,9 @@ MODEL_KEYS = {
     "spin": {"theta", "gamma0", "lambda0"},
     "onsager": {"l", "gamma0"},
 }
+# [model] keys whose parameter has no default, as a scenario writes them
+REQUIRED_KEYS = {**{name: ("R",) for name in MODEL_KEYS}, "spin": ("theta", "gamma0"),
+                 "onsager": ("L",)}
 
 
 def _check_keys(section, allowed, where: str) -> None:
@@ -104,6 +106,10 @@ def _build_model(section) -> tuple:
         raise ScenarioError(f"unknown model {name!r}", location="[model]")
     _check_keys(section, MODEL_KEYS[name] | {"name"}, "[model]")
     keys = {k for k in section if k != "name"}
+    missing = [k for k in REQUIRED_KEYS[name] if k.lower() not in keys]
+    if missing:
+        raise ScenarioError(f"missing key(s) {', '.join(map(repr, missing))}",
+                            location="[model]")
     try:
         if name == "spin":
             params = SpinParams(**{k: float(section[k]) for k in keys})
@@ -118,7 +124,7 @@ def _build_model(section) -> tuple:
             params = CircuitParams(**{k if k == "gamma0" else k.upper(): float(section[k])
                                       for k in keys})
         return name, MODEL_BUILDERS[name](params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(str(exc), location="[model]") from exc
 
 
@@ -142,11 +148,7 @@ def _build_initial(section, spec: LiftSpec):
                 raise ScenarioError(
                     f"chart start has dimension {len(chart)}, model needs {n}",
                     location="[initial]")
-            if extended:
-                extra = float(section.get("x_extra", 0.0))
-                return embed_extended(spec, chart, extra)
-            embed = embed_psi if spec.side == "psi" else embed_phi
-            return embed(spec.potential, chart)
+            return embed(spec, chart, float(section.get("x_extra", 0.0)))
         x = _floats(section["x"])
         p = _floats(section["p"])
         z = float(section["z"])
@@ -154,8 +156,8 @@ def _build_initial(section, spec: LiftSpec):
             raise ScenarioError(
                 f"state dimension mismatch (model needs n={n})", location="[initial]")
         if extended:
-            x = np.append(x, float(section.get("x_extra", 0.0)))
-            p = np.append(p, float(section.get("p_extra", 0.0)))
+            x = np.append(x, float(section["x_extra"]))
+            p = np.append(p, float(section["p_extra"]))
         return CanonicalPoint(x, p, z)
     except KeyError as exc:
         raise ScenarioError(f"missing field {exc}", location="[initial]") from exc

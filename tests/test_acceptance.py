@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactflows.extended import embed_extended
 from contactflows.geometry import (
     CanonicalPoint,
     hamiltonian_vector_field,
@@ -27,6 +26,7 @@ from contactflows.integrate import (
 from contactflows.lifts import (
     LiftSpec,
     build_hamiltonian,
+    embed,
     geodesic_drift_psi,
     gradient_drift_psi,
     linear_drift,
@@ -50,8 +50,6 @@ from contactflows.models import (
 from contactflows.potentials import (
     DuallyFlatWorkspace,
     canonical_divergence,
-    embed_phi,
-    embed_psi,
     involution_check,
     legendre_transform,
     pythagorean_residual,
@@ -220,16 +218,16 @@ def test_criterion_8_circuits():
     """RC/RL closed forms < 1e-8; lossless RLC conserves H* to 1e-9;
     thermal variants conserve H_tot = psi~ with positive entropy production."""
     rc = rc_spec(CircuitParams(R=1.0, C=1.0))
-    traj = integrate_lift(rc, embed_psi(rc.potential, np.array([1.0])), 1.0)
+    traj = integrate_lift(rc, embed(rc, np.array([1.0])), 1.0)
     assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-8
 
     rl = rl_spec(CircuitParams(R=1.0, L=1.0))
-    traj = integrate_lift(rl, embed_phi(rl.potential, np.array([2.0])), 1.0)
+    traj = integrate_lift(rl, embed(rl, np.array([2.0])), 1.0)
     assert abs(traj.final_state[1] - 2.0 / np.e) < 1e-8
 
     # lossless limit (R -> 0): H* = (C V^2 + L I^2)/2 constant over a period
     lc = rlc_spec(CircuitParams(R=1e-14, L=1.0, C=1.0))
-    traj = integrate_lift(lc, embed_phi(lc.potential, np.array([1.0, 0.0])),
+    traj = integrate_lift(lc, embed(lc, np.array([1.0, 0.0])),
                           2 * np.pi)
     energies = 0.5 * (traj.states[:, 2] ** 2 + traj.states[:, 3] ** 2)
     assert np.max(np.abs(energies - energies[0])) < 1e-9
@@ -240,7 +238,7 @@ def test_criterion_8_circuits():
         (rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=2.0)),
          np.array([1.0, 0.5])),
     ):
-        traj = integrate_lift(spec, embed_extended(spec, u0, 0.0), 2.0)
+        traj = integrate_lift(spec, embed(spec, u0, 0.0), 2.0)
         H = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(H - H[0])) / 2.0 < 1e-9
         rate = np.polyfit(traj.times, traj.diagnostics["S"], 1)[0]
@@ -248,7 +246,7 @@ def test_criterion_8_circuits():
 
     # RLC entropy rate is R I^2 / T0 pointwise
     th = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=2.0))
-    traj = integrate_lift(th, embed_extended(th, np.array([1.0, 0.5]), 0.0), 2.0)
+    traj = integrate_lift(th, embed(th, np.array([1.0, 0.5]), 0.0), 2.0)
     # pointwise identity dS/dt = R I^2 / T0 via the field itself
     h = build_hamiltonian(th)
     for i in range(0, len(traj.times), 7):

@@ -5,13 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactflows.extended import (
-    embed_extended,
-    extension_spec,
-    restricted_extended_field,
-    tilde_deltas,
-    tilde_potential_value,
-)
 from contactflows.geometry import (
     CanonicalPoint,
     hamiltonian_vector_field,
@@ -19,7 +12,16 @@ from contactflows.geometry import (
     phase_compressibility,
 )
 from contactflows.integrate import integrate_lift
-from contactflows.lifts import LiftSpec, build_hamiltonian, linear_drift, linear_restoring
+from contactflows.lifts import (
+    LiftSpec,
+    build_hamiltonian,
+    defects,
+    embed,
+    extension_spec,
+    linear_drift,
+    linear_restoring,
+    restricted_field,
+)
 from contactflows.potentials import quadratic_potential, spin_potential
 
 RNG = np.random.default_rng(31)
@@ -54,23 +56,23 @@ class TestConstruction:
 
 
 class TestTildeStructure:
-    def test_tilde_potential_value(self):
+    def test_extended_graph_height_is_psi_tilde(self):
+        # on the extended graph z = psi~(x, x_extra) = psi(x) + anchor x_extra
         spec = make_extended(anchor=2.0)
         psi = spec.potential
         x = np.array([0.4])
-        assert tilde_potential_value(spec, x, 0.3) == pytest.approx(
-            psi.value_at(x) + 2.0 * 0.3)
+        assert embed(spec, x, 0.3).z == pytest.approx(psi.value_at(x) + 2.0 * 0.3)
 
-    def test_tilde_deltas_vanish_on_extended_graph(self):
+    def test_defects_vanish_on_extended_graph(self):
         spec = make_extended(anchor=1.5)
-        pt = embed_extended(spec, np.array([0.6]), 0.25)
-        d0, d = tilde_deltas(spec, pt)
+        pt = embed(spec, np.array([0.6]), 0.25)
+        d0, d = defects(spec, pt)
         assert abs(d0) < 1e-12 and np.max(np.abs(d)) < 1e-12
 
     def test_tilde_h_vanishes_on_extended_graph(self):
         spec = make_extended(anchor=1.5)
         h = build_hamiltonian(spec)
-        pt = embed_extended(spec, np.array([-0.3]), 0.8)
+        pt = embed(spec, np.array([-0.3]), 0.8)
         assert abs(h(pt)) < 1e-12
 
     @pytest.mark.parametrize("side", ["psi", "phi"])
@@ -133,7 +135,7 @@ class TestConservation:
     def test_restricted_field_entropy_rate(self):
         # psi side: dx_extra/dt = -(grad psi . F)/anchor  [DERIVED]
         spec = make_extended(anchor=2.0, jac=-0.5)
-        v = restricted_extended_field(spec, np.array([0.6]))
+        v = restricted_field(spec, np.array([0.6]))
         psi = spec.potential
         expect = -float(psi.gradient_at(np.array([0.6])) @ (-0.5 * np.array([0.6]))) / 2.0
         assert v.dx[-1] == pytest.approx(expect, abs=1e-12)
@@ -146,9 +148,9 @@ class TestConservation:
         # on the phi side the restricted dz is p . Hess phi . F, not zero
         spec = make_extended(side=side, anchor=1.5, potential=spin_potential(1))
         u = np.array([0.4])
-        pt = embed_extended(spec, u, 0.3)
+        pt = embed(spec, u, 0.3)
         va = hamiltonian_vector_field(build_hamiltonian(spec), pt)
-        vr = restricted_extended_field(spec, u)
+        vr = restricted_field(spec, u)
         assert np.allclose(va.as_array(), vr.as_array(), rtol=0, atol=1e-10)
 
 

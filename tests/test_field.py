@@ -4,14 +4,16 @@ Every Hamiltonian the lift builders return carries a hand-written jet
 (h, Eh, dh/dp, dh/dz) that evaluates psi, its derivatives and the drift
 once, and ``ContactHamiltonian.field`` assembles the canonical field and
 the h and kappa diagnostics from it.  The oracle reads no jet: it writes
-h = D . F + Gamma(D0) from the defect functions (``delta_psi``,
-``delta_phi``, ``tilde_deltas``) and the drift of the lift's own chart,
-and takes its partials by central differences.  The extended lift's jet
-is also checked against the base lift on psi~ (``extension_spec``).  Over
-the same lifts, properties check the contact identities, that the field on
-the submanifold is the restricted field, and that off it the defects move
-at ``delta_velocities``.
+h = D . F + Gamma(D0) from the lift's defect functions (``defects``) and
+the drift of the lift's own chart, and takes its partials by central
+differences.  The extended lift's jet is also checked against the base
+lift on psi~ (``extension_spec``).  Over the same lifts, properties check
+the contact identities, that the field on the submanifold is the
+restricted field, that off it the defects move at ``delta_velocities``,
+and that the conserving lifts keep psi~ level.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,16 +22,9 @@ from hypothesis import strategies as st
 
 from contactflows import integrate, potentials
 from contactflows.errors import DimensionMismatchError, EvaluationError
-from contactflows.extended import (
-    embed_extended,
-    extension_spec,
-    restricted_extended_field,
-    tilde_deltas,
-)
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
-    TangentVector,
     central_jacobian,
     hamiltonian_vector_field,
     phase_compressibility,
@@ -42,11 +37,13 @@ from contactflows.lifts import (
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
+    defects,
     delta_velocities,
     dual_spec,
+    embed,
+    extension_spec,
     linear_drift,
-    restricted_field_phi,
-    restricted_field_psi,
+    restricted_field,
 )
 from contactflows.models import (
     MODEL_BUILDERS,
@@ -54,14 +51,7 @@ from contactflows.models import (
     OnsagerParams,
     SpinParams,
 )
-from contactflows.potentials import (
-    delta_phi,
-    delta_psi,
-    embed_phi,
-    embed_psi,
-    quadratic_potential,
-    spin_potential,
-)
+from contactflows.potentials import DuallyFlatWorkspace, quadratic_potential, spin_potential
 
 RNG = np.random.default_rng(20151)
 REL_TOL = 1e-13
@@ -124,11 +114,16 @@ def random_state(dim):
     return RNG.uniform(-0.9, 0.9, dim)
 
 
-def defects(spec, pt):
-    """(D0, D) of the lift at a point, from its defect functions alone."""
-    if spec.anchor is not None:
-        return tilde_deltas(spec, pt)
-    return (delta_psi if spec.side == "psi" else delta_phi)(spec.potential, pt)
+def conserved(spec):
+    """psi~ of an anchored lift: psi(x) + anchor x_extra, or phi(p) + anchor p_extra."""
+    phi = DuallyFlatWorkspace(spec.potential).phi_value
+
+    def value(pt):
+        if spec.side == "psi":
+            return spec.potential.value_at(pt.x[:-1]) + spec.anchor * pt.x[-1]
+        return phi(pt.p[:-1]) + spec.anchor * pt.p[-1]
+
+    return value
 
 
 def independent_h(spec):
@@ -240,6 +235,7 @@ def reference_diagnostics(spec, states):
     extended = spec.anchor is not None
     m = spec.n + 1 if extended else spec.n
     value, restoring = independent_h(spec), spec.restoring
+    psi_tilde = conserved(spec)
     rows = {k: [] for k in ("h", "delta0", "delta_norm", "kappa", "psi_tilde", "S")}
     for y in states:
         pt = CanonicalPoint(y[:m], y[m:2 * m], y[2 * m])
@@ -248,11 +244,7 @@ def reference_diagnostics(spec, states):
         # every D0 is a function minus z, and D does not read z: dh/dz = -Gamma'(D0)
         rows["kappa"].append(-(m + 1) * restoring.derivative(d0))
         if extended:
-            x, p = pt.x[:-1], pt.p[:-1]
-            conserved = (spec.potential.value_at(x) + spec.anchor * pt.x[-1]
-                         if spec.side == "psi" else
-                         spec.workspace.phi_value(p) + spec.anchor * pt.p[-1])
-            rows["psi_tilde"].append(conserved)
+            rows["psi_tilde"].append(psi_tilde(pt))
             rows["S"].append(pt.x[-1] if spec.side == "psi" else pt.p[-1])
         rows["delta0"].append(d0)
         rows["delta_norm"].append(float(np.linalg.norm(d)))
@@ -334,16 +326,6 @@ def test_recorded_kappa_is_the_phase_compressibility(case):
 # submanifold it reproduces the restricted field, and off it the defects move
 # by the triangular system of delta_velocities.
 
-def on_submanifold(spec, u, extra):
-    """The point of the lift's submanifold over chart coordinate u (and the
-    extra coordinate of an extended lift), and the restricted field there."""
-    if spec.anchor is not None:
-        return embed_extended(spec, u, extra), restricted_extended_field(spec, u)
-    embed, restricted = ((embed_psi, restricted_field_psi) if spec.side == "psi"
-                         else (embed_phi, restricted_field_phi))
-    return embed(spec.potential, u), TangentVector(*restricted(spec, u))
-
-
 def vectors(n):
     return st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n).map(np.array)
 
@@ -360,9 +342,8 @@ def test_lifted_field_is_the_restricted_field_on_the_submanifold(case):
     # base and extended lifts on both charts; on the phi side the restricted
     # dz is p . Hess phi . F, not zero
     spec, u, extra = case
-    pt, restricted = on_submanifold(spec, u, extra)
-    v = hamiltonian_vector_field(build_hamiltonian(spec), pt).as_array()
-    expect = restricted.as_array()
+    v = hamiltonian_vector_field(build_hamiltonian(spec), embed(spec, u, extra)).as_array()
+    expect = restricted_field(spec, u).as_array()
     assert np.max(np.abs(v - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect))))
 
 
@@ -376,19 +357,51 @@ def base_lift_states(draw):
 @settings(max_examples=40, deadline=None)
 @given(base_lift_states())
 def test_defects_move_along_the_field_at_their_velocities(case):
-    # d/dt (D0, D) along X_h, by central differences of delta_psi or delta_phi,
+    # d/dt (D0, D) along X_h, by central differences of the defects,
     # is (-Gamma(D0), -J^T D - Gamma'(D0) D)
     spec, pt = case
     m = spec.n
     y = np.concatenate([pt.x, pt.p, [pt.z]])
     v = hamiltonian_vector_field(build_hamiltonian(spec), y)
-    delta = delta_psi if spec.side == "psi" else delta_phi
 
     def along(t):
         s = y + t[0] * v
-        d0, d = delta(spec.potential, CanonicalPoint(s[:m], s[m:2 * m], s[2 * m]))
+        d0, d = defects(spec, CanonicalPoint(s[:m], s[m:2 * m], s[2 * m]))
         return np.append(d0, d)
 
     rate = central_jacobian(along, np.zeros(1))[:, 0]
     expect = np.append(*delta_velocities(spec, pt))
     assert np.max(np.abs(rate - expect)) <= 1e-8 * (1.0 + float(np.max(np.abs(v)))) ** 2
+
+
+# psi~ = psi(x) + anchor x_extra on the psi side, phi(p) + anchor p_extra on
+# the phi side, is level along X_h on and off the submanifold: every anchored
+# lift of CASES, on both charts.
+ANCHORED = [replace(s, side=side) for _, s in CASES if s.anchor is not None
+            for side in ("psi", "phi")]
+
+
+@st.composite
+def anchored_states(draw):
+    spec = draw(st.sampled_from(ANCHORED))
+    m = spec.n + 1
+    if draw(st.booleans()):
+        return spec, embed(spec, draw(vectors(spec.n)), draw(st.floats(-0.9, 0.9)))
+    return spec, CanonicalPoint(draw(vectors(m)), draw(vectors(m)), draw(st.floats(-0.9, 0.9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(anchored_states())
+def test_conserving_lift_keeps_psi_tilde_level(case):
+    spec, pt = case
+    m = spec.n + 1
+    y = np.concatenate([pt.x, pt.p, [pt.z]])
+    v = hamiltonian_vector_field(build_hamiltonian(spec), y)
+    value = conserved(spec)
+
+    def along(t):
+        s = y + t[0] * v
+        return np.atleast_1d(value(CanonicalPoint(s[:m], s[m:2 * m], s[2 * m])))
+
+    rate = central_jacobian(along, np.zeros(1))[0, 0]
+    assert abs(rate) <= 1e-8 * (1.0 + float(np.max(np.abs(v)))) ** 2

@@ -145,22 +145,22 @@ class TestAborts:
         assert traj.times[-1] < 0.2
 
     def test_phi_spin_past_saturation_stops_rk4_with_newton_failure(self):
-        from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
-        from contactflows.potentials import embed_phi, spin_potential
+        from contactflows.lifts import LiftSpec, embed, linear_drift, linear_restoring
+        from contactflows.potentials import spin_potential
 
         # dp/dt = 2 - p from p = 0.5 leaves the spin dual chart |p| < 1 at t = ln 1.5
         spec = LiftSpec(side="phi", potential=spin_potential(1),
                         drift=linear_drift(-1.0, 1, offset=[2.0]),
                         restoring=linear_restoring(1.0))
-        pt = embed_phi(spec.potential, np.array([0.5]))
+        pt = embed(spec, np.array([0.5]))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rk4", step=0.01))
         assert_stopped_at(traj, "Newton")
         assert traj.times[-1] < np.log(1.5) < traj.times[-1] + 0.01
 
     def test_rkf45_shrinks_past_a_failed_stage(self):
-        from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
-        from contactflows.potentials import embed_phi, spin_potential
+        from contactflows.lifts import LiftSpec, embed, linear_drift, linear_restoring
+        from contactflows.potentials import spin_potential
 
         # dp/dt = -300 (p - 0.99): the first step's later stages overshoot the
         # spin dual chart |p| < 1, so Newton fails there and the step shrinks;
@@ -170,7 +170,7 @@ class TestAborts:
                         restoring=linear_restoring(1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate_lift(spec, embed_phi(spec.potential, np.array([0.0])), 0.1)
+            traj = integrate_lift(spec, embed(spec, np.array([0.0])), 0.1)
         assert not traj.truncated
         assert abs(traj.final_state[1] - 0.99 * (1 - np.exp(-30.0))) < 1e-13
 
@@ -186,15 +186,15 @@ class TestAborts:
         assert 0.5 - 1e-9 < traj.times[-1] <= 0.5
 
     def test_state_whose_field_fails_keeps_its_row_with_nan_diagnostics(self):
-        from contactflows.lifts import DriftField, LiftSpec, linear_restoring
-        from contactflows.potentials import embed_phi, spin_potential
+        from contactflows.lifts import DriftField, LiftSpec, embed, linear_restoring
+        from contactflows.potentials import spin_potential
 
         # dp/dt = e^{4p}: the last accepted RK4 step lands past the spin dual
         # chart's edge |p| < 1, so the field cannot be evaluated there
         spec = LiftSpec(side="phi", potential=spin_potential(1),
                         drift=DriftField(n=1, eval=lambda p: np.exp(4 * p)),
                         restoring=linear_restoring(1.0))
-        pt = embed_phi(spec.potential, np.array([0.0]))
+        pt = embed(spec, np.array([0.0]))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rk4", step=0.01067669))
         assert_stopped_at(traj, "NewtonConvergenceError")

@@ -18,6 +18,7 @@ from contactflows.lifts import (
     RestoringFunction,
     build_hamiltonian,
     delta_velocities,
+    embed,
     geodesic_drift_phi,
     geodesic_drift_psi,
     gradient_drift_phi,
@@ -25,16 +26,13 @@ from contactflows.lifts import (
     linear_drift,
     linear_restoring,
     onsager_drift,
-    restricted_field_phi,
-    restricted_field_psi,
+    restricted_field,
     rotational_drift,
     stability_certificate,
 )
 from contactflows.potentials import (
     DuallyFlatWorkspace,
     canonical_divergence,
-    embed_phi,
-    embed_psi,
     quadratic_potential,
     spin_potential,
 )
@@ -51,6 +49,16 @@ def make_spec(side="psi", n=1, gamma0=1.0, jac=-0.5):
     )
 
 
+def test_spec_with_another_potentials_workspace_rejected():
+    # a phi-side lift reads the conjugate through its workspace, so one kept
+    # from the old potential would silently give the old conjugate's field
+    spec = make_spec(side="phi", n=1)
+    other = quadratic_potential(2.0 * np.eye(1))
+    with pytest.raises(ValueError, match="workspace"):
+        replace(spec, potential=other)
+    assert replace(spec, potential=other, workspace=None).workspace.psi is other
+
+
 class TestHamiltonianOnSubmanifold:
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_h_vanishes_on_submanifold(self, side):
@@ -60,9 +68,7 @@ class TestHamiltonianOnSubmanifold:
         h = build_hamiltonian(spec)
         for _ in range(10):
             u = 0.8 * RNG.standard_normal(2)
-            pt = (embed_psi(spec.potential, u) if side == "psi"
-                  else embed_phi(spec.potential, u))
-            assert abs(h(pt)) < 1e-10
+            assert abs(h(embed(spec, u))) < 1e-10
 
     def test_h_positive_off_submanifold_matches_formula(self):
         # at (x, p, z): h = (psi'(x) - p) F(x) + gamma0 (psi(x) - z)  [DERIVED]
@@ -95,38 +101,34 @@ class TestRestrictedFields:
         # the lifted field restricted to the graph projects to dx/dt = F(x)
         spec = make_spec(side="psi", n=1, jac=-0.5)
         x = np.array([0.7])
-        dx, dp, dz = restricted_field_psi(spec, x)
-        assert dx[0] == pytest.approx(-0.35)
+        v = restricted_field(spec, x)
+        assert v.dx[0] == pytest.approx(-0.35)
         # dz = grad psi . F on the submanifold [DERIVED]
-        assert dz == pytest.approx(float(spec.potential.gradient_at(x) @ dx))
+        assert v.dz == pytest.approx(float(spec.potential.gradient_at(x) @ v.dx))
         # dp = Hess psi . F  [DERIVED]
-        assert dp[0] == pytest.approx(
-            float(spec.potential.hessian_at(x)[0, 0] * dx[0]))
+        assert v.dp[0] == pytest.approx(
+            float(spec.potential.hessian_at(x)[0, 0] * v.dx[0]))
 
     def test_phi_side_projection_reproduces_drift(self):
         spec = make_spec(side="phi", n=2, jac=-0.25)
         p = np.array([0.4, -0.6])
-        dx, dp, dz = restricted_field_phi(spec, p)
-        assert np.allclose(dp, -0.25 * p)
-        assert dz == pytest.approx(float(p @ dx))
+        v = restricted_field(spec, p)
+        assert np.allclose(v.dp, -0.25 * p)
+        assert v.dz == pytest.approx(float(p @ v.dx))
 
     def test_ambient_field_agrees_on_submanifold(self):
         spec = make_spec(side="psi", n=2, jac=-0.5)
         u = np.array([0.3, -0.4])
-        pt = embed_psi(spec.potential, u)
-        v = hamiltonian_vector_field(build_hamiltonian(spec), pt)
-        dx, dp, dz = restricted_field_psi(spec, u)
-        assert np.allclose(v.dx, dx, atol=1e-12)
-        assert np.allclose(v.dp, dp, atol=1e-10)
-        assert v.dz == pytest.approx(dz, abs=1e-10)
+        v = hamiltonian_vector_field(build_hamiltonian(spec), embed(spec, u))
+        r = restricted_field(spec, u)
+        assert np.allclose(v.dx, r.dx, atol=1e-12)
+        assert np.allclose(v.dp, r.dp, atol=1e-10)
+        assert v.dz == pytest.approx(r.dz, abs=1e-10)
 
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_base_lift_formulas_reject_an_anchor(self, side):
-        # a lift with an anchor has restricted_extended_field and tilde_deltas
+        # the triangular system of delta_velocities is the base lift's
         spec = replace(make_spec(side=side, n=1), anchor=1.3)
-        restricted = restricted_field_psi if side == "psi" else restricted_field_phi
-        with pytest.raises(ValueError, match="base lift"):
-            restricted(spec, np.array([0.3]))
         with pytest.raises(ValueError, match="base lift"):
             delta_velocities(spec, CanonicalPoint(np.array([0.2]), np.array([0.5]), 1.0))
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactflows.extended import embed_extended, restricted_extended_field
 from contactflows.integrate import (
     IntegratorConfig,
     fit_decay_rate,
@@ -15,9 +14,9 @@ from contactflows.integrate import (
 from contactflows.geometry import CanonicalPoint, hamiltonian_vector_field
 from contactflows.lifts import (
     build_hamiltonian,
+    embed,
     gradient_drift_psi,
-    restricted_field_phi,
-    restricted_field_psi,
+    restricted_field,
     stability_certificate,
 )
 from contactflows.models import (
@@ -36,7 +35,6 @@ from contactflows.models import (
 from contactflows.potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
-    embed_phi,
     embed_psi,
     quadratic_potential,
 )
@@ -74,7 +72,7 @@ class TestRC:
     def test_closed_form_discharge(self):
         # dQ/dt = -Q/(RC): Q(1) = e^{-1} for R = C = Q(0) = 1  [DERIVED]
         spec = rc_spec(CircuitParams(R=1.0, C=1.0))
-        pt = embed_psi(spec.potential, np.array([1.0]))
+        pt = embed(spec, np.array([1.0]))
         traj = integrate_lift(spec, pt, 1.0)
         assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-8
 
@@ -82,10 +80,10 @@ class TestRC:
         # at Q = 1, R = C = 1: (dQ, dV, dz) = (-1, -1, -1)  [oracle: the
         # component expressions of the submanifold field]
         spec = rc_spec(CircuitParams(R=1.0, C=1.0))
-        dq, dv, dz = restricted_field_psi(spec, np.array([1.0]))
-        assert dq[0] == pytest.approx(-1.0)
-        assert dv[0] == pytest.approx(-1.0)
-        assert dz == pytest.approx(-1.0)
+        v = restricted_field(spec, np.array([1.0]))
+        assert v.dx[0] == pytest.approx(-1.0)
+        assert v.dp[0] == pytest.approx(-1.0)
+        assert v.dz == pytest.approx(-1.0)
 
     def test_nonlinear_capacitor_potential(self):
         # quartic-regularized capacitor: drift -psi'(Q)/R still relaxes and
@@ -107,9 +105,9 @@ class TestRC:
         # dS/dt = Q^2/(T0 R C^2) = 1 at Q = 1 with unit constants; H_tot
         # constant  [oracle: thermal component expressions]
         spec = rc_thermal_spec(CircuitParams(R=1.0, C=1.0, T0=1.0))
-        v = restricted_extended_field(spec, np.array([1.0]))
+        v = restricted_field(spec, np.array([1.0]))
         assert v.dx[-1] == pytest.approx(1.0)
-        traj = integrate_lift(spec, embed_extended(spec, np.array([1.0]), 0.0), 2.0)
+        traj = integrate_lift(spec, embed(spec, np.array([1.0]), 0.0), 2.0)
         H = traj.diagnostics["psi_tilde"]
         assert np.max(np.abs(H - H[0])) < 1e-9
         # closed-form entropy: S(t) = (1 - e^{-2t})/2  [DERIVED: integral
@@ -122,7 +120,7 @@ class TestRL:
     def test_closed_form_current_decay(self):
         # dI/dt = -(R/L) I: I(1) = 2/e from I(0) = 2  [DERIVED]
         spec = rl_spec(CircuitParams(R=1.0, L=1.0))
-        pt = embed_phi(spec.potential, np.array([2.0]))
+        pt = embed(spec, np.array([2.0]))
         traj = integrate_lift(spec, pt, 1.0)
         # phi-side state ordering is (x, p, z) = (N, I, z)
         assert abs(traj.final_state[1] - 2.0 / np.e) < 1e-8
@@ -130,14 +128,13 @@ class TestRL:
     def test_dissipation_rate(self):
         # dz/dt = -R I^2 = -4 at I = 2  [oracle]
         spec = rl_spec(CircuitParams(R=1.0, L=1.0))
-        _, _, dz = restricted_field_phi(spec, np.array([2.0]))
-        assert dz == pytest.approx(-4.0)
+        assert restricted_field(spec, np.array([2.0])).dz == pytest.approx(-4.0)
 
     def test_thermal_entropy_rate(self):
         # dS/dt = R I^2 / T0 = 4 at I = 2, unit constants  [oracle]
         spec = rl_thermal_spec(CircuitParams(R=1.0, L=1.0, T0=1.0))
         # thermal RL is psi-side in the flux N = L I
-        v = restricted_extended_field(spec, np.array([2.0]))
+        v = restricted_field(spec, np.array([2.0]))
         assert v.dx[-1] == pytest.approx(4.0)
 
     def test_rc_rl_duality(self):
@@ -159,7 +156,7 @@ class TestRLC:
         spec = rlc_spec(CircuitParams(R=1e-14, L=1.0, C=1.0))
         p0 = np.array([1.0, 0.0])  # (V, I)
         period = 2 * np.pi
-        pt = embed_phi(spec.potential, p0)
+        pt = embed(spec, p0)
 
         def h_star(p):
             return 0.5 * (p[0] ** 2 + p[1] ** 2)
@@ -185,13 +182,13 @@ class TestRLC:
         # dS/dt = R I^2 / T0 with I = N/L  [oracle]
         spec = rlc_thermal_spec(CircuitParams(R=0.8, L=2.0, C=1.0, T0=1.5))
         u = np.array([0.5, 1.2])  # (Q, N)
-        v = restricted_extended_field(spec, u)
+        v = restricted_field(spec, u)
         current = 1.2 / 2.0
         assert v.dx[-1] == pytest.approx(0.8 * current ** 2 / 1.5, abs=1e-12)
 
     def test_thermal_total_energy_conserved(self):
         spec = rlc_thermal_spec(CircuitParams(R=1.0, L=1.0, C=1.0, T0=1.0))
-        traj = integrate_lift(spec, embed_extended(spec, np.array([1.0, 0.0]), 0.0), 3.0)
+        traj = integrate_lift(spec, embed(spec, np.array([1.0, 0.0]), 0.0), 3.0)
         H = traj.diagnostics["psi_tilde"]
         S = traj.diagnostics["S"]
         assert np.max(np.abs(H - H[0])) / 3.0 < 1e-9

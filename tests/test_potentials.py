@@ -20,6 +20,8 @@ from contactflows.integrate import integrate_lift
 from contactflows.lifts import (
     LiftSpec,
     build_hamiltonian,
+    defects,
+    embed,
     geodesic_drift_phi,
     linear_drift,
     linear_restoring,
@@ -32,10 +34,8 @@ from contactflows.potentials import (
     LegendreTransformResult,
     canonical_divergence,
     conjugate,
-    delta_phi,
     delta_psi,
     dual_metric,
-    embed_phi,
     embed_psi,
     involution_check,
     legendre_transform,
@@ -74,6 +74,14 @@ class TestBuiltins:
         val = psi.value_at(np.array([1000.0]))
         assert np.isfinite(val)
         assert val == pytest.approx(1000.0 + np.log(1.0), abs=1e-12) or val > 999.0
+
+    def test_spin_hessian_past_overflow_is_zero_without_warning(self):
+        # cosh^2 overflows past |x| ~ 355, where 1 / cosh^2 is 0
+        psi = spin_potential(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (400.0, -400.0):
+                assert psi.hessian_at(np.array([x]), check_spd=False)[0, 0] == 0.0
 
 
 class TestLegendreTransform:
@@ -159,6 +167,12 @@ class TestMetrics:
         assert np.allclose(g @ g_star, np.eye(2), atol=1e-8)
 
 
+def phi_side(psi):
+    """A phi-side lift of psi, for its submanifold."""
+    return LiftSpec(side="phi", potential=psi, drift=linear_drift(-1.0, psi.n),
+                    restoring=linear_restoring(1.0))
+
+
 class TestEmbeddingsAndDeltas:
     def test_embed_psi_zeroes_deltas(self):
         psi = spin_potential(2)
@@ -166,10 +180,9 @@ class TestEmbeddingsAndDeltas:
         d0, d = delta_psi(psi, pt)
         assert abs(d0) < 1e-14 and np.max(np.abs(d)) < 1e-14
 
-    def test_embed_phi_zeroes_dual_deltas(self):
-        psi = quadratic_potential(np.diag([2.0, 0.5]))
-        pt = embed_phi(psi, np.array([1.0, -0.3]))
-        d0, d = delta_phi(psi, pt)
+    def test_phi_side_embedding_zeroes_its_defects(self):
+        spec = phi_side(quadratic_potential(np.diag([2.0, 0.5])))
+        d0, d = defects(spec, embed(spec, np.array([1.0, -0.3])))
         assert abs(d0) < 1e-10 and np.max(np.abs(d)) < 1e-10
 
     def test_both_embeddings_agree_on_matched_charts(self):
@@ -177,7 +190,7 @@ class TestEmbeddingsAndDeltas:
         psi = spin_potential(1)
         x = np.array([0.9])
         a = embed_psi(psi, x)
-        b = embed_phi(psi, psi.gradient_at(x))
+        b = embed(phi_side(psi), psi.gradient_at(x))
         assert np.allclose(a.x, b.x, atol=1e-10)
         assert a.z == pytest.approx(b.z, abs=1e-10)
 

@@ -145,6 +145,32 @@ class TestParsing:
         assert repr(key) in result.message
         assert not (tmp_path / "traj.csv").exists()
 
+    @pytest.mark.parametrize("model, key", [
+        ("name = onsager\ngamma0 = 1.0", "L"),
+        ("name = rc\nC = 1.0", "R"),
+        ("name = spin\ngamma0 = 1.0", "theta"),
+    ], ids=["onsager-L", "rc-R", "spin-theta"])
+    def test_missing_model_key_named(self, tmp_path, model, key):
+        # the message names the scenario key, not the parameter it becomes
+        text = RC_TEXT.replace("name = rc\nR = 1.0\nC = 1.0", model)
+        result = run_scenario(write(tmp_path, text), out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message == f"[model]: missing key(s) {key!r}"
+
+    @pytest.mark.parametrize("missing", ["x_extra", "p_extra"])
+    def test_full_state_start_of_a_thermal_model_needs_both_extras(self, tmp_path, missing):
+        # a missing extra coordinate used to start at 0, so p_extra = 0, not T0
+        extras = {"x_extra": "0.0", "p_extra": "1.0"}
+        del extras[missing]
+        initial = "x = 1.0\np = 1.0\nz = 0.5\n" + "".join(
+            f"{k} = {v}\n" for k, v in extras.items())
+        text = RC_TEXT.replace("name = rc\n", "name = rc_thermal\nT0 = 1.0\n").replace(
+            "x = 1.0\n", initial)
+        result = run_scenario(write(tmp_path, text), out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("[initial]") and repr(missing) in result.message
+        assert not (tmp_path / "traj.csv").exists()
+
     @pytest.mark.parametrize("name, keys", sorted(MODEL_KEYS.items()))
     def test_every_model_key_accepted(self, tmp_path, name, keys):
         n = 2 if name.startswith("rlc") or name == "onsager" else 1
