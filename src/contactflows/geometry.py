@@ -30,6 +30,21 @@ def _as_vector(v, name):
     return a
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _float_array(a, ndim: int) -> np.ndarray:
+    """``a`` as a float64 array of at least ``ndim`` (1 or 2) dimensions.
+
+    A float64 ndarray of exactly ``ndim`` dimensions is returned as it is,
+    so a callable's result on an evaluation path is not wrapped again.
+    """
+    if type(a) is np.ndarray and a.dtype is _FLOAT64 and a.ndim == ndim:
+        return a
+    a = np.asarray(a, dtype=float)
+    return np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
+
+
 def fd_step(value: float) -> float:
     """Central-difference step scaled to the coordinate magnitude."""
     return _CBRT_EPS * max(1.0, abs(value))

@@ -36,6 +36,7 @@ from .geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     TangentVector,
+    _float_array,
     central_jacobian,
     legendre_swap,
     push_swap,
@@ -58,6 +59,10 @@ class DriftField:
     ("linear", jac_const), ("rotational", omega), or
     ("onsager", L, U_hessian).  Untagged drifts get no certificate.
     ``workspace`` is the one a dual-chart drift reads; ``integrate_lift`` clears it.
+    ``at`` and ``jacobian_at`` return a float64 array of one or two
+    dimensions as the callable gave it and convert any other result, so a
+    constant Jacobian is shared, not copied: the built-in drifts build
+    theirs once, read-only (``constant_jacobian``).
     """
 
     n: int
@@ -67,13 +72,20 @@ class DriftField:
     workspace: Optional[DuallyFlatWorkspace] = field(default=None, repr=False)
 
     def at(self, u) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.eval(np.asarray(u, dtype=float)), dtype=float))
+        return _float_array(self.eval(np.asarray(u, dtype=float)), 1)
 
     def jacobian_at(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.jacobian is not None:
-            return np.atleast_2d(np.asarray(self.jacobian(u), dtype=float))
+            return _float_array(self.jacobian(u), 2)
         return central_jacobian(self.at, u)
+
+
+def constant_jacobian(J) -> Callable[[np.ndarray], np.ndarray]:
+    """The Jacobian callable of a drift with constant Jacobian J, built once, read-only."""
+    J = np.array(J, dtype=float)
+    J.flags.writeable = False
+    return lambda u: J
 
 
 def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:
@@ -82,7 +94,7 @@ def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:
     return DriftField(
         n=n,
         eval=lambda u: jac_const * (u - off),
-        jacobian=lambda u: jac_const * np.eye(n),
+        jacobian=constant_jacobian(jac_const * np.eye(n)),
         structure=("linear", jac_const),
     )
 
@@ -92,7 +104,7 @@ def rotational_drift(omega: float) -> DriftField:
     return DriftField(
         n=2,
         eval=lambda u: np.array([omega * u[1], -omega * u[0]]),
-        jacobian=lambda u: np.array([[0.0, omega], [-omega, 0.0]]),
+        jacobian=constant_jacobian([[0.0, omega], [-omega, 0.0]]),
         structure=("rotational", omega),
     )
 

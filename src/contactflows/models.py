@@ -15,6 +15,7 @@ import numpy as np
 from .lifts import (
     DriftField,
     LiftSpec,
+    constant_jacobian,
     linear_drift,
     linear_restoring,
     onsager_drift,
@@ -177,7 +178,7 @@ def rlc_spec(params: CircuitParams) -> LiftSpec:
     drift = DriftField(
         n=2,
         eval=lambda p: np.array([p[1] / C, -p[0] / L - R * p[1] / L]),
-        jacobian=lambda p: np.array([[0.0, 1.0 / C], [-1.0 / L, -R / L]]),
+        jacobian=constant_jacobian([[0.0, 1.0 / C], [-1.0 / L, -R / L]]),
     )
     return LiftSpec(side="phi", potential=psi, drift=drift,
                     restoring=linear_restoring(params.gamma0))
@@ -189,7 +190,7 @@ def rlc_thermal_spec(params: CircuitParams) -> LiftSpec:
     drift = DriftField(
         n=2,
         eval=lambda x: np.array([x[1] / L, -x[0] / C - R * x[1] / L]),
-        jacobian=lambda x: np.array([[0.0, 1.0 / L], [-1.0 / C, -R / L]]),
+        jacobian=constant_jacobian([[0.0, 1.0 / L], [-1.0 / C, -R / L]]),
     )
     return _thermal(params, LiftSpec(side="psi", potential=psi, drift=drift,
                                      restoring=linear_restoring(params.gamma0)))

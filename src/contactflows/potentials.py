@@ -10,6 +10,7 @@ the Legendre swap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ from .errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, _as_vector, central_jacobian
+from .geometry import CanonicalPoint, _as_vector, _float_array, central_jacobian
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -49,7 +50,9 @@ class ConvexPotential:
     A checked ``hessian_at`` remembers the last Hessian it found positive
     definite and skips the factorisation only for a Hessian with exactly
     the same shape and bytes, so a constant Hessian is factored once.
-    ``jet_at`` calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call.
+    ``jet_at`` calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call,
+    and returns its result as it is; ``gradient_at`` and ``hessian_at``
+    return a float64 array of the right dimension as the callable gave it.
     """
 
     n: int
@@ -71,13 +74,13 @@ class ConvexPotential:
     def gradient_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.gradient is not None:
-            return np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
+            return _float_array(self.gradient(x), 1)
         return central_jacobian(self.value, x)
 
     def hessian_at(self, x, check_spd: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.hessian is not None:
-            H = np.atleast_2d(np.asarray(self.hessian(x), dtype=float))
+            H = _float_array(self.hessian(x), 2)
         else:
             H = central_jacobian(self.gradient_at, x)
             H = 0.5 * (H + H.T)
@@ -162,10 +165,25 @@ BUILTIN_POTENTIALS = {
 
 @dataclass(frozen=True)
 class LegendreTransformResult:
+    """The conjugate's value phi(p) and the solution x* of grad psi(x) = p.
+
+    ``hessian`` is the unchecked Hess psi(x*) when the solve evaluated it
+    at x* (a start accepted as it was), and None otherwise.
+    """
+
     phi_value: float
     x_star: np.ndarray
     iterations: int
     residual: float
+    hessian: Optional[np.ndarray] = field(default=None, repr=False)
+
+
+def _checked_hessian(psi: ConvexPotential, x, H):
+    """Hess psi(x), checked positive definite; ``H`` is its unchecked value, or None."""
+    if H is None:
+        return psi.hessian_at(x)
+    psi._check_spd(H, x)
+    return H
 
 
 def legendre_transform(
@@ -179,20 +197,26 @@ def legendre_transform(
 
     Damped Newton with Armijo backtracking on the squared gradient residual,
     started from a copy of ``x0`` (default: the origin); x* comes back
-    read-only, so a memo can hand it out.  Overflow past the dual chart ends
-    in ``NewtonConvergenceError``, not a warning; its message names the
-    cause and the iterations run.
+    read-only, so a memo can hand it out.  The start is evaluated by one
+    ``jet_at``: a start within ``tol`` is accepted with that psi value and
+    keeps that Hessian in the result, and any other start's first Newton
+    step checks and uses it.  Overflow past the dual chart, or a start that
+    is not finite, ends in ``NewtonConvergenceError``, not a warning; its
+    message names the cause and the iterations run.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _float_array(p, 1)
     if len(p) != psi.n:
         raise DimensionMismatchError(f"p has length {len(p)}, expected {psi.n}")
-    if not np.isfinite(p).all():
-        raise EvaluationError("p has non-finite entries", coords=p)
     x = np.array(x0, dtype=float, ndmin=1) if x0 is not None else np.zeros(psi.n)
 
     with np.errstate(all="ignore"):
-        r = psi.gradient_at(x) - p
+        value, g, H = psi.jet_at(x)  # psi and its Hessian at x, None once x moves
+        H = _float_array(H, 2)
+        r = g - p
         norm = float(np.abs(r).max())
+        # a residual within tol is finite, and so is p: only another start checks p
+        if not norm <= tol and not np.isfinite(p).all():
+            raise EvaluationError("p has non-finite entries", coords=p)
         best_x, best_norm = x, norm
         for it in range(max_iter):
             if norm < best_norm:
@@ -203,18 +227,22 @@ def legendre_transform(
                 # (matters where the dual chart is ill-conditioned, e.g. saturated spin)
                 if norm > 4 * _EPS and norm > 4 * _EPS * float(np.abs(p).max()):
                     try:
-                        x_p = x - np.linalg.solve(psi.hessian_at(x), r)
+                        x_p = x - np.linalg.solve(_checked_hessian(psi, x, H), r)
                         norm_p = float(np.abs(psi.gradient_at(x_p) - p).max())
                         if norm_p < norm:
-                            x, norm = x_p, norm_p
+                            x, norm, value, H = x_p, norm_p, None, None
                     except (StrictConvexityError, np.linalg.LinAlgError):
                         pass
-                phi = float(x @ p) - psi.value_at(x)
+                if value is None:
+                    value = psi.value_at(x)
+                phi = float(x @ p) - float(value)
+                if not math.isfinite(phi):  # as it is whenever x or psi(x) is not
+                    cause = "x or psi(x) not finite"
+                    break
                 x.flags.writeable = False
-                return LegendreTransformResult(phi, x, it, norm)
+                return LegendreTransformResult(phi, x, it, norm, H)
             try:
-                H = psi.hessian_at(x)
-                step = np.linalg.solve(H, r)
+                step = np.linalg.solve(_checked_hessian(psi, x, H), r)
             except (StrictConvexityError, np.linalg.LinAlgError):
                 # iterate escaped into a flat region (e.g. p outside the dual
                 # chart drives x to infinity): report non-convergence
@@ -232,7 +260,7 @@ def legendre_transform(
             else:
                 cause = "line search stalled"
                 break
-            x, r = x_new, r_new
+            x, r, value, H = x_new, r_new, None, None
             norm = float(np.abs(r).max())
         else:
             it, cause = max_iter, "iteration budget exhausted"
@@ -289,9 +317,11 @@ class DuallyFlatWorkspace:
     Hessian if the conjugate's Hessian was asked for at p_prev; if the
     warm solve fails, it is retried cold from the origin.  Warm and cold
     solves agree to rounding level, so a result may depend at that level
-    on the solve before it; ``clear`` forgets that solve.  A Hessian with
-    the bytes of the last one inverted reuses its inverse, so a constant
-    one is inverted once.  Not safe for concurrent use.
+    on the solve before it; ``clear`` forgets that solve.  The inverse is
+    taken of the Hessian the solve left in its result, and only a solve
+    that left none evaluates Hess psi(x*) again.  A Hessian with the bytes
+    of the last one inverted reuses its inverse, so a constant one is
+    inverted once.  Not safe for concurrent use.
     """
 
     def __init__(self, psi: ConvexPotential):
@@ -308,18 +338,18 @@ class DuallyFlatWorkspace:
         return self.psi.n
 
     def transform(self, p) -> LegendreTransformResult:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
+        p = _float_array(p, 1)
         key = p.tobytes()
         if key == self._key:
             return self._res
         res = None
         if self._res is not None and p.shape == self._p.shape:
-            # a warm attempt that overflows or stalls is retried cold, silently
+            # a warm attempt that overflows or stalls, or starts from a
+            # predictor that is not finite, is retried cold, silently
             try:
                 with np.errstate(all="ignore"):
                     x0 = self._res.x_star + self._inverse() @ (p - self._p)
-                if np.isfinite(x0).all():
-                    res = legendre_transform(self.psi, p, x0=x0)
+                res = legendre_transform(self.psi, p, x0=x0)
             except NUMERICAL_ERRORS:
                 pass
         if res is None:
@@ -350,9 +380,12 @@ class DuallyFlatWorkspace:
     def _inverse(self) -> np.ndarray:
         """The inverse Hessian of psi at the latest solve."""
         if self._inv_hessian is None:
-            H = self.psi.hessian_at(self._res.x_star, check_spd=False)
-            if H.tobytes() != self._inverted:
-                self._inverted, self._last_inverse = H.tobytes(), np.linalg.inv(H)
+            H = self._res.hessian
+            if H is None:
+                H = self.psi.hessian_at(self._res.x_star, check_spd=False)
+            key = H.tobytes()
+            if key != self._inverted:
+                self._inverted, self._last_inverse = key, np.linalg.inv(H)
                 self._last_inverse.flags.writeable = False
             self._inv_hessian = self._last_inverse
         return self._inv_hessian

@@ -237,15 +237,12 @@ def state_columns(spec: LiftSpec) -> List[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, spec, path) -> None:
-    diag_names = list(traj.diagnostics)
+    # one float64 block; csv writes a float with str(), which is its repr()
+    rows = np.column_stack([traj.times, traj.states, *traj.diagnostics.values()]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + state_columns(spec) + diag_names)
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t))]
-            row += [repr(float(v)) for v in traj.states[i]]
-            row += [repr(float(traj.diagnostics[k][i])) for k in diag_names]
-            writer.writerow(row)
+        writer.writerow(["t"] + state_columns(spec) + list(traj.diagnostics))
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from contactflows.geometry import (
     CanonicalPoint,
@@ -18,7 +17,6 @@ from contactflows.geometry import (
     verify_contact_identities,
 )
 from contactflows.integrate import (
-    IntegratorConfig,
     fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,

@@ -8,12 +8,14 @@ import pytest
 from contactflows.errors import OutsideInvariantChartError
 from contactflows.geometry import (
     CanonicalPoint,
+    central_jacobian,
     hamiltonian_vector_field,
     invariant_density,
     phase_compressibility,
 )
 from contactflows.integrate import fit_decay_rate, integrate_lift
 from contactflows.lifts import (
+    DriftField,
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
@@ -30,6 +32,7 @@ from contactflows.lifts import (
     rotational_drift,
     stability_certificate,
 )
+from contactflows.models import CircuitParams, rlc_spec, rlc_thermal_spec
 from contactflows.potentials import (
     DuallyFlatWorkspace,
     canonical_divergence,
@@ -57,6 +60,43 @@ def test_spec_with_another_potentials_workspace_rejected():
     with pytest.raises(ValueError, match="workspace"):
         replace(spec, potential=other)
     assert replace(spec, potential=other, workspace=None).workspace.psi is other
+
+
+class TestDriftResults:
+    @pytest.mark.parametrize("value, jacobian", [
+        ([0.5, -1.0], [[1.0, 2.0], [3.0, 4.0]]),
+        (np.array([1, -2]), np.array([[1, 0], [0, 2]])),
+    ], ids=["lists", "int-arrays"])
+    def test_other_results_become_float64(self, value, jacobian):
+        drift = DriftField(n=2, eval=lambda u: value, jacobian=lambda u: jacobian)
+        f, J = drift.at([0.1, 0.2]), drift.jacobian_at([0.1, 0.2])
+        assert f.dtype == np.float64 and f.shape == (2,) and np.array_equal(f, value)
+        assert J.dtype == np.float64 and J.shape == (2, 2) and np.array_equal(J, jacobian)
+
+    @pytest.mark.parametrize("scalar", [np.array(0.5), 0.5, 1], ids=["0-d", "float", "int"])
+    def test_scalar_results_become_vector_and_matrix(self, scalar):
+        drift = DriftField(n=1, eval=lambda u: scalar, jacobian=lambda u: scalar)
+        f, J = drift.at(0.3), drift.jacobian_at(0.3)
+        assert f.dtype == J.dtype == np.float64 and f.shape == (1,) and J.shape == (1, 1)
+        assert f[0] == J[0, 0] == float(scalar)
+
+    def test_float64_results_pass_through(self):
+        value, jacobian = np.array([0.5, -1.0]), np.array([[1.0, 2.0], [3.0, 4.0]])
+        drift = DriftField(n=2, eval=lambda u: value, jacobian=lambda u: jacobian)
+        assert drift.at([0.1, 0.2]) is value and drift.jacobian_at([0.1, 0.2]) is jacobian
+
+    @pytest.mark.parametrize("drift", [
+        linear_drift(-0.7, 2),
+        rotational_drift(1.3),
+        rlc_spec(CircuitParams(R=1.0, C=1.1, L=0.9)).drift,
+        rlc_thermal_spec(CircuitParams(R=1.0, C=1.1, L=0.9, T0=1.0)).drift,
+    ], ids=["linear", "rotational", "rlc", "rlc_thermal"])
+    def test_constant_jacobian_is_built_once_and_read_only(self, drift):
+        J = drift.jacobian_at([0.1, 0.2])
+        assert drift.jacobian_at([-3.0, 5.0]) is J
+        assert np.allclose(J, central_jacobian(drift.at, np.array([0.1, 0.2])), rtol=0, atol=1e-9)
+        with pytest.raises(ValueError):
+            J[0, 0] = 99.0
 
 
 class TestHamiltonianOnSubmanifold:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from contactflows.integrate import (
-    IntegratorConfig,
     fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
@@ -32,12 +31,7 @@ from contactflows.models import (
     rlc_thermal_spec,
     spin_spec,
 )
-from contactflows.potentials import (
-    ConvexPotential,
-    DuallyFlatWorkspace,
-    embed_psi,
-    quadratic_potential,
-)
+from contactflows.potentials import ConvexPotential, embed_psi
 
 RNG = np.random.default_rng(41)
 

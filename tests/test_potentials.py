@@ -134,6 +134,44 @@ class TestLegendreTransform:
         start[0] = 99.0
         assert res.x_star[0] == 0.2
 
+    def test_accepted_start_keeps_its_hessian(self):
+        # the start's jet holds Hess psi(x*) only while x* is the start itself
+        psi = quadratic_potential(NON_DIAGONAL_M)
+        p = np.array([0.4, -0.9])
+        solved = legendre_transform(psi, p)
+        assert solved.iterations > 0 and solved.hessian is None
+        accepted = legendre_transform(psi, p, x0=solved.x_star)
+        assert accepted.iterations == 0 and np.array_equal(accepted.hessian, NON_DIAGONAL_M)
+        assert accepted.phi_value == solved.phi_value
+
+    @pytest.mark.parametrize("start, p, cause", [
+        ([np.nan], [0.5], "line search stalled"),
+        ([np.inf], [0.5], "Hessian not positive definite"),
+        # tanh x = 1 at x = inf is within tol of p, but phi = inf - inf there
+        ([np.inf], [1 - 1e-13], r"x or psi\(x\) not finite after 0 "),
+    ], ids=["nan", "inf", "inf-within-tol"])
+    def test_start_not_finite_is_a_typed_error_not_a_warning(self, start, p, cause):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonConvergenceError, match=cause):
+                legendre_transform(spin_potential(1), np.array(p), x0=start)
+
+    @pytest.mark.parametrize("psi", [quadratic_potential(NON_DIAGONAL_M), spin_potential(2)],
+                             ids=["quadratic", "spin"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_p_is_a_typed_error_not_a_warning(self, psi, bad):
+        # cold, from a given start, and warm from the workspace's predictor
+        p = np.array([0.3, bad])
+        ws = DuallyFlatWorkspace(psi)
+        ws.jet(np.array([0.3, 0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: legendre_transform(psi, p),
+                          lambda: legendre_transform(psi, p, x0=[0.3, 0.2]),
+                          lambda: ws.transform(p)):
+                with pytest.raises(EvaluationError, match="p has non-finite entries"):
+                    solve()
+
     @pytest.mark.parametrize("p", [[1.5], [0.3, -1.2]])
     def test_overflow_past_dual_chart_is_a_typed_error_not_a_warning(self, p):
         # Newton drives x past cosh's overflow; that ends the solve, silently
@@ -383,6 +421,41 @@ class TestJet:
             diag = {} if k % 2 else None
             h.field(y + 0.01 * k, diag)
             assert len(lookups) == k + 1
+
+    def test_solve_reads_a_jet_of_other_types(self):
+        # psi = |x|^2 with a jet of a numpy scalar, a list and a list of ints
+        psi = ConvexPotential(n=2, value=lambda x: float(x @ x), gradient=lambda x: 2 * x,
+                              jet=lambda x: (x @ x, [2 * x[0], 2 * x[1]], [[2, 0], [0, 2]]))
+        accepted = legendre_transform(psi, np.array([1.0, 2.0]), x0=[0.5, 1.0])
+        iterated = legendre_transform(psi, np.array([1.0, 2.0]), x0=[0.0, 1.0])
+        for res, iterations in ((accepted, 0), (iterated, 1)):
+            assert res.iterations == iterations and np.array_equal(res.x_star, [0.5, 1.0])
+            assert type(res.phi_value) is float and res.phi_value == 1.25
+        assert accepted.hessian.dtype == np.float64
+        assert np.array_equal(accepted.hessian, 2 * np.eye(2))
+
+    def test_warm_phi_field_call_reads_psi_by_one_jet(self, monkeypatch):
+        # a warm solve that accepts its predictor takes the residual, psi(x*)
+        # and the Hessian the workspace inverts from one jet of psi
+        spec, start = off_graph_rlc()
+        h = build_hamiltonian(spec)
+        y = np.concatenate([start.x, start.p, [start.z]])
+        h.field(y)  # the solve the next ones start from
+        calls = []
+        for name in ("value_at", "gradient_at", "hessian_at", "jet_at"):
+            method = getattr(ConvexPotential, name)
+
+            def counting(psi, *args, _name=name, _method=method, **kwargs):
+                calls.append((psi is spec.potential, _name))
+                return _method(psi, *args, **kwargs)
+
+            monkeypatch.setattr(ConvexPotential, name, counting)
+        for k in range(1, 4):
+            calls.clear()
+            h.field(y + 1e-3 * k)
+            # the conjugate's jet, then the one of psi inside its warm solve
+            assert calls == [(False, "jet_at"), (True, "jet_at")]
+            assert spec.workspace._res.iterations == 0
 
     def test_phi_rlc_run_inverts_its_constant_hessian_once(self, monkeypatch):
         inversions = []

@@ -21,7 +21,6 @@ from contactflows.potentials import (
     spin_potential,
 )
 from contactflows.scenario import (
-    EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
