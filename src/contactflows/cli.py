@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    contactflows simulate <scenario> [--out DIR] [--tol X]
-    contactflows check <scenario> [--tol X]
+    contactflows simulate <scenario> [--out DIR]
+    contactflows check <scenario>
     contactflows legendre --potential NAME [--n N] --p VALS
     contactflows divergence --potential NAME [--n N] --grid START:STOP:COUNT
                             [--out FILE]
@@ -40,11 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario and write its artifacts")
     sim.add_argument("scenario")
     sim.add_argument("--out", default=None, help="output directory (default: scenario dir)")
-    sim.add_argument("--tol", type=float, default=1e-8)
 
     chk = sub.add_parser("check", help="run a scenario's invariant checks only")
     chk.add_argument("scenario")
-    chk.add_argument("--tol", type=float, default=1e-8)
 
     leg = sub.add_parser("legendre", help="total Legendre transform of a built-in potential")
     leg.add_argument("--potential", required=True, choices=sorted(BUILTIN_POTENTIALS))
@@ -72,7 +70,7 @@ def _cmd_run(args) -> int:
     """simulate and check: run the scenario; only simulate writes artifacts."""
     simulate = args.command == "simulate"
     result = run_scenario(args.scenario, out_dir=args.out if simulate else None,
-                          tol=args.tol, write_outputs=simulate)
+                          write_outputs=simulate)
     if result.message:
         print(result.message, file=sys.stderr)
     if result.report is not None:

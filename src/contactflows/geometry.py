@@ -120,12 +120,13 @@ class ContactHamiltonian:
     """A scalar field h(x, p, z) given by its jet in the frame E, d/dp, R.
 
     E_a = d/dx^a + p_a d/dz, d/dp_a and the Reeb field R = d/dz span the
-    tangent space; ``jet(y, diag=None)`` maps a flat state y = (x, p, z) to
-    (h, Eh, dh/dp, dh/dz) there, with Eh = dh/dx + p dh/dz.  A builder that
-    knows the structure of h writes the jet once, evaluating every shared
-    quantity once, and on request stores the state's defect diagnostics in
-    the dict ``diag``.  Given a value alone, the jet is taken by central
-    differences; given a jet alone, the value is read from it.
+    tangent space; ``jet(x, p, z, diag=None)`` returns h, the components of
+    X_h there, dx = -dh/dp along E and dp = Eh = dh/dx + p dh/dz along d/dp,
+    and Rh = dh/dz.  A builder that knows the structure of h writes the jet
+    once, evaluating every shared quantity once, and on request stores the
+    state's defect diagnostics in the dict ``diag``.  Given a value alone,
+    the jet is taken by central differences; given a jet alone, the value
+    is read from it.
     """
 
     n: int
@@ -141,8 +142,7 @@ class ContactHamiltonian:
             object.__setattr__(self, "jet", self._numeric_jet)
         elif self.value is None:
             jet = self.jet
-            object.__setattr__(self, "value",
-                               lambda x, p, z: jet(np.concatenate([x, p, [z]]))[0])
+            object.__setattr__(self, "value", lambda x, p, z: jet(x, p, z)[0])
 
     def __call__(self, pt: CanonicalPoint) -> float:
         return float(self.value(pt.x, pt.p, pt.z))
@@ -153,34 +153,36 @@ class ContactHamiltonian:
             raise DimensionMismatchError(
                 f"point dimension {pt.n} != Hamiltonian dimension {self.n}"
             )
-        _, eh, hp, hz = self.jet(np.concatenate([pt.x, pt.p, [pt.z]]))
-        return eh - pt.p * hz, hp, hz
+        _, dx, dp, hz = self.jet(pt.x, pt.p, pt.z)
+        return dp - pt.p * hz, -dx, hz
 
     def field(self, y, diag=None):
-        """X_h = -dh/dp . E + Eh . d/dp + h R at the flat state y, as a flat array.
+        """X_h = dx . E + dp . d/dp + h R at the flat state y, as a flat array.
 
-        In canonical components dx = -dh/dp, dp = Eh, dz = h - p . dh/dp.
+        In canonical components dz = h + p . dx, from lambda(X_h) = h.
         Asked for diagnostics, it stores h and the compressibility
         kappa = (n + 1) dh/dz with those of the jet.
         """
         n = self.n
-        h, eh, hp, hz = self.jet(y, diag)
+        p = y[n:2 * n]
+        h, dx, dp, hz = self.jet(y[:n], p, y[2 * n], diag)
         out = np.empty(2 * n + 1)
-        out[:n] = -hp
-        out[n:2 * n] = eh
-        out[2 * n] = h - y[n:2 * n] @ hp
+        out[:n] = dx
+        out[n:2 * n] = dp
+        out[2 * n] = h + p @ dx
         if diag is not None:
             diag["h"], diag["kappa"] = h, (n + 1) * hz
         return out
 
-    def _numeric_jet(self, y, diag=None):
+    def _numeric_jet(self, x, p, z, diag=None):
         n = self.n
         # a non-finite value's partials are non-finite: EvaluationError, no warning
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = central_jacobian(lambda u: self.value(u[:n], u[n:2 * n], u[2 * n]), y)
-            h = float(self.value(y[:n], y[n:2 * n], y[2 * n]))
+            g = central_jacobian(lambda u: self.value(u[:n], u[n:2 * n], u[2 * n]),
+                                 np.concatenate([x, p, [z]]))
+            h = float(self.value(x, p, z))
             hz = float(g[2 * n])
-            return h, g[:n] + y[n:2 * n] * hz, g[n:2 * n], hz
+            return h, -g[n:2 * n], g[:n] + p * hz, hz
 
 
 def contact_form_pairing(pt: CanonicalPoint, v: TangentVector) -> float:
@@ -213,22 +215,18 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """-h o S, whose contact field is the pushforward of X_h under the swap.
 
     S exchanges E and d/dp and negates the contact form, so the jet of
-    -h o S at y is (-h, -dh/dp, -Eh, dh/dz) of h at S(y): a relabelling,
-    with no chain rule.  Its diagnostics are those of h at S(y) with the
-    scalar defect negated.
+    -h o S at (x, p, z) is (-h, dp, dx, dh/dz) of h at S(x, p, z): a
+    relabelling, with no chain rule.  Its diagnostics are those of h at
+    S(x, p, z) with the scalar defect negated.
     """
-    n = h.n
 
-    def jet(y, diag=None):
-        x, p = y[:n], y[n:2 * n]
-        s = np.empty(2 * n + 1)
-        s[:n], s[n:2 * n], s[2 * n] = p, x, x @ p - y[2 * n]
-        hv, eh, hp, hz = h.jet(s, diag)
+    def jet(x, p, z, diag=None):
+        hv, dx, dp, hz = h.jet(p, x, x @ p - z, diag)
         if diag is not None and "delta0" in diag:  # absent when h stores no defects
             diag["delta0"] = -diag["delta0"]
-        return -hv, -hp, -eh, hz
+        return -hv, dp, dx, hz
 
-    return ContactHamiltonian(n=n, jet=jet)
+    return ContactHamiltonian(n=h.n, jet=jet)
 
 
 def reeb_field(n: int) -> TangentVector:
@@ -241,7 +239,7 @@ def reeb_field(n: int) -> TangentVector:
 def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
     """Canonical components of the contact Hamiltonian vector field.
 
-    dx = -dh/dp,  dp = Eh = dh/dx + p dh/dz,  dz = h - p . dh/dp, assembled
+    dx = -dh/dp,  dp = Eh = dh/dx + p dh/dz,  dz = h + p . dx, assembled
     from the jet by ``h.field``, which also fills ``diag`` when it is given.
     Given a flat state (x, p, z) it returns the flat components; given a
     ``CanonicalPoint``, a ``TangentVector``.

@@ -130,13 +130,12 @@ def onsager_drift(L, u_gradient, u_hessian=None, n=None) -> DriftField:
 class RestoringFunction:
     """Scalar restoring term Gamma with Gamma(0) = 0.
 
-    kind is "linear" (with rate gamma0) or "custom"; stability certificates
-    only reason about the linear case.
+    ``gamma0`` is set only for a linear Gamma(d) = gamma0 d
+    (``linear_restoring``); stability certificates only reason about that case.
     """
 
     eval: Callable[[float], float]
     derivative: Callable[[float], float]
-    kind: str = "custom"
     gamma0: Optional[float] = None
 
     def __post_init__(self):
@@ -154,7 +153,6 @@ def linear_restoring(gamma0: float) -> RestoringFunction:
     return RestoringFunction(
         eval=lambda d: gamma0 * d,
         derivative=lambda d: gamma0,
-        kind="linear",
         gamma0=float(gamma0),
     )
 
@@ -208,7 +206,7 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
     if spec.side != "phi":
         raise ValueError("dual_spec needs a phi-side lift")
     gam = spec.restoring
-    if gam.kind != "linear":
+    if gam.gamma0 is None:
         gam = RestoringFunction(eval=lambda d: -spec.restoring.eval(-d),
                                 derivative=lambda d: spec.restoring.derivative(-d))
     return LiftSpec(side="psi", potential=conjugate(spec.workspace),
@@ -222,19 +220,19 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """h = Delta . F + Gamma(Delta_0) on the chosen side, by its jet.
 
     The jet evaluates psi, its gradient and Hessian (one ``jet_at``), F
-    and its Jacobian once: Eh = Hess psi . F + J^T Delta + Gamma'(Delta_0) Delta,
-    dh/dp = -F and dh/dz = -Gamma'(Delta_0).  Asked for diagnostics, it
-    stores delta0 and delta_norm = |Delta|.
+    and its Jacobian once: dx = F, dp = Eh = Hess psi . F + J^T Delta
+    + Gamma'(Delta_0) Delta and dh/dz = -Gamma'(Delta_0).  Asked for
+    diagnostics, it stores delta0 and delta_norm = |Delta|.
 
     With an anchor, h~ = D . F + Gamma(D0) in dimension n+1, with
     coordinates X = (x, x_extra), P = (p, p_extra) and
     D = (p_extra / anchor) grad psi - p.  h~ is the base lift of
     ``extension_spec``; its jet, written out for the extension, is
-    Eh = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
-          Gamma'(D0) (anchor - p_extra)),
-    dh/dP = (-F, grad psi . F / anchor) and dh/dz = -Gamma'(D0).  It stores
-    what the base jet does (in dimension n+1), the conserved psi_tilde and
-    the entropy S = x_extra.
+    dx = (F, -grad psi . F / anchor),
+    dp = ((p_extra / anchor) Hess psi . F + J^T D + Gamma'(D0) (grad psi - p),
+          Gamma'(D0) (anchor - p_extra))
+    and dh/dz = -Gamma'(D0).  It stores what the base jet does (in
+    dimension n+1), the conserved psi_tilde and the entropy S = x_extra.
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
@@ -244,33 +242,32 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     n = spec.n
     anchor = spec.anchor
 
-    def jet(y, diag=None):
-        x = y[:n]
+    def jet(x, p, z, diag=None):
         value, g, H = psi.jet_at(x)
-        d0 = value - y[2 * n]
-        d = g - y[n:2 * n]
+        d0 = value - z
+        d = g - p
         f = F.at(x)
         rate = Gam.derivative(d0)
         if diag is not None:
             diag.update(delta0=d0, delta_norm=np.sqrt(d @ d))
-        return d @ f + Gam.eval(d0), H @ f + F.jacobian_at(x).T @ d + rate * d, -f, -rate
+        return d @ f + Gam.eval(d0), f, H @ f + F.jacobian_at(x).T @ d + rate * d, -rate
 
-    def extended_jet(y, diag=None):
-        x, xe, p, pe = y[:n], y[n], y[n + 1:2 * n + 1], y[2 * n + 1]
+    def extended_jet(X, P, z, diag=None):
+        x, xe, p, pe = X[:n], X[n], P[:n], P[n]
         value, g, H = psi.jet_at(x)
         psi_tilde = value + anchor * xe
-        d0 = psi_tilde - y[2 * n + 2]
+        d0 = psi_tilde - z
         d = (pe / anchor) * g - p
         f = F.at(x)
         rate = Gam.derivative(d0)
-        eh, hp = np.empty(n + 1), np.empty(n + 1)
-        eh[:n] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
-        eh[n] = rate * (anchor - pe)
-        hp[:n] = -f
-        hp[n] = (g @ f) / anchor
+        dx, dp = np.empty(n + 1), np.empty(n + 1)
+        dx[:n] = f
+        dx[n] = -(g @ f) / anchor
+        dp[:n] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
+        dp[n] = rate * (anchor - pe)
         if diag is not None:  # the extra component of the defect vanishes
             diag.update(delta0=d0, delta_norm=np.sqrt(d @ d), psi_tilde=psi_tilde, S=xe)
-        return d @ f + Gam.eval(d0), eh, hp, -rate
+        return d @ f + Gam.eval(d0), dx, dp, -rate
 
     if anchor is None:
         return ContactHamiltonian(n=n, jet=jet)
@@ -366,7 +363,6 @@ def extension_spec(spec: LiftSpec) -> LiftSpec:
         n=n + 1, value=lambda X: psi.value_at(X[:n]) + anchor * X[n],
         gradient=lambda X: np.append(psi.gradient_at(X[:n]), anchor),
         hessian=lambda X: np.pad(psi.hessian_at(X[:n], check_spd=False), (0, 1)),
-        name=f"extension of {psi.name}",
     )
     return LiftSpec(side="psi", potential=potential,
                     drift=DriftField(n=n + 1, eval=drift, jacobian=jacobian,
@@ -461,9 +457,9 @@ def stability_certificate(spec: LiftSpec, sample_points=None) -> StabilityVerdic
     positive-definiteness condition is sampled on the caller grid (plus
     the origin) and the minimum eigenvalue found is reported.
     """
-    if spec.restoring.kind != "linear":
-        return StabilityVerdict(INCONCLUSIVE, {"reason": "nonlinear restoring term"})
     gamma0 = spec.restoring.gamma0
+    if gamma0 is None:
+        return StabilityVerdict(INCONCLUSIVE, {"reason": "nonlinear restoring term"})
     s = spec.drift.structure
     if s is None:
         return StabilityVerdict(INCONCLUSIVE, {"reason": "unrecognized drift class"})

@@ -35,6 +35,8 @@ GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic
 
 def _cholesky_or_raise(H, where=""):
     try:
+        if not np.isfinite(H).all():  # cholesky lets NaN through without raising
+            raise np.linalg.LinAlgError("Hessian has non-finite entries")
         return np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise StrictConvexityError(
@@ -59,7 +61,6 @@ class ConvexPotential:
     value: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "user"
     jet: Optional[Callable[[np.ndarray], tuple]] = None
     _spd_checked: Optional[tuple] = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -114,7 +115,6 @@ def quadratic_potential(M) -> ConvexPotential:
         value=lambda x: 0.5 * float(x @ M @ x),
         gradient=lambda x: M @ x,
         hessian=lambda x: M,
-        name="quadratic",
         jet=lambda x: (0.5 * float(x @ M @ x), M @ x, M),
     )
 
@@ -135,7 +135,6 @@ def spin_potential(n: int = 1) -> ConvexPotential:
         value=value,
         gradient=lambda x: np.tanh(x),
         hessian=hessian,
-        name="spin",
     )
 
 
@@ -150,7 +149,6 @@ def separable_potential(pieces) -> ConvexPotential:
         value=lambda x: float(sum(f(x[a]) for a, (f, _, _) in enumerate(pieces))),
         gradient=lambda x: np.array([df(x[a]) for a, (_, df, _) in enumerate(pieces)]),
         hessian=lambda x: np.diag([d2f(x[a]) for a, (_, _, d2f) in enumerate(pieces)]),
-        name="separable",
     )
 
 
@@ -403,7 +401,6 @@ def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
         value=ws.phi_value,
         gradient=ws.x_star,
         hessian=ws.inverse_hessian,
-        name=f"conjugate of {ws.psi.name}",
         jet=ws.jet,
     )
 

@@ -53,6 +53,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+INVARIANT_TOL = 1e-8  # |h| along a run started on the submanifold; the Pythagorean residual
+
 
 def _floats(text: str) -> np.ndarray:
     try:
@@ -272,8 +274,7 @@ class InvariantReport:
         return "\n".join(lines) + "\n"
 
 
-def build_invariant_report(scenario: Scenario, traj: Trajectory,
-                           tol: float = 1e-8) -> InvariantReport:
+def build_invariant_report(scenario: Scenario, traj: Trajectory) -> InvariantReport:
     spec = scenario.spec
     gamma0 = spec.restoring.gamma0
     checks = []
@@ -284,7 +285,7 @@ def build_invariant_report(scenario: Scenario, traj: Trajectory,
     if started_on:
         resid = float(np.max(np.abs(h)))
         checks.append(InvariantCheck("h stays zero on submanifold", "|h| = 0",
-                                     resid, resid, resid < max(tol, 1e-8)))
+                                     resid, resid, resid < INVARIANT_TOL))
     elif gamma0 is not None:
         # off-submanifold: h and Delta_0 decay at the restoring rate until they
         # sink into the integration noise, taken as the integrator's step
@@ -333,7 +334,7 @@ class ScenarioResult:
     message: str = ""
 
 
-def _run_pythagorean(parser, tol: float) -> ScenarioResult:
+def _run_pythagorean(parser) -> ScenarioResult:
     """Special scenario kind: three-term divergence identity via flows.
 
     A malformed [model] or [points] raises ``ScenarioError`` (exit 2).
@@ -374,19 +375,18 @@ def _run_pythagorean(parser, tol: float) -> ScenarioResult:
     except ContactFlowsError as exc:
         return ScenarioResult(EXIT_USAGE, message=str(exc))
     check = InvariantCheck("pythagorean three-term identity", "residual = 0",
-                           resid, resid, resid < tol)
+                           resid, resid, resid < INVARIANT_TOL)
     report = InvariantReport([check])
     code = EXIT_PASS if report.passed else EXIT_CHECK_FAILED
     return ScenarioResult(code, report=report)
 
 
-def run_scenario(path, out_dir=None, tol: float = 1e-8,
-                 write_outputs: bool = True) -> ScenarioResult:
+def run_scenario(path, out_dir=None, write_outputs: bool = True) -> ScenarioResult:
     """Run one scenario file; exit semantics 0 pass / 1 fail / 2 parse / 3 abort."""
     try:
         raw = _read_config(path)
         if raw.has_section("model") and raw["model"].get("name", "").strip() == "pythagorean":
-            return _run_pythagorean(raw, tol)
+            return _run_pythagorean(raw)
         scenario = _scenario_from_config(raw, Path(path))
     except ScenarioError as exc:
         return ScenarioResult(EXIT_USAGE, message=str(exc))
@@ -403,7 +403,7 @@ def run_scenario(path, out_dir=None, tol: float = 1e-8,
         return ScenarioResult(EXIT_NUMERICAL, trajectory=traj,
                               message=f"integration truncated: {traj.abort_reason}")
 
-    report = build_invariant_report(scenario, traj, tol=tol)
+    report = build_invariant_report(scenario, traj)
     artifacts = []
     if write_outputs and scenario.outputs:
         out_dir = Path(out_dir) if out_dir is not None else scenario.path.parent

@@ -1,8 +1,8 @@
 """Each lift's jet against central differences of an independent h.
 
 Every Hamiltonian the lift builders return carries a hand-written jet
-(h, Eh, dh/dp, dh/dz) that evaluates psi, its derivatives and the drift
-once, and ``ContactHamiltonian.field`` assembles the canonical field and
+(h, dx, dp, dh/dz), with dx and dp the components of X_h, that evaluates
+psi, its derivatives and the drift once, and ``ContactHamiltonian.field`` assembles the canonical field and
 the h and kappa diagnostics from it.  The oracle reads no jet: it writes
 h = D . F + Gamma(D0) from the lift's defect functions (``defects``) and
 the drift of the lift's own chart, and takes its partials by central

@@ -31,10 +31,9 @@ def random_point(n, scale=1.0):
 def closed_form_h(n, value, grad_x, grad_p, dz_partial):
     """The Hamiltonian whose jet is assembled from hand-written partials."""
 
-    def jet(y, diag=None):
-        x, p, z = y[:n], y[n:2 * n], y[2 * n]
+    def jet(x, p, z, diag=None):
         hz = dz_partial(x, p, z)
-        return value(x, p, z), grad_x(x, p, z) + p * hz, grad_p(x, p, z), hz
+        return value(x, p, z), -grad_p(x, p, z), grad_x(x, p, z) + p * hz, hz
 
     return ContactHamiltonian(n=n, value=value, jet=jet)
 

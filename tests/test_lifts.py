@@ -295,6 +295,39 @@ class TestStabilityCertificates:
             restoring=linear_restoring(1e-3))
         assert stability_certificate(spec).verdict == "inconclusive"
 
+    def test_onsager_class_reads_the_sample_points(self):
+        # L = I and Hess U = (1 + q_0^2) I: gamma0 L - L Hess U L = (2 - 1 - q_0^2) I
+        spec = LiftSpec(
+            side="psi", potential=quadratic_potential(np.eye(2)),
+            drift=onsager_drift(np.eye(2), lambda q: q,
+                                lambda q: (1.0 + q[0] ** 2) * np.eye(2)),
+            restoring=linear_restoring(2.0))
+        near = stability_certificate(spec, sample_points=[[0.0, 0.0], [0.5, -3.0]])
+        assert near.verdict == "approaches-fixed-point"
+        assert near.checks["sampled points"] == 2
+        assert near.checks["min eigenvalue"] == pytest.approx(0.75, rel=1e-12)
+        far = stability_certificate(spec, sample_points=[[0.5, 0.0], [2.0, 0.0]])
+        assert far.verdict == "inconclusive" and not far
+        assert far.checks["min eigenvalue"] == pytest.approx(-3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("drift, restoring, reason", [
+        (linear_drift(-0.5, 1),
+         RestoringFunction(eval=lambda d: d + 0.3 * d * d, derivative=lambda d: 1 + 0.6 * d),
+         "nonlinear restoring term"),
+        (DriftField(n=1, eval=lambda u: -u), linear_restoring(1.0), "unrecognized drift class"),
+        (onsager_drift(np.eye(1), lambda q: q), linear_restoring(1.0),
+         "no Hessian for the potential"),
+        (DriftField(n=1, eval=lambda u: -u, structure=("spiral", 1.0)), linear_restoring(1.0),
+         "unknown structure 'spiral'"),
+    ], ids=["nonlinear-restoring", "untagged-drift", "onsager-without-hessian",
+            "unknown-structure"])
+    def test_unrecognized_cases_are_inconclusive(self, drift, restoring, reason):
+        spec = LiftSpec(side="psi", potential=quadratic_potential(np.eye(1)),
+                        drift=drift, restoring=restoring)
+        verdict = stability_certificate(spec)
+        assert verdict.verdict == "inconclusive" and not verdict
+        assert verdict.checks == {"reason": reason}
+
 
 def test_restoring_function_warns_on_a_nonzero_root():
     # Gamma(d) = d + d^2/2 vanishes at d = -2 as well as at 0

@@ -87,7 +87,6 @@ class TestRC:
             value=lambda x: 0.5 * x[0] ** 2 + 0.25 * x[0] ** 4,
             gradient=lambda x: np.array([x[0] + x[0] ** 3]),
             hessian=lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
-            name="quartic",
         )
         spec = rc_spec(CircuitParams(R=2.0, C=1.0, potential=psi))
         pt = embed_psi(psi, np.array([0.8]))
@@ -261,7 +260,6 @@ class TestOnsager:
             value=lambda x: 0.5 * float((x - x_bar) @ M @ (x - x_bar)),
             gradient=lambda x: M @ (x - x_bar),
             hessian=lambda x: M,
-            name="shifted-quadratic",
         )
         spec = onsager_spec(OnsagerParams(L_matrix=np.eye(2), U=U, gamma0=10.0))
         assert stability_certificate(spec).verdict == "approaches-fixed-point"

@@ -145,7 +145,7 @@ class TestLegendreTransform:
         assert accepted.phi_value == solved.phi_value
 
     @pytest.mark.parametrize("start, p, cause", [
-        ([np.nan], [0.5], "line search stalled"),
+        ([np.nan], [0.5], "Hessian not positive definite after 0 "),
         ([np.inf], [0.5], "Hessian not positive definite"),
         # tanh x = 1 at x = inf is within tol of p, but phi = inf - inf there
         ([np.inf], [1 - 1e-13], r"x or psi\(x\) not finite after 0 "),
@@ -341,6 +341,47 @@ class TestConstantHessianCheck:
                               hessian=lambda x: np.diag([1.0, -1.0]))
         assert psi.hessian_at(np.zeros(2), check_spd=False)[1, 1] == -1.0
         assert not calls
+
+    def test_nan_hessian_raises_and_is_not_remembered(self):
+        # cholesky returns NaN for a NaN matrix without raising
+        psi = spin_potential(1)
+        for _ in range(2):
+            with pytest.raises(StrictConvexityError, match="not positive definite"):
+                psi.hessian_at(np.array([np.nan]))
+        assert psi._spd_checked is None
+
+    def test_nan_quadratic_coefficients_rejected(self):
+        with pytest.raises(StrictConvexityError, match="quadratic coefficient matrix"):
+            quadratic_potential([[np.nan]])
+
+
+class TestCentralDifferences:
+    """A potential given as a value alone: psi(x) = x.x / 2 + sum x_a^4 / 4."""
+
+    psi = ConvexPotential(n=2, value=lambda x: 0.5 * float(x @ x) + 0.25 * float(np.sum(x ** 4)))
+    POINTS = [[0.3, -0.7], [1.5, 2.0], [-3.0, 0.1]]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_gradient_and_hessian_match_closed_forms(self, x):
+        x = np.array(x)
+        # rounding noise of a central difference with step eps^(1/3) is about
+        # eps^(2/3) |psi| on the gradient, and larger again on the Hessian
+        scale = 1.0 + abs(self.psi.value_at(x))
+        assert np.allclose(self.psi.gradient_at(x), x + x ** 3, rtol=0, atol=1e-10 * scale)
+        H = self.psi.hessian_at(x)
+        assert np.array_equal(H, H.T)
+        assert np.allclose(H, np.diag(1 + 3 * x ** 2), rtol=0, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_legendre_solve_recovers_x(self, x):
+        # the central-difference gradient carries rounding noise of about
+        # 1e-11 |psi|, so the solve is asked for 1e-9, not the default 1e-12
+        x = np.array(x)
+        p = x + x ** 3
+        res = legendre_transform(self.psi, p, tol=1e-9)
+        assert res.residual <= 1e-9
+        assert np.allclose(res.x_star, x, rtol=0, atol=1e-9)
+        assert res.phi_value == pytest.approx(x @ p - self.psi.value_at(x), abs=1e-9)
 
 
 # psi(x) = e^x0 + ln cosh x1 + 3 x2^2 / 2, and per coordinate its conjugate's

@@ -310,6 +310,27 @@ class TestRunScenario:
         assert float(rows[-1][1]) == pytest.approx(np.exp(-1.0), abs=1e-9)
         assert (tmp_path / "report.txt").read_text().startswith("invariant report")
 
+    def test_divergence_table_along_the_trajectory(self, tmp_path):
+        path = write(tmp_path, RC_TEXT + "divergence_table = div.csv\n")
+        result = run_scenario(path, out_dir=tmp_path)
+        assert result.exit_code == EXIT_PASS
+        assert tmp_path / "div.csv" in result.artifacts
+        with open(tmp_path / "div.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # every pair of 5 states sampled along the run, first and last included
+        xs = result.trajectory.states[:, 0]
+        assert len(rows) == 25
+        assert float(rows[0]["x"]) == xs[0] and float(rows[-1]["x"]) == xs[-1]
+        pairs = [(np.array([float(r["x"])]), np.array([float(r["x_prime"])])) for r in rows]
+        expect = divergence_table(DuallyFlatWorkspace(parse_scenario(path).spec.potential),
+                                  pairs)
+        for row, want in zip(rows, expect):
+            assert row["error"] == "" and float(row["D"]) == want["D"]
+            assert float(row["D_reverse"]) == want["D_reverse"]
+            assert float(row["D"]) >= 0.0
+            if row["x"] == row["x_prime"]:
+                assert float(row["D"]) == 0.0
+
     def test_malformed_file_writes_nothing(self, tmp_path):
         path = write(tmp_path, RC_TEXT.replace("name = rc", "name = flux"))
         result = run_scenario(path, out_dir=tmp_path)
