@@ -201,7 +201,8 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 
     The drift and the anchor carry over; the restoring function becomes
     Gamma~(d) = -Gamma(-d), which is Gamma itself when Gamma is linear.
-    Every transform goes through ``spec.workspace``, so its latest solve is shared.
+    Without a closed-form conjugate every transform goes through
+    ``spec.workspace``, so its latest solve is shared.
     """
     if spec.side != "phi":
         raise ValueError("dual_spec needs a phi-side lift")

@@ -139,8 +139,9 @@ def rc_thermal_spec(params: CircuitParams) -> LiftSpec:
 
 # ---------------------------------------------------------------------------
 # RL circuit.  Plain model lives on the phi side in the current I with
-# dual potential H_L*(I) = L I^2/2; the thermal model is the same lift on
-# the psi side, in the flux N with H_L(N) = N^2/(2L).
+# dual potential H_L*(I) = L I^2/2, the closed-form conjugate of the
+# quadratic H_L, so no Legendre solve runs; the thermal model is the same
+# lift on the psi side, in the flux N with H_L(N) = N^2/(2L).
 
 def _rl_potential(params: CircuitParams) -> ConvexPotential:
     params.require("L")
@@ -162,8 +163,8 @@ def rl_thermal_spec(params: CircuitParams) -> LiftSpec:
 
 # ---------------------------------------------------------------------------
 # RLC circuit (n = 2).  Plain: phi side in (V, I) with
-# H*(V, I) = C V^2/2 + L I^2/2; thermal: psi side in (Q, N) with
-# H(Q, N) = Q^2/(2C) + N^2/(2L).
+# H*(V, I) = C V^2/2 + L I^2/2, the closed-form conjugate of the quadratic
+# H; thermal: psi side in (Q, N) with H(Q, N) = Q^2/(2C) + N^2/(2L).
 
 def _rlc_potential(params: CircuitParams) -> ConvexPotential:
     params.require("C", "L")

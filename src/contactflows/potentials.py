@@ -1,15 +1,17 @@
 """Strictly convex potentials, the numeric total Legendre transform, and
 the dually flat machinery built on top of them.
 
-The conjugate potential is never stored in closed form: every quantity on
+A potential may carry its conjugate in closed form (``closed_conjugate``;
+the quadratic potential does).  For every other potential each quantity on
 the dual side goes through the unique solution x*(p) of grad psi(x) = p,
-obtained by damped Newton.  ``conjugate`` packages that solve as a
-potential of p, so the dual side reuses every psi-side construction through
-the Legendre swap.
+obtained by damped Newton.  ``conjugate`` returns the closed form, or
+packages that solve as a potential of p, so the dual side reuses every
+psi-side construction through the Legendre swap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -55,6 +57,8 @@ class ConvexPotential:
     ``jet_at`` calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call,
     and returns its result as it is; ``gradient_at`` and ``hessian_at``
     return a float64 array of the right dimension as the callable gave it.
+    The optional ``closed_conjugate`` returns the conjugate potential of p,
+    which ``conjugate`` then reads in place of the Legendre solve.
     """
 
     n: int
@@ -62,6 +66,7 @@ class ConvexPotential:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jet: Optional[Callable[[np.ndarray], tuple]] = None
+    closed_conjugate: Optional[Callable[[], "ConvexPotential"]] = None
     _spd_checked: Optional[tuple] = field(default=None, init=False, repr=False,
                                           compare=False)
 
@@ -106,17 +111,31 @@ class ConvexPotential:
 # Built-in potentials with closed-form derivatives.
 
 def quadratic_potential(M) -> ConvexPotential:
-    """psi(x) = x.M.x / 2 for an SPD matrix M."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """psi(x) = x.M.x / 2 for an SPD matrix M, which it copies read-only.
+
+    Its closed-form conjugate is x.M^-1.x / 2, built on first use, and
+    the conjugate of that is psi itself.
+    """
+    M = np.array(M, dtype=float, ndmin=2)
     _cholesky_or_raise(M, where="quadratic coefficient matrix")
-    n = M.shape[0]
-    return ConvexPotential(
-        n=n,
-        value=lambda x: 0.5 * float(x @ M @ x),
-        gradient=lambda x: M @ x,
-        hessian=lambda x: M,
-        jet=lambda x: (0.5 * float(x @ M @ x), M @ x, M),
-    )
+    return _quadratic(M, None)
+
+
+def _quadratic(M, dual) -> ConvexPotential:
+    M.flags.writeable = False
+
+    def jet(x):
+        g = M @ x
+        return 0.5 * float(x @ g), g, M
+
+    @functools.cache
+    def closed_conjugate():
+        return dual if dual is not None else _quadratic(np.linalg.inv(M), psi)
+
+    psi = ConvexPotential(n=M.shape[0], value=lambda x: 0.5 * float(x @ (M @ x)),
+                          gradient=lambda x: M @ x, hessian=lambda x: M, jet=jet,
+                          closed_conjugate=closed_conjugate)
+    return psi
 
 
 def spin_potential(n: int = 1) -> ConvexPotential:
@@ -390,12 +409,15 @@ class DuallyFlatWorkspace:
 
 
 def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
-    """The conjugate phi as a potential of p, read through the workspace.
+    """The conjugate phi as a potential of p: ``ws.psi.closed_conjugate()`` if it has one.
 
-    Value phi(p), gradient x*(p), Hessian (Hess psi(x*))^-1, and all three
-    from one lookup as its jet.  Hess psi is inverted unchecked, so an
-    unchecked ``hessian_at`` costs no factorisation; a checked one tests the inverse itself.
+    Otherwise it is read through the workspace: value phi(p), gradient
+    x*(p), Hessian (Hess psi(x*))^-1, and all three from one lookup as its
+    jet.  Hess psi is inverted unchecked, so an unchecked ``hessian_at``
+    costs no factorisation; a checked one tests the inverse itself.
     """
+    if ws.psi.closed_conjugate is not None:
+        return ws.psi.closed_conjugate()
     return ConvexPotential(
         n=ws.n,
         value=ws.phi_value,

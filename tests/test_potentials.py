@@ -205,6 +205,83 @@ class TestMetrics:
         assert np.allclose(g @ g_star, np.eye(2), atol=1e-8)
 
 
+@st.composite
+def spd_matrices(draw):
+    """Diagonal or non-diagonal SPD M, n in {1, 2, 3}, eigenvalues in [0.3, 9.3]."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        return np.diag(draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    return A.reshape(n, n) @ A.reshape(n, n).T + 0.3 * np.eye(n)
+
+
+def counting_legendre(monkeypatch):
+    solves = []
+
+    def counting(psi, p, x0=None):
+        solves.append(p)
+        return legendre_transform(psi, p, x0=x0)
+
+    monkeypatch.setattr(potentials_module, "legendre_transform", counting)
+    return solves
+
+
+class TestClosedFormConjugate:
+    @settings(max_examples=60, deadline=None)
+    @given(spd_matrices(), st.data())
+    def test_closed_form_agrees_with_newton(self, M, data):
+        psi = quadratic_potential(M)
+        closed = conjugate(DuallyFlatWorkspace(psi))
+        newton = conjugate(DuallyFlatWorkspace(without_closed_form(psi)))
+        assert closed.closed_conjugate is not None and newton.jet is not None
+        n = len(M)
+        for p in data.draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
+                                    min_size=1, max_size=3)):
+            p = np.array(p)
+            scale = max(1.0, float(np.max(np.abs(p))))
+            assert closed.value_at(p) == pytest.approx(newton.value_at(p), rel=1e-12,
+                                                       abs=1e-12 * scale ** 2)
+            assert np.allclose(closed.gradient_at(p), newton.gradient_at(p),
+                               rtol=0, atol=1e-11 * scale)
+            assert np.allclose(closed.hessian_at(p), newton.hessian_at(p), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", ["rl", "rlc"])
+    def test_phi_circuit_run_makes_no_legendre_solve(self, monkeypatch, model):
+        solves = counting_legendre(monkeypatch)
+        spec = MODEL_BUILDERS[model](CircuitParams(R=1.3, C=0.7, L=0.9, gamma0=0.8))
+        assert spec.side == "phi"
+        n = spec.n
+        start = CanonicalPoint(np.full(n, 0.3), np.linspace(1.0, 0.5, n), 0.1)
+        traj = integrate_lift(spec, start, 5.0)
+        assert len(traj.times) > 20 and traj.abort_reason is None and not solves
+
+    def test_phi_spin_run_still_solves(self, monkeypatch):
+        solves = counting_legendre(monkeypatch)
+        spec = LiftSpec(side="phi", potential=spin_potential(2),
+                        drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
+        start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
+        traj = integrate_lift(spec, start, 0.5)
+        assert len(solves) >= len(traj.times) > 2
+        before = len(solves)
+        dual_metric(spin_potential(1), np.array([0.5]))
+        assert len(solves) == before + 1
+
+    def test_conjugate_twice_is_psi_built_once_on_first_use(self, monkeypatch):
+        solves, inversions = counting_legendre(monkeypatch), []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
+        psi = quadratic_potential(NON_DIAGONAL_M)
+        assert not inversions
+        phi = conjugate(DuallyFlatWorkspace(psi))
+        assert conjugate(DuallyFlatWorkspace(phi)) is psi
+        assert conjugate(DuallyFlatWorkspace(psi)) is phi and len(inversions) == 1
+        # dual_metric reads the one inverse, shared by every reader, so read-only
+        g_star = dual_metric(psi, np.array([0.4, -0.9]))
+        assert np.array_equal(g_star, inv(NON_DIAGONAL_M)) and not solves
+        with pytest.raises(ValueError):
+            g_star[0, 0] = 99.0
+
+
 def phi_side(psi):
     """A phi-side lift of psi, for its submanifold."""
     return LiftSpec(side="phi", potential=psi, drift=linear_drift(-1.0, psi.n),
@@ -507,15 +584,9 @@ class TestJet:
         assert len(traj.times) > 20 and len(inversions) == 1
 
     def test_phi_spin_run_inverts_once_per_new_p(self, monkeypatch):
-        inversions, solves = [], []
+        inversions, solves = [], counting_legendre(monkeypatch)
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
-
-        def counting(psi, p, x0=None):
-            solves.append(p)
-            return legendre_transform(psi, p, x0=x0)
-
-        monkeypatch.setattr(potentials_module, "legendre_transform", counting)
         spec = LiftSpec(side="phi", potential=spin_potential(2),
                         drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
         start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
@@ -552,9 +623,20 @@ class TestJet:
             assert np.allclose(psi.gradient_at(res.x_star), p, rtol=0, atol=1e-12)
 
 
+def without_closed_form(psi):
+    """psi's own callables in a bare potential: its conjugate goes through the workspace."""
+    return ConvexPotential(n=psi.n, value=psi.value, gradient=psi.gradient,
+                           hessian=psi.hessian, jet=psi.jet)
+
+
 def off_graph_rlc():
-    """phi-side rlc (R = C = L = gamma0 = 1) and a start off its submanifold."""
+    """phi-side rlc (R = C = L = gamma0 = 1) and a start off its submanifold.
+
+    Its quadratic is bare, so these runs pin the warm-started workspace,
+    whose predictor is exact for a constant Hessian.
+    """
     spec = rlc_spec(CircuitParams(R=1.0, C=1.0, L=1.0, gamma0=1.0))
+    spec = replace(spec, potential=without_closed_form(spec.potential), workspace=None)
     return spec, CanonicalPoint(np.array([0.3, -0.2]), np.array([1.0, 0.5]), 0.1)
 
 
@@ -596,7 +678,7 @@ class TestWorkspaceCache:
         assert np.max(np.abs(warm.x_star - cold.x_star)) <= 1e-13 * scale
 
     def test_shared_inverse_hessian_is_read_only(self):
-        ws = DuallyFlatWorkspace(quadratic_potential(NON_DIAGONAL_M))
+        ws = DuallyFlatWorkspace(without_closed_form(quadratic_potential(NON_DIAGONAL_M)))
         p = np.array([0.4, -0.9])
         H = conjugate(ws).hessian_at(p)
         with pytest.raises(ValueError):

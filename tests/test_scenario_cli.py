@@ -393,6 +393,19 @@ t_end = 8.0
         assert by_name["H_tot conserved"].residual < 1e-9
         assert by_name["entropy nondecreasing"].passed
 
+    def test_bundled_rlc_on_the_dual_chart(self, tmp_path):
+        from scipy.linalg import expm
+
+        result = run_scenario(SCENARIOS / "rlc.scenario", out_dir=tmp_path)
+        assert result.exit_code == EXIT_PASS
+        assert sorted(a.name for a in result.artifacts) == ["rlc_report.txt", "rlc_traj.csv"]
+        # (V, I) follows its linear flow exactly, also off the submanifold
+        traj = result.trajectory
+        A = np.array([[0.0, 1.0 / 1.1], [-1.0 / 0.9, -1.0 / 0.9]])
+        expect = expm(A * traj.times[-1]) @ np.array([0.8, -0.4])
+        assert traj.times[-1] == 5.0
+        assert np.max(np.abs(traj.final_state[2:4] - expect)) <= 1e-8
+
     def test_bundled_pythagorean(self):
         result = run_scenario(SCENARIOS / "pythagorean.scenario",
                               write_outputs=False)
