@@ -31,6 +31,9 @@ from .geometry import CanonicalPoint, _as_vector, _float_array, central_jacobian
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
+# a central-difference gradient's rounding noise over |psi|: eps |psi| over the
+# step eps^(1/3), seen up to 1.5 eps^(2/3) on the quartic of the tests
+_FD_GRADIENT_NOISE = 4 * _EPS ** (2 / 3)
 PYTHAGOREAN_ORTHO_TOL = 1e-6  # relative right-angle tolerance of a Pythagorean triple
 GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic lands
 
@@ -207,19 +210,19 @@ def legendre_transform(
     psi: ConvexPotential,
     p,
     x0=None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> LegendreTransformResult:
     """phi(p) = sup_x [x.p - psi(x)], solved via grad psi(x) = p.
 
     Damped Newton with Armijo backtracking on the squared gradient residual,
     started from a copy of ``x0`` (default: the origin); x* comes back
-    read-only, so a memo can hand it out.  The start is evaluated by one
-    ``jet_at``: a start within ``tol`` is accepted with that psi value and
-    keeps that Hessian in the result, and any other start's first Newton
-    step checks and uses it.  Overflow past the dual chart, or a start that
-    is not finite, ends in ``NewtonConvergenceError``, not a warning; its
-    message names the cause and the iterations run.
+    read-only, so a memo can hand it out.  The residual tolerance is
+    ``NEWTON_TOL``, or without a ``gradient`` callable at least the central
+    difference's rounding noise.  The start is evaluated by one ``jet_at``:
+    a converged start is accepted with that psi value and keeps that
+    Hessian in the result, and any other start's first Newton step checks
+    and uses it.  Overflow past the dual chart, or a start that is not
+    finite, ends in ``NewtonConvergenceError``, not a warning; its message
+    names the cause and the iterations run.
     """
     p = _float_array(p, 1)
     if len(p) != psi.n:
@@ -231,13 +234,17 @@ def legendre_transform(
         H = _float_array(H, 2)
         r = g - p
         norm = float(np.abs(r).max())
+        tol = NEWTON_TOL
         # a residual within tol is finite, and so is p: only another start checks p
         if not norm <= tol and not np.isfinite(p).all():
             raise EvaluationError("p has non-finite entries", coords=p)
         best_x, best_norm = x, norm
-        for it in range(max_iter):
+        for it in range(NEWTON_MAX_ITER):
             if norm < best_norm:
                 best_x, best_norm = x, norm
+            if psi.gradient is None:  # a central-difference gradient: its noise at x
+                value = psi.value_at(x) if value is None else value
+                tol = max(NEWTON_TOL, _FD_GRADIENT_NOISE * abs(value))
             if norm <= tol:
                 # one undamped polish step unless the residual is at rounding level,
                 # <= 4 eps max(1, |p|_inf), already: Newton is quadratic near the root
@@ -280,7 +287,7 @@ def legendre_transform(
             x, r, value, H = x_new, r_new, None, None
             norm = float(np.abs(r).max())
         else:
-            it, cause = max_iter, "iteration budget exhausted"
+            it, cause = NEWTON_MAX_ITER, "iteration budget exhausted"
     raise NewtonConvergenceError(
         f"Newton did not reach tolerance {tol:g}: {cause} after {it} iterations "
         f"(best residual {best_norm:g})",
@@ -336,9 +343,8 @@ class DuallyFlatWorkspace:
     solves agree to rounding level, so a result may depend at that level
     on the solve before it; ``clear`` forgets that solve.  The inverse is
     taken of the Hessian the solve left in its result, and only a solve
-    that left none evaluates Hess psi(x*) again.  A Hessian with the bytes
-    of the last one inverted reuses its inverse, so a constant one is
-    inverted once.  Not safe for concurrent use.
+    that left none evaluates Hess psi(x*) again.  Not safe for concurrent
+    use.
     """
 
     def __init__(self, psi: ConvexPotential):
@@ -348,7 +354,6 @@ class DuallyFlatWorkspace:
     def clear(self):
         """Forget the latest solve and inverse: the next solve starts cold."""
         self._key = self._p = self._res = self._inv_hessian = None
-        self._inverted = self._last_inverse = None  # bytes of a Hessian, and its inverse
 
     @property
     def n(self) -> int:
@@ -400,11 +405,8 @@ class DuallyFlatWorkspace:
             H = self._res.hessian
             if H is None:
                 H = self.psi.hessian_at(self._res.x_star, check_spd=False)
-            key = H.tobytes()
-            if key != self._inverted:
-                self._inverted, self._last_inverse = key, np.linalg.inv(H)
-                self._last_inverse.flags.writeable = False
-            self._inv_hessian = self._last_inverse
+            self._inv_hessian = np.linalg.inv(H)
+            self._inv_hessian.flags.writeable = False
         return self._inv_hessian
 
 

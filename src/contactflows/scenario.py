@@ -41,7 +41,6 @@ from .integrate import (
     MAX_STEP_ATTEMPTS,
     IntegratorConfig,
     Trajectory,
-    fit_decay_rate,
     integrate_lift,
 )
 from .lifts import LiftSpec, embed
@@ -54,6 +53,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 INVARIANT_TOL = 1e-8  # |h| along a run started on the submanifold; the Pythagorean residual
+# the miss allowed h and Delta_0 from their decay laws, in floors times max(1, gamma0);
+# the worst seen is 1.6 under RKF45 and 10 under RK4 (step 0.0025, gamma0 = 10)
+DECAY_LAW_FLOORS = 20
 
 
 def _floats(text: str) -> np.ndarray:
@@ -287,24 +289,18 @@ def build_invariant_report(scenario: Scenario, traj: Trajectory) -> InvariantRep
         checks.append(InvariantCheck("h stays zero on submanifold", "|h| = 0",
                                      resid, resid, resid < INVARIANT_TOL))
     elif gamma0 is not None:
-        # off-submanifold: h and Delta_0 decay at the restoring rate until they
-        # sink into the integration noise, taken as the integrator's step
-        # tolerance at the largest state; the fit stops where they reach it
+        # off the submanifold h and Delta_0 follow s(0) e^{-gamma0 t} exactly; the
+        # floor is the step tolerance at the largest state, weighted by gamma0
+        # because h = Delta.F + gamma0 Delta_0 carries the error in Delta_0 so
         cfg = scenario.config
         floor = cfg.abs_tol + cfg.rel_tol * max(1.0, float(np.max(np.abs(traj.states))))
-        for name, series in (("h decay rate", h), ("delta0 decay rate", d0)):
-            below = np.flatnonzero(np.abs(series) <= floor)
-            end = below[0] if len(below) else len(series)
-            expected = f"exponential, rate -{gamma0:g}"
-            if end < len(series):
-                expected += (f", fitted above the noise floor {floor:.3g} "
-                             f"(reached at t = {traj.times[end]:.6g})")
-            try:
-                rate = fit_decay_rate(traj.times[:end], series[:end])
-            except ValueError:
-                continue
-            resid = abs(rate + gamma0)
-            checks.append(InvariantCheck(name, expected, rate, resid, resid < 1e-3))
+        bound = DECAY_LAW_FLOORS * floor * max(1.0, gamma0)
+        decay = np.exp(-gamma0 * traj.times)
+        for name, series in (("h", h), ("delta0", d0)):
+            miss = float(np.max(np.abs(series - series[0] * decay)))  # NaN if any row is
+            checks.append(InvariantCheck(f"{name} decay law",
+                                         f"{name}(0) e^(-{gamma0:g} t) within {bound:.3g}",
+                                         miss, miss, miss <= bound))
 
     if spec.anchor is not None:
         H = traj.diagnostics["psi_tilde"]  # the total energy H_tot

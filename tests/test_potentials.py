@@ -115,15 +115,16 @@ class TestLegendreTransform:
         assert excinfo.value.best_x is not None
         assert excinfo.value.iterations > 0
 
-    def test_failure_names_its_cause_and_the_iterations_run(self):
+    def test_failure_names_its_cause_and_the_iterations_run(self, monkeypatch):
         # past the dual chart x grows until sech^2 x underflows to a zero
         # Hessian, a few iterations in, long before the iteration budget
         with pytest.raises(NewtonConvergenceError, match="Hessian not positive definite") as excinfo:
             legendre_transform(spin_potential(1), np.array([1.5]))
         assert 0 < excinfo.value.iterations < NEWTON_MAX_ITER
         assert f"after {excinfo.value.iterations} iterations" in str(excinfo.value)
+        monkeypatch.setattr(potentials_module, "NEWTON_MAX_ITER", 2)
         with pytest.raises(NewtonConvergenceError, match="iteration budget exhausted after 2 "):
-            legendre_transform(spin_potential(1), np.array([0.5]), max_iter=2)
+            legendre_transform(spin_potential(1), np.array([0.5]))
 
     def test_converged_start_is_not_returned(self):
         # a start that already solves grad psi(x) = p ends the solve at once;
@@ -452,13 +453,16 @@ class TestCentralDifferences:
     @pytest.mark.parametrize("x", POINTS)
     def test_legendre_solve_recovers_x(self, x):
         # the central-difference gradient carries rounding noise of about
-        # 1e-11 |psi|, so the solve is asked for 1e-9, not the default 1e-12
+        # eps^(2/3) |psi|, above NEWTON_TOL; the solve stops at that noise
         x = np.array(x)
         p = x + x ** 3
-        res = legendre_transform(self.psi, p, tol=1e-9)
-        assert res.residual <= 1e-9
+        scale = 1.0 + abs(self.psi.value_at(x))
+        res = legendre_transform(self.psi, p)
+        assert res.residual <= 1e-9 * scale and res.iterations <= 10
         assert np.allclose(res.x_star, x, rtol=0, atol=1e-9)
-        assert res.phi_value == pytest.approx(x @ p - self.psi.value_at(x), abs=1e-9)
+        assert res.phi_value == pytest.approx(x @ p - self.psi.value_at(x), abs=1e-9 * scale)
+        g = dual_metric(self.psi, p)
+        assert np.allclose(g @ np.diag(1 + 3 * x ** 2), np.eye(2), rtol=0, atol=1e-5)
 
 
 # psi(x) = e^x0 + ln cosh x1 + 3 x2^2 / 2, and per coordinate its conjugate's
@@ -574,14 +578,6 @@ class TestJet:
             # the conjugate's jet, then the one of psi inside its warm solve
             assert calls == [(False, "jet_at"), (True, "jet_at")]
             assert spec.workspace._res.iterations == 0
-
-    def test_phi_rlc_run_inverts_its_constant_hessian_once(self, monkeypatch):
-        inversions = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or inv(a))
-        spec, start = off_graph_rlc()
-        traj = integrate_lift(spec, start, 5.0)
-        assert len(traj.times) > 20 and len(inversions) == 1
 
     def test_phi_spin_run_inverts_once_per_new_p(self, monkeypatch):
         inversions, solves = [], counting_legendre(monkeypatch)

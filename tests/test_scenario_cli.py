@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contactflows import integrate as integrate_module
 from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
 from contactflows.errors import EvaluationError
+from contactflows.geometry import ContactHamiltonian, swap_hamiltonian
 from contactflows.integrate import integrate_lift
-from contactflows.lifts import linear_restoring
+from contactflows.lifts import dual_spec, linear_restoring
 from contactflows.potentials import (
     ConvexPotential,
     DuallyFlatWorkspace,
@@ -21,6 +23,8 @@ from contactflows.potentials import (
     spin_potential,
 )
 from contactflows.scenario import (
+    DECAY_LAW_FLOORS,
+    EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
@@ -87,6 +91,42 @@ z = 0.1
 [integrator]
 t_end = 50
 """
+
+# a start off the submanifold of each lift: rc and spin on the psi side, rlc on the phi side
+OFF_SUBMANIFOLD = {
+    "rc": ("R = 1.0\nC = 1.0", "x = 0.8\np = 0.5\nz = 0.1"),
+    "rlc": ("R = 1.0\nC = 1.1\nL = 0.9", "x = 0.9 -0.3\np = 0.8 -0.4\nz = 0.5"),
+    "spin": ("theta = 0.5\nlambda0 = 0.3", "x = 0.8\np = 0.5\nz = 1.0"),
+}
+
+
+def off_submanifold(model, gamma0, t_end=1.0):
+    keys, start = OFF_SUBMANIFOLD[model]
+    return (f"[model]\nname = {model}\n{keys}\ngamma0 = {gamma0!r}\n\n"
+            f"[initial]\n{start}\n\n[integrator]\nt_end = {t_end!r}\n")
+
+
+def plant_gamma_prime(monkeypatch, factor):
+    """Make integrate_lift's base jets take Gamma' ``factor`` times too large in dp.
+
+    dp = ... + Gamma'(Delta_0) Delta and dh/dz = -Gamma'(Delta_0), so the
+    planted jet adds (factor - 1) Gamma' Delta to dp; a phi-side lift gets
+    it in the psi-side jet that the swap relabels.
+    """
+    build = integrate_module.build_hamiltonian
+
+    def planted(spec):
+        if spec.side == "phi":
+            return swap_hamiltonian(planted(dual_spec(spec)))
+        h, psi = build(spec), spec.potential
+
+        def jet(x, p, z, diag=None):
+            value, dx, dp, hz = h.jet(x, p, z, diag)
+            return value, dx, dp - (factor - 1) * hz * (psi.gradient_at(x) - p), hz
+
+        return ContactHamiltonian(n=h.n, jet=jet)
+
+    monkeypatch.setattr(integrate_module, "build_hamiltonian", planted)
 
 
 class TestParsing:
@@ -344,7 +384,7 @@ class TestRunScenario:
         assert (tmp_path / "a" / "traj.csv").read_bytes() == (
             tmp_path / "b" / "traj.csv").read_bytes()
 
-    def test_off_submanifold_rate_check(self, tmp_path):
+    def test_off_submanifold_decay_law_check(self, tmp_path):
         text = """
 [model]
 name = spin
@@ -363,20 +403,21 @@ t_end = 8.0
         result = run_scenario(write(tmp_path, text))
         assert result.exit_code == EXIT_PASS
         names = {c.name for c in result.report.checks}
-        assert "delta0 decay rate" in names
+        assert "delta0 decay law" in names
 
-    def test_long_decay_fit_stops_at_noise_floor(self, tmp_path):
+    def test_long_decay_law_holds_below_the_noise_floor(self, tmp_path):
         # by t = 50, h and delta0 are far below the integration noise; a fit
-        # through that noise found rates of about -0.97
+        # of their rate through that noise found about -0.97
         result = run_scenario(write(tmp_path, PHI_RLC_OFF))
         assert result.exit_code == EXIT_PASS
         decay = [c for c in result.report.checks if "decay" in c.name]
         assert len(decay) == 2
+        floor = 1e-12 + 1e-10 * max(1.0, np.max(np.abs(result.trajectory.states)))
         for check in decay:
-            assert check.passed and check.residual < 1e-4
-            assert "noise floor" in check.expected and "reached at t = " in check.expected
+            assert check.passed and check.residual <= DECAY_LAW_FLOORS * floor
+            assert "e^(-1 t) within" in check.expected
 
-    def test_wrong_decay_rate_still_fails(self, tmp_path):
+    def test_wrong_decay_law_still_fails(self, tmp_path):
         scenario = parse_scenario(write(tmp_path, PHI_RLC_OFF))
         traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end, scenario.config)
         # the flow decays at 1.0; a report that expects 1.01 must fail
@@ -385,6 +426,53 @@ t_end = 8.0
         report = build_invariant_report(wrong, traj)
         decay = [c for c in report.checks if "decay" in c.name]
         assert len(decay) == 2 and not any(c.passed for c in decay)
+
+    @pytest.mark.parametrize("model", ["rc", "rlc", "spin"])
+    @pytest.mark.parametrize("gamma0", [0.1, 1.0, 10.0, 100.0])
+    def test_decay_laws_hold_and_catch_a_planted_gamma_prime(self, tmp_path, monkeypatch,
+                                                              gamma0, model):
+        path = write(tmp_path, off_submanifold(model, gamma0))
+        result = run_scenario(path)
+        assert result.exit_code == EXIT_PASS
+        assert [c.name for c in result.report.checks] == ["h decay law", "delta0 decay law"]
+        # Gamma' 1e-3 too large in dp moves h off its law; Delta_0 does not see dp
+        plant_gamma_prime(monkeypatch, 1.001)
+        h_law, d0_law = run_scenario(path).report.checks
+        assert not h_law.passed and d0_law.passed
+
+    def test_planted_gamma_prime_fails_the_bundled_rlc(self, monkeypatch):
+        # a fitted rate of h came out at -1.000287 here, within its 1e-3 tolerance
+        plant_gamma_prime(monkeypatch, 1.001)
+        result = run_scenario(SCENARIOS / "rlc.scenario", write_outputs=False)
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert not result.report.checks[0].passed
+
+    def test_series_at_the_noise_floor_from_the_start_is_checked(self, tmp_path):
+        # Delta_0(0) = 2e-11 and Delta(0) = 0: h(0) = 6e-11 starts below the
+        # floor of about 1e-10, where a fitted rate had no samples to fit
+        text = off_submanifold("rc", 3.0).replace("p = 0.5\nz = 0.1",
+                                                   "p = 0.8\nz = 0.31999999998")
+        result = run_scenario(write(tmp_path, text))
+        assert result.exit_code == EXIT_PASS
+        h0 = result.trajectory.diagnostics["h"][0]
+        assert 1e-12 < abs(h0) < 1e-10
+        assert [c.name for c in result.report.checks] == ["h decay law", "delta0 decay law"]
+
+    @pytest.mark.parametrize("series", ["h", "delta0"])
+    def test_nan_diagnostics_row_fails_its_law(self, tmp_path, series):
+        scenario = parse_scenario(write(tmp_path, off_submanifold("rlc", 1.0)))
+        traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end, scenario.config)
+        assert build_invariant_report(scenario, traj).passed
+        traj.diagnostics[series][len(traj.times) // 2] = np.nan
+        failed = [c.name for c in build_invariant_report(scenario, traj).checks if not c.passed]
+        assert failed == [f"{series} decay law"]
+
+    def test_bundled_spin_fast(self, tmp_path):
+        # gamma0 = 40: fitted rates of -40.75 and -40.18 failed this run
+        result = run_scenario(SCENARIOS / "spin_fast.scenario", out_dir=tmp_path)
+        assert result.exit_code == EXIT_PASS
+        assert [c.name for c in result.report.checks] == ["h decay law", "delta0 decay law"]
+        assert all("e^(-40 t)" in c.expected for c in result.report.checks)
 
     def test_bundled_rc_thermal(self, tmp_path):
         result = run_scenario(SCENARIOS / "rc_thermal.scenario", out_dir=tmp_path)
