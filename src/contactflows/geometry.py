@@ -19,6 +19,7 @@ from .errors import (CompressibilityMismatchError, DimensionMismatchError, Evalu
                      OutsideInvariantChartError)
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_QRT_EPS = float(np.finfo(float).eps) ** 0.25
 
 
 def _as_vector(v, name):
@@ -64,6 +65,28 @@ def central_jacobian(f, u) -> np.ndarray:
         e[a] = s
         cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2 * s))
     return np.stack(cols, axis=-1)
+
+
+def central_hessian(f, u) -> np.ndarray:
+    """Second central differences of a scalar f at u, exactly symmetric.
+
+    With s_a = eps^(1/4) max(1, |u_a|), entry (a, a) is
+    (f(u + s_a e_a) - 2 f(u) + f(u - s_a e_a)) / s_a^2 and entry (a, b) is
+    the 4-point (f(u + s_a e_a + s_b e_b) - f(u + s_a e_a - s_b e_b)
+    - f(u - s_a e_a + s_b e_b) + f(u - s_a e_a - s_b e_b)) / (4 s_a s_b).
+    """
+    u = np.asarray(u, dtype=float)
+    s = _QRT_EPS * np.maximum(1.0, np.abs(u))
+    E = np.diag(s)
+    f0 = float(f(u))
+    H = np.empty((len(u), len(u)))
+    for a in range(len(u)):
+        H[a, a] = (float(f(u + E[a])) - 2 * f0 + float(f(u - E[a]))) / (s[a] * s[a])
+        for b in range(a):
+            H[a, b] = H[b, a] = (float(f(u + E[a] + E[b])) - float(f(u + E[a] - E[b]))
+                                 - float(f(u - E[a] + E[b]))
+                                 + float(f(u - E[a] - E[b]))) / (4 * s[a] * s[b])
+    return H
 
 
 @dataclass(frozen=True)
@@ -169,7 +192,7 @@ class ContactHamiltonian:
         out = np.empty(2 * n + 1)
         out[:n] = dx
         out[n:2 * n] = dp
-        out[2 * n] = h + p @ dx
+        out[2 * n] = h + p.dot(dx)
         if diag is not None:
             diag["h"], diag["kappa"] = h, (n + 1) * hz
         return out
@@ -221,7 +244,7 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """
 
     def jet(x, p, z, diag=None):
-        hv, dx, dp, hz = h.jet(p, x, x @ p - z, diag)
+        hv, dx, dp, hz = h.jet(p, x, x.dot(p) - z, diag)
         if diag is not None and "delta0" in diag:  # absent when h stores no defects
             diag["delta0"] = -diag["delta0"]
         return -hv, dp, dx, hz

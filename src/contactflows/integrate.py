@@ -32,7 +32,7 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
 MAX_STEP_ATTEMPTS = 2_000_000  # RK4 steps, or RKF45 step attempts accepted or rejected
 
-# Fehlberg 4(5) tableau
+# Fehlberg 4(5) tableau; each stage i >= 1 reads its (c_i, A[i, :i]) from _STAGES
 _A = np.array([
     [0, 0, 0, 0, 0],
     [1 / 4, 0, 0, 0, 0],
@@ -41,7 +41,7 @@ _A = np.array([
     [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
     [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
 ])
-_C = _A.sum(axis=1)
+_STAGES = tuple((float(c), a[:i]) for i, (c, a) in enumerate(zip(_A.sum(axis=1), _A)))[1:]
 _B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _B4 = np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])
 
@@ -87,10 +87,10 @@ def _rk4_step(f, t, y, h, f0):
 def _rkf45_step(f, t, y, h, f0):
     K = np.empty((6, len(y)))
     K[0] = f0(t, y)
-    for i in range(1, 6):
-        K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
-    y5 = y + h * (_B5 @ K)
-    y4 = y + h * (_B4 @ K)
+    for i, (c, a) in enumerate(_STAGES, 1):
+        K[i] = f(t + c * h, y + h * a.dot(K[:i]))
+    y5 = y + h * _B5.dot(K)
+    y4 = y + h * _B4.dot(K)
     return y5, np.abs(y5 - y4).max()
 
 

@@ -116,9 +116,9 @@ def onsager_drift(L, u_gradient, u_hessian=None, n=None) -> DriftField:
     n = L.shape[0] if n is None else n
     return DriftField(
         n=n,
-        eval=lambda x: -L @ np.atleast_1d(np.asarray(u_gradient(x), dtype=float)),
+        eval=lambda x: -L.dot(np.atleast_1d(np.asarray(u_gradient(x), dtype=float))),
         jacobian=(
-            (lambda x: -L @ np.atleast_2d(np.asarray(u_hessian(x), dtype=float)))
+            (lambda x: -L.dot(np.atleast_2d(np.asarray(u_hessian(x), dtype=float))))
             if u_hessian is not None
             else None
         ),
@@ -250,8 +250,8 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         f = F.at(x)
         rate = Gam.derivative(d0)
         if diag is not None:
-            diag.update(delta0=d0, delta_norm=np.sqrt(d @ d))
-        return d @ f + Gam.eval(d0), f, H @ f + F.jacobian_at(x).T @ d + rate * d, -rate
+            diag.update(delta0=d0, delta_norm=np.sqrt(d.dot(d)))
+        return d.dot(f) + Gam.eval(d0), f, H.dot(f) + d.dot(F.jacobian_at(x)) + rate * d, -rate
 
     def extended_jet(X, P, z, diag=None):
         x, xe, p, pe = X[:n], X[n], P[:n], P[n]
@@ -263,12 +263,12 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         rate = Gam.derivative(d0)
         dx, dp = np.empty(n + 1), np.empty(n + 1)
         dx[:n] = f
-        dx[n] = -(g @ f) / anchor
-        dp[:n] = (pe / anchor) * (H @ f) + F.jacobian_at(x).T @ d + rate * (g - p)
+        dx[n] = -g.dot(f) / anchor
+        dp[:n] = (pe / anchor) * H.dot(f) + d.dot(F.jacobian_at(x)) + rate * (g - p)
         dp[n] = rate * (anchor - pe)
         if diag is not None:  # the extra component of the defect vanishes
-            diag.update(delta0=d0, delta_norm=np.sqrt(d @ d), psi_tilde=psi_tilde, S=xe)
-        return d @ f + Gam.eval(d0), dx, dp, -rate
+            diag.update(delta0=d0, delta_norm=np.sqrt(d.dot(d)), psi_tilde=psi_tilde, S=xe)
+        return d.dot(f) + Gam.eval(d0), dx, dp, -rate
 
     if anchor is None:
         return ContactHamiltonian(n=n, jet=jet)

@@ -26,7 +26,8 @@ from .errors import (
     PythagoreanConfigError,
     StrictConvexityError,
 )
-from .geometry import CanonicalPoint, _as_vector, _float_array, central_jacobian
+from .geometry import (CanonicalPoint, _as_vector, _float_array, central_hessian,
+                       central_jacobian)
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
@@ -53,7 +54,9 @@ def _cholesky_or_raise(H, where=""):
 class ConvexPotential:
     """A strictly convex scalar function with value/gradient/Hessian access.
 
-    Gradient and Hessian default to central differences of ``value``.
+    Gradient and Hessian default to central differences of ``value``: the
+    Hessian to second differences, or given a gradient alone to central
+    differences of it.
     A checked ``hessian_at`` remembers the last Hessian it found positive
     definite and skips the factorisation only for a Hessian with exactly
     the same shape and bytes, so a constant Hessian is factored once.
@@ -90,6 +93,8 @@ class ConvexPotential:
         x = np.asarray(x, dtype=float)
         if self.hessian is not None:
             H = _float_array(self.hessian(x), 2)
+        elif self.gradient is None:
+            H = central_hessian(self.value, x)
         else:
             H = central_jacobian(self.gradient_at, x)
             H = 0.5 * (H + H.T)
@@ -128,15 +133,15 @@ def _quadratic(M, dual) -> ConvexPotential:
     M.flags.writeable = False
 
     def jet(x):
-        g = M @ x
-        return 0.5 * float(x @ g), g, M
+        g = M.dot(x)
+        return 0.5 * float(x.dot(g)), g, M
 
     @functools.cache
     def closed_conjugate():
         return dual if dual is not None else _quadratic(np.linalg.inv(M), psi)
 
-    psi = ConvexPotential(n=M.shape[0], value=lambda x: 0.5 * float(x @ (M @ x)),
-                          gradient=lambda x: M @ x, hessian=lambda x: M, jet=jet,
+    psi = ConvexPotential(n=M.shape[0], value=lambda x: 0.5 * float(x.dot(M.dot(x))),
+                          gradient=lambda x: M.dot(x), hessian=lambda x: M, jet=jet,
                           closed_conjugate=closed_conjugate)
     return psi
 

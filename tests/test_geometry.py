@@ -10,6 +10,7 @@ from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
     TangentVector,
+    central_hessian,
     contact_form_pairing,
     hamiltonian_vector_field,
     phase_compressibility,
@@ -154,3 +155,24 @@ class TestCompressibility:
     def test_z_independent_h_incompressible(self):
         h = ContactHamiltonian(n=1, value=lambda x, p, z: float(x @ x + p @ p))
         assert phase_compressibility(h, random_point(1)) == pytest.approx(0.0, abs=1e-5)
+
+
+class TestCentralHessian:
+    @pytest.mark.parametrize("u", [[0.3, -0.7, 1.1], [2.0, 0.5, -4.0], [-1e-3, 3.0, 0.2]])
+    def test_matches_closed_form_with_mixed_terms(self, u):
+        # f = e^u0 sin u1 + u0^2 u2^3 + u1 u2: every entry of its Hessian is nonzero
+        def f(v):
+            return np.exp(v[0]) * np.sin(v[1]) + v[0] ** 2 * v[2] ** 3 + v[1] * v[2]
+
+        a, b, c = u
+        exact = np.array([
+            [np.exp(a) * np.sin(b) + 2 * c ** 3, np.exp(a) * np.cos(b), 6 * a * c ** 2],
+            [np.exp(a) * np.cos(b), -np.exp(a) * np.sin(b), 1.0],
+            [6 * a * c ** 2, 1.0, 6 * a ** 2 * c],
+        ])
+        H = central_hessian(f, u)
+        assert np.array_equal(H, H.T)
+        # truncation s^2 f''''/12 and rounding eps |f| / s^2 are both about eps^(1/2)
+        scale = max(1.0, abs(f(np.array(u)))) * max(1.0, *np.abs(u)) ** 2
+        assert np.allclose(H, exact, rtol=0, atol=1e-6 * scale)
+        assert np.abs(H - exact).max() > 0  # a difference, not the closed form

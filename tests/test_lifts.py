@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contactflows.errors import OutsideInvariantChartError
 from contactflows.geometry import (
@@ -15,6 +17,7 @@ from contactflows.geometry import (
 )
 from contactflows.integrate import fit_decay_rate, integrate_lift
 from contactflows.lifts import (
+    APPROACHES_SUBMANIFOLD,
     DriftField,
     LiftSpec,
     RestoringFunction,
@@ -32,13 +35,17 @@ from contactflows.lifts import (
     rotational_drift,
     stability_certificate,
 )
-from contactflows.models import CircuitParams, rlc_spec, rlc_thermal_spec
+from contactflows.models import CircuitParams, rc_thermal_spec, rlc_spec, rlc_thermal_spec
 from contactflows.potentials import (
     DuallyFlatWorkspace,
     canonical_divergence,
     quadratic_potential,
+    separable_potential,
     spin_potential,
 )
+from test_field import CASES
+from test_scenario_cli import gamma_prime_term, plant, plant_gamma_prime
+from test_swap import phi_cases
 
 RNG = np.random.default_rng(23)
 
@@ -327,6 +334,102 @@ class TestStabilityCertificates:
         verdict = stability_certificate(spec)
         assert verdict.verdict == "inconclusive" and not verdict
         assert verdict.checks == {"reason": reason}
+
+
+# ---------------------------------------------------------------------------
+# A certificate of decay as a property: from an off-submanifold start the
+# defects of a certified lift follow dD/dt = -(J^T + gamma0) D and
+# dD0/dt = -gamma0 D0 (the anchored defect D = (p_extra / anchor) grad psi - p
+# too), so |D(t)| = |D(0)| e^(-(lambda + gamma0) t) for J = lambda I,
+# |D(t)| = |D(0)| e^(-gamma0 t) for an antisymmetric J, and
+# D0(t) = D0(0) e^(-gamma0 t).
+
+# a separable potential whose dual chart is all of R^2, so a rotating p stays in it
+SEPARABLE = separable_potential([
+    (lambda t: t ** 4 / 4 + t * t / 2, lambda t: t ** 3 + t, lambda t: 3 * t * t + 1),
+    (lambda t: np.log(np.cosh(t)) + t * t / 2, lambda t: np.tanh(t) + t,
+     lambda t: 1 / np.cosh(t) ** 2 + 1),
+])
+CERTIFIED = [s for _, s in CASES
+             if stability_certificate(s).verdict == APPROACHES_SUBMANIFOLD] + [
+    LiftSpec(side=side, potential=SEPARABLE, drift=rotational_drift(1.7),
+             restoring=linear_restoring(0.9), anchor=anchor)
+    for side in ("psi", "phi") for anchor in (None, 0.7)] + [
+    replace(rc_thermal_spec(CircuitParams(R=1.0, C=1.0, T0=1.1, gamma0=2.0)), side=side)
+    for side in ("psi", "phi")]
+DECAY_TOL = 1e-8  # relative to 1 + max |state|; RKF45 at its default tolerances misses by 1e-10
+
+
+def assert_certified_decay(spec, y0, t_end=0.5):
+    kind, lam = spec.drift.structure[:2]
+    gamma0 = spec.restoring.gamma0
+    rate = gamma0 + lam if kind == "linear" else gamma0
+    traj = integrate_lift(spec, y0, t_end)
+    assert not traj.truncated
+    tol = DECAY_TOL * (1.0 + float(np.max(np.abs(traj.states))))
+    norm, d0 = traj.diagnostics["delta_norm"], traj.diagnostics["delta0"]
+    assert np.max(np.abs(norm - norm[0] * np.exp(-rate * traj.times))) <= tol
+    assert np.max(np.abs(d0 - d0[0] * np.exp(-gamma0 * traj.times))) <= tol
+    assert norm[-1] <= norm[0] + tol and abs(d0[-1]) <= abs(d0[0]) + tol
+
+
+def start(spec, rng):
+    return rng.uniform(-0.9, 0.9, 2 * (spec.n + (spec.anchor is not None)) + 1)
+
+
+@st.composite
+def certified_starts(draw):
+    spec = draw(st.sampled_from(CERTIFIED))
+    return spec, start(spec, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(certified_starts(), phi_cases().map(
+    lambda c: (c[0], np.concatenate([c[3].x, c[3].p, [c[3].z]])))))
+def test_certified_lift_shrinks_its_defects_at_the_exact_rates(case):
+    spec, y0 = case
+    verdict = stability_certificate(spec)
+    assume(verdict.verdict == APPROACHES_SUBMANIFOLD)
+    assert_certified_decay(spec, y0)
+
+
+def drop_extended_gamma_prime(spec, x, p, dp, hz):
+    # the anchored jet's Gamma'(D0) (grad psi - p) term, which vanishes on the submanifold
+    if spec.anchor is None:
+        return dp
+    return dp + hz * np.append(gamma_prime_term(spec, x, p)[:-1], 0.0)
+
+
+def flip_jacobian_term(spec, x, p, dp, hz):
+    # J^T D enters dp with a minus sign
+    n = spec.n
+    g = spec.potential.gradient_at(x[:n])
+    d = g - p if spec.anchor is None else (p[n] / spec.anchor) * g - p[:n]
+    out = dp.copy()
+    out[:n] -= 2 * d.dot(spec.drift.jacobian_at(x[:n]))
+    return out
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (lambda mp: plant(mp, drop_extended_gamma_prime), lambda s: s.anchor is not None),
+    (lambda mp: plant(mp, flip_jacobian_term), lambda s: s.drift.structure[0] == "linear"),
+    (lambda mp: plant_gamma_prime(mp, 1.001), lambda s: True),
+], ids=["dropped-extended-gamma-prime", "wrong-sign-in-dp", "gamma-prime-off-by-1e-3"])
+def test_certified_decay_catches_a_planted_mutation(monkeypatch, mutate, caught):
+    rng = np.random.default_rng(4)
+    starts = [(spec, start(spec, rng)) for spec in CERTIFIED]
+    for spec, y0 in starts:
+        assert_certified_decay(spec, y0)
+    mutate(monkeypatch)
+    missed = []
+    for spec, y0 in starts:
+        try:
+            assert_certified_decay(spec, y0)
+        except AssertionError:
+            continue
+        missed.append(spec)
+    assert [caught(s) for s in missed] == [False] * len(missed)
+    assert len(missed) < len(starts)
 
 
 def test_restoring_function_warns_on_a_nonzero_root():

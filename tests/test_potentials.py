@@ -464,6 +464,16 @@ class TestCentralDifferences:
         g = dual_metric(self.psi, p)
         assert np.allclose(g @ np.diag(1 + 3 * x ** 2), np.eye(2), rtol=0, atol=1e-5)
 
+    def test_second_differences_make_the_dual_metric_invert_the_exact_hessian(self):
+        # a central difference of the central-difference gradient missed the
+        # identity by up to 4e-4 here; second differences of the value with
+        # their own step eps^(1/4) max(1, |x_a|) miss it by under 4e-6
+        worst = 0.0
+        for x in np.random.default_rng(0).uniform(-5, 5, (303, 2)):
+            g = dual_metric(self.psi, x + x ** 3)
+            worst = max(worst, float(np.abs(g @ np.diag(1 + 3 * x ** 2) - np.eye(2)).max()))
+        assert worst <= 1e-5
+
 
 # psi(x) = e^x0 + ln cosh x1 + 3 x2^2 / 2, and per coordinate its conjugate's
 # x*(p) and phi(p)  [DERIVED: invert exp, tanh and 3x]

@@ -92,6 +92,8 @@ z = 0.1
 t_end = 50
 """
 
+RC_RK4_COARSE = (SCENARIOS / "rc_rk4_coarse.scenario").read_text()
+
 # a start off the submanifold of each lift: rc and spin on the psi side, rlc on the phi side
 OFF_SUBMANIFOLD = {
     "rc": ("R = 1.0\nC = 1.0", "x = 0.8\np = 0.5\nz = 0.1"),
@@ -106,27 +108,47 @@ def off_submanifold(model, gamma0, t_end=1.0):
             f"[initial]\n{start}\n\n[integrator]\nt_end = {t_end!r}\n")
 
 
-def plant_gamma_prime(monkeypatch, factor):
-    """Make integrate_lift's base jets take Gamma' ``factor`` times too large in dp.
+def gamma_prime_term(spec, x, p):
+    """The vector that Gamma'(D0) multiplies in dp of a psi-side jet.
 
-    dp = ... + Gamma'(Delta_0) Delta and dh/dz = -Gamma'(Delta_0), so the
-    planted jet adds (factor - 1) Gamma' Delta to dp; a phi-side lift gets
-    it in the psi-side jet that the swap relabels.
+    grad psi - p for a base lift, (grad psi - p, anchor - p_extra) with an anchor.
+    """
+    n = spec.n
+    g = spec.potential.gradient_at(x[:n])
+    if spec.anchor is None:
+        return g - p
+    return np.append(g - p[:n], spec.anchor - p[n])
+
+
+def plant(monkeypatch, edit):
+    """Make integrate_lift's psi-side jets return ``edit(spec, x, p, dp, hz)`` as dp.
+
+    A phi-side lift gets it in the psi-side jet that the swap relabels.
     """
     build = integrate_module.build_hamiltonian
 
     def planted(spec):
         if spec.side == "phi":
             return swap_hamiltonian(planted(dual_spec(spec)))
-        h, psi = build(spec), spec.potential
+        h = build(spec)
 
         def jet(x, p, z, diag=None):
             value, dx, dp, hz = h.jet(x, p, z, diag)
-            return value, dx, dp - (factor - 1) * hz * (psi.gradient_at(x) - p), hz
+            return value, dx, edit(spec, x, p, dp, hz), hz
 
         return ContactHamiltonian(n=h.n, jet=jet)
 
     monkeypatch.setattr(integrate_module, "build_hamiltonian", planted)
+
+
+def plant_gamma_prime(monkeypatch, factor):
+    """Make integrate_lift's jets take Gamma' ``factor`` times too large in dp.
+
+    dp = ... + Gamma'(D0) (grad psi - p) and dh/dz = -Gamma'(D0), so the
+    planted jet adds (factor - 1) Gamma' times that term to dp.
+    """
+    plant(monkeypatch, lambda spec, x, p, dp, hz:
+          dp - (factor - 1) * hz * gamma_prime_term(spec, x, p))
 
 
 class TestParsing:
@@ -439,6 +461,29 @@ t_end = 8.0
         plant_gamma_prime(monkeypatch, 1.001)
         h_law, d0_law = run_scenario(path).report.checks
         assert not h_law.passed and d0_law.passed
+
+    @pytest.mark.parametrize("step", [0.005, 0.01])
+    def test_rk4_decay_laws_allow_for_the_truncation_of_the_step(self, tmp_path, monkeypatch,
+                                                                  step):
+        # gamma0 step = 0.05 and 0.1: RK4 misses h's law by 1.5e-7 and 2.6e-6, far
+        # past the 2.0e-8 that the tolerances alone allowed, which RK4 never reads
+        text = RC_RK4_COARSE.replace("step = 0.005", f"step = {step!r}")
+        path = write(tmp_path, text)
+        result = run_scenario(path, write_outputs=False)
+        assert result.exit_code == EXIT_PASS
+        assert [c.name for c in result.report.checks] == ["h decay law", "delta0 decay law"]
+        h_law, d0_law = result.report.checks
+        assert h_law.residual > 1e-7 and h_law.residual > 2 * d0_law.residual
+        plant_gamma_prime(monkeypatch, 1.001)
+        h_law, d0_law = run_scenario(path, write_outputs=False).report.checks
+        assert not h_law.passed and d0_law.passed
+
+    def test_rk4_truncation_term_leaves_rkf45_bounds_alone(self, tmp_path):
+        text = RC_RK4_COARSE.replace("method = rk4\nstep = 0.005", "method = rkf45")
+        result = run_scenario(write(tmp_path, text), write_outputs=False)
+        floor = 1e-12 + 1e-10 * max(1.0, np.max(np.abs(result.trajectory.states)))
+        for check in result.report.checks:
+            assert check.expected.endswith(f"within {DECAY_LAW_FLOORS * floor * 10.0:.3g}")
 
     def test_planted_gamma_prime_fails_the_bundled_rlc(self, monkeypatch):
         # a fitted rate of h came out at -1.000287 here, within its 1e-3 tolerance
