@@ -31,6 +31,10 @@ from .geometry import (CanonicalPoint, _as_vector, _float_array, central_hessian
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+# a full Newton step that cuts the squared residual by less than this factor
+# is not yet converging quadratically, and is tried at 2x, 4x, ... up to the cap
+NEWTON_EXPANSION_CUT = 100.0
+NEWTON_EXPANSION_CAP = 1024.0
 _EPS = float(np.finfo(float).eps)
 # a central-difference gradient's rounding noise over |psi|: eps |psi| over the
 # step eps^(1/3), seen up to 1.5 eps^(2/3) on the quartic of the tests
@@ -60,7 +64,10 @@ class ConvexPotential:
     A checked ``hessian_at`` remembers the last Hessian it found positive
     definite and skips the factorisation only for a Hessian with exactly
     the same shape and bytes, so a constant Hessian is factored once.
-    ``jet_at`` calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call,
+    ``value_at``, ``gradient_at`` and ``hessian_at`` raise
+    ``DimensionMismatchError`` for an x not of shape (n,).
+    ``jet_at`` checks no shape of its own, as it is on the per-stage path:
+    it calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call,
     and returns its result as it is; ``gradient_at`` and ``hessian_at``
     return a float64 array of the right dimension as the callable gave it.
     The optional ``closed_conjugate`` returns the conjugate potential of p,
@@ -80,17 +87,23 @@ class ConvexPotential:
         if self.n < 1:
             raise DimensionMismatchError("dimension n must be >= 1")
 
+    def _vector(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionMismatchError(f"x has shape {x.shape}, expected ({self.n},)")
+        return x
+
     def value_at(self, x) -> float:
-        return float(self.value(np.asarray(x, dtype=float)))
+        return float(self.value(self._vector(x)))
 
     def gradient_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = self._vector(x)
         if self.gradient is not None:
             return _float_array(self.gradient(x), 1)
         return central_jacobian(self.value, x)
 
     def hessian_at(self, x, check_spd: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = self._vector(x)
         if self.hessian is not None:
             H = _float_array(self.hessian(x), 2)
         elif self.gradient is None:
@@ -219,7 +232,13 @@ def legendre_transform(
     """phi(p) = sup_x [x.p - psi(x)], solved via grad psi(x) = p.
 
     Damped Newton with Armijo backtracking on the squared gradient residual,
-    started from a copy of ``x0`` (default: the origin); x* comes back
+    started from a copy of ``x0`` (default: the origin).  A full step that
+    leaves the residual above tolerance and cuts its square by less than
+    ``NEWTON_EXPANSION_CUT`` is tried again at 2, 4, ... up to
+    ``NEWTON_EXPANSION_CAP`` times its length, one gradient each, keeping
+    each trial while the squared residual falls: far from the root of a
+    saturating gradient (spin, where a full step moves x by about 1/2) that
+    replaces many short iterations, each with a checked Hessian.  x* comes back
     read-only, so a memo can hand it out.  The residual tolerance is
     ``NEWTON_TOL``, or without a ``gradient`` callable at least the central
     difference's rounding noise.  The start is evaluated by one ``jet_at``:
@@ -283,14 +302,27 @@ def legendre_transform(
             while t > 1e-14:
                 x_new = x - t * step
                 r_new = psi.gradient_at(x_new) - p
-                if float(r_new @ r_new) <= f0 * (1 - 1e-4 * t):
+                f_new = float(r_new @ r_new)
+                if f_new <= f0 * (1 - 1e-4 * t):
                     break
                 t *= 0.5
             else:
                 cause = "line search stalled"
                 break
+            norm = float(np.abs(r_new).max())
+            if t == 1.0 and norm > tol and f_new * NEWTON_EXPANSION_CUT > f0:
+                # expansion phase: the full step fell short of the root
+                s = 2.0
+                while s <= NEWTON_EXPANSION_CAP:
+                    x_try = x - s * step
+                    r_try = psi.gradient_at(x_try) - p
+                    f_try = float(r_try @ r_try)
+                    if not f_try < f_new:
+                        break
+                    x_new, r_new, f_new = x_try, r_try, f_try
+                    s *= 2
+                norm = float(np.abs(r_new).max())
             x, r, value, H = x_new, r_new, None, None
-            norm = float(np.abs(r).max())
         else:
             it, cause = NEWTON_MAX_ITER, "iteration budget exhausted"
     raise NewtonConvergenceError(

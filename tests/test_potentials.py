@@ -1,5 +1,6 @@
 """Convex potentials, numeric Legendre transform, divergences."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from contactflows import potentials as potentials_module
 from contactflows.errors import (
+    DimensionMismatchError,
     EvaluationError,
     NewtonConvergenceError,
     PythagoreanConfigError,
@@ -56,6 +58,19 @@ class TestBuiltins:
         x = np.array([1.0, 3.0])
         assert psi.value_at(x) == pytest.approx(5.5)
         assert np.allclose(psi.gradient_at(x), [2.0, 3.0])
+
+    @pytest.mark.parametrize("psi", [quadratic_potential([[2.0]]), quadratic_potential(NON_DIAGONAL_M),
+                                     spin_potential(1), spin_potential(2)],
+                             ids=["quadratic1", "quadratic2", "spin1", "spin2"])
+    @pytest.mark.parametrize("shape", ["0-d", "wrong-length", "2-d"])
+    @pytest.mark.parametrize("accessor", ["value_at", "gradient_at", "hessian_at"])
+    def test_checked_accessors_reject_an_x_not_of_shape_n(self, psi, shape, accessor):
+        x = {"0-d": 0.5, "wrong-length": np.full(psi.n + 1, 0.5),
+             "2-d": np.full((1, psi.n), 0.5)}[shape]
+        expected = str(np.shape(x))
+        with pytest.raises(DimensionMismatchError, match=f"x has shape {re.escape(expected)}, "
+                                                         rf"expected \({psi.n},\)"):
+            getattr(psi, accessor)(x)
 
     def test_quadratic_rejects_indefinite(self):
         with pytest.raises((StrictConvexityError, np.linalg.LinAlgError)):
@@ -173,13 +188,57 @@ class TestLegendreTransform:
                 with pytest.raises(EvaluationError, match="p has non-finite entries"):
                     solve()
 
-    @pytest.mark.parametrize("p", [[1.5], [0.3, -1.2]])
+    @pytest.mark.parametrize("p", [[1.5], [0.3, -1.2], [1.0000001], [-1.5], [1e300]])
     def test_overflow_past_dual_chart_is_a_typed_error_not_a_warning(self, p):
-        # Newton drives x past cosh's overflow; that ends the solve, silently
+        # Newton, its expanded steps too, drives x past cosh's overflow; that
+        # ends the solve, silently, with its cause
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NewtonConvergenceError):
+            with pytest.raises(NewtonConvergenceError,
+                               match=r"Hessian not positive definite after \d+ iterations"):
                 legendre_transform(spin_potential(len(p)), np.array(p))
+
+    @pytest.mark.parametrize("u", [2.0, 5.0, 7.5, 10.0])
+    def test_cold_spin_solve_expands_short_newton_steps(self, u):
+        # below the root a full step moves x by about 1/2; without the expansion
+        # phase these solves take 7, 13, 18 and 22 iterations
+        res = legendre_transform(spin_potential(1), np.array([np.tanh(u)]))
+        assert res.iterations <= 6
+        assert abs(res.x_star[0] - u) <= 1e-13 * np.cosh(u) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 8]).flatmap(
+        lambda n: st.lists(st.floats(-7.5, 7.5), min_size=n, max_size=n)))
+    def test_spin_solve_meets_the_closed_form_conjugate(self, u):
+        # the tolerances of the spin_legendre_batch benchmark's gate  [property]
+        p = np.tanh(np.array(u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = legendre_transform(spin_potential(len(u)), p)
+        a = np.arctanh(p)
+        phi = float(a @ p - np.sum(np.abs(a) + np.log1p(np.exp(-2 * np.abs(a)))))
+        assert np.all(np.abs(res.x_star - a) <= 1e-13 * np.cosh(a) ** 2)
+        assert abs(res.phi_value - phi) <= 1e-12 * len(u) * max(1.0, float(np.max(np.abs(a))))
+
+    def test_warm_phi_spin_lift_does_not_expand(self, monkeypatch):
+        # a warm start converges quadratically, so no step is expanded: the
+        # lift makes as many gradient and Hessian calls as with no expansion
+        calls = {"gradient_at": 0, "hessian_at": 0}
+        for name in calls:
+            method = getattr(ConvexPotential, name)
+
+            def counting(psi, *args, _name=name, _method=method, **kwargs):
+                calls[_name] += 1
+                return _method(psi, *args, **kwargs)
+
+            monkeypatch.setattr(ConvexPotential, name, counting)
+        spec = LiftSpec(side="phi", potential=spin_potential(2),
+                        drift=linear_drift(-1.0, 2, offset=[0.9, -0.8]),
+                        restoring=linear_restoring(1.0))
+        start = CanonicalPoint(np.array([0.3, -0.2]), np.array([0.2, 0.1]), 0.4)
+        traj = integrate_lift(spec, start, 5.0)
+        assert traj.abort_reason is None and len(traj.times) == 103
+        assert calls == {"gradient_at": 1820, "hessian_at": 1820}
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-0.99, 0.99))
