@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ContactFlowsError, NewtonConvergenceError
-from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, legendre_transform
+from .potentials import BUILTIN_POTENTIALS, legendre_transform
 from .scenario import (
     EXIT_NUMERICAL,
     EXIT_PASS,
@@ -102,8 +102,7 @@ def _cmd_divergence(args) -> int:
     psi = BUILTIN_POTENTIALS[args.potential](args.n)
     axis = _parse_grid(args.grid)
     points = [np.array(tup) for tup in itertools.product(axis, repeat=psi.n)]
-    ws = DuallyFlatWorkspace(psi)
-    rows = divergence_table(ws, [(a, b) for a in points for b in points])
+    rows = divergence_table(psi, [(a, b) for a in points for b in points])
     write_divergence_csv(rows, args.out or sys.stdout)
     if args.out:
         print(f"wrote {args.out}")

@@ -20,6 +20,8 @@ from .errors import (CompressibilityMismatchError, DimensionMismatchError, Evalu
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _QRT_EPS = float(np.finfo(float).eps) ** 0.25
+CONTACT_IDENTITY_STEP = 1e-4  # central-difference step of verify_contact_identities
+COMPRESSIBILITY_TOL = 1e-4  # relative miss allowed phase_compressibility's numeric divergence
 
 
 def _as_vector(v, name):
@@ -294,20 +296,17 @@ class ContactIdentityReport:
 
     pairing_residual: float       # | lambda(X_h) - h |
     derivation_residual: float    # | X_h h - (Rh) h |
-    step: float
 
 
-def verify_contact_identities(
-    h: ContactHamiltonian, pt: CanonicalPoint, step: float = 1e-4
-) -> ContactIdentityReport:
+def verify_contact_identities(h: ContactHamiltonian,
+                              pt: CanonicalPoint) -> ContactIdentityReport:
     """Check lambda(X_h) = h and X_h h = (Rh) h at a point.
 
     The directional derivative X_h h and the Reeb derivative Rh are taken
-    with central differences of the given step; residuals are reported
-    as-is, never raised.
+    with central differences of step ``CONTACT_IDENTITY_STEP``; residuals
+    are reported as-is, never raised.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step = CONTACT_IDENTITY_STEP
     v = hamiltonian_vector_field(h, pt)
     hval = h(pt)
     pairing_res = abs(contact_form_pairing(pt, v) - hval)
@@ -317,7 +316,7 @@ def verify_contact_identities(
 
     xh_h = (h_along(step) - h_along(-step)) / (2 * step)
     rh = (h.value(pt.x, pt.p, pt.z + step) - h.value(pt.x, pt.p, pt.z - step)) / (2 * step)
-    return ContactIdentityReport(pairing_res, abs(xh_h - rh * hval), step)
+    return ContactIdentityReport(pairing_res, abs(xh_h - rh * hval))
 
 
 def _numeric_divergence(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
@@ -326,20 +325,18 @@ def _numeric_divergence(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
     return float(np.trace(central_jacobian(lambda u: hamiltonian_vector_field(h, u), y)))
 
 
-def phase_compressibility(
-    h: ContactHamiltonian, pt: CanonicalPoint, tol: float = 1e-4
-) -> float:
+def phase_compressibility(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
     """Compressibility of X_h against the standard contact volume.
 
     In Darboux coordinates this is the Euclidean divergence of the field
     components, which collapses to (n+1) dh/dz.  Both routes are computed
-    and must agree within ``tol`` (relative to the analytic magnitude);
-    the analytic value is returned.
+    and must agree within ``COMPRESSIBILITY_TOL`` (relative to the analytic
+    magnitude); the analytic value is returned.
     """
     _, _, hz = h.partials(pt)
     analytic = (h.n + 1) * hz
     numeric = _numeric_divergence(h, pt)
-    if abs(numeric - analytic) > tol * max(1.0, abs(analytic)):
+    if abs(numeric - analytic) > COMPRESSIBILITY_TOL * max(1.0, abs(analytic)):
         raise CompressibilityMismatchError(
             f"analytic {analytic:.6g} vs numeric {numeric:.6g} divergence"
         )

@@ -190,10 +190,10 @@ def integrate_lift(spec, initial, t_end: float,
     if not np.isfinite(t_end) or t_end <= 0:
         raise ValueError("t_end must be positive and finite")
     # a warm-started solve depends on the one before it at rounding level;
-    # emptying the memos the lift and its drift read makes the run a
-    # function of its inputs alone
-    for ws in {spec.workspace, spec.drift.workspace} - {None}:
-        ws.clear()
+    # the Hamiltonian's solver is new, and emptying the drift's makes the
+    # run a function of its inputs alone
+    if spec.drift.workspace is not None:
+        spec.drift.workspace.clear()
     h = build_hamiltonian(spec)
     diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 

@@ -58,7 +58,8 @@ class DriftField:
     ``structure`` tags the recognized stability classes:
     ("linear", jac_const), ("rotational", omega), or
     ("onsager", L, U_hessian).  Untagged drifts get no certificate.
-    ``workspace`` is the one a dual-chart drift reads; ``integrate_lift`` clears it.
+    ``workspace`` is the Legendre solver a dual-chart drift keeps of its
+    own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
     dimensions as the callable gave it and convert any other result, so a
     constant Jacobian is shared, not copied: the built-in drifts build
@@ -109,13 +110,12 @@ def rotational_drift(omega: float) -> DriftField:
     )
 
 
-def onsager_drift(L, u_gradient, u_hessian=None, n=None) -> DriftField:
+def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
     """F(x) = -L grad U(x) for an SPD coefficient matrix L."""
     L = np.atleast_2d(np.asarray(L, dtype=float))
     np.linalg.cholesky(L)  # SPD gate
-    n = L.shape[0] if n is None else n
     return DriftField(
-        n=n,
+        n=L.shape[0],
         eval=lambda x: -L.dot(np.atleast_1d(np.asarray(u_gradient(x), dtype=float))),
         jacobian=(
             (lambda x: -L.dot(np.atleast_2d(np.asarray(u_hessian(x), dtype=float))))
@@ -163,16 +163,13 @@ class LiftSpec:
 
     A nonzero, finite ``anchor`` makes it the conserving lift on the
     (2n+3)-dimensional manifold: on the psi side the anchor is the pinned
-    value of p_extra; on the phi side, of x_extra.  ``workspace`` must be
-    one of ``potential``, so ``replace(spec, potential=...)`` raises
-    ``ValueError`` unless it is given a new workspace (or None) too.
+    value of p_extra; on the phi side, of x_extra.
     """
 
     side: str  # "psi" | "phi"
     potential: ConvexPotential
     drift: DriftField
     restoring: RestoringFunction
-    workspace: DuallyFlatWorkspace = field(default=None, repr=False)
     anchor: Optional[float] = None
 
     def __post_init__(self):
@@ -186,14 +183,18 @@ class LiftSpec:
             raise DimensionMismatchError(
                 f"potential dimension {self.potential.n} != drift dimension {self.drift.n}"
             )
-        if self.workspace is None:
-            object.__setattr__(self, "workspace", DuallyFlatWorkspace(self.potential))
-        elif self.workspace.psi is not self.potential:
-            raise ValueError("workspace is not one of this spec's potential")
 
     @property
     def n(self) -> int:
         return self.potential.n
+
+
+def _conjugate_with_solver(psi: ConvexPotential):
+    """(conjugate of psi, the Legendre solver it reads, or None for a closed form)."""
+    if psi.closed_conjugate is not None:
+        return psi.closed_conjugate(), None
+    ws = DuallyFlatWorkspace(psi)
+    return conjugate(ws), ws
 
 
 def dual_spec(spec: LiftSpec) -> LiftSpec:
@@ -201,8 +202,8 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 
     The drift and the anchor carry over; the restoring function becomes
     Gamma~(d) = -Gamma(-d), which is Gamma itself when Gamma is linear.
-    Without a closed-form conjugate every transform goes through
-    ``spec.workspace``, so its latest solve is shared.
+    Without a closed-form conjugate the new spec's potential reads a
+    Legendre solver of its own, which starts cold.
     """
     if spec.side != "phi":
         raise ValueError("dual_spec needs a phi-side lift")
@@ -210,7 +211,7 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
     if gam.gamma0 is None:
         gam = RestoringFunction(eval=lambda d: -spec.restoring.eval(-d),
                                 derivative=lambda d: spec.restoring.derivative(-d))
-    return LiftSpec(side="psi", potential=conjugate(spec.workspace),
+    return LiftSpec(side="psi", potential=_conjugate_with_solver(spec.potential)[0],
                     drift=spec.drift, restoring=gam, anchor=spec.anchor)
 
 
@@ -234,6 +235,9 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
           Gamma'(D0) (anchor - p_extra))
     and dh/dz = -Gamma'(D0).  It stores what the base jet does (in
     dimension n+1), the conserved psi_tilde and the entropy S = x_extra.
+
+    A phi-side lift is the swap of the Hamiltonian of ``dual_spec``, whose
+    Legendre solver, new and cold, is the only one its partials read.
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
@@ -389,48 +393,40 @@ def delta_velocities(spec: LiftSpec, pt: CanonicalPoint):
 # ---------------------------------------------------------------------------
 # Geodesic and gradient drifts.
 
-def geodesic_drift_psi(ws: DuallyFlatWorkspace, p_from, p_to) -> DriftField:
+def geodesic_drift_psi(psi: ConvexPotential, p_from, p_to) -> DriftField:
     """Drift whose flow moves p at the constant rate p_to - p_from."""
-    dp = np.atleast_1d(np.asarray(p_to, dtype=float)) - np.atleast_1d(
-        np.asarray(p_from, dtype=float)
-    )
-    return DriftField(
-        n=ws.n,
-        eval=lambda x: np.linalg.solve(ws.psi.hessian_at(x), dp),
-    )
+    dp = _float_array(p_to, 1) - _float_array(p_from, 1)
+    return DriftField(n=psi.n, eval=lambda x: np.linalg.solve(psi.hessian_at(x), dp))
 
 
-def geodesic_drift_phi(ws: DuallyFlatWorkspace, x_from, x_to) -> DriftField:
+def geodesic_drift_phi(psi: ConvexPotential, x_from, x_to) -> DriftField:
     """Dual-chart drift whose flow moves x at the constant rate x_to - x_from.
 
     The psi-side geodesic drift of the conjugate: F(p) = Hess psi(x*(p)) . dx.
+    Without a closed-form conjugate it keeps its Legendre solver as ``workspace``.
     """
-    drift = geodesic_drift_psi(DuallyFlatWorkspace(conjugate(ws)), x_from, x_to)
-    return replace(drift, workspace=ws)
+    phi, ws = _conjugate_with_solver(psi)
+    return replace(geodesic_drift_psi(phi, x_from, x_to), workspace=ws)
 
 
-def gradient_drift_psi(ws: DuallyFlatWorkspace, target_x) -> DriftField:
+def gradient_drift_psi(psi: ConvexPotential, target_x) -> DriftField:
     """Divergence-gradient descent toward the point with x-coordinates target_x.
 
     Along the flow p(t) - p' = (p(0) - p') e^{-t}.
     """
-    target_x = np.atleast_1d(np.asarray(target_x, dtype=float))
-    p_prime = ws.psi.gradient_at(target_x)
+    p_prime = psi.gradient_at(_float_array(target_x, 1))
     return DriftField(
-        n=ws.n,
-        eval=lambda x: -np.linalg.solve(
-            ws.psi.hessian_at(x), ws.psi.gradient_at(x) - p_prime
-        ),
-    )
+        n=psi.n, eval=lambda x: -np.linalg.solve(psi.hessian_at(x), psi.gradient_at(x) - p_prime))
 
 
-def gradient_drift_phi(ws: DuallyFlatWorkspace, target_p) -> DriftField:
+def gradient_drift_phi(psi: ConvexPotential, target_p) -> DriftField:
     """Dual-chart mirror: along the flow x(t) - x' = (x(0) - x') e^{-t}.
 
-    The psi-side gradient drift of the conjugate toward target_p.
+    The psi-side gradient drift of the conjugate toward target_p, whose
+    solver it keeps as ``geodesic_drift_phi`` does.
     """
-    drift = gradient_drift_psi(DuallyFlatWorkspace(conjugate(ws)), target_p)
-    return replace(drift, workspace=ws)
+    phi, ws = _conjugate_with_solver(psi)
+    return replace(gradient_drift_psi(phi, target_p), workspace=ws)
 
 
 # ---------------------------------------------------------------------------

@@ -365,23 +365,22 @@ def delta_psi(psi: ConvexPotential, pt: CanonicalPoint):
 
 
 # ---------------------------------------------------------------------------
-# Dually flat workspace: psi plus memoised, warm-started access to the conjugate side.
+# The Legendre solver of a potential: memoised, warm-started access to x*(p).
 
 class DuallyFlatWorkspace:
-    """A strictly convex potential together with its numerically-derived dual.
+    """The Legendre solver of a strictly convex potential, which ``conjugate`` reads.
 
     Keeps only its latest solve, keyed by the exact bytes of p, so memory
     stays bounded however long a run is; repeated lookups at one p solve
     once, and ``jet`` reads the conjugate's value, gradient and Hessian
-    with one lookup.  A new p starts Newton at the first-order predictor
-    x*_prev + (Hess psi(x*_prev))^-1 (p - p_prev), reusing the inverse
-    Hessian if the conjugate's Hessian was asked for at p_prev; if the
-    warm solve fails, it is retried cold from the origin.  Warm and cold
-    solves agree to rounding level, so a result may depend at that level
-    on the solve before it; ``clear`` forgets that solve.  The inverse is
-    taken of the Hessian the solve left in its result, and only a solve
-    that left none evaluates Hess psi(x*) again.  Not safe for concurrent
-    use.
+    with one lookup.  Each new p is solved together with the inverse
+    (Hess psi(x*))^-1, taken of the Hessian the solve left in its result,
+    or of Hess psi(x*) evaluated again if it left none.  A new p starts
+    Newton at the first-order predictor x*_prev + (Hess psi(x*_prev))^-1
+    (p - p_prev); if the warm solve fails, it is retried cold from the
+    origin.  Warm and cold solves agree to rounding level, so a result may
+    depend at that level on the solve before it; ``clear`` forgets that
+    solve.  Not safe for concurrent use.
     """
 
     def __init__(self, psi: ConvexPotential):
@@ -391,10 +390,6 @@ class DuallyFlatWorkspace:
     def clear(self):
         """Forget the latest solve and inverse: the next solve starts cold."""
         self._key = self._p = self._res = self._inv_hessian = None
-
-    @property
-    def n(self) -> int:
-        return self.psi.n
 
     def transform(self, p) -> LegendreTransformResult:
         p = _float_array(p, 1)
@@ -407,79 +402,60 @@ class DuallyFlatWorkspace:
             # predictor that is not finite, is retried cold, silently
             try:
                 with np.errstate(all="ignore"):
-                    x0 = self._res.x_star + self._inverse() @ (p - self._p)
+                    x0 = self._res.x_star + self._inv_hessian @ (p - self._p)
                 res = legendre_transform(self.psi, p, x0=x0)
             except NUMERICAL_ERRORS:
                 pass
         if res is None:
             res = legendre_transform(self.psi, p)
-        self._key, self._p, self._res, self._inv_hessian = key, p.copy(), res, None
+        H = res.hessian
+        if H is None:
+            H = self.psi.hessian_at(res.x_star, check_spd=False)
+        # read-only: every caller at p and the next warm start share it
+        inv_hessian = np.linalg.inv(H)
+        inv_hessian.flags.writeable = False
+        self._key, self._p, self._res, self._inv_hessian = key, p.copy(), res, inv_hessian
         return res
-
-    def phi_value(self, p) -> float:
-        return self.transform(p).phi_value
-
-    def x_star(self, p) -> np.ndarray:
-        return self.transform(p).x_star
-
-    def inverse_hessian(self, p) -> np.ndarray:
-        """(Hess psi(x*(p)))^-1, the Hessian of the conjugate at p.
-
-        Inverted from the unchecked Hessian of psi and kept with the solve
-        at p, where the next warm start reads it; read-only, because every
-        caller at p and that warm start share the one array.
-        """
-        return self.jet(p)[2]
 
     def jet(self, p):
         """(phi(p), x*(p), (Hess psi(x*(p)))^-1) from one lookup."""
         res = self.transform(p)
-        return res.phi_value, res.x_star, self._inverse()
-
-    def _inverse(self) -> np.ndarray:
-        """The inverse Hessian of psi at the latest solve."""
-        if self._inv_hessian is None:
-            H = self._res.hessian
-            if H is None:
-                H = self.psi.hessian_at(self._res.x_star, check_spd=False)
-            self._inv_hessian = np.linalg.inv(H)
-            self._inv_hessian.flags.writeable = False
-        return self._inv_hessian
+        return res.phi_value, res.x_star, self._inv_hessian
 
 
 def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
     """The conjugate phi as a potential of p: ``ws.psi.closed_conjugate()`` if it has one.
 
-    Otherwise it is read through the workspace: value phi(p), gradient
-    x*(p), Hessian (Hess psi(x*))^-1, and all three from one lookup as its
-    jet.  Hess psi is inverted unchecked, so an unchecked ``hessian_at``
-    costs no factorisation; a checked one tests the inverse itself.
+    Otherwise value phi(p), gradient x*(p) and Hessian (Hess psi(x*))^-1
+    are each read from the solver's ``jet``, which is also its jet.  Hess
+    psi is inverted unchecked, so an unchecked ``hessian_at`` costs no
+    factorisation; a checked one tests the inverse itself.
     """
     if ws.psi.closed_conjugate is not None:
         return ws.psi.closed_conjugate()
     return ConvexPotential(
-        n=ws.n,
-        value=ws.phi_value,
-        gradient=ws.x_star,
-        hessian=ws.inverse_hessian,
+        n=ws.psi.n,
+        value=lambda p: ws.jet(p)[0],
+        gradient=lambda p: ws.jet(p)[1],
+        hessian=lambda p: ws.jet(p)[2],
         jet=ws.jet,
     )
 
 
-def canonical_divergence(ws: DuallyFlatWorkspace, x, x_prime) -> float:
+def canonical_divergence(psi: ConvexPotential, x, x_prime) -> float:
     """D(xi || xi') = psi(x) + phi(p') - x.p' with p' = grad psi(x').
 
     Both arguments are x-coordinates of points on the psi-graph.
     Nonnegative, zero exactly on the diagonal.
     """
     x, x_prime = _as_vector(x, "x"), _as_vector(x_prime, "x_prime")
-    p_prime = ws.psi.gradient_at(x_prime)
+    p_prime = psi.gradient_at(x_prime)
     # phi(p') = x'.p' - psi(x') exactly, no solve needed on-graph
-    phi_p = float(x_prime @ p_prime) - ws.psi.value_at(x_prime)
-    return ws.psi.value_at(x) + phi_p - float(x @ p_prime)
+    phi_p = float(x_prime @ p_prime) - psi.value_at(x_prime)
+    return psi.value_at(x) + phi_p - float(x @ p_prime)
 
 
-def pythagorean_residual(ws: DuallyFlatWorkspace, x1, x2, x3) -> float:
+def pythagorean_residual(psi: ConvexPotential, x1, x2, x3) -> float:
     """Three-term divergence identity residual for a right-angled triple.
 
     ``x1``/``x2``/``x3`` are x-coordinates of the endpoints and the corner:
@@ -488,11 +464,12 @@ def pythagorean_residual(ws: DuallyFlatWorkspace, x1, x2, x3) -> float:
     it raises.  Unless x1 = x2, the two geodesic drifts are integrated for
     unit time and checked to land on the supplied points.
     """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    x3 = np.atleast_1d(np.asarray(x3, dtype=float))
-    p1 = ws.psi.gradient_at(x1)
-    p2 = ws.psi.gradient_at(x2)
+    from .integrate import integrate_on_submanifold
+    from .lifts import geodesic_drift_phi, geodesic_drift_psi
+
+    x1, x2, x3 = (_float_array(x, 1) for x in (x1, x2, x3))
+    p1 = psi.gradient_at(x1)
+    p2 = psi.gradient_at(x2)
     ortho = float((x3 - x2) @ (p2 - p1))
     scale = max(1.0, float(np.linalg.norm(x3 - x2) * np.linalg.norm(p2 - p1)))
     if abs(ortho) > PYTHAGOREAN_ORTHO_TOL * scale:
@@ -500,25 +477,15 @@ def pythagorean_residual(ws: DuallyFlatWorkspace, x1, x2, x3) -> float:
             f"not a Pythagorean configuration: inner product {ortho:.3g}"
         )
     if not np.allclose(x1, x2):
-        _verify_geodesic_endpoints(ws, x1, x2, x3)
-    d31 = canonical_divergence(ws, x3, x1)
-    d32 = canonical_divergence(ws, x3, x2)
-    d21 = canonical_divergence(ws, x2, x1)
+        x_end = integrate_on_submanifold(geodesic_drift_psi(psi, p1, p2), x1, 1.0)
+        if float(np.max(np.abs(psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
+            raise PythagoreanConfigError("dual geodesic does not reach the corner")
+        p_end = integrate_on_submanifold(geodesic_drift_phi(psi, x2, x3), p2, 1.0)
+        x_end = legendre_transform(psi, p_end).x_star
+        if float(np.max(np.abs(x_end - x3))) > GEODESIC_ENDPOINT_TOL:
+            raise PythagoreanConfigError("primal geodesic does not reach the endpoint")
+    d31 = canonical_divergence(psi, x3, x1)
+    d32 = canonical_divergence(psi, x3, x2)
+    d21 = canonical_divergence(psi, x2, x1)
     return abs(d31 - d32 - d21)
 
-
-def _verify_geodesic_endpoints(ws, x1, x2, x3):
-    """Integrate the two unit-time geodesic flows and confirm the corners."""
-    from .integrate import integrate_on_submanifold
-    from .lifts import geodesic_drift_phi, geodesic_drift_psi
-
-    p1 = ws.psi.gradient_at(x1)
-    p2 = ws.psi.gradient_at(x2)
-    drift_dual = geodesic_drift_psi(ws, p1, p2)
-    x_end = integrate_on_submanifold(drift_dual, x1, 1.0)
-    if float(np.max(np.abs(ws.psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
-        raise PythagoreanConfigError("dual geodesic does not reach the corner")
-    drift_primal = geodesic_drift_phi(ws, x2, x3)
-    p_end = integrate_on_submanifold(drift_primal, p2, 1.0)
-    if float(np.max(np.abs(ws.x_star(p_end) - x3))) > GEODESIC_ENDPOINT_TOL:
-        raise PythagoreanConfigError("primal geodesic does not reach the endpoint")

@@ -35,7 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NUMERICAL_ERRORS, ContactFlowsError, EvaluationError, ScenarioError
+from .errors import (NUMERICAL_ERRORS, ContactFlowsError, EvaluationError,
+                     PythagoreanConfigError, ScenarioError)
 from .geometry import CanonicalPoint
 from .integrate import (
     MAX_STEP_ATTEMPTS,
@@ -45,7 +46,8 @@ from .integrate import (
 )
 from .lifts import LiftSpec, embed
 from .models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams
-from .potentials import DuallyFlatWorkspace
+from .potentials import (BUILTIN_POTENTIALS, ConvexPotential, canonical_divergence,
+                         pythagorean_residual)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -341,10 +343,9 @@ class ScenarioResult:
 def _run_pythagorean(parser) -> ScenarioResult:
     """Special scenario kind: three-term divergence identity via flows.
 
-    A malformed [model] or [points] raises ``ScenarioError`` (exit 2).
+    A malformed [model] or [points] raises ``ScenarioError``; it and a
+    triple that is not right-angled exit 2, a numerical failure exits 3.
     """
-    from .potentials import BUILTIN_POTENTIALS, DuallyFlatWorkspace, pythagorean_residual
-
     model = parser["model"]
     _check_keys(model, {"name", "potential", "n"}, "[model]")
     pot_name = model.get("potential", "quadratic").strip().lower()
@@ -373,11 +374,12 @@ def _run_pythagorean(parser) -> ScenarioResult:
         if points[-1].shape != (n,):
             raise ScenarioError(f"{key!r} has {len(points[-1])} entries, but n = {n}",
                                 location="[points]")
-    ws = DuallyFlatWorkspace(psi)
     try:
-        resid = abs(pythagorean_residual(ws, *points))
-    except ContactFlowsError as exc:
+        resid = abs(pythagorean_residual(psi, *points))
+    except PythagoreanConfigError as exc:
         return ScenarioResult(EXIT_USAGE, message=str(exc))
+    except NUMERICAL_ERRORS as exc:
+        return ScenarioResult(EXIT_NUMERICAL, message=str(exc))
     check = InvariantCheck("pythagorean three-term identity", "residual = 0",
                            resid, resid, resid < INVARIANT_TOL)
     report = InvariantReport([check])
@@ -423,7 +425,7 @@ def run_scenario(path, out_dir=None, write_outputs: bool = True) -> ScenarioResu
         if "divergence_table" in scenario.outputs:
             dest = out_dir / scenario.outputs["divergence_table"]
             grid = _trajectory_grid(traj, scenario.spec)
-            write_divergence_csv(divergence_table(scenario.spec.workspace, grid), dest)
+            write_divergence_csv(divergence_table(scenario.spec.potential, grid), dest)
             artifacts.append(dest)
     code = EXIT_PASS if report.passed else EXIT_CHECK_FAILED
     return ScenarioResult(code, report=report, trajectory=traj, artifacts=artifacts)
@@ -440,14 +442,12 @@ def _trajectory_grid(traj: Trajectory, spec: LiftSpec):
 # ---------------------------------------------------------------------------
 # Divergence tables.
 
-def divergence_table(ws: DuallyFlatWorkspace, pairs) -> List[dict]:
+def divergence_table(psi: ConvexPotential, pairs) -> List[dict]:
     """Rows of D(x||x') and the asymmetry D(x||x') - D(x'||x) over point pairs.
 
     Numerical failures (``NUMERICAL_ERRORS``) are recorded per row in the
     error column; any other exception propagates.
     """
-    from .potentials import canonical_divergence
-
     rows = []
     for x, x_prime in pairs:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -455,8 +455,8 @@ def divergence_table(ws: DuallyFlatWorkspace, pairs) -> List[dict]:
         row = {"x": x, "x_prime": x_prime, "D": None, "D_reverse": None,
                "asymmetry": None, "error": ""}
         try:
-            d = canonical_divergence(ws, x, x_prime)
-            d_rev = canonical_divergence(ws, x_prime, x)
+            d = canonical_divergence(psi, x, x_prime)
+            d_rev = canonical_divergence(psi, x_prime, x)
             if not (np.isfinite(d) and np.isfinite(d_rev)):
                 raise EvaluationError("non-finite divergence", coords=(x, x_prime))
             row["D"], row["D_reverse"] = d, d_rev

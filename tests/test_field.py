@@ -51,7 +51,7 @@ from contactflows.models import (
     OnsagerParams,
     SpinParams,
 )
-from contactflows.potentials import DuallyFlatWorkspace, quadratic_potential, spin_potential
+from contactflows.potentials import legendre_transform, quadratic_potential, spin_potential
 from test_potentials import without_closed_form
 
 RNG = np.random.default_rng(20151)
@@ -117,12 +117,11 @@ def random_state(dim):
 
 def conserved(spec):
     """psi~ of an anchored lift: psi(x) + anchor x_extra, or phi(p) + anchor p_extra."""
-    phi = DuallyFlatWorkspace(spec.potential).phi_value
-
     def value(pt):
         if spec.side == "psi":
             return spec.potential.value_at(pt.x[:-1]) + spec.anchor * pt.x[-1]
-        return phi(pt.p[:-1]) + spec.anchor * pt.p[-1]
+        phi = legendre_transform(spec.potential, pt.p[:-1]).phi_value
+        return phi + spec.anchor * pt.p[-1]
 
     return value
 
@@ -282,7 +281,7 @@ def test_phi_diagnostics_solve_only_the_final_state_again(monkeypatch):
     spec = MODEL_BUILDERS["rlc"](CIRCUIT)
     assert spec.side == "phi"
     # its quadratic knows its conjugate; the bare one goes through Newton
-    spec = replace(spec, potential=without_closed_form(spec.potential), workspace=None)
+    spec = replace(spec, potential=without_closed_form(spec.potential))
     traj = integrate_lift(spec, random_state(5), 1.0)
     assert len(traj.times) > 2
     assert calls["legendre"] == calls["field"] + 1

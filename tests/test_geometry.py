@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contactflows.errors import DimensionMismatchError, EvaluationError
+from contactflows.errors import CompressibilityMismatchError, DimensionMismatchError, EvaluationError
 from contactflows.geometry import (
     CanonicalPoint,
     ContactHamiltonian,
@@ -155,6 +155,17 @@ class TestCompressibility:
     def test_z_independent_h_incompressible(self):
         h = ContactHamiltonian(n=1, value=lambda x, p, z: float(x @ x + p @ p))
         assert phase_compressibility(h, random_point(1)) == pytest.approx(0.0, abs=1e-5)
+
+    def test_jet_with_wrong_dh_dz_raises(self):
+        # the field of h = x.p - gamma0 z, whose jet reports dh/dz = 0: the
+        # numeric divergence is -(n+1) gamma0, the analytic one 0
+        gamma0, n = 0.7, 2
+
+        def jet(x, p, z, diag=None):
+            return float(x @ p) - gamma0 * z, -x, p - gamma0 * p, 0.0
+
+        with pytest.raises(CompressibilityMismatchError, match="analytic 0 vs numeric -2.1"):
+            phase_compressibility(ContactHamiltonian(n=n, jet=jet), random_point(n))
 
 
 class TestCentralHessian:

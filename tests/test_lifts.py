@@ -23,7 +23,9 @@ from contactflows.lifts import (
     RestoringFunction,
     build_hamiltonian,
     delta_velocities,
+    dual_spec,
     embed,
+    extension_spec,
     geodesic_drift_phi,
     geodesic_drift_psi,
     gradient_drift_phi,
@@ -37,8 +39,8 @@ from contactflows.lifts import (
 )
 from contactflows.models import CircuitParams, rc_thermal_spec, rlc_spec, rlc_thermal_spec
 from contactflows.potentials import (
-    DuallyFlatWorkspace,
     canonical_divergence,
+    legendre_transform,
     quadratic_potential,
     separable_potential,
     spin_potential,
@@ -59,14 +61,44 @@ def make_spec(side="psi", n=1, gamma0=1.0, jac=-0.5):
     )
 
 
-def test_spec_with_another_potentials_workspace_rejected():
-    # a phi-side lift reads the conjugate through its workspace, so one kept
-    # from the old potential would silently give the old conjugate's field
-    spec = make_spec(side="phi", n=1)
-    other = quadratic_potential(2.0 * np.eye(1))
-    with pytest.raises(ValueError, match="workspace"):
-        replace(spec, potential=other)
-    assert replace(spec, potential=other, workspace=None).workspace.psi is other
+def test_building_specs_makes_no_legendre_solver(workspaces):
+    psi = spin_potential(2)
+    specs = {side: LiftSpec(side=side, potential=psi, drift=linear_drift(-1.0, 2),
+                            restoring=linear_restoring(1.0), anchor=1.3)
+             for side in ("psi", "phi")}
+    extension_spec(specs["psi"])
+    dual_spec(make_spec(side="phi", n=2))  # a quadratic: its conjugate is closed-form
+    assert not workspaces
+    # without a closed form, the dual's potential reads a solver of its own
+    dual = dual_spec(specs["phi"])
+    assert [ws.psi for ws in workspaces] == [psi]
+    assert dual.potential.jet.__self__ is workspaces[0]
+
+
+@pytest.mark.parametrize("psi, solvers", [(spin_potential(2), 1),
+                                          (quadratic_potential(np.eye(2)), 0)],
+                         ids=["spin", "quadratic"])
+def test_phi_hamiltonian_makes_one_solver_without_closed_form(workspaces, psi, solvers):
+    spec = LiftSpec(side="phi", potential=psi, drift=linear_drift(-1.0, 2),
+                    restoring=linear_restoring(1.0))
+    h = build_hamiltonian(spec)
+    assert len(workspaces) == solvers
+    h.field(np.array([0.1, 0.2, 0.3, -0.4, 0.1]))
+    assert len(workspaces) == solvers
+
+
+def test_replaced_potential_gives_the_new_conjugates_field():
+    # no solver is kept on a spec, so replacing the potential replaces the
+    # conjugate that the phi-side field reads
+    spec = LiftSpec(side="phi", potential=spin_potential(1), drift=linear_drift(-0.5, 1),
+                    restoring=linear_restoring(1.0))
+    other = replace(spec, potential=quadratic_potential(2.0 * np.eye(1)))
+    fresh = LiftSpec(side="phi", potential=other.potential, drift=spec.drift,
+                     restoring=spec.restoring)
+    y = np.array([0.2, 0.3, 0.1])
+    field = {name: build_hamiltonian(s).field(y).tobytes()
+             for name, s in (("spec", spec), ("other", other), ("fresh", fresh))}
+    assert field["other"] == field["fresh"] != field["spec"]
 
 
 class TestDriftResults:
@@ -204,66 +236,73 @@ class TestDeltaDecay:
 class TestGeodesicAndGradientDrifts:
     def test_geodesic_drift_linear_p(self):
         # dual-geodesic drift makes p(t) exactly linear in t  [DERIVED]
-        ws = DuallyFlatWorkspace(spin_potential(1))
+        psi = spin_potential(1)
         p_from, p_to = np.array([0.1]), np.array([0.7])
-        drift = geodesic_drift_psi(ws, p_from, p_to)
-        x0 = ws.x_star(p_from)
+        drift = geodesic_drift_psi(psi, p_from, p_to)
+        x0 = legendre_transform(psi, p_from).x_star
         # integrate dx/dt = F and check p(t) = grad psi(x(t)) stays linear
         from contactflows.integrate import integrate_on_submanifold
 
         for t in (0.25, 0.5, 1.0):
             x_t = integrate_on_submanifold(drift, x0, t)
-            p_t = ws.psi.gradient_at(np.atleast_1d(x_t))
+            p_t = psi.gradient_at(np.atleast_1d(x_t))
             expect = p_from + t * (p_to - p_from)
             assert np.allclose(p_t, expect, atol=1e-8)
 
     def test_gradient_drift_exponential_p(self):
         # gradient drift: p(t) - p' = (p(0) - p') e^{-t}  [DERIVED]
-        ws = DuallyFlatWorkspace(spin_potential(1))
+        psi = spin_potential(1)
         target_p = np.array([0.5])
-        drift = gradient_drift_psi(ws, ws.x_star(target_p))
-        x0 = ws.x_star(np.array([-0.2]))
+        drift = gradient_drift_psi(psi, legendre_transform(psi, target_p).x_star)
+        x0 = legendre_transform(psi, np.array([-0.2])).x_star
         from contactflows.integrate import integrate_on_submanifold
 
         x1 = integrate_on_submanifold(drift, x0, 1.0)
-        p1 = ws.psi.gradient_at(np.atleast_1d(x1))
+        p1 = psi.gradient_at(np.atleast_1d(x1))
         expect = target_p + (np.array([-0.2]) - target_p) * np.exp(-1.0)
         assert np.allclose(p1, expect, atol=1e-8)
 
     def test_divergence_decreases_along_gradient_flow(self):
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(2)))
+        psi = quadratic_potential(np.eye(2))
         target = np.array([0.3, -0.1])
-        drift = gradient_drift_psi(ws, target)
+        drift = gradient_drift_psi(psi, target)
         from contactflows.integrate import integrate_on_submanifold
 
         x = np.array([1.5, 1.0])
-        prev = canonical_divergence(ws, x, target)
+        prev = canonical_divergence(psi, x, target)
         for t in (0.2, 0.4, 0.8, 1.6):
             x_t = integrate_on_submanifold(drift, np.array([1.5, 1.0]), t)
-            cur = canonical_divergence(ws, np.atleast_1d(x_t), target)
+            cur = canonical_divergence(psi, np.atleast_1d(x_t), target)
             assert cur <= prev + 1e-12
             prev = cur
 
     def test_phi_side_drifts_exist(self):
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(1)))
-        assert geodesic_drift_phi(ws, np.array([0.0]), np.array([1.0])).n == 1
-        assert gradient_drift_phi(ws, np.array([0.3])).n == 1
+        psi = quadratic_potential(np.eye(1))
+        assert geodesic_drift_phi(psi, np.array([0.0]), np.array([1.0])).n == 1
+        assert gradient_drift_phi(psi, np.array([0.3])).n == 1
 
     @pytest.mark.parametrize("psi", [spin_potential(2),
                                      quadratic_potential([[2.0, 0.3], [0.3, 1.0]])],
                              ids=["spin", "quadratic"])
     def test_phi_side_drifts_match_closed_form(self, psi):
         # geodesic: Hess psi(x*(p)) . (x_to - x_from); gradient: -Hess psi(x*) . (x* - x*(p'))
-        ws = DuallyFlatWorkspace(psi)
         x_from, x_to, target_p = np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([0.3, -0.2])
-        geodesic = geodesic_drift_phi(ws, x_from, x_to)
-        gradient = gradient_drift_phi(ws, target_p)
-        assert geodesic.workspace is ws and gradient.workspace is ws  # integrate_lift clears it
+        geodesic = geodesic_drift_phi(psi, x_from, x_to)
+        gradient = gradient_drift_phi(psi, target_p)
+        # each keeps a solver of its own, which integrate_lift clears; a
+        # closed-form conjugate needs none
+        solvers = [geodesic.workspace, gradient.workspace]
+        if psi.closed_conjugate is None:
+            assert [ws.psi for ws in solvers] == [psi, psi] and solvers[0] is not solvers[1]
+        else:
+            assert solvers == [None, None]
+        x_target = legendre_transform(psi, target_p).x_star
         for p in RNG.uniform(-0.8, 0.8, (20, 2)):
-            H = psi.hessian_at(ws.x_star(p))
+            x_star = legendre_transform(psi, p).x_star
+            H = psi.hessian_at(x_star)
             expected = H @ (x_to - x_from)
             assert np.allclose(geodesic.at(p), expected, rtol=1e-12, atol=1e-14)
-            expected = -H @ (ws.x_star(p) - ws.x_star(target_p))
+            expected = -H @ (x_star - x_target)
             assert np.allclose(gradient.at(p), expected, rtol=1e-12, atol=1e-14)
 
 

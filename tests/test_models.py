@@ -31,7 +31,7 @@ from contactflows.models import (
     rlc_thermal_spec,
     spin_spec,
 )
-from contactflows.potentials import ConvexPotential, embed_psi
+from contactflows.potentials import ConvexPotential, embed_psi, legendre_transform
 
 RNG = np.random.default_rng(41)
 
@@ -236,7 +236,7 @@ class TestOnsager:
         # U = psi quadratic with M = L^{-1}: p(t) = p(0) e^{-t}  [oracle]
         spec = onsager_spec(OnsagerParams(L_matrix=np.diag([2.0, 0.5])))
         p0 = np.array([1.0, 1.0])
-        x0 = spec.workspace.x_star(p0)
+        x0 = legendre_transform(spec.potential, p0).x_star
         x1 = integrate_on_submanifold(spec.drift, x0, 1.0)
         p1 = spec.potential.gradient_at(np.atleast_1d(x1))
         assert np.allclose(p1, p0 / np.e, atol=1e-8)
@@ -245,7 +245,7 @@ class TestOnsager:
         # L = I with quadratic U: the Onsager drift is the gradient drift
         # toward the minimizer (both produce dp/dt = -p)  [DERIVED]
         spec = onsager_spec(OnsagerParams(L_matrix=np.eye(2)))
-        grad = gradient_drift_psi(spec.workspace, np.zeros(2))
+        grad = gradient_drift_psi(spec.potential, np.zeros(2))
         for _ in range(10):
             x = RNG.standard_normal(2)
             assert np.allclose(spec.drift.at(x), grad.at(x), atol=1e-10)

@@ -372,64 +372,64 @@ class TestEmbeddingsAndDeltas:
 
 class TestDivergence:
     def test_diagonal_is_zero(self):
-        ws = DuallyFlatWorkspace(spin_potential(1))
-        assert canonical_divergence(ws, np.array([0.4]), np.array([0.4])) == (
+        psi = spin_potential(1)
+        assert canonical_divergence(psi, np.array([0.4]), np.array([0.4])) == (
             pytest.approx(0.0, abs=1e-12))
 
     def test_quadratic_is_half_squared_distance(self):
         # identity M gives D = ||x - x'||^2 / 2 both ways  [DERIVED]
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(2)))
+        psi = quadratic_potential(np.eye(2))
         x, xp = np.array([1.0, 2.0]), np.array([0.0, -1.0])
         expect = 0.5 * float((x - xp) @ (x - xp))
-        assert canonical_divergence(ws, x, xp) == pytest.approx(expect, abs=1e-10)
-        assert canonical_divergence(ws, xp, x) == pytest.approx(expect, abs=1e-10)
+        assert canonical_divergence(psi, x, xp) == pytest.approx(expect, abs=1e-10)
+        assert canonical_divergence(psi, xp, x) == pytest.approx(expect, abs=1e-10)
 
     def test_spin_divergence_asymmetric_and_positive(self):
-        ws = DuallyFlatWorkspace(spin_potential(1))
-        a = canonical_divergence(ws, np.array([0.1]), np.array([1.4]))
-        b = canonical_divergence(ws, np.array([1.4]), np.array([0.1]))
+        psi = spin_potential(1)
+        a = canonical_divergence(psi, np.array([0.1]), np.array([1.4]))
+        b = canonical_divergence(psi, np.array([1.4]), np.array([0.1]))
         assert a > 0 and b > 0
         assert abs(a - b) > 1e-4
 
     @pytest.mark.parametrize("x, xp", [([np.inf], [0.0]), ([0.0], [np.nan])])
     def test_nonfinite_point_is_a_typed_error_not_a_warning(self, x, xp):
-        ws = DuallyFlatWorkspace(spin_potential(1))
+        psi = spin_potential(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError):
-                canonical_divergence(ws, np.array(x), np.array(xp))
+                canonical_divergence(psi, np.array(x), np.array(xp))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2))
     def test_nonnegativity(self, x, xp):
-        ws = DuallyFlatWorkspace(spin_potential(1))
-        assert canonical_divergence(ws, np.array([x]), np.array([xp])) >= -1e-12
+        psi = spin_potential(1)
+        assert canonical_divergence(psi, np.array([x]), np.array([xp])) >= -1e-12
 
 
 class TestPythagorean:
     def test_orthogonal_config_residual_vanishes(self):
         # quadratic psi: p = x, so (x3-x2) perpendicular to (x2-x1) is the
         # orthogonality condition, and the residual (x2-x3).(p2-p1) = 0
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(2)))
-        r = pythagorean_residual(ws, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+        psi = quadratic_potential(np.eye(2))
+        r = pythagorean_residual(psi, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
                                  np.array([1.0, 1.0]))
         assert abs(r) < 1e-8
 
     def test_non_orthogonal_config_rejected(self):
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(2)))
+        psi = quadratic_potential(np.eye(2))
         with pytest.raises(PythagoreanConfigError):
-            pythagorean_residual(ws, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+            pythagorean_residual(psi, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
                                  np.array([2.0, 0.5]))
 
     def test_spin_product_workspace(self):
         # spin psi in n=2 (product of independent sites); pick x3 so the
         # dual displacement p2 - p1 is orthogonal to x3 - x2
-        ws = DuallyFlatWorkspace(spin_potential(2))
+        psi = spin_potential(2)
         x1 = np.array([0.0, 0.2])
         x2 = np.array([0.8, 0.2])
         x3 = np.array([0.8, 1.1])  # differs only in the second slot;
         # p2 - p1 = (tanh .8 - tanh 0, 0) is orthogonal to (0, 0.9)
-        r = pythagorean_residual(ws, x1, x2, x3)
+        r = pythagorean_residual(psi, x1, x2, x3)
         assert abs(r) < 1e-8
 
 
@@ -625,11 +625,12 @@ class TestJet:
         assert accepted.hessian.dtype == np.float64
         assert np.array_equal(accepted.hessian, 2 * np.eye(2))
 
-    def test_warm_phi_field_call_reads_psi_by_one_jet(self, monkeypatch):
+    def test_warm_phi_field_call_reads_psi_by_one_jet(self, monkeypatch, workspaces):
         # a warm solve that accepts its predictor takes the residual, psi(x*)
         # and the Hessian the workspace inverts from one jet of psi
         spec, start = off_graph_rlc()
         h = build_hamiltonian(spec)
+        [ws] = workspaces
         y = np.concatenate([start.x, start.p, [start.z]])
         h.field(y)  # the solve the next ones start from
         calls = []
@@ -646,7 +647,7 @@ class TestJet:
             h.field(y + 1e-3 * k)
             # the conjugate's jet, then the one of psi inside its warm solve
             assert calls == [(False, "jet_at"), (True, "jet_at")]
-            assert spec.workspace._res.iterations == 0
+            assert ws._res.iterations == 0
 
     def test_phi_spin_run_inverts_once_per_new_p(self, monkeypatch):
         inversions, solves = [], counting_legendre(monkeypatch)
@@ -701,7 +702,7 @@ def off_graph_rlc():
     whose predictor is exact for a constant Hessian.
     """
     spec = rlc_spec(CircuitParams(R=1.0, C=1.0, L=1.0, gamma0=1.0))
-    spec = replace(spec, potential=without_closed_form(spec.potential), workspace=None)
+    spec = replace(spec, potential=without_closed_form(spec.potential))
     return spec, CanonicalPoint(np.array([0.3, -0.2]), np.array([1.0, 0.5]), 0.1)
 
 
@@ -714,29 +715,25 @@ class TestWorkspaceCache:
         assert first is second
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([1, 2]), st.data(), st.booleans())
-    def test_warm_spin_solve_matches_cold(self, n, data, with_hessian):
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_warm_spin_solve_matches_cold(self, n, data):
         # p = tanh u up to |p| = 1 - 6e-7; x* = artanh p is conditioned by cosh^2 u
         u_prev, u = (np.array(data.draw(st.lists(st.floats(-7.5, 7.5), min_size=n, max_size=n)))
                      for _ in range(2))
         psi = spin_potential(n)
         ws = DuallyFlatWorkspace(psi)
         ws.transform(np.tanh(u_prev))
-        if with_hessian:
-            ws.inverse_hessian(np.tanh(u_prev))
         p = np.tanh(u)
         warm, cold = ws.transform(p), legendre_transform(psi, p)
         assert np.all(np.abs(warm.x_star - cold.x_star) <= 1e-13 * np.cosh(u) ** 2)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4), st.booleans())
-    def test_warm_quadratic_solve_matches_cold(self, coords, with_hessian):
+    @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+    def test_warm_quadratic_solve_matches_cold(self, coords):
         psi = quadratic_potential(NON_DIAGONAL_M)
         p_prev, p = np.array(coords[:2]), np.array(coords[2:])
         ws = DuallyFlatWorkspace(psi)
         ws.transform(p_prev)
-        if with_hessian:
-            ws.inverse_hessian(p_prev)
         warm, cold = ws.transform(p), legendre_transform(psi, p)
         # relative above |x*| = 1; below, Newton's absolute tolerance sets the scale
         scale = max(1.0, np.max(np.abs(cold.x_star)))
@@ -748,15 +745,16 @@ class TestWorkspaceCache:
         H = conjugate(ws).hessian_at(p)
         with pytest.raises(ValueError):
             H[0, 0] = 99.0
-        assert np.array_equal(ws.inverse_hessian(p), np.linalg.inv(NON_DIAGONAL_M))
+        assert np.array_equal(ws.jet(p)[2], np.linalg.inv(NON_DIAGONAL_M))
 
     def test_shared_x_star_is_read_only(self):
         # the memo hands the same x* to every caller at p and to the next warm start
         ws = DuallyFlatWorkspace(spin_potential(1))
         with pytest.raises(ValueError):
-            ws.x_star(np.array([0.5]))[0] = 99.0
-        assert ws.x_star(np.array([0.5]))[0] == pytest.approx(np.arctanh(0.5), abs=1e-15)
-        assert ws.phi_value(np.array([0.5])) == pytest.approx(
+            ws.transform(np.array([0.5])).x_star[0] = 99.0
+        res = ws.transform(np.array([0.5]))
+        assert res.x_star[0] == pytest.approx(np.arctanh(0.5), abs=1e-15)
+        assert res.phi_value == pytest.approx(
             0.5 * np.arctanh(0.5) - np.log(2 * np.cosh(np.arctanh(0.5))), abs=1e-15)
 
     def test_failed_warm_solve_retried_cold(self, monkeypatch):
@@ -771,24 +769,24 @@ class TestWorkspaceCache:
 
         monkeypatch.setattr(potentials_module, "legendre_transform", recording)
         ws = DuallyFlatWorkspace(spin_potential(1))
-        ws.inverse_hessian(np.array([0.999999]))
+        ws.transform(np.array([0.999999]))
         p = np.array([-0.999999])
-        x = ws.x_star(p)
+        x = ws.transform(p).x_star
         assert np.array_equal(x, legendre_transform(spin_potential(1), p).x_star)
         assert starts[0] is None and starts[1][0] < -1e5 and starts[2] is None
 
-    def test_long_phi_run_keeps_one_solve(self):
+    def test_long_phi_run_keeps_one_solve(self, workspaces):
         spec, start = off_graph_rlc()
         traj = integrate_lift(spec, start, 50.0)
         assert len(traj.times) > 200
-        held = [v for v in vars(spec.workspace).values() if v is not spec.potential]
+        [ws] = workspaces  # the Hamiltonian's
+        held = [v for v in vars(ws).values() if v is not spec.potential]
         assert not any(isinstance(v, (dict, list, set, tuple)) for v in held)
         assert sum(isinstance(v, LegendreTransformResult) for v in held) == 1
         # the diagnostics of the last state solved last
-        assert np.array_equal(spec.workspace._p, traj.states[-1, 2:4])
+        assert np.array_equal(ws._p, traj.states[-1, 2:4])
 
-    @pytest.mark.parametrize("model", ["rlc", "spin2", "spin2_geodesic",
-                                       "spin2_geodesic_own_workspace"])
+    @pytest.mark.parametrize("model", ["rlc", "spin2", "spin2_geodesic_own_workspace"])
     def test_phi_run_independent_of_memo_history(self, model):
         start = CanonicalPoint(np.array([0.1, 0.2]), np.array([0.3, -0.7]), 0.1)
         elsewhere = CanonicalPoint(np.array([-1.0, 2.0]), np.array([-0.83, 0.71]), 0.0)
@@ -799,19 +797,16 @@ class TestWorkspaceCache:
             spec = LiftSpec(side="phi", potential=spin_potential(2),
                             drift=linear_drift(-1.0, 2), restoring=linear_restoring(1.0))
         else:
-            # a drift that reads the conjugate through the lift's own workspace,
-            # or through one of its own that integrate_lift clears as well
-            ws = DuallyFlatWorkspace(spin_potential(2))
-            drift_ws = ws if model == "spin2_geodesic" else DuallyFlatWorkspace(ws.psi)
-            drift = geodesic_drift_phi(drift_ws, np.array([0.1, -0.1]), np.array([0.3, 0.2]))
-            assert drift.workspace is drift_ws
-            spec = LiftSpec(side="phi", potential=ws.psi, drift=drift,
-                            restoring=linear_restoring(1.0), workspace=ws)
-            # starts whose runs differed while nothing cleared ws, or drift_ws
-            start = CanonicalPoint(np.array([0.27, -0.46]), np.array([-0.73, -0.77]), 0.1)
+            # a drift that reads the conjugate through a solver of its own,
+            # which integrate_lift clears
+            psi = spin_potential(2)
+            drift = geodesic_drift_phi(psi, np.array([0.1, -0.1]), np.array([0.3, 0.2]))
+            assert drift.workspace.psi is psi
+            spec = LiftSpec(side="phi", potential=psi, drift=drift,
+                            restoring=linear_restoring(1.0))
+            # a start whose runs differed while nothing cleared that solver
+            start = CanonicalPoint(np.array([0.02, 0.9]), np.array([-0.57, 0.72]), 0.1)
             elsewhere = CanonicalPoint(np.array([-0.14, 0.52]), np.array([0.756, -0.795]), 0.0)
-            if drift_ws is not ws:
-                start = CanonicalPoint(np.array([0.02, 0.9]), np.array([-0.57, 0.72]), 0.1)
             t_end = 0.3
         first = integrate_lift(spec, start, t_end)
         # a short run elsewhere leaves another solve in the memo

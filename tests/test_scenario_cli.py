@@ -18,7 +18,6 @@ from contactflows.integrate import integrate_lift
 from contactflows.lifts import dual_spec, linear_restoring
 from contactflows.potentials import (
     ConvexPotential,
-    DuallyFlatWorkspace,
     quadratic_potential,
     spin_potential,
 )
@@ -329,6 +328,13 @@ class TestParsing:
         assert result.exit_code == EXIT_USAGE
         assert result.message.startswith("[model]") and "'n'" in result.message
 
+    def test_pythagorean_without_right_angle_exits_2(self, tmp_path):
+        text = (SCENARIOS / "pythagorean.scenario").read_text().replace("x3 = 1.0 1.0",
+                                                                        "x3 = 2.0 1.0")
+        result = run_scenario(write(tmp_path, text), write_outputs=False)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message.startswith("not a Pythagorean configuration")
+
 
 class TestAbortSemantics:
     def _run_raising(self, tmp_path, monkeypatch, exc):
@@ -346,6 +352,16 @@ class TestAbortSemantics:
         result = self._run_raising(tmp_path, monkeypatch, EvaluationError("non-finite"))
         assert result.exit_code == EXIT_NUMERICAL
         assert "integration aborted" in result.message
+
+    def test_pythagorean_flow_failure_exits_3(self, tmp_path):
+        # x3 - x2 = (0, 20) is at a right angle to p2 - p1 = (tanh 1, 0), but
+        # the primal geodesic to x3 takes p to tanh 20, which rounds to the
+        # edge of the spin chart: its flow stops at the step floor
+        text = ("[model]\nname = pythagorean\npotential = spin\nn = 2\n\n"
+                "[points]\nx1 = 0.0 0.0\nx2 = 1.0 0.0\nx3 = 1.0 20.0\n")
+        result = run_scenario(write(tmp_path, text), write_outputs=False)
+        assert result.exit_code == EXIT_NUMERICAL
+        assert result.message.startswith("submanifold flow truncated: step floor")
 
     def test_rk4_blow_up_exits_3_with_t(self, tmp_path):
         # RK4 at h = 10 amplifies the RC decay by about 291 per step
@@ -384,8 +400,7 @@ class TestRunScenario:
         assert len(rows) == 25
         assert float(rows[0]["x"]) == xs[0] and float(rows[-1]["x"]) == xs[-1]
         pairs = [(np.array([float(r["x"])]), np.array([float(r["x_prime"])])) for r in rows]
-        expect = divergence_table(DuallyFlatWorkspace(parse_scenario(path).spec.potential),
-                                  pairs)
+        expect = divergence_table(parse_scenario(path).spec.potential, pairs)
         for row, want in zip(rows, expect):
             assert row["error"] == "" and float(row["D"]) == want["D"]
             assert float(row["D_reverse"]) == want["D_reverse"]
@@ -539,9 +554,9 @@ t_end = 8.0
         assert traj.times[-1] == 5.0
         assert np.max(np.abs(traj.final_state[2:4] - expect)) <= 1e-8
 
-    def test_bundled_pythagorean(self):
-        result = run_scenario(SCENARIOS / "pythagorean.scenario",
-                              write_outputs=False)
+    @pytest.mark.parametrize("name", ["pythagorean", "pythagorean_spin"])
+    def test_bundled_pythagorean(self, name):
+        result = run_scenario(SCENARIOS / f"{name}.scenario", write_outputs=False)
         assert result.exit_code == EXIT_PASS
         check = result.report.checks[0]
         assert check.residual < 1e-8
@@ -549,27 +564,20 @@ t_end = 8.0
 
 class TestDivergenceTable:
     def test_diagonal_zero_and_quadratic_symmetric(self):
-        ws = DuallyFlatWorkspace(quadratic_potential(np.eye(1)))
         grid = [np.array([v]) for v in (-1.0, 0.0, 1.0)]
-        rows = divergence_table(ws, [(a, b) for a in grid for b in grid])
+        rows = divergence_table(quadratic_potential(np.eye(1)), [(a, b) for a in grid for b in grid])
         for row in rows:
             if np.array_equal(row["x"], row["x_prime"]):
                 assert abs(row["D"]) < 1e-12
             assert abs(row["asymmetry"]) < 1e-10  # quadratic: symmetric
 
     def test_spin_asymmetric(self):
-        ws = DuallyFlatWorkspace(spin_potential(1))
-        rows = divergence_table(ws, [(np.array([0.1]), np.array([1.2]))])
+        rows = divergence_table(spin_potential(1), [(np.array([0.1]), np.array([1.2]))])
         assert abs(rows[0]["asymmetry"]) > 1e-4
 
     def test_transform_failure_recorded_not_raised(self):
-        # force a transform failure with a dual point outside the spin chart
-        ws = DuallyFlatWorkspace(spin_potential(1))
-
-        class Bad:
-            pass
-
-        rows = divergence_table(ws, [(np.array([np.inf]), np.array([0.0]))])
+        # a point that is not finite fails its row, not the table
+        rows = divergence_table(spin_potential(1), [(np.array([np.inf]), np.array([0.0]))])
         assert rows[0]["D"] is None
         assert rows[0]["error"]
 
@@ -577,9 +585,9 @@ class TestDivergenceTable:
         def broken(x):
             raise TypeError("bad operand")
 
-        ws = DuallyFlatWorkspace(ConvexPotential(n=1, value=broken, gradient=lambda x: x))
+        psi = ConvexPotential(n=1, value=broken, gradient=lambda x: x)
         with pytest.raises(TypeError):
-            divergence_table(ws, [(np.array([0.0]), np.array([1.0]))])
+            divergence_table(psi, [(np.array([0.0]), np.array([1.0]))])
 
 
 class TestCLI:
