@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
-from .geometry import hamiltonian_vector_field
+from .geometry import _all_finite, hamiltonian_vector_field
 from .lifts import build_hamiltonian
 
 DEFAULT_REL_TOL = 1e-10
@@ -120,7 +120,7 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
             y = _rk4_step(f, t, ys[-1], h, f0)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
-        if not np.isfinite(y).all():
+        if not _all_finite(y):
             return _stop(ts, ys, "non-finite state", t, h)
         t += h
         ts.append(t)
@@ -152,7 +152,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
         except NUMERICAL_ERRORS as exc:
             failure, factor = f" after {type(exc).__name__}: {exc}", 0.1
         else:
-            if not np.isfinite(y_new).all():
+            if not _all_finite(y_new):
                 return _stop(ts, ys, "non-finite state", t, h)
             tol = abs_tol + rel_tol * max(1.0, float(np.abs(y).max()))
             if err <= tol:

@@ -25,6 +25,7 @@ reached through ``embed``, ``defects`` and ``restricted_field``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -254,7 +255,7 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         f = F.at(x)
         rate = Gam.derivative(d0)
         if diag is not None:
-            diag.update(delta0=d0, delta_norm=np.sqrt(d.dot(d)))
+            diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)))
         return d.dot(f) + Gam.eval(d0), f, H.dot(f) + d.dot(F.jacobian_at(x)) + rate * d, -rate
 
     def extended_jet(X, P, z, diag=None):
@@ -262,16 +263,17 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         value, g, H = psi.jet_at(x)
         psi_tilde = value + anchor * xe
         d0 = psi_tilde - z
-        d = (pe / anchor) * g - p
+        ratio = pe / anchor
+        d = ratio * g - p
         f = F.at(x)
         rate = Gam.derivative(d0)
         dx, dp = np.empty(n + 1), np.empty(n + 1)
         dx[:n] = f
         dx[n] = -g.dot(f) / anchor
-        dp[:n] = (pe / anchor) * H.dot(f) + d.dot(F.jacobian_at(x)) + rate * (g - p)
+        dp[:n] = ratio * H.dot(f) + d.dot(F.jacobian_at(x)) + rate * (g - p)
         dp[n] = rate * (anchor - pe)
         if diag is not None:  # the extra component of the defect vanishes
-            diag.update(delta0=d0, delta_norm=np.sqrt(d.dot(d)), psi_tilde=psi_tilde, S=xe)
+            diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)), psi_tilde=psi_tilde, S=xe)
         return d.dot(f) + Gam.eval(d0), dx, dp, -rate
 
     if anchor is None:

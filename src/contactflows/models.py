@@ -176,9 +176,14 @@ def _rlc_potential(params: CircuitParams) -> ConvexPotential:
 def rlc_spec(params: CircuitParams) -> LiftSpec:
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
+
+    def drift_at(p):
+        v, i = p.tolist()  # Python floats: the same bits as numpy scalars, at less cost
+        return np.array([i / C, -v / L - R * i / L])
+
     drift = DriftField(
         n=2,
-        eval=lambda p: np.array([p[1] / C, -p[0] / L - R * p[1] / L]),
+        eval=drift_at,
         jacobian=constant_jacobian([[0.0, 1.0 / C], [-1.0 / L, -R / L]]),
     )
     return LiftSpec(side="phi", potential=psi, drift=drift,
@@ -188,9 +193,14 @@ def rlc_spec(params: CircuitParams) -> LiftSpec:
 def rlc_thermal_spec(params: CircuitParams) -> LiftSpec:
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
+
+    def drift_at(x):
+        q, flux = x.tolist()  # Python floats: the same bits as numpy scalars, at less cost
+        return np.array([flux / L, -q / C - R * flux / L])
+
     drift = DriftField(
         n=2,
-        eval=lambda x: np.array([x[1] / L, -x[0] / C - R * x[1] / L]),
+        eval=drift_at,
         jacobian=constant_jacobian([[0.0, 1.0 / L], [-1.0 / C, -R / L]]),
     )
     return _thermal(params, LiftSpec(side="psi", potential=psi, drift=drift,

@@ -22,6 +22,7 @@ from .errors import (
     NUMERICAL_ERRORS,
     DimensionMismatchError,
     EvaluationError,
+    IntegrationAbort,
     NewtonConvergenceError,
     PythagoreanConfigError,
     StrictConvexityError,
@@ -462,10 +463,17 @@ def pythagorean_residual(psi: ConvexPotential, x1, x2, x3) -> float:
     the corner x2 joins x1 by a dual-side geodesic and x3 by a primal-side
     geodesic.  The right angle requires (x3 - x2).(p2 - p1) = 0; violating
     it raises.  Unless x1 = x2, the two geodesic drifts are integrated for
-    unit time and checked to land on the supplied points.
+    unit time and checked to land on the supplied points; a flow that stops
+    raises ``IntegrationAbort`` naming its geodesic.
     """
     from .integrate import integrate_on_submanifold
     from .lifts import geodesic_drift_phi, geodesic_drift_psi
+
+    def flow(name, drift, start):
+        try:
+            return integrate_on_submanifold(drift, start, 1.0)
+        except IntegrationAbort as exc:
+            raise IntegrationAbort(f"{name}: {exc}", trajectory=exc.trajectory) from exc
 
     x1, x2, x3 = (_float_array(x, 1) for x in (x1, x2, x3))
     p1 = psi.gradient_at(x1)
@@ -477,10 +485,10 @@ def pythagorean_residual(psi: ConvexPotential, x1, x2, x3) -> float:
             f"not a Pythagorean configuration: inner product {ortho:.3g}"
         )
     if not np.allclose(x1, x2):
-        x_end = integrate_on_submanifold(geodesic_drift_psi(psi, p1, p2), x1, 1.0)
+        x_end = flow("dual geodesic x1 -> x2", geodesic_drift_psi(psi, p1, p2), x1)
         if float(np.max(np.abs(psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
             raise PythagoreanConfigError("dual geodesic does not reach the corner")
-        p_end = integrate_on_submanifold(geodesic_drift_phi(psi, x2, x3), p2, 1.0)
+        p_end = flow("primal geodesic x2 -> x3", geodesic_drift_phi(psi, x2, x3), p2)
         x_end = legendre_transform(psi, p_end).x_star
         if float(np.max(np.abs(x_end - x3))) > GEODESIC_ENDPOINT_TOL:
             raise PythagoreanConfigError("primal geodesic does not reach the endpoint")

@@ -247,12 +247,12 @@ def state_columns(spec: LiftSpec) -> List[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, spec, path) -> None:
-    # one float64 block; csv writes a float with str(), which is its repr()
+    # one float64 block, written as csv.writer writes it: a float by its
+    # repr(), which never needs quoting, and "\r\n" after every row
     rows = np.column_stack([traj.times, traj.states, *traj.diagnostics.values()]).tolist()
+    header = ",".join(["t"] + state_columns(spec) + list(traj.diagnostics))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + state_columns(spec) + list(traj.diagnostics))
-        writer.writerows(rows)
+        fh.write("\r\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\r\n")
 
 
 @dataclass(frozen=True)

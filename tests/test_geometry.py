@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contactflows.errors import CompressibilityMismatchError, DimensionMismatchError, EvaluationError
 from contactflows.geometry import (
     CanonicalPoint,
+    _all_finite,
     ContactHamiltonian,
     TangentVector,
     central_hessian,
@@ -125,6 +128,41 @@ class TestCanonicalField:
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError):
                 hamiltonian_vector_field(h, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+
+
+def constant_field_h(h, dx, dp):
+    """n = 1, with the field (dx, dp, h + p dx) at every state (x, p, z)."""
+    return ContactHamiltonian(
+        n=1, jet=lambda x, p, z, diag=None: (h, np.array([dx]), np.array([dp]), 0.0))
+
+
+class TestFinitenessGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_a_nonfinite_component_raises(self, bad, slot):
+        components = [0.5, -0.25, 2.0]
+        components[slot] = bad
+        dx, dp, h = components
+        with warnings.catch_warnings():  # p = 1: p dx is inf for an infinite dx, not 0 * inf
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite contact Hamiltonian"):
+                hamiltonian_vector_field(constant_field_h(h, dx, dp), np.array([0.0, 1.0, 0.0]))
+
+    def test_a_finite_field_whose_sum_overflows_passes_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dy = hamiltonian_vector_field(constant_field_h(3.0, 1e308, 1e308), np.zeros(3))
+        assert dy.tolist() == [1e308, 1e308, 3.0]
+
+    @given(st.lists(st.one_of(st.floats(),
+                              st.sampled_from([np.nan, np.inf, -np.inf, 1.7976931348623157e308,
+                                               -1.7976931348623157e308, 1e308, 5e-324])),
+                    max_size=9))
+    def test_agrees_with_isfinite(self, entries):
+        v = np.array(entries, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _all_finite(v) is bool(np.isfinite(v).all())
 
 
 class TestIdentities:

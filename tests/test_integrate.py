@@ -209,6 +209,21 @@ class TestAborts:
         assert_stopped_at(traj, "step budget")
         assert len(traj.times) == 7  # the initial state and 6 accepted steps
 
+    @pytest.mark.parametrize("solve", [
+        lambda f, y0: solve_fixed(f, y0, 1.0, 0.01),
+        lambda f, y0: solve_adaptive(f, y0, 1.0),
+    ], ids=["rk4", "rkf45"])
+    def test_a_step_that_overflows_the_state_stops_it(self, solve):
+        # every stage is finite; the first step carries the state past the
+        # largest double
+        def f(t, y):
+            return np.array([1e308, 0.0])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = solve(f, np.array([1.79e308, 1.0]))
+        assert_stopped_at(traj, "non-finite state")
+        assert traj.times.tolist() == [0.0]
+
     def test_programming_error_in_rhs_propagates(self):
         with pytest.raises(TypeError):
             solve_adaptive(lambda t, y: None + y, np.array([1.0]), 1.0)

@@ -13,6 +13,7 @@ from contactflows import potentials as potentials_module
 from contactflows.errors import (
     DimensionMismatchError,
     EvaluationError,
+    IntegrationAbort,
     NewtonConvergenceError,
     PythagoreanConfigError,
     StrictConvexityError,
@@ -431,6 +432,17 @@ class TestPythagorean:
         # p2 - p1 = (tanh .8 - tanh 0, 0) is orthogonal to (0, 0.9)
         r = pythagorean_residual(psi, x1, x2, x3)
         assert abs(r) < 1e-8
+
+    def test_a_stopped_dual_flow_names_its_geodesic(self):
+        # p2 = tanh 20 rounds to 1, the edge of the dual chart: x runs off to
+        # infinity as the dual geodesic reaches the corner.  The primal case
+        # is test_pythagorean_flow_failure_exits_3 of the scenario tests
+        with pytest.raises(IntegrationAbort, match="^dual geodesic x1 -> x2: submanifold flow "
+                                                   "truncated: step floor") as info:
+            pythagorean_residual(spin_potential(2), np.zeros(2), np.array([20.0, 0.0]),
+                                 np.array([20.0, 1.0]))
+        assert info.value.trajectory.truncated
+        assert info.value.trajectory.times[-1] < 1.0
 
 
 class TestConstantHessianCheck:

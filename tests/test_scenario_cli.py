@@ -14,8 +14,9 @@ from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
 from contactflows.errors import EvaluationError
 from contactflows.geometry import ContactHamiltonian, swap_hamiltonian
-from contactflows.integrate import integrate_lift
+from contactflows.integrate import Trajectory, integrate_lift
 from contactflows.lifts import dual_spec, linear_restoring
+from contactflows.models import CircuitParams, rlc_thermal_spec
 from contactflows.potentials import (
     ConvexPotential,
     quadratic_potential,
@@ -31,6 +32,8 @@ from contactflows.scenario import (
     divergence_table,
     parse_scenario,
     run_scenario,
+    state_columns,
+    write_trajectory_csv,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -361,7 +364,8 @@ class TestAbortSemantics:
                 "[points]\nx1 = 0.0 0.0\nx2 = 1.0 0.0\nx3 = 1.0 20.0\n")
         result = run_scenario(write(tmp_path, text), write_outputs=False)
         assert result.exit_code == EXIT_NUMERICAL
-        assert result.message.startswith("submanifold flow truncated: step floor")
+        assert result.message.startswith(
+            "primal geodesic x2 -> x3: submanifold flow truncated: step floor")
 
     def test_rk4_blow_up_exits_3_with_t(self, tmp_path):
         # RK4 at h = 10 amplifies the RC decay by about 291 per step
@@ -420,6 +424,27 @@ class TestRunScenario:
         run_scenario(path, out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "traj.csv").read_bytes() == (
             tmp_path / "b" / "traj.csv").read_bytes()
+
+    def test_trajectory_csv_is_what_csv_writer_writes(self, tmp_path):
+        # extended-lift columns, a row whose field failed (NaN diagnostics),
+        # a negative zero, 1e-300 and the smallest subnormal
+        spec = rlc_thermal_spec(CircuitParams(R=1.0, C=1.0, L=1.0, T0=2.0))
+        states = np.array([[0.1, -0.0, 0.5, 1e-300, 2.0, 0.3, 1.25],
+                           [1 / 3, 5e-324, -2.5e10, 0.2, 1.9999999999999998, -7e-17, 1.5]])
+        diagnostics = {"h": [0.25, np.nan], "delta0": [-0.0, np.nan], "delta_norm": [0.0, np.nan],
+                       "kappa": [-3.0, np.nan], "psi_tilde": [1e-300, np.nan], "S": [0.5, np.nan]}
+        traj = Trajectory(np.array([0.0, 0.1]), states,
+                          {k: np.array(v) for k, v in diagnostics.items()})
+        write_trajectory_csv(traj, spec, tmp_path / "traj.csv")
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + state_columns(spec) + list(diagnostics))
+            writer.writerows(np.column_stack([traj.times, states, *traj.diagnostics.values()])
+                             .tolist())
+        written = (tmp_path / "traj.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written.startswith(b"t,x1,x2,x_extra,p1,p2,p_extra,z,h,delta0,")
+        assert b",-0.0," in written and b",5e-324," in written and b",nan" in written
 
     def test_off_submanifold_decay_law_check(self, tmp_path):
         text = """
