@@ -37,7 +37,6 @@ from .geometry import (
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
 )

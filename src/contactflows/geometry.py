@@ -206,7 +206,7 @@ class ContactHamiltonian:
         """
         n = self.n
         p = y[n:2 * n]
-        h, dx, dp, hz = self.jet(y[:n], p, y[2 * n], diag)
+        h, dx, dp, hz = self.jet(y[:n], p, y.item(2 * n), diag)
         out = np.empty(2 * n + 1)
         out[:n] = dx
         out[n:2 * n] = dp
@@ -262,7 +262,7 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
     """
 
     def jet(x, p, z, diag=None):
-        hv, dx, dp, hz = h.jet(p, x, x.dot(p) - z, diag)
+        hv, dx, dp, hz = h.jet(p, x, float(x.dot(p)) - z, diag)
         if diag is not None and "delta0" in diag:  # absent when h stores no defects
             diag["delta0"] = -diag["delta0"]
         return -hv, dp, dx, hz
@@ -286,24 +286,22 @@ def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
     ``CanonicalPoint``, a ``TangentVector``.
     """
     n = h.n
-    point = isinstance(pt, CanonicalPoint)
-    if point:
-        if pt.n != n:
-            raise DimensionMismatchError(
-                f"point dimension {pt.n} != Hamiltonian dimension {n}"
-            )
-        y = np.concatenate([pt.x, pt.p, [pt.z]])
-    elif len(pt) != 2 * n + 1:
-        raise DimensionMismatchError(f"state length {len(pt)} != {2 * n + 1}")
-    else:
+    flat = isinstance(pt, np.ndarray)
+    if flat:
+        if len(pt) != 2 * n + 1:
+            raise DimensionMismatchError(f"state length {len(pt)} != {2 * n + 1}")
         y = pt
+    elif pt.n != n:
+        raise DimensionMismatchError(f"point dimension {pt.n} != Hamiltonian dimension {n}")
+    else:
+        y = np.concatenate([pt.x, pt.p, [pt.z]])
     dy = h.field(y, diag)
     if not _all_finite(dy):
         raise EvaluationError(
             "non-finite contact Hamiltonian vector field",
             coords=(y[:n], y[n:2 * n], y[2 * n]),
         )
-    return TangentVector(dy[:n], dy[n:2 * n], dy[2 * n]) if point else dy
+    return dy if flat else TangentVector(dy[:n], dy[n:2 * n], dy[2 * n])
 
 
 @dataclass(frozen=True)

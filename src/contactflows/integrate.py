@@ -19,6 +19,7 @@ it only at the step floor.  Any other exception propagates.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,14 +85,20 @@ def _rk4_step(f, t, y, h, f0):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rkf45_step(f, t, y, h, f0):
-    K = np.empty((6, len(y)))
+def _rkf45_step(f, t, y, h, f0, K, stages):
+    """(y5, max |y5 - y4|); ``stages`` holds (c_i, A[i, :i], K[:i]) over the stage buffer K."""
     K[0] = f0(t, y)
-    for i, (c, a) in enumerate(_STAGES, 1):
-        K[i] = f(t + c * h, y + h * a.dot(K[:i]))
+    for i, (c, a, Ki) in enumerate(stages, 1):
+        K[i] = f(t + c * h, y + h * a.dot(Ki))
     y5 = y + h * _B5.dot(K)
     y4 = y + h * _B4.dot(K)
-    return y5, np.abs(y5 - y4).max()
+    return y5, _max_abs(y5 - y4)
+
+
+def _max_abs(v) -> float:
+    """``np.abs(v).max()`` as a Python float; on a non-finite sum by numpy, keeping a NaN."""
+    a = v.tolist()
+    return max(map(abs, a)) if math.isfinite(sum(a)) else float(np.abs(v).max())
 
 
 def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
@@ -139,6 +146,9 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     """
     f0 = f0 or f
     y = np.asarray(y0, dtype=float)
+    y_max = _max_abs(y)  # of the state each attempt starts from, for its tolerance
+    K = np.empty((6, len(y)))
+    stages = tuple((c, a, K[:i]) for i, (c, a) in enumerate(_STAGES, 1))
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
@@ -148,16 +158,17 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     while t < t_end - 1e-15:
         h = min(h, t_end - t)
         try:
-            y_new, err = _rkf45_step(f, t, y, h, f0)
+            y_new, err = _rkf45_step(f, t, y, h, f0, K, stages)
         except NUMERICAL_ERRORS as exc:
             failure, factor = f" after {type(exc).__name__}: {exc}", 0.1
         else:
             if not _all_finite(y_new):
                 return _stop(ts, ys, "non-finite state", t, h)
-            tol = abs_tol + rel_tol * max(1.0, float(np.abs(y).max()))
+            tol = abs_tol + rel_tol * max(1.0, y_max)
             if err <= tol:
                 t += h
                 y = y_new
+                y_max = _max_abs(y)
                 ts.append(t)
                 ys.append(y)
                 failure = ""
@@ -240,19 +251,3 @@ def integrate_on_submanifold(drift, start, t_end: float,
                                trajectory=traj)
     return traj.final_state
 
-
-def fit_decay_rate(times, values) -> float:
-    """Least-squares slope of log |values| over the second half of the data.
-
-    The second half avoids transient pollution; values crossing zero are
-    masked out.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.abs(np.asarray(values, dtype=float))
-    half = len(times) // 2
-    t, v = times[half:], values[half:]
-    mask = v > 0
-    if mask.sum() < 2:
-        raise ValueError("not enough nonzero samples to fit a rate")
-    slope, _ = np.polyfit(t[mask], np.log(v[mask]), 1)
-    return float(slope)

@@ -56,20 +56,22 @@ from .potentials import (
 class DriftField:
     """A vector field F on the submanifold chart (a function of x or of p).
 
+    ``jacobian`` is a callable of u, or the read-only matrix of
+    ``constant_jacobian``, the tag of a constant Jacobian, which the
+    built-in drifts of constant Jacobian carry: every ``jacobian_at``
+    returns that matrix, and a Hamiltonian reads it once.
     ``structure`` tags the recognized stability classes:
     ("linear", jac_const), ("rotational", omega), or
     ("onsager", L, U_hessian).  Untagged drifts get no certificate.
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
     own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
-    dimensions as the callable gave it and convert any other result, so a
-    constant Jacobian is shared, not copied: the built-in drifts build
-    theirs once, read-only (``constant_jacobian``).
+    dimensions as the callable gave it and convert any other result.
     """
 
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None
     structure: Optional[tuple] = None
     workspace: Optional[DuallyFlatWorkspace] = field(default=None, repr=False)
 
@@ -77,17 +79,19 @@ class DriftField:
         return _float_array(self.eval(np.asarray(u, dtype=float)), 1)
 
     def jacobian_at(self, u) -> np.ndarray:
+        if isinstance(self.jacobian, np.ndarray):
+            return self.jacobian
         u = np.asarray(u, dtype=float)
         if self.jacobian is not None:
             return _float_array(self.jacobian(u), 2)
         return central_jacobian(self.at, u)
 
 
-def constant_jacobian(J) -> Callable[[np.ndarray], np.ndarray]:
-    """The Jacobian callable of a drift with constant Jacobian J, built once, read-only."""
-    J = np.array(J, dtype=float)
+def constant_jacobian(J) -> np.ndarray:
+    """J as a read-only float64 matrix, the ``jacobian`` of a drift with constant Jacobian J."""
+    J = np.array(J, dtype=float, ndmin=2)
     J.flags.writeable = False
-    return lambda u: J
+    return J
 
 
 def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:
@@ -222,10 +226,11 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """h = Delta . F + Gamma(Delta_0) on the chosen side, by its jet.
 
-    The jet evaluates psi, its gradient and Hessian (one ``jet_at``), F
+    The jet evaluates psi, its gradient and Hessian (one jet of psi), F
     and its Jacobian once: dx = F, dp = Eh = Hess psi . F + J^T Delta
     + Gamma'(Delta_0) Delta and dh/dz = -Gamma'(Delta_0).  Asked for
-    diagnostics, it stores delta0 and delta_norm = |Delta|.
+    diagnostics, it stores delta0 and delta_norm = |Delta|.  The jet of
+    psi, Gamma, Gamma' and a declared constant J are looked up once.
 
     With an anchor, h~ = D . F + Gamma(D0) in dimension n+1, with
     coordinates X = (x, x_extra), P = (p, p_extra) and
@@ -242,39 +247,41 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """
     if spec.side == "phi":
         return swap_hamiltonian(build_hamiltonian(dual_spec(spec)))
-    psi = spec.potential
+    psi_jet = spec.potential.jet or spec.potential.jet_at
     F = spec.drift
-    Gam = spec.restoring
+    J = F.jacobian
+    jacobian = (lambda x: J) if isinstance(J, np.ndarray) else F.jacobian_at
+    gam, gam_rate = spec.restoring.eval, spec.restoring.derivative
     n = spec.n
     anchor = spec.anchor
 
     def jet(x, p, z, diag=None):
-        value, g, H = psi.jet_at(x)
+        value, g, H = psi_jet(x)
         d0 = value - z
         d = g - p
         f = F.at(x)
-        rate = Gam.derivative(d0)
+        rate = gam_rate(d0)
         if diag is not None:
             diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)))
-        return d.dot(f) + Gam.eval(d0), f, H.dot(f) + d.dot(F.jacobian_at(x)) + rate * d, -rate
+        return d.dot(f) + gam(d0), f, H.dot(f) + d.dot(jacobian(x)) + rate * d, -rate
 
     def extended_jet(X, P, z, diag=None):
-        x, xe, p, pe = X[:n], X[n], P[:n], P[n]
-        value, g, H = psi.jet_at(x)
+        x, xe, p, pe = X[:n], X.item(n), P[:n], P.item(n)
+        value, g, H = psi_jet(x)
         psi_tilde = value + anchor * xe
         d0 = psi_tilde - z
         ratio = pe / anchor
         d = ratio * g - p
         f = F.at(x)
-        rate = Gam.derivative(d0)
+        rate = gam_rate(d0)
         dx, dp = np.empty(n + 1), np.empty(n + 1)
         dx[:n] = f
         dx[n] = -g.dot(f) / anchor
-        dp[:n] = ratio * H.dot(f) + d.dot(F.jacobian_at(x)) + rate * (g - p)
+        dp[:n] = ratio * H.dot(f) + d.dot(jacobian(x)) + rate * (g - p)
         dp[n] = rate * (anchor - pe)
         if diag is not None:  # the extra component of the defect vanishes
             diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)), psi_tilde=psi_tilde, S=xe)
-        return d.dot(f) + Gam.eval(d0), dx, dp, -rate
+        return d.dot(f) + gam(d0), dx, dp, -rate
 
     if anchor is None:
         return ContactHamiltonian(n=n, jet=jet)

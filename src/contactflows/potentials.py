@@ -176,6 +176,7 @@ def spin_potential(n: int = 1) -> ConvexPotential:
         value=value,
         gradient=lambda x: np.tanh(x),
         hessian=hessian,
+        jet=lambda x: (value(x), np.tanh(x), hessian(x)),
     )
 
 

@@ -17,7 +17,6 @@ from contactflows.geometry import (
     verify_contact_identities,
 )
 from contactflows.integrate import (
-    fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
 )
@@ -53,6 +52,8 @@ from contactflows.potentials import (
     quadratic_potential,
     spin_potential,
 )
+
+from fitting import fit_decay_rate
 
 RNG = np.random.default_rng(2026)
 

@@ -10,7 +10,6 @@ from contactflows.geometry import CanonicalPoint
 from contactflows import integrate as integrate_module
 from contactflows.integrate import (
     IntegratorConfig,
-    fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
     solve_adaptive,
@@ -18,6 +17,8 @@ from contactflows.integrate import (
 )
 from contactflows.models import CircuitParams, rc_spec
 from contactflows.potentials import embed_psi
+
+from fitting import fit_decay_rate
 
 
 def rc_unit():

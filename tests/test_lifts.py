@@ -15,7 +15,7 @@ from contactflows.geometry import (
     invariant_density,
     phase_compressibility,
 )
-from contactflows.integrate import fit_decay_rate, integrate_lift
+from contactflows.integrate import IntegratorConfig, integrate_lift
 from contactflows.lifts import (
     APPROACHES_SUBMANIFOLD,
     DriftField,
@@ -37,7 +37,15 @@ from contactflows.lifts import (
     rotational_drift,
     stability_certificate,
 )
-from contactflows.models import CircuitParams, rc_thermal_spec, rlc_spec, rlc_thermal_spec
+from contactflows.models import (
+    MODEL_BUILDERS,
+    CircuitParams,
+    OnsagerParams,
+    SpinParams,
+    rc_thermal_spec,
+    rlc_spec,
+    rlc_thermal_spec,
+)
 from contactflows.potentials import (
     canonical_divergence,
     legendre_transform,
@@ -45,6 +53,7 @@ from contactflows.potentials import (
     separable_potential,
     spin_potential,
 )
+from fitting import fit_decay_rate
 from test_field import CASES
 from test_scenario_cli import gamma_prime_term, plant, plant_gamma_prime
 from test_swap import phi_cases
@@ -132,10 +141,44 @@ class TestDriftResults:
     ], ids=["linear", "rotational", "rlc", "rlc_thermal"])
     def test_constant_jacobian_is_built_once_and_read_only(self, drift):
         J = drift.jacobian_at([0.1, 0.2])
-        assert drift.jacobian_at([-3.0, 5.0]) is J
+        assert drift.jacobian is J and drift.jacobian_at([-3.0, 5.0]) is J
         assert np.allclose(J, central_jacobian(drift.at, np.array([0.1, 0.2])), rtol=0, atol=1e-9)
         with pytest.raises(ValueError):
             J[0, 0] = 99.0
+
+
+MODEL_PARAMS = {"spin": SpinParams(theta=0.4, gamma0=2.0, lambda0=0.5),
+                "onsager": OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.3, 1.0]]))}
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+@pytest.mark.parametrize("name", MODEL_BUILDERS)
+def test_declared_constant_jacobian_gives_the_bits_of_a_callable(name, side):
+    # a Hamiltonian reads a declared Jacobian once and calls a callable per
+    # evaluation; both are the same matrix, so every output keeps its bits
+    params = MODEL_PARAMS.get(name, CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8))
+    spec = replace(MODEL_BUILDERS[name](params), side=side)
+    J = spec.drift.jacobian_at(np.zeros(spec.n))
+    declared = replace(spec, drift=replace(spec.drift, jacobian=J))
+    called = replace(spec, drift=replace(spec.drift, jacobian=lambda u: J))
+    assert isinstance(declared.drift.jacobian, np.ndarray) and callable(called.drift.jacobian)
+
+    def outputs(s):
+        h = build_hamiltonian(s)
+        rng = np.random.default_rng(3)
+        dim = 2 * h.n + 1
+        for y in rng.uniform(-0.6, 0.6, (20, dim)):
+            diag = {}
+            yield hamiltonian_vector_field(h, y, diag).tobytes()
+            yield np.array([diag[k] for k in sorted(diag)]).tobytes()
+        y0 = rng.uniform(-0.5, 0.5, dim)
+        for config in (IntegratorConfig(method="rk4", step=0.02), IntegratorConfig()):
+            traj = integrate_lift(s, y0, 0.5, config)
+            yield traj.abort_reason
+            yield traj.times.tobytes() + traj.states.tobytes()
+            yield b"".join(traj.diagnostics[k].tobytes() for k in sorted(traj.diagnostics))
+
+    assert list(outputs(declared)) == list(outputs(called))
 
 
 class TestHamiltonianOnSubmanifold:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from contactflows.integrate import (
-    fit_decay_rate,
     integrate_lift,
     integrate_on_submanifold,
 )
@@ -32,6 +31,8 @@ from contactflows.models import (
     spin_spec,
 )
 from contactflows.potentials import ConvexPotential, embed_psi, legendre_transform
+
+from fitting import fit_decay_rate
 
 RNG = np.random.default_rng(41)
 
