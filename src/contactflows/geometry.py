@@ -197,17 +197,20 @@ class ContactHamiltonian:
         _, dx, dp, hz = self.jet(pt.x, pt.p, pt.z)
         return dp - pt.p * hz, -dx, hz
 
-    def field(self, y, diag=None):
+    def field(self, y, diag=None, out=None):
         """X_h = dx . E + dp . d/dp + h R at the flat state y, as a flat array.
 
         In canonical components dz = h + p . dx, from lambda(X_h) = h.
         Asked for diagnostics, it stores h and the compressibility
-        kappa = (n + 1) dh/dz with those of the jet.
+        kappa = (n + 1) dh/dz with those of the jet.  Given ``out``, an
+        array of the state's length that does not overlap y, it writes
+        the field there and returns it.
         """
         n = self.n
         p = y[n:2 * n]
         h, dx, dp, hz = self.jet(y[:n], p, y.item(2 * n), diag)
-        out = np.empty(2 * n + 1)
+        if out is None:
+            out = np.empty(2 * n + 1)
         out[:n] = dx
         out[n:2 * n] = dp
         out[2 * n] = h + p.dot(dx)
@@ -277,11 +280,12 @@ def reeb_field(n: int) -> TangentVector:
     return TangentVector(np.zeros(n), np.zeros(n), 1.0)
 
 
-def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
+def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None, out=None):
     """Canonical components of the contact Hamiltonian vector field.
 
     dx = -dh/dp,  dp = Eh = dh/dx + p dh/dz,  dz = h + p . dx, assembled
-    from the jet by ``h.field``, which also fills ``diag`` when it is given.
+    from the jet by ``h.field``, which also fills ``diag`` when it is given
+    and writes into ``out`` when that is given (an integrator's stage row).
     Given a flat state (x, p, z) it returns the flat components; given a
     ``CanonicalPoint``, a ``TangentVector``.
     """
@@ -295,7 +299,7 @@ def hamiltonian_vector_field(h: ContactHamiltonian, pt, diag=None):
         raise DimensionMismatchError(f"point dimension {pt.n} != Hamiltonian dimension {n}")
     else:
         y = np.concatenate([pt.x, pt.p, [pt.z]])
-    dy = h.field(y, diag)
+    dy = h.field(y, diag, out)
     if not _all_finite(dy):
         raise EvaluationError(
             "non-finite contact Hamiltonian vector field",

@@ -14,6 +14,9 @@ run the same way: the states accepted so far are returned with
 ``abort_reason`` "<cause> at t = ..., h = ...".  RKF45 treats a numerical
 error in a stage as a rejected step and shrinks it, so such an error stops
 it only at the step floor.  Any other exception propagates.
+
+A right-hand side is called as ``f(t, y, out)`` and writes dy/dt into
+``out``, the stage's row of a buffer each solve keeps.
 """
 
 from __future__ import annotations
@@ -77,19 +80,21 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, t, y, h, f0):
-    k1 = f0(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
+def _rk4_step(f, t, y, h, f0, K):
+    """The RK4 step from y; K holds the four stage rows."""
+    k1, k2, k3, k4 = K
+    f0(t, y, k1)
+    f(t + h / 2, y + h / 2 * k1, k2)
+    f(t + h / 2, y + h / 2 * k2, k3)
+    f(t + h, y + h * k3, k4)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _rkf45_step(f, t, y, h, f0, K, stages):
-    """(y5, max |y5 - y4|); ``stages`` holds (c_i, A[i, :i], K[:i]) over the stage buffer K."""
-    K[0] = f0(t, y)
-    for i, (c, a, Ki) in enumerate(stages, 1):
-        K[i] = f(t + c * h, y + h * a.dot(Ki))
+    """(y5, max |y5 - y4|); ``stages`` holds (c_i, A[i, :i], K[:i], K[i]) over the stage buffer K."""
+    f0(t, y, K[0])
+    for c, a, Ki, row in stages:
+        f(t + c * h, y + h * a.dot(Ki), row)
     y5 = y + h * _B5.dot(K)
     y4 = y + h * _B4.dot(K)
     return y5, _max_abs(y5 - y4)
@@ -120,11 +125,12 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     f0 = f0 or f
     ts = [0.0]
     ys = [np.asarray(y0, dtype=float)]
+    K = tuple(np.empty((4, len(ys[0]))))
     t = 0.0
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
         try:
-            y = _rk4_step(f, t, ys[-1], h, f0)
+            y = _rk4_step(f, t, ys[-1], h, f0, K)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not _all_finite(y):
@@ -148,7 +154,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     y = np.asarray(y0, dtype=float)
     y_max = _max_abs(y)  # of the state each attempt starts from, for its tolerance
     K = np.empty((6, len(y)))
-    stages = tuple((c, a, K[:i]) for i, (c, a) in enumerate(_STAGES, 1))
+    stages = tuple((c, a, K[:i], K[i]) for i, (c, a) in enumerate(_STAGES, 1))
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
@@ -208,11 +214,11 @@ def integrate_lift(spec, initial, t_end: float,
     h = build_hamiltonian(spec)
     diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 
-    def f(t, y):
-        return hamiltonian_vector_field(h, y)
+    def f(t, y, out):
+        hamiltonian_vector_field(h, y, None, out)
 
-    def f0(t, y):
-        return hamiltonian_vector_field(h, y, diags.setdefault(t, {}))
+    def f0(t, y, out):
+        hamiltonian_vector_field(h, y, diags.setdefault(t, {}), out)
 
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
         else np.concatenate([initial.x, initial.p, [initial.z]])
@@ -242,8 +248,8 @@ def integrate_on_submanifold(drift, start, t_end: float,
     """
     config = config or IntegratorConfig()
 
-    def f(t, u):
-        return drift.at(u)
+    def f(t, u, out):
+        out[:] = drift.at(u)
 
     traj = _run(f, np.atleast_1d(np.asarray(start, dtype=float)), t_end, config)
     if traj.truncated:

@@ -223,14 +223,32 @@ def dual_spec(spec: LiftSpec) -> LiftSpec:
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly.
 
+def defect_rate_matrix(spec: LiftSpec) -> Optional[np.ndarray]:
+    """The read-only R = J + gamma0 I of a base lift, or None where R is not constant.
+
+    Off the submanifold the base lift's defects move as dDelta/dt =
+    -R^T Delta with R = J + Gamma'(Delta_0) I (``delta_velocities``).  R is
+    constant when the drift declares its Jacobian J (``constant_jacobian``)
+    and Gamma is linear; then Delta(t) = exp(-R^T t) Delta(0).  The two
+    charts share it, since ``dual_spec`` keeps the drift and a linear Gamma.
+    """
+    J, gamma0 = spec.drift.jacobian, spec.restoring.gamma0
+    if not isinstance(J, np.ndarray) or gamma0 is None:
+        return None
+    return constant_jacobian(J + gamma0 * np.eye(spec.n))
+
+
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     """h = Delta . F + Gamma(Delta_0) on the chosen side, by its jet.
 
     The jet evaluates psi, its gradient and Hessian (one jet of psi), F
-    and its Jacobian once: dx = F, dp = Eh = Hess psi . F + J^T Delta
-    + Gamma'(Delta_0) Delta and dh/dz = -Gamma'(Delta_0).  Asked for
-    diagnostics, it stores delta0 and delta_norm = |Delta|.  The jet of
-    psi, Gamma, Gamma' and a declared constant J are looked up once.
+    and its Jacobian once: dx = F, dp = Eh = Hess psi . F + Delta . R with
+    the defect-rate matrix R = J + Gamma'(Delta_0) I, and dh/dz =
+    -Gamma'(Delta_0).  Asked for diagnostics, it stores delta0 and
+    delta_norm = |Delta|.  The jet of psi, Gamma, Gamma' and a declared
+    constant J are looked up once, and R is built once when it is constant
+    (``defect_rate_matrix``); otherwise it is formed per evaluation by the
+    same arithmetic, so both give the same bits.
 
     With an anchor, h~ = D . F + Gamma(D0) in dimension n+1, with
     coordinates X = (x, x_extra), P = (p, p_extra) and
@@ -254,6 +272,7 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
     gam, gam_rate = spec.restoring.eval, spec.restoring.derivative
     n = spec.n
     anchor = spec.anchor
+    R, eye = defect_rate_matrix(spec), np.eye(n)
 
     def jet(x, p, z, diag=None):
         value, g, H = psi_jet(x)
@@ -263,7 +282,8 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         rate = gam_rate(d0)
         if diag is not None:
             diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)))
-        return d.dot(f) + gam(d0), f, H.dot(f) + d.dot(jacobian(x)) + rate * d, -rate
+        rates = R if R is not None else jacobian(x) + rate * eye
+        return d.dot(f) + gam(d0), f, H.dot(f) + d.dot(rates), -rate
 
     def extended_jet(X, P, z, diag=None):
         x, xe, p, pe = X[:n], X.item(n), P[:n], P.item(n)

@@ -222,11 +222,10 @@ def spin_spec(params: SpinParams) -> LiftSpec:
 # Onsager phenomenological flow: dx/dt = -L grad U.
 
 def onsager_spec(params: OnsagerParams) -> LiftSpec:
-    if params.U is not None:
-        psi = params.U
-    else:
-        psi = quadratic_potential(params.M_matrix)
+    psi = params.U if params.U is not None else quadratic_potential(params.M_matrix)
     drift = onsager_drift(params.L_matrix, psi.gradient_at, psi.hessian_at)
+    if params.U is None:  # U = psi quadratic: the Jacobian -L M never changes
+        drift = replace(drift, jacobian=constant_jacobian(drift.jacobian(np.zeros(psi.n))))
     return LiftSpec(side="psi", potential=psi, drift=drift,
                     restoring=linear_restoring(params.gamma0))
 

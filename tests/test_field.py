@@ -190,6 +190,19 @@ def test_point_and_flat_state_give_the_same_field():
     assert np.array_equal(v.as_array(), hamiltonian_vector_field(h, y))
 
 
+@pytest.mark.parametrize("spec", [s for _, s in CASES], ids=[i for i, _ in CASES])
+def test_field_written_into_out_is_the_field(spec):
+    # an integrator hands each stage its buffer row: the same bytes and diagnostics
+    h = build_hamiltonian(spec)
+    for _ in range(5):
+        y = random_state(2 * h.n + 1)
+        want_diag = {}
+        want = hamiltonian_vector_field(h, y, want_diag)
+        out, diag = np.full(len(y), np.nan), {}
+        assert hamiltonian_vector_field(h, y, diag, out) is out
+        assert out.tobytes() == want.tobytes() and diag == want_diag
+
+
 def test_flat_state_of_wrong_length_rejected():
     h = build_hamiltonian(MODEL_BUILDERS["rlc"](CIRCUIT))
     with pytest.raises(DimensionMismatchError):

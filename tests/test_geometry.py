@@ -148,6 +148,12 @@ class TestFinitenessGuard:
             with pytest.raises(EvaluationError, match="non-finite contact Hamiltonian"):
                 hamiltonian_vector_field(constant_field_h(h, dx, dp), np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nonfinite_field_written_into_out_raises(self, bad):
+        with pytest.raises(EvaluationError, match="non-finite contact Hamiltonian"):
+            hamiltonian_vector_field(constant_field_h(0.5, bad, 1.0), np.array([0.0, 1.0, 0.0]),
+                                     None, np.empty(3))
+
     def test_a_finite_field_whose_sum_overflows_passes_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

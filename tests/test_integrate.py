@@ -25,6 +25,13 @@ def rc_unit():
     return rc_spec(CircuitParams(R=1.0, C=1.0))
 
 
+def in_row(f):
+    """The right-hand side f(t, y) -> dy/dt as the solvers call it: writing into a stage row."""
+    def rhs(t, y, out):
+        out[:] = f(t, y)
+    return rhs
+
+
 class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -50,7 +57,7 @@ class TestRK4:
 
         errs = []
         for step in (0.1, 0.05):
-            traj = solve_fixed(f, np.array([1.0]), 1.0, step)
+            traj = solve_fixed(in_row(f), np.array([1.0]), 1.0, step)
             errs.append(abs(traj.final_state[0] - np.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
@@ -59,7 +66,7 @@ class TestRK4:
         def f(t, y):
             return -y
 
-        traj = solve_fixed(f, np.array([1.0]), 0.35, 0.1)
+        traj = solve_fixed(in_row(f), np.array([1.0]), 0.35, 0.1)
         assert not traj.truncated
         assert traj.times[-1] == pytest.approx(0.35, abs=1e-12)
 
@@ -69,7 +76,7 @@ class TestRK4:
             raise AssertionError("a run over the step budget was started")
 
         with pytest.raises(ValueError, match="step budget"):
-            solve_fixed(f, np.array([1.0]), 1e4, 1e-7)
+            solve_fixed(in_row(f), np.array([1.0]), 1e4, 1e-7)
         spec = rc_unit()
         with pytest.raises(ValueError, match="step budget"):
             integrate_lift(spec, embed_psi(spec.potential, np.array([1.0])), 1e4,
@@ -77,10 +84,10 @@ class TestRK4:
 
     def test_run_of_exactly_the_step_budget_runs(self, monkeypatch):
         monkeypatch.setattr(integrate_module, "MAX_STEP_ATTEMPTS", 5)
-        traj = solve_fixed(lambda t, y: -y, np.array([1.0]), 0.5, 0.1)
+        traj = solve_fixed(in_row(lambda t, y: -y), np.array([1.0]), 0.5, 0.1)
         assert len(traj.times) == 6 and not traj.truncated
         with pytest.raises(ValueError, match="step budget"):
-            solve_fixed(lambda t, y: -y, np.array([1.0]), 0.6, 0.1)
+            solve_fixed(in_row(lambda t, y: -y), np.array([1.0]), 0.6, 0.1)
 
 
 class TestRKF45:
@@ -181,7 +188,7 @@ class TestAborts:
                 raise EvaluationError("outside the domain")
             return np.ones(1)
 
-        traj = solve_adaptive(f, np.array([0.5]), 1.0)
+        traj = solve_adaptive(in_row(f), np.array([0.5]), 1.0)
         assert_stopped_at(traj, "reached after EvaluationError: outside the domain")
         assert traj.abort_reason.startswith("step floor")
         assert 0.5 - 1e-9 < traj.times[-1] <= 0.5
@@ -211,8 +218,8 @@ class TestAborts:
         assert len(traj.times) == 7  # the initial state and 6 accepted steps
 
     @pytest.mark.parametrize("solve", [
-        lambda f, y0: solve_fixed(f, y0, 1.0, 0.01),
-        lambda f, y0: solve_adaptive(f, y0, 1.0),
+        lambda f, y0: solve_fixed(in_row(f), y0, 1.0, 0.01),
+        lambda f, y0: solve_adaptive(in_row(f), y0, 1.0),
     ], ids=["rk4", "rkf45"])
     def test_a_step_that_overflows_the_state_stops_it(self, solve):
         # every stage is finite; the first step carries the state past the
@@ -227,9 +234,9 @@ class TestAborts:
 
     def test_programming_error_in_rhs_propagates(self):
         with pytest.raises(TypeError):
-            solve_adaptive(lambda t, y: None + y, np.array([1.0]), 1.0)
+            solve_adaptive(in_row(lambda t, y: None + y), np.array([1.0]), 1.0)
         with pytest.raises(TypeError):
-            solve_fixed(lambda t, y: None + y, np.array([1.0]), 1.0, 0.1)
+            solve_fixed(in_row(lambda t, y: None + y), np.array([1.0]), 1.0, 0.1)
 
     def test_overflowing_submanifold_flow_raises_with_partial_trajectory(self):
         from contactflows.lifts import DriftField

@@ -22,6 +22,7 @@ from contactflows.lifts import (
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
+    defect_rate_matrix,
     delta_velocities,
     dual_spec,
     embed,
@@ -179,6 +180,45 @@ def test_declared_constant_jacobian_gives_the_bits_of_a_callable(name, side):
             yield b"".join(traj.diagnostics[k].tobytes() for k in sorted(traj.diagnostics))
 
     assert list(outputs(declared)) == list(outputs(called))
+
+
+def nonlinear_gamma_callable_jacobian_lift(side):
+    # Gamma(d) = d + d^3 / 3 and a Jacobian -L Hess U(x) that changes with x:
+    # the defect-rate matrix is formed at every evaluation
+    spin = spin_potential(2)
+    L = np.array([[2.0, 0.3], [0.3, 1.0]])
+    return LiftSpec(side=side, potential=quadratic_potential([[1.5, 0.2], [0.2, 1.0]]),
+                    drift=onsager_drift(L, spin.gradient_at, spin.hessian_at),
+                    restoring=RestoringFunction(eval=lambda d: d + d ** 3 / 3,
+                                                derivative=lambda d: 1.0 + d * d))
+
+
+RATE_CASES = [(f"{name}-{side}", replace(MODEL_BUILDERS[name](
+    MODEL_PARAMS.get(name, CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8))),
+    side=side, anchor=None)) for name in MODEL_BUILDERS for side in ("psi", "phi")] + [
+    (f"nonlinear-{side}", nonlinear_gamma_callable_jacobian_lift(side)) for side in ("psi", "phi")]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in RATE_CASES], ids=[i for i, _ in RATE_CASES])
+def test_base_jet_moves_the_defect_by_its_rate_matrix(spec):
+    # dp = Hess psi . F + Delta . R with R = J + Gamma'(Delta_0) I, bit for bit;
+    # a phi-side lift swaps the psi-side jet of its dual spec, checked here
+    s = spec if spec.side == "psi" else dual_spec(spec)
+    n, jet = s.n, build_hamiltonian(s).jet
+    R = defect_rate_matrix(s)
+    constant = isinstance(s.drift.jacobian, np.ndarray) and s.restoring.gamma0 is not None
+    assert (R is not None) is constant
+    if constant:
+        assert not R.flags.writeable
+        assert np.array_equal(R, s.drift.jacobian + s.restoring.gamma0 * np.eye(n))
+    rng = np.random.default_rng(11)
+    for y in rng.uniform(-0.6, 0.6, (200, 2 * n + 1)):
+        x, p, z = y[:n], y[n:2 * n], y[2 * n]
+        _, _, dp, _ = jet(x, p, z)
+        value, g, H = s.potential.jet_at(x)
+        d, f = g - p, s.drift.at(x)
+        rates = s.drift.jacobian_at(x) + s.restoring.derivative(value - z) * np.eye(n)
+        assert dp.tobytes() == (H.dot(f) + d.dot(rates)).tobytes()
 
 
 class TestHamiltonianOnSubmanifold:

@@ -11,6 +11,7 @@ from contactflows.integrate import (
 )
 from contactflows.geometry import CanonicalPoint, hamiltonian_vector_field
 from contactflows.lifts import (
+    DriftField,
     build_hamiltonian,
     embed,
     gradient_drift_psi,
@@ -30,7 +31,7 @@ from contactflows.models import (
     rlc_thermal_spec,
     spin_spec,
 )
-from contactflows.potentials import ConvexPotential, embed_psi, legendre_transform
+from contactflows.potentials import ConvexPotential, embed_psi, legendre_transform, spin_potential
 
 from fitting import fit_decay_rate
 
@@ -279,3 +280,23 @@ class TestOnsager:
         assert stability_certificate(spec).verdict == "approaches-fixed-point"
         x_end = integrate_on_submanifold(spec.drift, np.array([2.0, 2.0]), 25.0)
         assert np.allclose(x_end, x_bar, atol=1e-6)
+
+    def test_quadratic_case_declares_its_jacobian(self, monkeypatch):
+        # the default U = psi quadratic gives the constant Jacobian -L M, which
+        # a field evaluation reads and never asks jacobian_at for
+        params = OnsagerParams(L_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
+        spec = onsager_spec(params)
+        J = spec.drift.jacobian
+        assert isinstance(J, np.ndarray) and not J.flags.writeable
+        assert np.array_equal(J, -params.L_matrix.dot(spec.potential.hessian_at(np.zeros(2))))
+        assert np.allclose(J, -np.eye(2), rtol=0, atol=1e-15)
+        custom = onsager_spec(replace(params, U=spin_potential(2)))
+        assert callable(custom.drift.jacobian)
+
+        calls = []
+        jacobian_at = DriftField.jacobian_at
+        monkeypatch.setattr(DriftField, "jacobian_at",
+                            lambda drift, u: calls.append(u) or jacobian_at(drift, u))
+        traj = integrate_lift(spec, embed(spec, np.array([1.0, -0.5])), 3.0)
+        assert len(traj.times) > 10 and not traj.truncated
+        assert calls == []

@@ -1,10 +1,11 @@
 """RKF45 against a verbatim copy of the previous ``solve_adaptive`` and ``_rkf45_step``.
 
-The copy allocates its stage buffer per attempt, takes the error norm and
-the tolerance's max |y| with numpy and recomputes max |y| every attempt.
-The library reuses one buffer per solve and works those scalars in Python
-floats; on every ODE the two must give the same times, states, abort
-reason and sequence of right-hand-side calls, bit for bit.
+The copy allocates its stage buffer per attempt, copies each stage's new
+field array into it, takes the error norm and the tolerance's max |y|
+with numpy and recomputes max |y| every attempt.  The library reuses one
+buffer per solve, has each stage write its row and works those scalars
+in Python floats; on every ODE the two must give the same times, states,
+abort reason and sequence of right-hand-side calls, bit for bit.
 """
 
 import sys
@@ -20,6 +21,7 @@ from contactflows.errors import NUMERICAL_ERRORS, EvaluationError
 from contactflows.geometry import _all_finite
 from contactflows.integrate import (_B4, _B5, _STAGES, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
                                     MAX_STEP_ATTEMPTS, _stop)
+from test_integrate import in_row
 
 
 # --- the oracle: verbatim from the previous integrate.py -------------------
@@ -103,7 +105,7 @@ def run_both(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL,
     raises ZeroDivisionError; with ``separate_f0`` too, a first stage never does.
     """
     results = []
-    for solve in (integrate.solve_adaptive, solve_adaptive):
+    for solve, adapt in ((integrate.solve_adaptive, in_row), (solve_adaptive, lambda f: f)):
         seen = []
 
         def rhs(t, y):
@@ -122,8 +124,8 @@ def run_both(f, y0, t_end, rel_tol=DEFAULT_REL_TOL, abs_tol=DEFAULT_ABS_TOL,
                 mp.setattr(integrate, "MAX_STEP_ATTEMPTS", budget)
                 mp.setattr(sys.modules[__name__], "MAX_STEP_ATTEMPTS", budget)
             with np.errstate(all="ignore"):
-                traj = solve(rhs, np.array(y0, dtype=float), t_end, rel_tol, abs_tol,
-                             first if separate_f0 else None)
+                traj = solve(adapt(rhs), np.array(y0, dtype=float), t_end, rel_tol, abs_tol,
+                             adapt(first) if separate_f0 else None)
         results.append((traj, seen))
     return results
 
