@@ -165,9 +165,12 @@ class ContactHamiltonian:
     X_h there, dx = -dh/dp along E and dp = Eh = dh/dx + p dh/dz along d/dp,
     and Rh = dh/dz.  A builder that knows the structure of h writes the jet
     once, evaluating every shared quantity once, and on request stores the
-    state's defect diagnostics in the dict ``diag``.  Given a value alone,
-    the jet is taken by central differences; given a jet alone, the value
-    is read from it.
+    state's defect diagnostics in the dict ``diag``.  dx and dp are each a
+    float array of length n or a sequence of n Python floats, such as a
+    list: ``field`` writes either into its output, ``partials`` returns
+    arrays, and ``swap_hamiltonian`` passes them on relabelled.  Given a
+    value alone, the jet is taken by central differences; given a jet
+    alone, the value is read from it.
     """
 
     n: int
@@ -195,12 +198,13 @@ class ContactHamiltonian:
                 f"point dimension {pt.n} != Hamiltonian dimension {self.n}"
             )
         _, dx, dp, hz = self.jet(pt.x, pt.p, pt.z)
-        return dp - pt.p * hz, -dx, hz
+        return np.asarray(dp, dtype=float) - pt.p * hz, -np.asarray(dx, dtype=float), hz
 
     def field(self, y, diag=None, out=None):
         """X_h = dx . E + dp . d/dp + h R at the flat state y, as a flat array.
 
-        In canonical components dz = h + p . dx, from lambda(X_h) = h.
+        In canonical components dz = h + p . dx, from lambda(X_h) = h,
+        with dx read back from the output as an array.
         Asked for diagnostics, it stores h and the compressibility
         kappa = (n + 1) dh/dz with those of the jet.  Given ``out``, an
         array of the state's length that does not overlap y, it writes
@@ -213,7 +217,7 @@ class ContactHamiltonian:
             out = np.empty(2 * n + 1)
         out[:n] = dx
         out[n:2 * n] = dp
-        out[2 * n] = h + p.dot(dx)
+        out[2 * n] = h + p.dot(out[:n])
         if diag is not None:
             diag["h"], diag["kappa"] = h, (n + 1) * hz
         return out
@@ -260,7 +264,8 @@ def swap_hamiltonian(h: ContactHamiltonian) -> ContactHamiltonian:
 
     S exchanges E and d/dp and negates the contact form, so the jet of
     -h o S at (x, p, z) is (-h, dp, dx, dh/dz) of h at S(x, p, z): a
-    relabelling, with no chain rule.  Its diagnostics are those of h at
+    relabelling, with no chain rule, that keeps dx and dp as h's jet gave
+    them, arrays or sequences.  Its diagnostics are those of h at
     S(x, p, z) with the scalar defect negated.
     """
 

@@ -66,7 +66,8 @@ class DriftField:
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
     own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
-    dimensions as the callable gave it and convert any other result.
+    dimensions as the callable gave it and convert any other result;
+    ``at`` raises ``DimensionMismatchError`` for a result not of shape (n,).
     """
 
     n: int
@@ -76,7 +77,10 @@ class DriftField:
     workspace: Optional[DuallyFlatWorkspace] = field(default=None, repr=False)
 
     def at(self, u) -> np.ndarray:
-        return _float_array(self.eval(np.asarray(u, dtype=float)), 1)
+        f = _float_array(self.eval(np.asarray(u, dtype=float)), 1)
+        if f.shape != (self.n,):
+            raise DimensionMismatchError(f"drift has shape {f.shape}, expected ({self.n},)")
+        return f
 
     def jacobian_at(self, u) -> np.ndarray:
         if isinstance(self.jacobian, np.ndarray):
@@ -259,6 +263,12 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
           Gamma'(D0) (anchor - p_extra))
     and dh/dz = -Gamma'(D0).  It stores what the base jet does (in
     dimension n+1), the conserved psi_tilde and the entropy S = x_extra.
+    Its dx and dp are lists of Python floats: Hess psi . F and J^T D go
+    through ``ndarray.dot``, and the rest (D, grad psi . F, D . F, |D| and
+    the Gamma' term) is Python-float work linear in n.  A declared and a
+    callable J take the same arithmetic, so they give the same bits; the
+    three sums are taken left to right, which may differ from
+    ``ndarray.dot`` in the last bit.
 
     A phi-side lift is the swap of the Hamiltonian of ``dual_spec``, whose
     Legendre solver, new and cold, is the only one its partials read.
@@ -286,22 +296,28 @@ def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:
         return d.dot(f) + gam(d0), f, H.dot(f) + d.dot(rates), -rate
 
     def extended_jet(X, P, z, diag=None):
-        x, xe, p, pe = X[:n], X.item(n), P[:n], P.item(n)
+        x, xe, pl = X[:n], X.item(n), P.tolist()
         value, g, H = psi_jet(x)
+        f = F.at(x)
+        pe = pl[n]
         psi_tilde = value + anchor * xe
         d0 = psi_tilde - z
         ratio = pe / anchor
-        d = ratio * g - p
-        f = F.at(x)
         rate = gam_rate(d0)
-        dx, dp = np.empty(n + 1), np.empty(n + 1)
-        dx[:n] = f
-        dx[n] = -g.dot(f) / anchor
-        dp[:n] = ratio * H.dot(f) + d.dot(jacobian(x)) + rate * (g - p)
-        dp[n] = rate * (anchor - pe)
+        gl, dx = g.tolist(), f.tolist()
+        d = [ratio * gi - pi for gi, pi in zip(gl, pl)]
+        gf = df = dd = 0.0
+        for gi, di, fi in zip(gl, d, dx):
+            gf += gi * fi
+            df += di * fi
+            dd += di * di
+        dp = [ratio * hf + jd + rate * (gi - pi) for hf, jd, gi, pi in
+              zip(H.dot(f).tolist(), np.array(d).dot(jacobian(x)).tolist(), gl, pl)]
+        dp.append(rate * (anchor - pe))
+        dx.append(-gf / anchor)
         if diag is not None:  # the extra component of the defect vanishes
-            diag.update(delta0=d0, delta_norm=math.sqrt(d.dot(d)), psi_tilde=psi_tilde, S=xe)
-        return d.dot(f) + gam(d0), dx, dp, -rate
+            diag.update(delta0=d0, delta_norm=math.sqrt(dd), psi_tilde=psi_tilde, S=xe)
+        return df + gam(d0), dx, dp, -rate
 
     if anchor is None:
         return ContactHamiltonian(n=n, jet=jet)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contactflows.errors import EvaluationError, IntegrationAbort
+from contactflows.errors import DimensionMismatchError, EvaluationError, IntegrationAbort
 from contactflows.geometry import CanonicalPoint
 from contactflows import integrate as integrate_module
 from contactflows.integrate import (
@@ -249,6 +249,45 @@ class TestAborts:
                                          IntegratorConfig(method="rk4", step=0.01))
         assert "t = " in str(info.value)
         assert_stopped_at(info.value.trajectory, "non-finite state")
+
+
+SHORT_OR_LONG = pytest.mark.parametrize("wrong", [
+    lambda u: np.array([-u[0]]), lambda u: np.append(-u, 0.0)], ids=["short", "long"])
+CONFIGS = pytest.mark.parametrize("config", [
+    IntegratorConfig(method="rk4", step=0.01), IntegratorConfig()], ids=["rk4", "rkf45"])
+
+
+class TestDriftOfTheWrongLength:
+    # a 2-d drift whose result has 1 or 3 entries stops the run with a typed
+    # error; the previous version broadcast du/dt = (-u0, -u0) and returned
+    # [0.368, 1.368] from (1, 2) at t = 1
+    @SHORT_OR_LONG
+    @CONFIGS
+    def test_submanifold_flow_raises_with_the_start(self, config, wrong):
+        from contactflows.lifts import DriftField
+
+        with pytest.raises(IntegrationAbort, match="DimensionMismatchError: drift has shape") \
+                as info:
+            integrate_on_submanifold(DriftField(n=2, eval=wrong), np.array([1.0, 2.0]), 1.0,
+                                     config)
+        assert info.value.trajectory.times.tolist() == [0.0]
+
+    @SHORT_OR_LONG
+    @CONFIGS
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_anchored_lift_stops_at_its_start(self, side, config, wrong):
+        from contactflows.lifts import DriftField, LiftSpec, build_hamiltonian, linear_restoring
+        from contactflows.potentials import quadratic_potential
+
+        spec = LiftSpec(side=side, potential=quadratic_potential(np.eye(2)),
+                        drift=DriftField(n=2, eval=wrong), restoring=linear_restoring(1.0),
+                        anchor=1.3)
+        y0 = np.linspace(0.1, 0.7, 7)
+        with pytest.raises(DimensionMismatchError):
+            build_hamiltonian(spec).field(y0)
+        traj = integrate_lift(spec, y0, 1.0, config)
+        assert_stopped_at(traj, "DimensionMismatchError: drift has shape")
+        assert traj.times.tolist() == [0.0]
 
 
 class TestRateFitting:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactflows.errors import OutsideInvariantChartError
+from contactflows.errors import DimensionMismatchError, OutsideInvariantChartError
 from contactflows.geometry import (
     CanonicalPoint,
     central_jacobian,
@@ -128,6 +128,15 @@ class TestDriftResults:
         f, J = drift.at(0.3), drift.jacobian_at(0.3)
         assert f.dtype == J.dtype == np.float64 and f.shape == (1,) and J.shape == (1, 1)
         assert f[0] == J[0, 0] == float(scalar)
+
+    @pytest.mark.parametrize("value", [np.array([0.5]), np.array([0.5, -1.0, 2.0]),
+                                       np.array([[0.5, -1.0]]), 0.5],
+                             ids=["short", "long", "row", "scalar"])
+    def test_results_not_of_shape_n_raise(self, value):
+        # at the previous version a short result was broadcast by the solvers
+        drift = DriftField(n=2, eval=lambda u: value)
+        with pytest.raises(DimensionMismatchError, match=r"expected \(2,\)"):
+            drift.at([0.1, 0.2])
 
     def test_float64_results_pass_through(self):
         value, jacobian = np.array([0.5, -1.0]), np.array([[1.0, 2.0], [3.0, 4.0]])

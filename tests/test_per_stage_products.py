@@ -101,7 +101,7 @@ def test_scan_finds_a_planted_matmul():
 
 def test_scan_finds_a_matmul_planted_in_the_field():
     source = (SRC / "geometry.py").read_text()
-    planted = source.replace("h + p.dot(dx)", "h + p @ dx")
+    planted = source.replace("h + p.dot(out[:n])", "h + p @ out[:n]")
     assert planted != source
     assert [name for name, _ in matmuls(planted, PER_STAGE["geometry.py"])] == [
         "ContactHamiltonian.field"]
