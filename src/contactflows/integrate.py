@@ -13,7 +13,8 @@ during an RK4 step, the RKF45 step floor and its step budget all stop a
 run the same way: the states accepted so far are returned with
 ``abort_reason`` "<cause> at t = ..., h = ...".  RKF45 treats a numerical
 error in a stage as a rejected step and shrinks it, so such an error stops
-it only at the step floor.  Any other exception propagates.
+it only at the step floor; a ``DimensionMismatchError``, which no smaller
+step mends, stops it at once.  Any other exception propagates.
 
 A right-hand side is called as ``f(t, y, out)`` and writes dy/dt into
 ``out``, the stage's row of a buffer each solve keeps.
@@ -113,13 +114,14 @@ def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
 
 
 def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
-    """RK4 with a fixed step; the last step is shortened to land on t_end.
+    """RK4 with a fixed step; the last step ends on t_end, and step = t_end / k takes k steps.
 
     ``f0``, if given, replaces ``f`` at each step's first stage, the one
     evaluated at the accepted state the step starts from.  A run of more
     than ``MAX_STEP_ATTEMPTS`` steps raises ``ValueError`` before it starts.
     """
-    if t_end / step > MAX_STEP_ATTEMPTS:
+    ratio = t_end / step * (1 - 1e-9)  # a remainder under 1e-9 t_end is rounding, not a step
+    if ratio > MAX_STEP_ATTEMPTS:
         raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the step budget "
                          f"{MAX_STEP_ATTEMPTS}")
     f0 = f0 or f
@@ -127,15 +129,15 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     ys = [np.asarray(y0, dtype=float)]
     K = tuple(np.empty((4, len(ys[0]))))
     t = 0.0
-    while t < t_end - 1e-15:
-        h = min(step, t_end - t)
+    for left in range(max(1, math.ceil(ratio)), 0, -1):
+        h = step if left > 1 else t_end - t
         try:
             y = _rk4_step(f, t, ys[-1], h, f0, K)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not _all_finite(y):
             return _stop(ts, ys, "non-finite state", t, h)
-        t += h
+        t = t + h if left > 1 else t_end
         ts.append(t)
         ys.append(y)
     return Trajectory(np.array(ts), np.array(ys))
@@ -161,10 +163,12 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     h_min = t_end * 1e-14
     steps = 0
     failure = ""  # the stage error that rejected a step since the last accepted one
-    while t < t_end - 1e-15:
+    while t < t_end:
         h = min(h, t_end - t)
         try:
             y_new, err = _rkf45_step(f, t, y, h, f0, K, stages)
+        except DimensionMismatchError as exc:
+            return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         except NUMERICAL_ERRORS as exc:
             failure, factor = f" after {type(exc).__name__}: {exc}", 0.1
         else:

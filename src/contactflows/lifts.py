@@ -59,10 +59,10 @@ class DriftField:
     ``jacobian`` is a callable of u, or the read-only matrix of
     ``constant_jacobian``, the tag of a constant Jacobian, which the
     built-in drifts of constant Jacobian carry: every ``jacobian_at``
-    returns that matrix, and a Hamiltonian reads it once.
-    ``structure`` tags the recognized stability classes:
-    ("linear", jac_const), ("rotational", omega), or
-    ("onsager", L, U_hessian).  Untagged drifts get no certificate.
+    returns that matrix, a Hamiltonian reads it once, and with a linear
+    Gamma the stability certificate reads the defect-rate matrix it makes
+    (``defect_rate_matrix``).  ``structure`` is ("onsager", L) on the
+    gradient flows of ``onsager_drift``, which the certificate samples.
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
     own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
@@ -105,7 +105,6 @@ def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:
         n=n,
         eval=lambda u: jac_const * (u - off),
         jacobian=constant_jacobian(jac_const * np.eye(n)),
-        structure=("linear", jac_const),
     )
 
 
@@ -115,7 +114,6 @@ def rotational_drift(omega: float) -> DriftField:
         n=2,
         eval=lambda u: np.array([omega * u[1], -omega * u[0]]),
         jacobian=constant_jacobian([[0.0, omega], [-omega, 0.0]]),
-        structure=("rotational", omega),
     )
 
 
@@ -131,7 +129,7 @@ def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
             if u_hessian is not None
             else None
         ),
-        structure=("onsager", L, u_hessian),
+        structure=("onsager", L),
     )
 
 
@@ -495,45 +493,41 @@ def stability_certificate(spec: LiftSpec, sample_points=None) -> StabilityVerdic
     """Classify the lift against the recognized decay classes.
 
     Linear restoring is required throughout; anything unrecognized is
-    reported inconclusive, never guessed.  For the gradient class the
-    positive-definiteness condition is sampled on the caller grid (plus
-    the origin) and the minimum eigenvalue found is reported.
+    reported inconclusive, never guessed.  An Onsager drift F = -L grad U
+    approaches a fixed point where sym(R(q) L) = gamma0 L - L Hess U(q) L
+    is positive definite, R(q) = J(q) + gamma0 I; that is sampled on the
+    caller's grid (default: the origin) and the least eigenvalue reported.
+    Any other lift with a constant defect-rate matrix R
+    (``defect_rate_matrix``) has Delta(t) = exp(-R^T t) Delta(0) and
+    Delta_0(t) = Delta_0(0) exp(-gamma0 t), on both charts and with an
+    anchor: it approaches the submanifold iff gamma0 > 0 and the decay
+    rate min Re eig R > 0.
     """
     gamma0 = spec.restoring.gamma0
     if gamma0 is None:
         return StabilityVerdict(INCONCLUSIVE, {"reason": "nonlinear restoring term"})
-    s = spec.drift.structure
-    if s is None:
-        return StabilityVerdict(INCONCLUSIVE, {"reason": "unrecognized drift class"})
-
-    if s[0] == "linear":
-        lam = s[1]
-        checks = {"gamma0 > 0": gamma0 > 0, "jacobian + gamma0 > 0": lam + gamma0 > 0,
-                  "gamma0": gamma0, "jacobian": lam}
-        ok = checks["gamma0 > 0"] and checks["jacobian + gamma0 > 0"]
-        return StabilityVerdict(APPROACHES_SUBMANIFOLD if ok else INCONCLUSIVE, checks)
-
-    if s[0] == "rotational":
-        checks = {"gamma0 > 0": gamma0 > 0, "gamma0": gamma0, "omega": s[1]}
-        return StabilityVerdict(
-            APPROACHES_SUBMANIFOLD if gamma0 > 0 else INCONCLUSIVE, checks
-        )
-
-    if s[0] == "onsager":
-        L, u_hess = s[1], s[2]
-        if u_hess is None:
+    drift, s = spec.drift, spec.drift.structure
+    if s is not None and s[0] == "onsager":
+        if drift.jacobian is None:
             return StabilityVerdict(INCONCLUSIVE, {"reason": "no Hessian for the potential"})
+        L = s[1]
         pts = [np.zeros(spec.n)] if sample_points is None else [
             np.atleast_1d(np.asarray(q, dtype=float)) for q in sample_points
         ]
         min_eig = np.inf
         for q in pts:
-            M = gamma0 * L - L @ np.atleast_2d(np.asarray(u_hess(q), dtype=float)) @ L
+            M = drift.jacobian_at(q).dot(L) + gamma0 * L
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T)))))
         checks = {"gamma0 > 0": gamma0 > 0, "min eigenvalue": min_eig,
                   "sampled points": len(pts)}
         ok = gamma0 > 0 and min_eig > 0
         return StabilityVerdict(APPROACHES_FIXED_POINT if ok else INCONCLUSIVE, checks)
 
-    return StabilityVerdict(INCONCLUSIVE, {"reason": f"unknown structure {s[0]!r}"})
-
+    R = defect_rate_matrix(spec)
+    if R is None:
+        reason = "unrecognized drift class" if s is None else f"unknown structure {s[0]!r}"
+        return StabilityVerdict(INCONCLUSIVE, {"reason": reason})
+    rate = float(np.min(np.linalg.eigvals(R).real))
+    ok = gamma0 > 0 and rate > 0
+    return StabilityVerdict(APPROACHES_SUBMANIFOLD if ok else INCONCLUSIVE,
+                            {"gamma0": gamma0, "decay rate": rate})

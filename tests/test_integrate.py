@@ -1,6 +1,7 @@
 """Integrators: order, tolerance behavior, semigroup property, aborts."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ class TestRK4:
         traj = solve_fixed(in_row(f), np.array([1.0]), 0.35, 0.1)
         assert not traj.truncated
         assert traj.times[-1] == pytest.approx(0.35, abs=1e-12)
+
+    @pytest.mark.parametrize("t_end", [1.0, 2.0, 0.35, 7.3])
+    def test_step_of_t_end_over_k_takes_k_steps(self, t_end):
+        # the summed times fall short of t_end by rounding; no sliver step follows
+        for k in (1, 2, 3, 7, 10, 100, 400):
+            traj = solve_fixed(in_row(lambda t, y: -y), np.array([1.0]), t_end, t_end / k)
+            assert len(traj.times) == k + 1 and traj.times[-1] == t_end
+
+    def test_last_row_alone_moves_where_a_sliver_step_was_dropped(self):
+        # 400 steps of 0.0025 sum to 1 - 1.0e-14; the 400th step now lands on 1
+        rows = solve_fixed(in_row(lambda t, y: -y), np.array([1.0]), 1.0, 0.0025)
+        short = solve_fixed(in_row(lambda t, y: -y), np.array([1.0]), 0.999, 0.0025)
+        assert rows.times[-2] + 0.0025 < 1.0 and rows.times[-1] == 1.0
+        assert np.array_equal(rows.times[:-1], short.times[:-1])
+        assert np.array_equal(rows.states[:-1], short.states[:-1])
+        assert rows.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_run_over_the_step_budget_rejected_before_it_starts(self):
         # t_end / step = 1e11 steps
@@ -257,6 +274,19 @@ CONFIGS = pytest.mark.parametrize("config", [
     IntegratorConfig(method="rk4", step=0.01), IntegratorConfig()], ids=["rk4", "rkf45"])
 
 
+@pytest.mark.parametrize("t_end", [1e-15, 1e-300])
+def test_tiny_t_end_is_reached(t_end):
+    y0 = np.array([1.0])
+    for traj in (solve_fixed(in_row(lambda t, y: -y), y0, t_end, 0.1),
+                 solve_adaptive(in_row(lambda t, y: -y), y0, t_end)):
+        assert not traj.truncated and traj.times.tolist() == [0.0, t_end]
+    for config in (IntegratorConfig(method="rk4", step=0.1), IntegratorConfig()):
+        spec = rc_unit()
+        traj = integrate_lift(spec, embed_psi(spec.potential, np.array([1.0])), t_end, config)
+        assert not traj.truncated and traj.times[-1] == t_end
+        assert len(traj.diagnostics["h"]) == 2
+
+
 class TestDriftOfTheWrongLength:
     # a 2-d drift whose result has 1 or 3 entries stops the run with a typed
     # error; the previous version broadcast du/dt = (-u0, -u0) and returned
@@ -264,13 +294,17 @@ class TestDriftOfTheWrongLength:
     @SHORT_OR_LONG
     @CONFIGS
     def test_submanifold_flow_raises_with_the_start(self, config, wrong):
+        # no smaller step mends a shape error: RKF45 stops at the first call,
+        # where it used to shrink the step 13 times down to the step floor
         from contactflows.lifts import DriftField
 
-        with pytest.raises(IntegrationAbort, match="DimensionMismatchError: drift has shape") \
-                as info:
-            integrate_on_submanifold(DriftField(n=2, eval=wrong), np.array([1.0, 2.0]), 1.0,
-                                     config)
-        assert info.value.trajectory.times.tolist() == [0.0]
+        calls = []
+        drift = DriftField(n=2, eval=lambda u: calls.append(u) or wrong(u))
+        with pytest.raises(IntegrationAbort) as info:
+            integrate_on_submanifold(drift, np.array([1.0, 2.0]), 1.0, config)
+        traj = info.value.trajectory
+        assert traj.abort_reason.startswith("DimensionMismatchError: drift has shape")
+        assert traj.times.tolist() == [0.0] and len(calls) == 1
 
     @SHORT_OR_LONG
     @CONFIGS
@@ -285,8 +319,12 @@ class TestDriftOfTheWrongLength:
         y0 = np.linspace(0.1, 0.7, 7)
         with pytest.raises(DimensionMismatchError):
             build_hamiltonian(spec).field(y0)
+        calls = []
+        spec = replace(spec, drift=replace(spec.drift,
+                                           eval=lambda u: calls.append(u) or wrong(u)))
         traj = integrate_lift(spec, y0, 1.0, config)
         assert_stopped_at(traj, "DimensionMismatchError: drift has shape")
+        assert not traj.abort_reason.startswith("step floor") and len(calls) == 1
         assert traj.times.tolist() == [0.0]
 
 

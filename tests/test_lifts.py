@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from contactflows.errors import DimensionMismatchError, OutsideInvariantChartError
 from contactflows.geometry import (
@@ -22,7 +23,9 @@ from contactflows.lifts import (
     LiftSpec,
     RestoringFunction,
     build_hamiltonian,
+    constant_jacobian,
     defect_rate_matrix,
+    defects,
     delta_velocities,
     dual_spec,
     embed,
@@ -43,6 +46,7 @@ from contactflows.models import (
     CircuitParams,
     OnsagerParams,
     SpinParams,
+    rc_spec,
     rc_thermal_spec,
     rlc_spec,
     rlc_thermal_spec,
@@ -414,6 +418,20 @@ class TestStabilityCertificates:
         verdict = stability_certificate(spec)
         assert verdict.verdict == "asymptotically-approaches-submanifold"
 
+    @pytest.mark.parametrize("side", ["psi", "phi"])
+    def test_circuits_are_classified_by_their_defect_rate_matrix(self, side):
+        # J = [[0, 1/C], [-1/L, -R/L]] (rlc) or its transpose with C and L
+        # swapped (rlc_thermal) has complex eigenvalues of real part -R/(2L)
+        for build in (rlc_spec, rlc_thermal_spec):
+            verdict = stability_certificate(replace(build(CIRCUIT), side=side))
+            assert verdict.verdict == APPROACHES_SUBMANIFOLD
+            assert verdict.checks == {"gamma0": 0.9,
+                                      "decay rate": pytest.approx(0.9 - 1.0 / 2.6, abs=1e-12)}
+        # J = -1/(RC) = -1.25 outruns gamma0 = 0.9
+        verdict = stability_certificate(replace(rc_spec(CIRCUIT), side=side))
+        assert verdict.verdict == "inconclusive"
+        assert verdict.checks["decay rate"] == pytest.approx(-0.35, abs=1e-12)
+
     def test_onsager_class_fixed_point(self):
         # gamma0 L - L Hess(U) L positive definite on samples -> fixed point
         L = np.diag([1.0, 2.0])
@@ -469,11 +487,10 @@ class TestStabilityCertificates:
 
 # ---------------------------------------------------------------------------
 # A certificate of decay as a property: from an off-submanifold start the
-# defects of a certified lift follow dD/dt = -(J^T + gamma0) D and
-# dD0/dt = -gamma0 D0 (the anchored defect D = (p_extra / anchor) grad psi - p
-# too), so |D(t)| = |D(0)| e^(-(lambda + gamma0) t) for J = lambda I,
-# |D(t)| = |D(0)| e^(-gamma0 t) for an antisymmetric J, and
-# D0(t) = D0(0) e^(-gamma0 t).
+# defects of a certified lift follow dD/dt = -R^T D with the constant
+# defect-rate matrix R = J + gamma0 I, and dD0/dt = -gamma0 D0 (the anchored
+# defect D = (p_extra / anchor) grad psi - p too), so D(t) = exp(-R^T t) D(0)
+# and D0(t) = D0(0) e^(-gamma0 t).
 
 # a separable potential whose dual chart is all of R^2, so a rotating p stays in it
 SEPARABLE = separable_potential([
@@ -481,27 +498,35 @@ SEPARABLE = separable_potential([
     (lambda t: np.log(np.cosh(t)) + t * t / 2, lambda t: np.tanh(t) + t,
      lambda t: 1 / np.cosh(t) ** 2 + 1),
 ])
+# a constant J that is not normal, so |D| need not shrink monotonically
+NON_NORMAL = DriftField(n=2, eval=lambda u: np.array([-0.3 * u[0] + 1.1 * u[1],
+                                                      -0.4 * u[0] - 0.2 * u[1]]),
+                        jacobian=constant_jacobian([[-0.3, 1.1], [-0.4, -0.2]]))
+CIRCUIT = CircuitParams(R=1.0, C=0.8, L=1.3, T0=1.2, gamma0=0.9)
 CERTIFIED = [s for _, s in CASES
              if stability_certificate(s).verdict == APPROACHES_SUBMANIFOLD] + [
-    LiftSpec(side=side, potential=SEPARABLE, drift=rotational_drift(1.7),
+    LiftSpec(side=side, potential=SEPARABLE, drift=drift,
              restoring=linear_restoring(0.9), anchor=anchor)
+    for drift in (rotational_drift(1.7), NON_NORMAL)
     for side in ("psi", "phi") for anchor in (None, 0.7)] + [
-    replace(rc_thermal_spec(CircuitParams(R=1.0, C=1.0, T0=1.1, gamma0=2.0)), side=side)
+    replace(build(params), side=side)
+    for build, params in ((rc_thermal_spec, CircuitParams(R=1.0, C=1.0, T0=1.1, gamma0=2.0)),
+                          (rlc_spec, CIRCUIT), (rlc_thermal_spec, CIRCUIT))
     for side in ("psi", "phi")]
 DECAY_TOL = 1e-8  # relative to 1 + max |state|; RKF45 at its default tolerances misses by 1e-10
 
 
 def assert_certified_decay(spec, y0, t_end=0.5):
-    kind, lam = spec.drift.structure[:2]
-    gamma0 = spec.restoring.gamma0
-    rate = gamma0 + lam if kind == "linear" else gamma0
+    R, gamma0 = defect_rate_matrix(spec), spec.restoring.gamma0
     traj = integrate_lift(spec, y0, t_end)
     assert not traj.truncated
     tol = DECAY_TOL * (1.0 + float(np.max(np.abs(traj.states))))
-    norm, d0 = traj.diagnostics["delta_norm"], traj.diagnostics["delta0"]
-    assert np.max(np.abs(norm - norm[0] * np.exp(-rate * traj.times))) <= tol
+    n = len(y0) // 2
+    (_, d_start), (_, d_end) = (defects(spec, CanonicalPoint(y[:n], y[n:2 * n], y[-1]))
+                                for y in (traj.states[0], traj.final_state))
+    assert np.max(np.abs(d_end - expm(-R.T * traj.times[-1]) @ d_start)) <= tol
+    d0 = traj.diagnostics["delta0"]
     assert np.max(np.abs(d0 - d0[0] * np.exp(-gamma0 * traj.times))) <= tol
-    assert norm[-1] <= norm[0] + tol and abs(d0[-1]) <= abs(d0[0]) + tol
 
 
 def start(spec, rng):
@@ -541,16 +566,24 @@ def flip_jacobian_term(spec, x, p, dp, hz):
     return out
 
 
-@pytest.mark.parametrize("mutate, caught", [
-    (lambda mp: plant(mp, drop_extended_gamma_prime), lambda s: s.anchor is not None),
-    (lambda mp: plant(mp, flip_jacobian_term), lambda s: s.drift.structure[0] == "linear"),
-    (lambda mp: plant_gamma_prime(mp, 1.001), lambda s: True),
-], ids=["dropped-extended-gamma-prime", "wrong-sign-in-dp", "gamma-prime-off-by-1e-3"])
-def test_certified_decay_catches_a_planted_mutation(monkeypatch, mutate, caught):
+@pytest.fixture(scope="module")
+def certified_starts_unmutated():
+    """A start for each certified lift, from which the unmutated lift meets its decay laws."""
     rng = np.random.default_rng(4)
     starts = [(spec, start(spec, rng)) for spec in CERTIFIED]
     for spec, y0 in starts:
         assert_certified_decay(spec, y0)
+    return starts
+
+
+@pytest.mark.parametrize("mutate, caught", [
+    (lambda mp: plant(mp, drop_extended_gamma_prime), lambda s: s.anchor is not None),
+    (lambda mp: plant(mp, flip_jacobian_term), lambda s: s.drift.jacobian.any()),
+    (lambda mp: plant_gamma_prime(mp, 1.001), lambda s: True),
+], ids=["dropped-extended-gamma-prime", "wrong-sign-in-dp", "gamma-prime-off-by-1e-3"])
+def test_certified_decay_catches_a_planted_mutation(monkeypatch, certified_starts_unmutated,
+                                                    mutate, caught):
+    starts = certified_starts_unmutated
     mutate(monkeypatch)
     missed = []
     for spec, y0 in starts:
