@@ -83,10 +83,6 @@ def _cmd_run(args) -> int:
 def _cmd_legendre(args) -> int:
     psi = BUILTIN_POTENTIALS[args.potential](args.n)
     p = _floats(args.p)
-    if len(p) != psi.n:
-        print(f"error: p has dimension {len(p)}, potential needs {psi.n}",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         res = legendre_transform(psi, p)
     except NewtonConvergenceError as exc:
@@ -123,10 +119,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ContactFlowsError as exc:
+    except (ValueError, ContactFlowsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

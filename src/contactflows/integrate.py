@@ -113,6 +113,15 @@ def _stop(ts, ys, cause: str, t: float, h: float) -> Trajectory:
                       abort_reason=f"{cause} at t = {t:.12g}, h = {h:.12g}")
 
 
+def _rk4_steps(t_end, step) -> int:
+    """The steps ``solve_fixed`` takes; more than ``MAX_STEP_ATTEMPTS`` raise ``ValueError``."""
+    ratio = t_end / step * (1 - 1e-9)  # a remainder under 1e-9 t_end is rounding, not a step
+    if ratio > MAX_STEP_ATTEMPTS:
+        raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the step budget "
+                         f"{MAX_STEP_ATTEMPTS}")
+    return max(1, math.ceil(ratio))
+
+
 def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     """RK4 with a fixed step; the last step ends on t_end, and step = t_end / k takes k steps.
 
@@ -120,16 +129,13 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     evaluated at the accepted state the step starts from.  A run of more
     than ``MAX_STEP_ATTEMPTS`` steps raises ``ValueError`` before it starts.
     """
-    ratio = t_end / step * (1 - 1e-9)  # a remainder under 1e-9 t_end is rounding, not a step
-    if ratio > MAX_STEP_ATTEMPTS:
-        raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the step budget "
-                         f"{MAX_STEP_ATTEMPTS}")
+    steps = _rk4_steps(t_end, step)
     f0 = f0 or f
     ts = [0.0]
     ys = [np.asarray(y0, dtype=float)]
     K = tuple(np.empty((4, len(ys[0]))))
     t = 0.0
-    for left in range(max(1, math.ceil(ratio)), 0, -1):
+    for left in range(steps, 0, -1):
         h = step if left > 1 else t_end - t
         try:
             y = _rk4_step(f, t, ys[-1], h, f0, K)
@@ -160,7 +166,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
-    h_min = t_end * 1e-14
+    h_min = max(t_end * 1e-14, 5e-324)  # a step that rounds to 0 never moves t
     steps = 0
     failure = ""  # the stage error that rejected a step since the last accepted one
     while t < t_end:
@@ -201,40 +207,64 @@ def _run(f, y0, t_end, config: IntegratorConfig, f0=None):
     return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol, f0)
 
 
+def _check_shapes(spec, y0) -> None:
+    """Raise ``DimensionMismatchError`` where F, its Jacobian or psi's jet has the wrong shape.
+
+    Checked once, at the start's chart coordinate, so the per-stage path
+    pays nothing; psi's jet only on the psi side, where the lift's jet reads it.
+    """
+    n, J = spec.n, spec.drift.jacobian
+    u = y0[:n] if spec.side == "psi" else y0[len(y0) // 2:][:n]
+    spec.drift.at(u)  # which checks its own shape
+    found = {"drift Jacobian": (J if isinstance(J, np.ndarray) else spec.drift.jacobian_at(u),
+                                (n, n))}
+    if spec.side == "psi":
+        _, g, H = spec.potential.jet_at(u)
+        found.update({"gradient of psi": (g, (n,)), "Hessian of psi": (H, (n, n))})
+    for name, (value, shape) in found.items():
+        if np.shape(value) != shape:
+            raise DimensionMismatchError(f"{name} has shape {np.shape(value)} at the start, "
+                                         f"expected {shape}")
+
+
 def integrate_lift(spec, initial, t_end: float,
                    config: IntegratorConfig = None) -> Trajectory:
     """Integrate a lift, base or (with an anchor) extended, to t_end with diagnostics.
 
-    A numerical failure truncates the returned trajectory (see the module
-    docstring); it does not raise.
+    A numerical failure in a step truncates the returned trajectory (see
+    the module docstring); a start it rejects raises, as does one where F,
+    its Jacobian or psi's jet has the wrong shape or fails.  NumPy's
+    floating-point warnings are off: a non-finite value stops the run.
     """
     if not np.isfinite(t_end) or t_end <= 0:
         raise ValueError("t_end must be positive and finite")
-    # a warm-started solve depends on the one before it at rounding level;
-    # the Hamiltonian's solver is new, and emptying the drift's makes the
-    # run a function of its inputs alone
-    if spec.drift.workspace is not None:
-        spec.drift.workspace.clear()
-    h = build_hamiltonian(spec)
-    diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
-
-    def f(t, y, out):
-        hamiltonian_vector_field(h, y, None, out)
-
-    def f0(t, y, out):
-        hamiltonian_vector_field(h, y, diags.setdefault(t, {}), out)
-
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
         else np.concatenate([initial.x, initial.p, [initial.z]])
-    dim = 2 * h.n + 1
+    dim = 2 * (spec.n + (spec.anchor is not None)) + 1
     if y0.shape != (dim,):
         raise DimensionMismatchError(f"initial state has shape {y0.shape}, expected ({dim},)")
     if not np.isfinite(y0).all():
         raise EvaluationError("initial state has non-finite entries", coords=y0)
-    traj = _run(f, y0, t_end, config or IntegratorConfig(), f0)
-    if traj.times[-1] not in diags:  # no step started from the final state
-        with contextlib.suppress(*NUMERICAL_ERRORS):
-            h.field(traj.final_state, diags.setdefault(traj.times[-1], {}))
+    with np.errstate(all="ignore"):
+        _check_shapes(spec, y0)
+        # a warm-started solve depends on the one before it at rounding level;
+        # the Hamiltonian's solver is new, and emptying the drift's makes the
+        # run a function of its inputs alone
+        if spec.drift.workspace is not None:
+            spec.drift.workspace.clear()
+        h = build_hamiltonian(spec)
+        diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
+
+        def f(t, y, out):
+            hamiltonian_vector_field(h, y, None, out)
+
+        def f0(t, y, out):
+            hamiltonian_vector_field(h, y, diags.setdefault(t, {}), out)
+
+        traj = _run(f, y0, t_end, config or IntegratorConfig(), f0)
+        if traj.times[-1] not in diags:  # no step started from the final state
+            with contextlib.suppress(*NUMERICAL_ERRORS):
+                h.field(traj.final_state, diags.setdefault(traj.times[-1], {}))
     rows = [diags[t] for t in traj.times]
     names = ("h", "delta0", "delta_norm", "kappa") + (
         ("psi_tilde", "S") if spec.anchor is not None else ())

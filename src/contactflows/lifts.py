@@ -148,6 +148,8 @@ class RestoringFunction:
     def __post_init__(self):
         if abs(self.eval(0.0)) > 1e-14:
             raise ValueError("restoring function must vanish at zero defect")
+        if self.gamma0 is not None:  # a linear Gamma vanishes at 0 alone; no probe
+            return
         for d in (0.5, -0.5, 2.0, -2.0):
             if self.eval(d) == 0.0:
                 warnings.warn(

@@ -38,12 +38,7 @@ import numpy as np
 from .errors import (NUMERICAL_ERRORS, ContactFlowsError, EvaluationError,
                      PythagoreanConfigError, ScenarioError)
 from .geometry import CanonicalPoint
-from .integrate import (
-    MAX_STEP_ATTEMPTS,
-    IntegratorConfig,
-    Trajectory,
-    integrate_lift,
-)
+from .integrate import IntegratorConfig, Trajectory, _rk4_steps, integrate_lift
 from .lifts import LiftSpec, embed
 from .models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams
 from .potentials import (BUILTIN_POTENTIALS, ConvexPotential, canonical_divergence,
@@ -65,14 +60,19 @@ RK4_TRUNCATION_FACTOR = 2
 
 
 def _floats(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ScenarioError(f"cannot parse number list {text!r}") from exc
+    return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
 def _matrix(text: str) -> np.ndarray:
     return np.array([_floats(row) for row in text.split(";")])
+
+
+def _number(section, key: str, default=None) -> float:
+    """The number at ``key``, or ``default`` where the key is absent."""
+    try:
+        return float(section[key]) if key in section else default
+    except ValueError:
+        raise ScenarioError(f"{key!r} must be a number, got {section[key]!r}") from None
 
 
 _CIRCUIT_KEYS = {"rc": {"r", "c"}, "rl": {"r", "l"}, "rlc": {"r", "c", "l"}}
@@ -88,12 +88,30 @@ REQUIRED_KEYS = {**{name: ("R",) for name in MODEL_KEYS}, "spin": ("theta", "gam
                  "onsager": ("L",)}
 
 
-def _check_keys(section, allowed, where: str) -> None:
-    """Reject every key of ``section`` that the parser would never read."""
+@contextlib.contextmanager
+def _section(name: str):
+    """Read the section [name]: an input it rejects exits 2 with a message naming it.
+
+    A ``ValueError`` or ``ContactFlowsError`` raised inside becomes a
+    ``ScenarioError`` located at [name]; NumPy's floating-point warnings are
+    off, so a non-finite value ends in a finiteness check.  Only parsing runs inside.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except (ValueError, ContactFlowsError) as exc:
+        raise ScenarioError(str(exc), location=f"[{name}]") from exc
+
+
+def _check_keys(section, allowed, required=()) -> None:
+    """Reject a missing ``required`` key and every key the parser would never read."""
+    missing = [key for key in required if key.lower() not in section]
+    if missing:
+        raise ScenarioError(f"missing key(s) {', '.join(map(repr, missing))}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ScenarioError(f"unknown key(s) {', '.join(map(repr, unknown))}; this section "
-                            f"takes {', '.join(sorted(allowed))}", location=where)
+                            f"takes {', '.join(sorted(allowed))}")
 
 
 @dataclass
@@ -108,73 +126,54 @@ class Scenario:
 
 
 def _build_model(section) -> tuple:
-    name = section.get("name")
-    if name is None:
-        raise ScenarioError("missing 'name'", location="[model]")
-    name = name.strip().lower()
+    name = section.get("name", "").strip().lower()
     if name not in MODEL_BUILDERS:
-        raise ScenarioError(f"unknown model {name!r}", location="[model]")
-    _check_keys(section, MODEL_KEYS[name] | {"name"}, "[model]")
-    keys = {k for k in section if k != "name"}
-    missing = [k for k in REQUIRED_KEYS[name] if k.lower() not in keys]
-    if missing:
-        raise ScenarioError(f"missing key(s) {', '.join(map(repr, missing))}",
-                            location="[model]")
-    try:
-        if name == "spin":
-            params = SpinParams(**{k: float(section[k]) for k in keys})
-        elif name == "onsager":
-            kwargs = {}
-            if "l" in keys:
-                kwargs["L_matrix"] = _matrix(section["l"])
-            if "gamma0" in keys:
-                kwargs["gamma0"] = float(section["gamma0"])
-            params = OnsagerParams(**kwargs)
-        else:
-            params = CircuitParams(**{k if k == "gamma0" else k.upper(): float(section[k])
-                                      for k in keys})
-        return name, MODEL_BUILDERS[name](params)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), location="[model]") from exc
+        raise ScenarioError(f"unknown model {name!r}" if name else "missing key(s) 'name'")
+    _check_keys(section, MODEL_KEYS[name] | {"name"}, REQUIRED_KEYS[name])
+    keys = set(section) - {"name"}
+    if name == "spin":
+        params = SpinParams(**{k: _number(section, k) for k in keys})
+    elif name == "onsager":
+        params = OnsagerParams(_matrix(section["l"]), **{k: _number(section, k)
+                                                         for k in keys - {"l"}})
+    else:
+        params = CircuitParams(**{k if k == "gamma0" else k.upper(): _number(section, k)
+                                  for k in keys})
+    return name, MODEL_BUILDERS[name](params)
 
 
 def _build_initial(section, spec: LiftSpec):
-    extended = spec.anchor is not None
-    n = spec.n
-    keys = set(section)
-    key = "x" if spec.side == "psi" else "p"
-    full = {"x", "p", "z"} | ({"x_extra", "p_extra"} if extended else set())
-    # without z the start is embedded from the chart coordinate (and x_extra)
-    on_graph = {key} | ({"x_extra"} if extended else set())
-    _check_keys(section, full if "z" in keys else on_graph, "[initial]")
-    try:
-        if "z" not in keys:
-            # on-submanifold start in the chart coordinate of the model's side
-            if key not in keys:
-                raise ScenarioError(f"{spec.side}-side start needs {key!r}",
-                                    location="[initial]")
-            chart = _floats(section[key])
-            if len(chart) != n:
-                raise ScenarioError(
-                    f"chart start has dimension {len(chart)}, model needs {n}",
-                    location="[initial]")
-            return embed(spec, chart, float(section.get("x_extra", 0.0)))
-        x = _floats(section["x"])
-        p = _floats(section["p"])
-        z = float(section["z"])
-        if len(x) != n or len(p) != n:
-            raise ScenarioError(
-                f"state dimension mismatch (model needs n={n})", location="[initial]")
-        if extended:
-            x = np.append(x, float(section["x_extra"]))
-            p = np.append(p, float(section["p_extra"]))
-        return CanonicalPoint(x, p, z)
-    except KeyError as exc:
-        raise ScenarioError(f"missing field {exc}", location="[initial]") from exc
-    except ScenarioError:
-        raise
-    except (ValueError, ContactFlowsError) as exc:  # e.g. a non-finite coordinate
-        raise ScenarioError(str(exc), location="[initial]") from exc
+    n, key = spec.n, "x" if spec.side == "psi" else "p"
+    extras = ("x_extra", "p_extra") if spec.anchor is not None else ()
+    if "z" not in section:
+        # on-submanifold start in the chart coordinate of the model's side (and x_extra)
+        _check_keys(section, {key, *extras[:1]}, (key,))
+        chart = _floats(section[key])
+        if len(chart) != n:
+            raise ScenarioError(f"chart start has dimension {len(chart)}, model needs {n}")
+        return embed(spec, chart, _number(section, "x_extra", 0.0))
+    _check_keys(section, {"x", "p", "z", *extras}, ("x", "p", "z", *extras))
+    x, p = _floats(section["x"]), _floats(section["p"])
+    if len(x) != n or len(p) != n:
+        raise ScenarioError(f"state dimension mismatch (model needs n={n})")
+    if extras:
+        x, p = np.append(x, _number(section, "x_extra")), np.append(p, _number(section, "p_extra"))
+    return CanonicalPoint(x, p, _number(section, "z"))
+
+
+def _build_integrator(section) -> tuple:
+    """(t_end, config); an RK4 run is held to the step budget of ``solve_fixed``."""
+    method = section.get("method", "rkf45").strip().lower()
+    _check_keys(section, {"method", "t_end"} | ({"step"} if method == "rk4" else
+                                                 {"rel_tol", "abs_tol"}), ("t_end",))
+    t_end = _number(section, "t_end")
+    if not np.isfinite(t_end) or t_end <= 0:
+        raise ScenarioError("t_end must be positive and finite")
+    config = IntegratorConfig(method, **{k: _number(section, k) for k in section
+                                         if k not in ("method", "t_end")})
+    if method == "rk4":
+        _rk4_steps(t_end, config.step)
+    return t_end, config
 
 
 def _read_config(path) -> configparser.ConfigParser:
@@ -182,10 +181,8 @@ def _read_config(path) -> configparser.ConfigParser:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, configparser.Error) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except configparser.Error as exc:
-        raise ScenarioError(f"parse error: {exc}") from exc
     return parser
 
 
@@ -197,36 +194,18 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
     for required in ("model", "initial", "integrator"):
         if required not in parser:
             raise ScenarioError(f"missing section [{required}]")
-
-    name, spec = _build_model(parser["model"])
-    initial = _build_initial(parser["initial"], spec)
-
-    integ = parser["integrator"]
-    method = integ.get("method", "rkf45").strip().lower()
-    _check_keys(integ, {"method", "t_end"} | ({"step"} if method == "rk4" else
-                                              {"rel_tol", "abs_tol"}), "[integrator]")
-    try:
-        t_end = float(integ.get("t_end", ""))
-    except ValueError as exc:
-        raise ScenarioError("t_end must be a number", location="[integrator]") from exc
-    if not np.isfinite(t_end) or t_end <= 0:
-        raise ScenarioError("t_end must be positive and finite", location="[integrator]")
-    try:
-        config = IntegratorConfig(
-            method=method,
-            step=float(integ.get("step", 1e-3)),
-            rel_tol=float(integ.get("rel_tol", 1e-10)),
-            abs_tol=float(integ.get("abs_tol", 1e-12)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc), location="[integrator]") from exc
-    if method == "rk4" and t_end / config.step > MAX_STEP_ATTEMPTS:
-        raise ScenarioError(f"t_end / step = {t_end / config.step:.3g} exceeds the step "
-                            f"budget {MAX_STEP_ATTEMPTS}", location="[integrator]")
-
+    with _section("model"):
+        name, spec = _build_model(parser["model"])
+    with _section("initial"):
+        initial = _build_initial(parser["initial"], spec)
+    with _section("integrator"):
+        t_end, config = _build_integrator(parser["integrator"])
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
-    _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"},
-                "[outputs]")
+    with _section("outputs"):
+        _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"})
+        for key, file_name in outputs.items():
+            if not Path(file_name).name:
+                raise ScenarioError(f"{key!r} needs a file name, got {file_name!r}")
     return Scenario(model_name=name, spec=spec, initial=initial, t_end=t_end,
                     config=config, outputs=outputs, path=path)
 
@@ -343,41 +322,36 @@ class ScenarioResult:
 def _run_pythagorean(parser) -> ScenarioResult:
     """Special scenario kind: three-term divergence identity via flows.
 
-    A malformed [model] or [points] raises ``ScenarioError``; it and a
-    triple that is not right-angled exit 2, a numerical failure exits 3.
+    A malformed [model] or [points], or a triple that is not right-angled,
+    raises ``ScenarioError`` (exit 2); a numerical failure exits 3.
     """
-    model = parser["model"]
-    _check_keys(model, {"name", "potential", "n"}, "[model]")
-    pot_name = model.get("potential", "quadratic").strip().lower()
-    if pot_name not in BUILTIN_POTENTIALS:
-        raise ScenarioError(f"unknown potential {pot_name!r}", location="[model]")
-    try:
-        n = int(model.get("n", "1"))
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ScenarioError(f"'n' must be a positive integer, got {model['n']!r}",
-                            location="[model]")
-    psi = BUILTIN_POTENTIALS[pot_name](n)
+    with _section("model"):
+        model = parser["model"]
+        _check_keys(model, {"name", "potential", "n"})
+        pot_name = model.get("potential", "quadratic").strip().lower()
+        if pot_name not in BUILTIN_POTENTIALS:
+            raise ScenarioError(f"unknown potential {pot_name!r}")
+        n = model.get("n", "1").strip()
+        if not n.isdigit() or int(n) < 1:
+            raise ScenarioError(f"'n' must be a positive integer, got {n!r}")
+        psi = BUILTIN_POTENTIALS[pot_name](int(n))
     if "points" not in parser:
         raise ScenarioError("missing section [points]")
-    section = parser["points"]
-    _check_keys(section, {"x1", "x2", "x3"}, "[points]")
-    points = []
-    for key in ("x1", "x2", "x3"):
-        if key not in section:
-            raise ScenarioError(f"missing {key!r}", location="[points]")
-        try:
-            points.append(_floats(section[key]))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{key!r}: {exc}", location="[points]") from exc
-        if points[-1].shape != (n,):
-            raise ScenarioError(f"{key!r} has {len(points[-1])} entries, but n = {n}",
-                                location="[points]")
+    with _section("points"):
+        section = parser["points"]
+        keys = ("x1", "x2", "x3")
+        _check_keys(section, keys, keys)
+        points = [_floats(section[key]) for key in keys]
+        for key, x in zip(keys, points):
+            if x.shape != (psi.n,) or not np.isfinite(x).all():
+                raise ScenarioError(f"{key!r} must be n = {psi.n} finite numbers, "
+                                    f"got {section[key]!r}")
     try:
-        resid = abs(pythagorean_residual(psi, *points))
-    except PythagoreanConfigError as exc:
-        return ScenarioResult(EXIT_USAGE, message=str(exc))
+        with np.errstate(all="ignore"):  # a non-finite value fails a flow or the identity
+            resid = abs(pythagorean_residual(psi, *points))
+    except PythagoreanConfigError as exc:  # the points are no right-angled triple: bad [points]
+        with _section("points"):
+            raise exc
     except NUMERICAL_ERRORS as exc:
         return ScenarioResult(EXIT_NUMERICAL, message=str(exc))
     check = InvariantCheck("pythagorean three-term identity", "residual = 0",
@@ -402,8 +376,8 @@ def run_scenario(path, out_dir=None, write_outputs: bool = True) -> ScenarioResu
                               scenario.config)
     except NUMERICAL_ERRORS as exc:
         # integrate_lift truncates on a failure in the step loop or the
-        # diagnostics and raises only for a start it rejects, which
-        # _build_initial has ruled out.  Anything else is a bug
+        # diagnostics, and raises for a start at which the lift cannot be
+        # evaluated.  Anything else is a bug
         return ScenarioResult(EXIT_NUMERICAL, message=f"integration aborted: {exc}")
     if traj.truncated:
         return ScenarioResult(EXIT_NUMERICAL, trajectory=traj,

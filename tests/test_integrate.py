@@ -287,10 +287,24 @@ def test_tiny_t_end_is_reached(t_end):
         assert len(traj.diagnostics["h"]) == 2
 
 
+def test_rkf45_stops_when_its_step_rounds_to_zero():
+    # at t_end = 5e-324 the step floor t_end * 1e-14 rounded to 0, and a step
+    # shrunk to 0 was tried again until the 2 000 000-attempt budget ran out
+    calls = []
+
+    def failing(t, y, out):
+        calls.append(t)
+        raise EvaluationError("no field here")
+
+    traj = solve_adaptive(failing, np.array([1.0]), 5e-324)
+    assert traj.abort_reason.startswith("step floor") and len(calls) == 1
+
+
 class TestDriftOfTheWrongLength:
     # a 2-d drift whose result has 1 or 3 entries stops the run with a typed
     # error; the previous version broadcast du/dt = (-u0, -u0) and returned
-    # [0.368, 1.368] from (1, 2) at t = 1
+    # [0.368, 1.368] from (1, 2) at t = 1; a lift's run checks the shapes at
+    # its start, before the first step
     @SHORT_OR_LONG
     @CONFIGS
     def test_submanifold_flow_raises_with_the_start(self, config, wrong):
@@ -322,10 +336,28 @@ class TestDriftOfTheWrongLength:
         calls = []
         spec = replace(spec, drift=replace(spec.drift,
                                            eval=lambda u: calls.append(u) or wrong(u)))
-        traj = integrate_lift(spec, y0, 1.0, config)
-        assert_stopped_at(traj, "DimensionMismatchError: drift has shape")
-        assert not traj.abort_reason.startswith("step floor") and len(calls) == 1
-        assert traj.times.tolist() == [0.0]
+        with pytest.raises(DimensionMismatchError, match="drift has shape"):
+            integrate_lift(spec, y0, 1.0, config)
+        assert len(calls) == 1
+
+    @CONFIGS
+    @pytest.mark.parametrize("anchor", [None, 1.3], ids=["base", "anchored"])
+    def test_psi_jet_of_the_wrong_length_raises_before_the_first_step(self, anchor, config):
+        # a 3-entry gradient of a 2-d psi raised numpy's untyped ValueError
+        # from inside the run: "operands could not be broadcast together" in
+        # the base jet, "shapes (3,) and (2,2) not aligned" in the anchored one
+        from contactflows.lifts import LiftSpec, linear_drift, linear_restoring
+        from contactflows.potentials import ConvexPotential
+
+        calls = []
+        psi = ConvexPotential(n=2, value=lambda x: 0.5 * x.dot(x), jet=lambda x: calls.append(x)
+                              or (0.5 * x.dot(x), np.append(x, 9.0), np.eye(2)))
+        spec = LiftSpec(side="psi", potential=psi, drift=linear_drift(-1.0, 2),
+                        restoring=linear_restoring(1.0), anchor=anchor)
+        y0 = np.linspace(0.1, 0.7, 5 if anchor is None else 7)
+        with pytest.raises(DimensionMismatchError, match=r"gradient of psi has shape \(3,\)"):
+            integrate_lift(spec, y0, 1.0, config)
+        assert len(calls) == 1
 
 
 class TestRateFitting:

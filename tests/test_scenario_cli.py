@@ -12,9 +12,9 @@ import pytest
 from contactflows import integrate as integrate_module
 from contactflows import scenario as scenario_module
 from contactflows.cli import main as cli_main
-from contactflows.errors import EvaluationError
+from contactflows.errors import EvaluationError, ScenarioError
 from contactflows.geometry import ContactHamiltonian, swap_hamiltonian
-from contactflows.integrate import Trajectory, integrate_lift
+from contactflows.integrate import MAX_STEP_ATTEMPTS, Trajectory, integrate_lift, solve_fixed
 from contactflows.lifts import dual_spec, linear_restoring
 from contactflows.models import CircuitParams, rlc_thermal_spec
 from contactflows.potentials import (
@@ -199,8 +199,9 @@ class TestParsing:
         ("[integrator]", "step = 1e-3", "step = 1e-3\nrel_tol = 1e-6", "rel_tol"),
         ("[integrator]", "method = rk4", "method = rkf45", "step"),
         ("[outputs]", "invariant_report", "invariant_reprot", "invariant_reprot"),
+        ("[outputs]", "trajectory_csv = traj.csv", "trajectory_csv =", "trajectory_csv"),
     ], ids=["potential", "L", "T0", "x_extra", "p_without_z", "stepp", "rel_tol_under_rk4",
-            "step_under_rkf45", "output"])
+            "step_under_rkf45", "output", "empty_file_name"])
     def test_unread_key_rejected(self, tmp_path, section, old, new, key):
         result = run_scenario(write(tmp_path, RC_TEXT.replace(old, new)), out_dir=tmp_path)
         assert result.exit_code == EXIT_USAGE
@@ -296,6 +297,46 @@ class TestParsing:
         assert cli_main(["check", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(section)
 
+    @pytest.mark.parametrize("scenario, old, new, code, start", [
+        ("rc", "C = 1.0", "C = 5e-324", EXIT_USAGE, "[model]"),
+        ("rl_thermal", "L = 0.5", "L = 5e-324", EXIT_USAGE, "[model]"),
+        ("rl", "p = 0.8", "p = -1e308", EXIT_USAGE, "[initial]"),
+        ("rlc", "z = 0.5", "z = 1e308", EXIT_NUMERICAL, "integration truncated"),
+        ("rl", "R = 1.0", "R = 1e308", EXIT_NUMERICAL, "integration truncated"),
+        ("rl", "gamma0 = 1.0", "gamma0 = 5e-324", EXIT_PASS, ""),
+    ], ids=["C-tiny", "L-tiny", "p-huge", "z-huge", "R-huge", "gamma0-tiny"])
+    def test_extreme_value_ends_in_its_exit_code(self, tmp_path, scenario, old, new, code,
+                                                 start):
+        # under the warning filters: the first two raised StrictConvexityError
+        # from run_scenario, the next three warned from numpy ("overflow" or
+        # "invalid value encountered in dot"), the last warned that Gamma
+        # vanishes at 0.5
+        text = (SCENARIOS / f"{scenario}.scenario").read_text()
+        assert text.count(old) == 1
+        result = run_scenario(write(tmp_path, text.replace(old, new)), write_outputs=False)
+        assert result.exit_code == code and result.message.startswith(start)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 5e-10, 1 + 1e-9, 1 + 2e-9])
+    def test_rk4_step_budget_is_the_one_solve_fixed_applies(self, tmp_path, factor):
+        # [integrator] rejected t_end / step = 2 000 000.001, which solve_fixed
+        # runs in 2 000 000 steps; the last two factors are over the budget
+        class Started(Exception):
+            pass
+
+        def f(t, y, out):
+            raise Started
+
+        t_end = MAX_STEP_ATTEMPTS * 1e-3 * factor
+        path = write(tmp_path, RC_TEXT.replace("t_end = 1.0", f"t_end = {t_end!r}"))
+        try:
+            solve_fixed(f, np.zeros(1), t_end, 1e-3)
+        except Started:
+            assert factor < 1 + 1e-9 and parse_scenario(path).t_end == t_end
+        except ValueError:
+            assert factor >= 1 + 1e-9
+            with pytest.raises(ScenarioError, match=r"^\[integrator\]: t_end / step"):
+                parse_scenario(path)
+
     def test_rk4_run_over_the_step_budget_rejected(self, tmp_path, capsys, monkeypatch):
         # t_end / step = 1e11 RK4 steps: rejected at parse time, never integrated
         def started(*args, **kwargs):
@@ -336,7 +377,7 @@ class TestParsing:
                                                                         "x3 = 2.0 1.0")
         result = run_scenario(write(tmp_path, text), write_outputs=False)
         assert result.exit_code == EXIT_USAGE
-        assert result.message.startswith("not a Pythagorean configuration")
+        assert result.message.startswith("[points]: not a Pythagorean configuration")
 
 
 class TestAbortSemantics:
