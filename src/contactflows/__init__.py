@@ -44,6 +44,7 @@ from .lifts import (
     DriftField,
     LiftSpec,
     RestoringFunction,
+    affine_drift,
     build_hamiltonian,
     defects,
     delta_velocities,

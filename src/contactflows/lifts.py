@@ -56,13 +56,12 @@ from .potentials import (
 class DriftField:
     """A vector field F on the submanifold chart (a function of x or of p).
 
-    ``jacobian`` is a callable of u, or the read-only matrix of
-    ``constant_jacobian``, the tag of a constant Jacobian, which the
-    built-in drifts of constant Jacobian carry: every ``jacobian_at``
-    returns that matrix, a Hamiltonian reads it once, and with a linear
-    Gamma the stability certificate reads the defect-rate matrix it makes
-    (``defect_rate_matrix``).  ``structure`` is ("onsager", L) on the
-    gradient flows of ``onsager_drift``, which the certificate samples.
+    ``jacobian`` is a callable of u, or a read-only matrix, the tag of a
+    constant Jacobian, which ``affine_drift`` declares: every
+    ``jacobian_at`` returns that matrix, a Hamiltonian reads it once, and
+    with a linear Gamma the stability certificate reads the defect-rate
+    matrix it makes (``defect_rate_matrix``).  ``structure`` is
+    ("onsager", L) on Onsager gradient flows, which the certificate samples.
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
     own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
@@ -91,30 +90,31 @@ class DriftField:
         return central_jacobian(self.at, u)
 
 
-def constant_jacobian(J) -> np.ndarray:
-    """J as a read-only float64 matrix, the ``jacobian`` of a drift with constant Jacobian J."""
-    J = np.array(J, dtype=float, ndmin=2)
-    J.flags.writeable = False
-    return J
+def affine_drift(A, offset=None) -> DriftField:
+    """F(u) = A (u - offset), the drift of constant Jacobian A.
+
+    A is copied once into a read-only float64 matrix, which F multiplies by
+    (``ndarray.dot``) and which is the drift's ``jacobian``: the matrix the
+    integrator runs is the one the certificate reads.
+    """
+    A = np.array(A, dtype=float, ndmin=2)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"drift matrix has shape {A.shape}, expected square")
+    A.flags.writeable = False
+    if offset is None:
+        return DriftField(n=A.shape[0], eval=A.dot, jacobian=A)
+    off = np.array(offset, dtype=float)
+    return DriftField(n=A.shape[0], eval=lambda u: A.dot(u - off), jacobian=A)
 
 
 def linear_drift(jac_const: float, n: int, offset=None) -> DriftField:
     """F(u) = jac_const * (u - offset): constant-multiple-of-identity Jacobian."""
-    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    return DriftField(
-        n=n,
-        eval=lambda u: jac_const * (u - off),
-        jacobian=constant_jacobian(jac_const * np.eye(n)),
-    )
+    return affine_drift(jac_const * np.eye(n), offset)
 
 
 def rotational_drift(omega: float) -> DriftField:
     """n=2 drift (omega u2, -omega u1): rotation of the chart coordinates."""
-    return DriftField(
-        n=2,
-        eval=lambda u: np.array([omega * u[1], -omega * u[0]]),
-        jacobian=constant_jacobian([[0.0, omega], [-omega, 0.0]]),
-    )
+    return affine_drift([[0.0, omega], [-omega, 0.0]])
 
 
 def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
@@ -232,14 +232,16 @@ def defect_rate_matrix(spec: LiftSpec) -> Optional[np.ndarray]:
 
     Off the submanifold the base lift's defects move as dDelta/dt =
     -R^T Delta with R = J + Gamma'(Delta_0) I (``delta_velocities``).  R is
-    constant when the drift declares its Jacobian J (``constant_jacobian``)
-    and Gamma is linear; then Delta(t) = exp(-R^T t) Delta(0).  The two
-    charts share it, since ``dual_spec`` keeps the drift and a linear Gamma.
+    constant when the drift declares its Jacobian J (``affine_drift``) and
+    Gamma is linear; then Delta(t) = exp(-R^T t) Delta(0).  The two charts
+    share it, since ``dual_spec`` keeps the drift and a linear Gamma.
     """
     J, gamma0 = spec.drift.jacobian, spec.restoring.gamma0
     if not isinstance(J, np.ndarray) or gamma0 is None:
         return None
-    return constant_jacobian(J + gamma0 * np.eye(spec.n))
+    R = J + gamma0 * np.eye(spec.n)
+    R.flags.writeable = False
+    return R
 
 
 def build_hamiltonian(spec: LiftSpec) -> ContactHamiltonian:

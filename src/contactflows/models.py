@@ -15,7 +15,7 @@ import numpy as np
 from .lifts import (
     DriftField,
     LiftSpec,
-    constant_jacobian,
+    affine_drift,
     linear_drift,
     linear_restoring,
     onsager_drift,
@@ -176,16 +176,7 @@ def _rlc_potential(params: CircuitParams) -> ConvexPotential:
 def rlc_spec(params: CircuitParams) -> LiftSpec:
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
-
-    def drift_at(p):
-        v, i = p.tolist()  # Python floats: the same bits as numpy scalars, at less cost
-        return np.array([i / C, -v / L - R * i / L])
-
-    drift = DriftField(
-        n=2,
-        eval=drift_at,
-        jacobian=constant_jacobian([[0.0, 1.0 / C], [-1.0 / L, -R / L]]),
-    )
+    drift = affine_drift([[0.0, 1.0 / C], [-1.0 / L, -R / L]])
     return LiftSpec(side="phi", potential=psi, drift=drift,
                     restoring=linear_restoring(params.gamma0))
 
@@ -193,16 +184,7 @@ def rlc_spec(params: CircuitParams) -> LiftSpec:
 def rlc_thermal_spec(params: CircuitParams) -> LiftSpec:
     psi = _rlc_potential(params)
     C, L, R = params.C, params.L, params.R
-
-    def drift_at(x):
-        q, flux = x.tolist()  # Python floats: the same bits as numpy scalars, at less cost
-        return np.array([flux / L, -q / C - R * flux / L])
-
-    drift = DriftField(
-        n=2,
-        eval=drift_at,
-        jacobian=constant_jacobian([[0.0, 1.0 / L], [-1.0 / C, -R / L]]),
-    )
+    drift = affine_drift([[0.0, 1.0 / L], [-1.0 / C, -R / L]])
     return _thermal(params, LiftSpec(side="psi", potential=psi, drift=drift,
                                      restoring=linear_restoring(params.gamma0)))
 
@@ -222,10 +204,13 @@ def spin_spec(params: SpinParams) -> LiftSpec:
 # Onsager phenomenological flow: dx/dt = -L grad U.
 
 def onsager_spec(params: OnsagerParams) -> LiftSpec:
-    psi = params.U if params.U is not None else quadratic_potential(params.M_matrix)
-    drift = onsager_drift(params.L_matrix, psi.gradient_at, psi.hessian_at)
-    if params.U is None:  # U = psi quadratic: the Jacobian -L M never changes
-        drift = replace(drift, jacobian=constant_jacobian(drift.jacobian(np.zeros(psi.n))))
+    L, psi = params.L_matrix, params.U
+    if psi is None:  # U = psi quadratic with M = L^{-1}: F(x) = -L M x
+        M = params.M_matrix
+        psi = quadratic_potential(M)
+        drift = replace(affine_drift(-L.dot(M)), structure=("onsager", L))
+    else:
+        drift = onsager_drift(L, psi.gradient_at, psi.hessian_at)
     return LiftSpec(side="psi", potential=psi, drift=drift,
                     restoring=linear_restoring(params.gamma0))
 

@@ -103,6 +103,18 @@ def _section(name: str):
         raise ScenarioError(str(exc), location=f"[{name}]") from exc
 
 
+def _check_sections(parser, taken, required) -> None:
+    """Reject a missing ``required`` section and every section this scenario kind does not take."""
+    missing = [name for name in required if name not in parser]
+    if missing:
+        raise ScenarioError(f"missing section [{missing[0]}]")
+    unknown = sorted(set(parser.sections()) - set(taken))
+    if unknown:
+        raise ScenarioError(f"unknown section; this scenario takes "
+                            f"{', '.join(f'[{name}]' for name in taken)}",
+                            location=f"[{unknown[0]}]")
+
+
 def _check_keys(section, allowed, required=()) -> None:
     """Reject a missing ``required`` key and every key the parser would never read."""
     missing = [key for key in required if key.lower() not in section]
@@ -191,9 +203,8 @@ def parse_scenario(path) -> Scenario:
 
 
 def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scenario:
-    for required in ("model", "initial", "integrator"):
-        if required not in parser:
-            raise ScenarioError(f"missing section [{required}]")
+    _check_sections(parser, ("model", "initial", "integrator", "outputs"),
+                    ("model", "initial", "integrator"))
     with _section("model"):
         name, spec = _build_model(parser["model"])
     with _section("initial"):
@@ -203,9 +214,9 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     with _section("outputs"):
         _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"})
-        for key, file_name in outputs.items():
-            if not Path(file_name).name:
-                raise ScenarioError(f"{key!r} needs a file name, got {file_name!r}")
+        for key, file_name in outputs.items():  # written into the output directory itself
+            if file_name in ("", "..") or Path(file_name).name != file_name:
+                raise ScenarioError(f"{key!r} must be a bare file name, got {file_name!r}")
     return Scenario(model_name=name, spec=spec, initial=initial, t_end=t_end,
                     config=config, outputs=outputs, path=path)
 
@@ -325,6 +336,7 @@ def _run_pythagorean(parser) -> ScenarioResult:
     A malformed [model] or [points], or a triple that is not right-angled,
     raises ``ScenarioError`` (exit 2); a numerical failure exits 3.
     """
+    _check_sections(parser, ("model", "points"), ("points",))
     with _section("model"):
         model = parser["model"]
         _check_keys(model, {"name", "potential", "n"})
@@ -335,8 +347,6 @@ def _run_pythagorean(parser) -> ScenarioResult:
         if not n.isdigit() or int(n) < 1:
             raise ScenarioError(f"'n' must be a positive integer, got {n!r}")
         psi = BUILTIN_POTENTIALS[pot_name](int(n))
-    if "points" not in parser:
-        raise ScenarioError("missing section [points]")
     with _section("points"):
         section = parser["points"]
         keys = ("x1", "x2", "x3")

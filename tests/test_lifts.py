@@ -22,8 +22,8 @@ from contactflows.lifts import (
     DriftField,
     LiftSpec,
     RestoringFunction,
+    affine_drift,
     build_hamiltonian,
-    constant_jacobian,
     defect_rate_matrix,
     defects,
     delta_velocities,
@@ -147,22 +147,35 @@ class TestDriftResults:
         drift = DriftField(n=2, eval=lambda u: value, jacobian=lambda u: jacobian)
         assert drift.at([0.1, 0.2]) is value and drift.jacobian_at([0.1, 0.2]) is jacobian
 
-    @pytest.mark.parametrize("drift", [
-        linear_drift(-0.7, 2),
-        rotational_drift(1.3),
-        rlc_spec(CircuitParams(R=1.0, C=1.1, L=0.9)).drift,
-        rlc_thermal_spec(CircuitParams(R=1.0, C=1.1, L=0.9, T0=1.0)).drift,
-    ], ids=["linear", "rotational", "rlc", "rlc_thermal"])
-    def test_constant_jacobian_is_built_once_and_read_only(self, drift):
-        J = drift.jacobian_at([0.1, 0.2])
-        assert drift.jacobian is J and drift.jacobian_at([-3.0, 5.0]) is J
-        assert np.allclose(J, central_jacobian(drift.at, np.array([0.1, 0.2])), rtol=0, atol=1e-9)
-        with pytest.raises(ValueError):
-            J[0, 0] = 99.0
-
 
 MODEL_PARAMS = {"spin": SpinParams(theta=0.4, gamma0=2.0, lambda0=0.5),
                 "onsager": OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.3, 1.0]]))}
+CIRCUIT_PARAMS = CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8)
+# (drift, offset) of every drift declared by its matrix: F(u) = A (u - offset)
+AFFINE = {**{name: (build(MODEL_PARAMS.get(name, CIRCUIT_PARAMS)).drift,
+                    [MODEL_PARAMS["spin"].theta] if name == "spin" else None)
+             for name, build in MODEL_BUILDERS.items()},
+          "linear": (linear_drift(-0.7, 2, offset=[0.3, -0.2]), [0.3, -0.2]),
+          "rotational": (rotational_drift(1.3), None)}
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_a_declared_jacobian_is_the_read_only_matrix_the_drift_multiplies_by(name):
+    drift, offset = AFFINE[name]
+    A = drift.jacobian
+    assert isinstance(A, np.ndarray) and not A.flags.writeable
+    off = np.zeros(drift.n) if offset is None else np.array(offset)
+    for u in np.random.default_rng(5).uniform(-3.0, 3.0, (20, drift.n)):
+        assert drift.jacobian_at(u) is A
+        assert drift.at(u).tobytes() == A.dot(u - off).tobytes()
+        assert np.allclose(A, central_jacobian(drift.at, u), rtol=0, atol=1e-9)
+    with pytest.raises(ValueError):
+        A[0, 0] = 99.0
+
+
+def test_affine_drift_needs_a_square_matrix():
+    with pytest.raises(DimensionMismatchError, match="expected square"):
+        affine_drift([[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("side", ["psi", "phi"])
@@ -170,7 +183,7 @@ MODEL_PARAMS = {"spin": SpinParams(theta=0.4, gamma0=2.0, lambda0=0.5),
 def test_declared_constant_jacobian_gives_the_bits_of_a_callable(name, side):
     # a Hamiltonian reads a declared Jacobian once and calls a callable per
     # evaluation; both are the same matrix, so every output keeps its bits
-    params = MODEL_PARAMS.get(name, CircuitParams(R=1.3, C=0.7, L=0.9, T0=1.1, gamma0=0.8))
+    params = MODEL_PARAMS.get(name, CIRCUIT_PARAMS)
     spec = replace(MODEL_BUILDERS[name](params), side=side)
     J = spec.drift.jacobian_at(np.zeros(spec.n))
     declared = replace(spec, drift=replace(spec.drift, jacobian=J))
@@ -499,9 +512,7 @@ SEPARABLE = separable_potential([
      lambda t: 1 / np.cosh(t) ** 2 + 1),
 ])
 # a constant J that is not normal, so |D| need not shrink monotonically
-NON_NORMAL = DriftField(n=2, eval=lambda u: np.array([-0.3 * u[0] + 1.1 * u[1],
-                                                      -0.4 * u[0] - 0.2 * u[1]]),
-                        jacobian=constant_jacobian([[-0.3, 1.1], [-0.4, -0.2]]))
+NON_NORMAL = affine_drift([[-0.3, 1.1], [-0.4, -0.2]])
 CIRCUIT = CircuitParams(R=1.0, C=0.8, L=1.3, T0=1.2, gamma0=0.9)
 CERTIFIED = [s for _, s in CASES
              if stability_certificate(s).verdict == APPROACHES_SUBMANIFOLD] + [

@@ -189,19 +189,6 @@ class TestRLC:
         assert np.max(np.abs(H - H[0])) / 3.0 < 1e-9
         assert np.all(np.diff(S) >= -1e-13)
 
-    def test_drifts_in_python_floats_keep_the_numpy_scalar_bits(self):
-        # the reference is each drift written in numpy scalars, as it once was
-        R, C, L = 1.3, 0.7, 1.6
-        params = CircuitParams(R=R, C=C, L=L, T0=1.2)
-        cases = [
-            (rlc_spec(params).drift, lambda p: np.array([p[1] / C, -p[0] / L - R * p[1] / L])),
-            (rlc_thermal_spec(params).drift,
-             lambda x: np.array([x[1] / L, -x[0] / C - R * x[1] / L])),
-        ]
-        for u in np.random.default_rng(5).uniform(-3.0, 3.0, (500, 2)):
-            for drift, reference in cases:
-                assert drift.at(u).tobytes() == reference(u).tobytes()
-
 
 class TestSpin:
     def test_equilibrium_endpoint(self):

@@ -209,6 +209,32 @@ class TestParsing:
         assert repr(key) in result.message
         assert not (tmp_path / "traj.csv").exists()
 
+    @pytest.mark.parametrize("text, section, taken", [
+        (RC_TEXT.replace("[outputs]", "[output]"), "[output]",
+         "[model], [initial], [integrator], [outputs]"),
+        (RC_TEXT + "\n[points]\nx1 = 0.0\n", "[points]",
+         "[model], [initial], [integrator], [outputs]"),
+        ((SCENARIOS / "pythagorean.scenario").read_text() + "\n[outputs]\nx = t.csv\n",
+         "[outputs]", "[model], [points]"),
+    ], ids=["misspelt_outputs", "points_in_a_run", "outputs_in_pythagorean"])
+    def test_section_the_scenario_does_not_take_rejected(self, tmp_path, monkeypatch, text,
+                                                          section, taken):
+        monkeypatch.setattr(scenario_module, "integrate_lift", None)  # no run may start
+        result = run_scenario(write(tmp_path, text), out_dir=tmp_path)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message == f"{section}: unknown section; this scenario takes {taken}"
+
+    @pytest.mark.parametrize("file_name", ["nodir/t.csv", "../traj.csv", "/traj.csv", "sub/",
+                                           ".", ".."])
+    def test_output_must_be_a_bare_file_name(self, tmp_path, monkeypatch, file_name):
+        monkeypatch.setattr(scenario_module, "integrate_lift", None)  # no run may start
+        text = RC_TEXT.replace("trajectory_csv = traj.csv", f"trajectory_csv = {file_name}")
+        result = run_scenario(write(tmp_path, text), out_dir=tmp_path / "out")
+        assert result.exit_code == EXIT_USAGE
+        assert result.message == ("[outputs]: 'trajectory_csv' must be a bare file name, "
+                                  f"got {file_name!r}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model, key", [
         ("name = onsager\ngamma0 = 1.0", "L"),
         ("name = rc\nC = 1.0", "R"),

@@ -1,7 +1,8 @@
 """Edited shipped scenarios: each one runs, or exits 2 naming the section it rejects.
 
 ROADMAP aim 3 as a property.  A shipped scenario is edited with extreme or
-malformed values, dropped and unknown keys and dropped sections.  Its run
+malformed values, dropped and unknown keys, dropped and renamed sections
+and output file names with a directory part.  Its run
 exits 0 to 3 and raises nothing, no warning either under the project's
 ``filterwarnings``, and every exit 2 names a section.  A valid edit may
 exit 1: a report that fails on a valid input is a report defect, and it
@@ -35,20 +36,30 @@ SHIPPED = {path.name: _sections(path) for path in sorted(SCENARIOS.glob("*.scena
 
 # (kind, section, key, entry, value); the indices pick among what the scenario has
 EDITS = st.lists(st.tuples(
-    st.sampled_from(["value", "entry", "drop key", "add key", "drop section"]),
+    st.sampled_from(["value", "entry", "drop key", "add key", "drop section",
+                     "rename section", "directory part"]),
     st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.sampled_from(VALUES)),
     min_size=1, max_size=3)
 ADDED_KEYS = ["unread", "x_extra", "step", "t0"]
+DIRECTORIES = ["nodir/", "./", "a/b/"]  # none leads out of the output directory
 
 
 def _edit(sections, kind, section_at, key_at, entry_at, value):
-    """A value or one of its entries replaced, a key dropped or added, or a section dropped."""
-    if not sections:
+    """A value or one of its entries replaced, a key dropped or added, a section dropped
+    or renamed ([outputs] to [output], [model] to [models]), or a directory put before an
+    output file name."""
+    outputs = sections.get("outputs")
+    if kind == "directory part" and outputs:
+        key = sorted(outputs)[key_at % len(outputs)]
+        outputs[key] = DIRECTORIES[entry_at % len(DIRECTORIES)] + outputs[key]
+    if not sections or kind == "directory part":
         return
     name = sorted(sections)[section_at % len(sections)]
     keys = sections[name]
     if kind == "drop section":
         del sections[name]
+    elif kind == "rename section":
+        sections[name[:-1] if name.endswith("s") else name + "s"] = sections.pop(name)
     elif kind == "add key":
         keys[ADDED_KEYS[key_at % len(ADDED_KEYS)]] = "1"
     elif keys:
