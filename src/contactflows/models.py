@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from .lifts import (
-    DriftField,
     LiftSpec,
     affine_drift,
     linear_drift,
@@ -25,18 +24,13 @@ from .potentials import ConvexPotential, quadratic_potential, spin_potential
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Series-circuit constants; T0 = 0 selects the plain (non-thermal) model.
-
-    ``potential`` optionally replaces the quadratic stored-energy function
-    (nonlinear capacitor); only the RC constructors accept it.
-    """
+    """Series-circuit constants; T0 = 0 selects the plain (non-thermal) model."""
 
     R: float
     C: Optional[float] = None
     L: Optional[float] = None
     T0: float = 0.0
     gamma0: float = 1.0
-    potential: Optional[ConvexPotential] = None
 
     def __post_init__(self):
         for name in ("R", "C", "L", "gamma0"):
@@ -116,20 +110,8 @@ def _thermal(params: CircuitParams, base: LiftSpec) -> LiftSpec:
 
 def rc_spec(params: CircuitParams) -> LiftSpec:
     params.require("C")
-    if params.potential is not None:
-        psi = params.potential
-        if psi.n != 1:
-            raise ValueError("RC potential must be one-dimensional")
-        R = params.R
-        drift = DriftField(
-            n=1,
-            eval=lambda q: -psi.gradient_at(q) / R,
-            jacobian=lambda q: -psi.hessian_at(q) / R,
-        )
-    else:
-        psi = quadratic_potential([[1.0 / params.C]])
-        drift = linear_drift(-1.0 / (params.R * params.C), 1)
-    return LiftSpec(side="psi", potential=psi, drift=drift,
+    return LiftSpec(side="psi", potential=quadratic_potential([[1.0 / params.C]]),
+                    drift=linear_drift(-1.0 / (params.R * params.C), 1),
                     restoring=linear_restoring(params.gamma0))
 
 
@@ -143,17 +125,10 @@ def rc_thermal_spec(params: CircuitParams) -> LiftSpec:
 # quadratic H_L, so no Legendre solve runs; the thermal model is the same
 # lift on the psi side, in the flux N with H_L(N) = N^2/(2L).
 
-def _rl_potential(params: CircuitParams) -> ConvexPotential:
-    params.require("L")
-    if params.potential is not None:
-        raise ValueError("custom potentials are supported for the RC model only")
-    return quadratic_potential([[1.0 / params.L]])
-
-
 def rl_spec(params: CircuitParams) -> LiftSpec:
-    psi = _rl_potential(params)
-    drift = linear_drift(-params.R / params.L, 1)
-    return LiftSpec(side="phi", potential=psi, drift=drift,
+    params.require("L")
+    return LiftSpec(side="phi", potential=quadratic_potential([[1.0 / params.L]]),
+                    drift=linear_drift(-params.R / params.L, 1),
                     restoring=linear_restoring(params.gamma0))
 
 
@@ -168,8 +143,6 @@ def rl_thermal_spec(params: CircuitParams) -> LiftSpec:
 
 def _rlc_potential(params: CircuitParams) -> ConvexPotential:
     params.require("C", "L")
-    if params.potential is not None:
-        raise ValueError("custom potentials are supported for the RC model only")
     return quadratic_potential(np.diag([1.0 / params.C, 1.0 / params.L]))
 
 

@@ -59,34 +59,51 @@ def _cholesky_or_raise(H, where=""):
 class ConvexPotential:
     """A strictly convex scalar function with value/gradient/Hessian access.
 
-    Gradient and Hessian default to central differences of ``value``: the
-    Hessian to second differences, or given a gradient alone to central
-    differences of it.
-    A checked ``hessian_at`` remembers the last Hessian it found positive
-    definite and skips the factorisation only for a Hessian with exactly
-    the same shape and bytes, so a constant Hessian is factored once.
+    Given a ``jet``, (psi, grad psi, unchecked Hess psi) in one call, the
+    constructor reads from it whichever of value, gradient and Hessian was
+    not given; without one, ``value`` is required, and gradient and Hessian
+    default to central differences: the Hessian to second differences of
+    the value, or given a gradient alone to central differences of that.
+    A matrix ``hessian`` declares a constant Hessian: it is kept read-only
+    (copied unless it is a read-only float64 array), its shape is checked
+    and it is factored once, here, and ``hessian_at`` returns it.  A checked
+    ``hessian_at`` factors every Hessian a callable returns.
     ``value_at``, ``gradient_at`` and ``hessian_at`` raise
     ``DimensionMismatchError`` for an x not of shape (n,).
     ``jet_at`` checks no shape of its own, as it is on the per-stage path:
-    it calls the optional ``jet``, (psi, grad psi, unchecked Hess psi) in one call,
-    and returns its result as it is; ``gradient_at`` and ``hessian_at``
-    return a float64 array of the right dimension as the callable gave it.
+    it calls the optional ``jet`` and returns its result as it is; ``gradient_at``
+    and ``hessian_at`` return a float64 array of the right dimension as the
+    callable gave it.
     The optional ``closed_conjugate`` returns the conjugate potential of p,
     which ``conjugate`` then reads in place of the Legendre solve.
     """
 
     n: int
-    value: Callable[[np.ndarray], float]
+    value: Optional[Callable[[np.ndarray], float]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = None
     jet: Optional[Callable[[np.ndarray], tuple]] = None
     closed_conjugate: Optional[Callable[[], "ConvexPotential"]] = None
-    _spd_checked: Optional[tuple] = field(default=None, init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatchError("dimension n must be >= 1")
+        jet = self.jet
+        if jet is None and self.value is None:
+            raise ValueError("supply a value, a jet or both")
+        for i, name in enumerate(("value", "gradient", "hessian")):
+            if jet is not None and getattr(self, name) is None:
+                object.__setattr__(self, name, lambda x, i=i: jet(x)[i])
+        H = self.hessian
+        if isinstance(H, np.ndarray):
+            if H.flags.writeable or H.dtype != np.float64:  # a copy no caller can change
+                H = np.array(H, dtype=float)
+                H.flags.writeable = False
+                object.__setattr__(self, "hessian", H)
+            if H.shape != (self.n, self.n):
+                raise DimensionMismatchError(
+                    f"Hessian has shape {H.shape}, expected ({self.n}, {self.n})")
+            _cholesky_or_raise(H, where="every x (a declared constant matrix)")
 
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -105,6 +122,8 @@ class ConvexPotential:
 
     def hessian_at(self, x, check_spd: bool = True) -> np.ndarray:
         x = self._vector(x)
+        if isinstance(self.hessian, np.ndarray):
+            return self.hessian
         if self.hessian is not None:
             H = _float_array(self.hessian(x), 2)
         elif self.gradient is None:
@@ -123,24 +142,21 @@ class ConvexPotential:
         return self.value_at(x), self.gradient_at(x), self.hessian_at(x, check_spd=False)
 
     def _check_spd(self, H, x):
-        key = (H.shape, H.tobytes())
-        if key != self._spd_checked:
+        """Factor H, Hess psi(x), unless it is the declared matrix, factored already."""
+        if H is not self.hessian:
             _cholesky_or_raise(H, where=np.array2string(x, precision=4))
-            object.__setattr__(self, "_spd_checked", key)
 
 
 # ---------------------------------------------------------------------------
 # Built-in potentials with closed-form derivatives.
 
 def quadratic_potential(M) -> ConvexPotential:
-    """psi(x) = x.M.x / 2 for an SPD matrix M, which it copies read-only.
+    """psi(x) = x.M.x / 2 for an SPD matrix M, its declared Hessian.
 
     Its closed-form conjugate is x.M^-1.x / 2, built on first use, and
     the conjugate of that is psi itself.
     """
-    M = np.array(M, dtype=float, ndmin=2)
-    _cholesky_or_raise(M, where="quadratic coefficient matrix")
-    return _quadratic(M, None)
+    return _quadratic(np.array(M, dtype=float, ndmin=2), None)
 
 
 def _quadratic(M, dual) -> ConvexPotential:
@@ -154,8 +170,7 @@ def _quadratic(M, dual) -> ConvexPotential:
     def closed_conjugate():
         return dual if dual is not None else _quadratic(np.linalg.inv(M), psi)
 
-    psi = ConvexPotential(n=M.shape[0], value=lambda x: 0.5 * float(x.dot(M.dot(x))),
-                          gradient=lambda x: M.dot(x), hessian=lambda x: M, jet=jet,
+    psi = ConvexPotential(n=M.shape[0], gradient=M.dot, hessian=M, jet=jet,
                           closed_conjugate=closed_conjugate)
     return psi
 
@@ -174,7 +189,7 @@ def spin_potential(n: int = 1) -> ConvexPotential:
     return ConvexPotential(
         n=n,
         value=value,
-        gradient=lambda x: np.tanh(x),
+        gradient=np.tanh,
         hessian=hessian,
         jet=lambda x: (value(x), np.tanh(x), hessian(x)),
     )
@@ -428,20 +443,14 @@ class DuallyFlatWorkspace:
 def conjugate(ws: DuallyFlatWorkspace) -> ConvexPotential:
     """The conjugate phi as a potential of p: ``ws.psi.closed_conjugate()`` if it has one.
 
-    Otherwise value phi(p), gradient x*(p) and Hessian (Hess psi(x*))^-1
-    are each read from the solver's ``jet``, which is also its jet.  Hess
-    psi is inverted unchecked, so an unchecked ``hessian_at`` costs no
+    Otherwise the potential of the solver's ``jet``, from which value phi(p),
+    gradient x*(p) and Hessian (Hess psi(x*))^-1 are each read.  Hess psi
+    is inverted unchecked, so an unchecked ``hessian_at`` costs no
     factorisation; a checked one tests the inverse itself.
     """
     if ws.psi.closed_conjugate is not None:
         return ws.psi.closed_conjugate()
-    return ConvexPotential(
-        n=ws.psi.n,
-        value=lambda p: ws.jet(p)[0],
-        gradient=lambda p: ws.jet(p)[1],
-        hessian=lambda p: ws.jet(p)[2],
-        jet=ws.jet,
-    )
+    return ConvexPotential(ws.psi.n, jet=ws.jet)
 
 
 def canonical_divergence(psi: ConvexPotential, x, x_prime) -> float:

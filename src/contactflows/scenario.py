@@ -214,9 +214,13 @@ def _scenario_from_config(parser: configparser.ConfigParser, path: Path) -> Scen
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     with _section("outputs"):
         _check_keys(outputs, {"trajectory_csv", "invariant_report", "divergence_table"})
+        keys = {}  # file name -> the key that names it
         for key, file_name in outputs.items():  # written into the output directory itself
             if file_name in ("", "..") or Path(file_name).name != file_name:
                 raise ScenarioError(f"{key!r} must be a bare file name, got {file_name!r}")
+            if file_name in keys:
+                raise ScenarioError(f"{keys[file_name]!r} and {key!r} both name {file_name!r}")
+            keys[file_name] = key
     return Scenario(model_name=name, spec=spec, initial=initial, t_end=t_end,
                     config=config, outputs=outputs, path=path)
 

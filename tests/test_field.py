@@ -336,6 +336,48 @@ def test_recorded_kappa_is_the_phase_compressibility(case):
     assert phase_compressibility(h, pt) == diag["kappa"]
 
 
+# The invariant measure on the flow map.  Liouville's formula gives
+# log det D(phi_T) = int_0^T kappa dt, which for a linear Gamma is
+# -(N + 1) gamma0 T in canonical dimension N, whatever psi, F, the chart or
+# the anchor; the RK4 map of the integrator and the jet together is held to it.
+FLOW_T, FLOW_STEP, FLOW_DELTA = 0.25, 0.025, 1e-5
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+@pytest.mark.parametrize("name", MODEL_BUILDERS)
+def test_rk4_flow_map_contracts_volume_at_the_restoring_rate(name, side):
+    """log det of the central-difference Jacobian of the RK4 map against -(N + 1) gamma0 T.
+
+    The bound has two parts, both at the unit scale of these starts and constants.
+    RK4 maps y' = Ay by the polynomial R(hA) of its stability function, with
+    log R(z) = z - z^5 / 120 + O(z^6), so over T / h steps its log det misses the
+    exact one by about (T / h) sum |h lambda_i|^5 / 120, lambda_i the eigenvalues
+    of the field's Jacobian at the start; twice that allows for the nonlinear
+    terms.  A central difference of offset delta misses each column by delta^2
+    in truncation and by about (T / h) eps / delta in the states' rounding, and
+    the log det by at most |D(phi_T)^-1| times the sum of those column misses.
+    """
+    spec = replace(MODEL_BUILDERS[name](PARAMS.get(name, CIRCUIT)), side=side)
+    N = spec.n + (spec.anchor is not None)
+    dim = 2 * N + 1
+    y0 = np.random.default_rng(1512).uniform(-0.9, 0.9, dim)
+    config = integrate.IntegratorConfig("rk4", step=FLOW_STEP)
+
+    def flow(y):
+        return integrate_lift(spec, y, FLOW_T, config).final_state
+
+    offsets = FLOW_DELTA * np.eye(dim)
+    D = np.array([flow(y0 + e) - flow(y0 - e) for e in offsets]).T / (2 * FLOW_DELTA)
+    sign, log_det = np.linalg.slogdet(D)
+    steps = round(FLOW_T / FLOW_STEP)
+    lam = np.linalg.eigvals(central_jacobian(build_hamiltonian(spec).field, y0))
+    rk4 = steps * float(np.sum(np.abs(FLOW_STEP * lam) ** 5)) / 120
+    column = FLOW_DELTA ** 2 + steps * np.finfo(float).eps / FLOW_DELTA
+    bound = 2 * rk4 + dim * np.linalg.norm(np.linalg.inv(D), 2) * column
+    assert sign == 1.0
+    assert abs(log_det + (N + 1) * spec.restoring.gamma0 * FLOW_T) <= bound
+
+
 # ---------------------------------------------------------------------------
 # What the lift is built for, as properties over the lifts of CASES: on the
 # submanifold it reproduces the restricted field, and off it the defects move

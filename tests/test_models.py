@@ -12,9 +12,11 @@ from contactflows.integrate import (
 from contactflows.geometry import CanonicalPoint, hamiltonian_vector_field
 from contactflows.lifts import (
     DriftField,
+    LiftSpec,
     build_hamiltonian,
     embed,
     gradient_drift_psi,
+    linear_restoring,
     restricted_field,
     stability_certificate,
 )
@@ -90,7 +92,10 @@ class TestRC:
             gradient=lambda x: np.array([x[0] + x[0] ** 3]),
             hessian=lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
         )
-        spec = rc_spec(CircuitParams(R=2.0, C=1.0, potential=psi))
+        R = 2.0
+        drift = DriftField(n=1, eval=lambda q: -psi.gradient_at(q) / R,
+                           jacobian=lambda q: -psi.hessian_at(q) / R)
+        spec = LiftSpec(side="psi", potential=psi, drift=drift, restoring=linear_restoring(1.0))
         pt = embed_psi(psi, np.array([0.8]))
         traj = integrate_lift(spec, pt, 1.0)
         assert np.max(np.abs(traj.diagnostics["h"])) < 1e-9

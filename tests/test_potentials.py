@@ -459,13 +459,47 @@ class TestConstantHessianCheck:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         return calls
 
-    def test_quadratic_factored_once(self, monkeypatch):
+    def test_quadratic_factored_once_at_construction(self, monkeypatch):
         calls = self.count_factorisations(monkeypatch)
         psi = quadratic_potential(NON_DIAGONAL_M)
+        assert len(calls) == 1
         for x in RNG.standard_normal((50, 2)):
-            psi.hessian_at(x)
+            assert psi.hessian_at(x) is psi.hessian
         legendre_transform(psi, np.array([0.7, -1.2]))
-        assert len(calls) == 2  # at construction and on first use
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("H, error, match", [
+        (np.diag([1.0, -1.0]), StrictConvexityError, "declared constant matrix"),
+        (np.diag([1.0, np.nan]), StrictConvexityError, "declared constant matrix"),
+        (np.eye(3), DimensionMismatchError, r"shape \(3, 3\), expected \(2, 2\)"),
+        (np.ones(2), DimensionMismatchError, r"shape \(2,\), expected \(2, 2\)"),
+    ], ids=["indefinite", "nan", "too_large", "vector"])
+    def test_declared_matrix_rejected_at_construction(self, H, error, match):
+        with pytest.raises(error, match=match):
+            ConvexPotential(n=2, value=lambda x: 0.0, hessian=H)
+
+    def test_declared_matrix_is_kept_as_a_read_only_copy(self):
+        M = np.diag([1, 2])  # integers, writable: copied to read-only float64
+        psi = ConvexPotential(n=2, value=lambda x: 0.0, hessian=M)
+        M[1, 1] = -2
+        H = psi.hessian_at(np.zeros(2))
+        assert H.dtype == np.float64 and not H.flags.writeable
+        assert np.array_equal(H, np.diag([1.0, 2.0]))
+        # a read-only float64 matrix is kept as it is: the quadratic's jet returns it
+        psi = quadratic_potential(NON_DIAGONAL_M)
+        assert psi.jet(np.zeros(2))[2] is psi.hessian
+        M = np.diag([1.0, 2.0])
+        M.flags.writeable = False
+        assert ConvexPotential(n=2, value=lambda x: 0.0, hessian=M).hessian is M
+
+    def test_callable_hessian_factored_on_every_checked_call(self, monkeypatch):
+        calls = self.count_factorisations(monkeypatch)
+        M = np.diag([1.0, 2.0])
+        psi = ConvexPotential(n=2, value=lambda x: 0.0, hessian=lambda x: M)
+        assert not calls
+        for _ in range(3):
+            psi.hessian_at(np.zeros(2))
+        assert len(calls) == 3
 
     def test_indefinite_after_accepted_still_raises(self):
         # Hess psi = diag(1, x_0): SPD for x_0 > 0 only
@@ -492,17 +526,39 @@ class TestConstantHessianCheck:
         assert psi.hessian_at(np.zeros(2), check_spd=False)[1, 1] == -1.0
         assert not calls
 
-    def test_nan_hessian_raises_and_is_not_remembered(self):
+    def test_nan_hessian_raises_on_every_checked_call(self):
         # cholesky returns NaN for a NaN matrix without raising
         psi = spin_potential(1)
         for _ in range(2):
             with pytest.raises(StrictConvexityError, match="not positive definite"):
                 psi.hessian_at(np.array([np.nan]))
-        assert psi._spd_checked is None
 
     def test_nan_quadratic_coefficients_rejected(self):
-        with pytest.raises(StrictConvexityError, match="quadratic coefficient matrix"):
+        with pytest.raises(StrictConvexityError, match="declared constant matrix"):
             quadratic_potential([[np.nan]])
+
+
+class TestJetOnlyPotential:
+    def test_value_gradient_and_hessian_are_read_from_the_jet(self):
+        ws = DuallyFlatWorkspace(spin_potential(2))
+        phi = conjugate(ws)
+        for p in RNG.uniform(-0.9, 0.9, (5, 2)):
+            value, x_star, inv_hessian = ws.jet(p)
+            assert phi.value_at(p) == value
+            assert np.array_equal(phi.gradient_at(p), x_star)
+            assert np.array_equal(phi.hessian_at(p), inv_hessian)
+            assert np.array_equal(phi.hessian_at(p, check_spd=False), inv_hessian)
+
+    def test_given_callables_are_kept(self):
+        psi = ConvexPotential(n=1, value=lambda x: 0.5,
+                              jet=lambda x: (1.0, 2 * x, 2 * np.eye(1)))
+        assert psi.value_at([3.0]) == 0.5
+        assert np.array_equal(psi.gradient_at([3.0]), [6.0])
+        assert np.array_equal(psi.hessian_at([3.0]), [[2.0]])
+
+    def test_neither_value_nor_jet_raises(self):
+        with pytest.raises(ValueError, match="supply a value, a jet or both"):
+            ConvexPotential(n=1, gradient=lambda x: x)
 
 
 class TestCentralDifferences:

@@ -235,6 +235,16 @@ class TestParsing:
                                   f"got {file_name!r}")
         assert not (tmp_path / "out").exists()
 
+    def test_two_outputs_of_one_file_name_rejected(self, tmp_path, monkeypatch):
+        # both used to be written, the report over the trajectory, and the run exited 0
+        monkeypatch.setattr(scenario_module, "integrate_lift", None)  # no run may start
+        text = RC_TEXT.replace("invariant_report = report.txt", "invariant_report = traj.csv")
+        result = run_scenario(write(tmp_path, text), out_dir=tmp_path / "out")
+        assert result.exit_code == EXIT_USAGE
+        assert result.message == ("[outputs]: 'trajectory_csv' and 'invariant_report' both "
+                                  "name 'traj.csv'")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model, key", [
         ("name = onsager\ngamma0 = 1.0", "L"),
         ("name = rc\nC = 1.0", "R"),
