@@ -16,8 +16,10 @@ error in a stage as a rejected step and shrinks it, so such an error stops
 it only at the step floor; a ``DimensionMismatchError``, which no smaller
 step mends, stops it at once.  Any other exception propagates.
 
-A right-hand side is called as ``f(t, y, out)`` and writes dy/dt into
-``out``, the stage's row of a buffer each solve keeps.
+Each solve keeps one stacked buffer G = [y; k1; ...; ks] and weights W(h) =
+[1 | h A], set once per step size, whose rows (the tableau's stages, update
+and, for RKF45, error b5 - b4, 0 on y) each make one ``ndarray.dot`` with
+G[:i + 1].  A right-hand side ``f(t, y, out)`` writes dy/dt into its row of G.
 """
 
 from __future__ import annotations
@@ -37,18 +39,17 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
 MAX_STEP_ATTEMPTS = 2_000_000  # RK4 steps, or RKF45 step attempts accepted or rejected
 
-# Fehlberg 4(5) tableau; each stage i >= 1 reads its (c_i, A[i, :i]) from _STAGES
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 4, 0, 0, 0, 0],
-    [3 / 32, 9 / 32, 0, 0, 0],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0],
-    [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
-    [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
+_RK4 = np.array([[1, 1 / 2, 0, 0, 0], [1, 0, 1 / 2, 0, 0], [1, 0, 0, 1, 0],
+                 [1, 1 / 6, 1 / 3, 1 / 3, 1 / 6]])
+_RKF45 = np.array([
+    [1, 1 / 4, 0, 0, 0, 0, 0],
+    [1, 3 / 32, 9 / 32, 0, 0, 0, 0],
+    [1, 1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0, 0],
+    [1, 439 / 216, -8, 3680 / 513, -845 / 4104, 0, 0],
+    [1, -8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40, 0],
+    [1, 16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55],
+    [0, 1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55],
 ])
-_STAGES = tuple((float(c), a[:i]) for i, (c, a) in enumerate(zip(_A.sum(axis=1), _A)))[1:]
-_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_B4 = np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])
 
 
 @dataclass
@@ -81,24 +82,31 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(f, t, y, h, f0, K):
-    """The RK4 step from y; K holds the four stage rows."""
-    k1, k2, k3, k4 = K
-    f0(t, y, k1)
-    f(t + h / 2, y + h / 2 * k1, k2)
-    f(t + h / 2, y + h / 2 * k2, k3)
-    f(t + h, y + h * k3, k4)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _stage_buffers(tableau, y):
+    """(G, W, stages) from y; stage i >= 1 is (c_i, W[i - 1, :i + 1], G[:i + 1], G[i + 1])."""
+    G, W = np.empty((tableau.shape[1], len(y))), tableau.copy()
+    G[0] = y
+    c = tableau[:len(G) - 2, 1:].sum(axis=1).tolist()  # stage i + 1 is at t + c_i h
+    return G, W, tuple((ci, W[i - 1, :i + 1], G[:i + 1], G[i + 1]) for i, ci in enumerate(c, 1))
 
 
-def _rkf45_step(f, t, y, h, f0, K, stages):
-    """(y5, max |y5 - y4|); ``stages`` holds (c_i, A[i, :i], K[:i], K[i]) over the stage buffer K."""
-    f0(t, y, K[0])
-    for c, a, Ki, row in stages:
-        f(t + c * h, y + h * a.dot(Ki), row)
-    y5 = y + h * _B5.dot(K)
-    y4 = y + h * _B4.dot(K)
-    return y5, _max_abs(y5 - y4)
+def _stages(f, t, h, f0, G, stages):
+    """Fill G[1:] from G[0]: k1 by f0 there, each later stage by f at its row of W . G[:i + 1]."""
+    f0(t, G[0], G[1])
+    for c, w, Gi, row in stages:
+        f(t + c * h, w.dot(Gi), row)
+
+
+def _rk4_step(f, t, h, f0, G, W, stages):
+    """The RK4 step from G[0]: its stages fill G[1:], and the new state is W[3] . G."""
+    _stages(f, t, h, f0, G, stages)
+    return W[3].dot(G)
+
+
+def _rkf45_step(f, t, h, f0, G, W, stages):
+    """(y5, max |y5 - y4|) from G[0]: its stages fill G[1:], y5 = W[5] . G, y5 - y4 = W[6] . G."""
+    _stages(f, t, h, f0, G, stages)
+    return W[5].dot(G), _max_abs(W[6].dot(G))
 
 
 def _max_abs(v) -> float:
@@ -131,19 +139,21 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     """
     steps = _rk4_steps(t_end, step)
     f0 = f0 or f
-    ts = [0.0]
-    ys = [np.asarray(y0, dtype=float)]
-    K = tuple(np.empty((4, len(ys[0]))))
+    ts, ys = [0.0], [np.asarray(y0, dtype=float)]
+    G, W, stages = _stage_buffers(_RK4, ys[0])
     t = 0.0
     for left in range(steps, 0, -1):
         h = step if left > 1 else t_end - t
+        if left in (steps, 1):  # W(h) for the first step, and for the last, which may be shorter
+            np.multiply(_RK4[:, 1:], h, out=W[:, 1:])
         try:
-            y = _rk4_step(f, t, ys[-1], h, f0, K)
+            y = _rk4_step(f, t, h, f0, G, W, stages)
         except NUMERICAL_ERRORS as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         if not _all_finite(y):
             return _stop(ts, ys, "non-finite state", t, h)
         t = t + h if left > 1 else t_end
+        G[0] = y
         ts.append(t)
         ys.append(y)
     return Trajectory(np.array(ts), np.array(ys))
@@ -161,8 +171,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     f0 = f0 or f
     y = np.asarray(y0, dtype=float)
     y_max = _max_abs(y)  # of the state each attempt starts from, for its tolerance
-    K = np.empty((6, len(y)))
-    stages = tuple((c, a, K[:i], K[i]) for i, (c, a) in enumerate(_STAGES, 1))
+    G, W, stages = _stage_buffers(_RKF45, y)
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
@@ -171,8 +180,9 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     failure = ""  # the stage error that rejected a step since the last accepted one
     while t < t_end:
         h = min(h, t_end - t)
+        np.multiply(_RKF45[:, 1:], h, out=W[:, 1:])
         try:
-            y_new, err = _rkf45_step(f, t, y, h, f0, K, stages)
+            y_new, err = _rkf45_step(f, t, h, f0, G, W, stages)
         except DimensionMismatchError as exc:
             return _stop(ts, ys, f"{type(exc).__name__}: {exc}", t, h)
         except NUMERICAL_ERRORS as exc:
@@ -183,7 +193,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
             tol = abs_tol + rel_tol * max(1.0, y_max)
             if err <= tol:
                 t += h
-                y = y_new
+                y = G[0] = y_new
                 y_max = _max_abs(y)
                 ts.append(t)
                 ys.append(y)

@@ -32,7 +32,7 @@ PER_STAGE = {
     "geometry.py": ("ContactHamiltonian.field", "swap_hamiltonian"),
     "lifts.py": ("build_hamiltonian", "onsager_drift"),
     "potentials.py": ("_quadratic",),
-    "integrate.py": ("_rk4_step", "_rkf45_step"),
+    "integrate.py": ("_stages", "_rk4_step", "_rkf45_step"),
 }
 GUARDS = {
     "geometry.py": ("hamiltonian_vector_field",),

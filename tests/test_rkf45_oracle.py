@@ -1,39 +1,62 @@
-"""RKF45 against a verbatim copy of the previous ``solve_adaptive`` and ``_rkf45_step``.
+"""RKF45 against an oracle: the previous ``solve_adaptive`` verbatim, around a naive step.
 
-The copy allocates its stage buffer per attempt, copies each stage's new
-field array into it, takes the error norm and the tolerance's max |y|
-with numpy and recomputes max |y| every attempt.  The library reuses one
-buffer per solve, has each stage write its row and works those scalars
-in Python floats; on every ODE the two must give the same times, states,
-abort reason and sequence of right-hand-side calls, bit for bit.
+The oracle's step allocates fresh stage and weight buffers every attempt,
+copies each stage's new field array into them, takes the error norm and
+the tolerance's max |y| with numpy and recomputes max |y| every attempt.
+The library reuses one buffer per solve, has each stage write its row
+and works those scalars in Python floats; on every ODE the two must give
+the same times, states, abort reason and sequence of right-hand-side
+calls, bit for bit.  Both form a stage input, the new state and the
+error vector as one dot of a weight row with the stacked buffer; one
+step of either method is also held to the textbook sums in exact
+rational arithmetic, within a bound fixed by float64's epsilon.
 """
 
 import sys
 import zlib
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactflows import integrate
 from contactflows.errors import NUMERICAL_ERRORS, EvaluationError
 from contactflows.geometry import _all_finite
-from contactflows.integrate import (_B4, _B5, _STAGES, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
-                                    MAX_STEP_ATTEMPTS, _stop)
+from contactflows.integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MAX_STEP_ATTEMPTS, _stop
 from test_integrate import in_row
 
+# --- the textbook tableaux, exact ------------------------------------------
 
-# --- the oracle: verbatim from the previous integrate.py -------------------
+RK4 = dict(a=[[F(1, 2)], [0, F(1, 2)], [0, 0, 1]], b=[F(1, 6), F(1, 3), F(1, 3), F(1, 6)])
+FEHLBERG = dict(
+    a=[[F(1, 4)], [F(3, 32), F(9, 32)], [F(1932, 2197), F(-7200, 2197), F(7296, 2197)],
+       [F(439, 216), -8, F(3680, 513), F(-845, 4104)],
+       [F(-8, 27), 2, F(-3544, 2565), F(1859, 4104), F(-11, 40)]],
+    b=[F(16, 135), 0, F(6656, 12825), F(28561, 56430), F(-9, 50), F(2, 55)],
+    b4=[F(25, 216), 0, F(1408, 2565), F(2197, 4104), F(-1, 5), 0])
+_ERROR = [p - q for p, q in zip(FEHLBERG["b"], FEHLBERG["b4"])]  # b5 - b4
+
+# --- the oracle: the previous integrate.py's loop, with a naive step -------
+
+# [1 | A] rows of k2 ... k6, of y5 and of y5 - y4, each entry rounded once;
+# a stage's c is the sum of its rounded row, in order
+_ROWS = np.array([[1] + [float(w) for w in row] + [0] * (6 - len(row))
+                  for row in FEHLBERG["a"] + [FEHLBERG["b"]]] + [[0] + [float(w) for w in _ERROR]])
+_C = [sum(row[1:].tolist()) for row in _ROWS[:5]]
+
 
 def _rkf45_step(f, t, y, h, f0):
-    K = np.empty((6, len(y)))
-    K[0] = f0(t, y)
-    for i, (c, a) in enumerate(_STAGES, 1):
-        K[i] = f(t + c * h, y + h * a.dot(K[:i]))
-    y5 = y + h * _B5.dot(K)
-    y4 = y + h * _B4.dot(K)
-    return y5, np.abs(y5 - y4).max()
+    W = np.empty((7, 7))
+    W[:, 0] = _ROWS[:, 0]
+    W[:, 1:] = h * _ROWS[:, 1:]
+    G = np.empty((7, len(y)))
+    G[0] = y
+    G[1] = f0(t, y)
+    for i, c in enumerate(_C, 1):
+        G[i + 1] = f(t + c * h, W[i - 1, :i + 1].dot(G[:i + 1]))
+    return W[5].dot(G), np.abs(W[6].dot(G)).max()
 
 
 def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
@@ -224,3 +247,63 @@ def test_max_abs_is_numpys_with_nan_and_overflow(entries):
     got = integrate._max_abs(v)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.abs(v).max().tobytes()
+
+
+# --- one step against the textbook sums ------------------------------------
+
+# per entry: 8 eps of the row's scale w0 |y| + h sum_j |w_j| |k_j| covers the
+# rounding of h w_j and of a dot product of at most 7 terms, and 8 of the
+# smallest subnormals cover products that underflow
+STEP_TOL = 8 * np.finfo(float).eps
+UNDERFLOW = 8 * np.finfo(float).smallest_subnormal
+
+
+def textbook(w0, weights, y, h, K):
+    """Per entry, the exact w0 y + h sum_j w_j k_j and its scale, each rounded to float."""
+    want, scale = [], []
+    for e, ye in enumerate(y.tolist()):
+        terms = [F(w) * F(k) for w, k in zip(weights, K[:, e].tolist())]
+        want.append(float(w0 * F(ye) + F(h) * sum(terms)))
+        scale.append(float(w0 * abs(F(ye)) + F(h) * sum(map(abs, terms))))
+    return np.array(want), np.array(scale)
+
+
+@st.composite
+def one_steps(draw):
+    dim = draw(st.integers(1, 5))
+    entries = st.floats(-60.0, 60.0)
+    A = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    b = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+    f = draw(st.sampled_from([linear(A, b), blow_up(draw(st.floats(0.1, 5.0)))]))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
+    return draw(st.sampled_from(["rk4", "rkf45"])), f, y, draw(st.floats(1e-6, 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_steps())
+def test_one_step_is_the_textbook_step(case):
+    # every stage input, the new state and (RKF45) max |y5 - y4| against the
+    # exact sums over the stage rows the step wrote
+    method, f, y, h = case
+    tableau, step, exact = {"rk4": (integrate._RK4, integrate._rk4_step, RK4),
+                            "rkf45": (integrate._RKF45, integrate._rkf45_step, FEHLBERG)}[method]
+    inputs = []
+
+    def rhs(t, u, out):
+        inputs.append(u.copy())
+        out[:] = f(t, u)
+
+    G, W, stages = integrate._stage_buffers(tableau, y)
+    np.multiply(tableau[:, 1:], h, out=W[:, 1:])
+    with np.errstate(all="ignore"):
+        y_new, err = (step(rhs, 0.0, h, rhs, G, W, stages), None) if method == "rk4" \
+            else step(rhs, 0.0, h, rhs, G, W, stages)
+    assume(np.isfinite(G).all())
+    K = G[1:]
+    assert len(inputs) == len(K)
+    for got, weights in zip(inputs[1:] + [y_new], exact["a"] + [exact["b"]]):
+        want, scale = textbook(1, weights, y, h, K)
+        assert np.all(np.abs(got - want) <= STEP_TOL * scale + UNDERFLOW)
+    if err is not None:
+        want, scale = textbook(0, _ERROR, y, h, K)
+        assert abs(err - np.abs(want).max()) <= (STEP_TOL * scale + UNDERFLOW).max()
