@@ -41,6 +41,7 @@ MAX_STEP_ATTEMPTS = 2_000_000  # RK4 steps, or RKF45 step attempts accepted or r
 
 _RK4 = np.array([[1, 1 / 2, 0, 0, 0], [1, 0, 1 / 2, 0, 0], [1, 0, 0, 1, 0],
                  [1, 1 / 6, 1 / 3, 1 / 3, 1 / 6]])
+_RK4_C = (1 / 2, 1 / 2, 1.0)  # stage i + 1 is at t + c_i h, c_i written exactly
 _RKF45 = np.array([
     [1, 1 / 4, 0, 0, 0, 0, 0],
     [1, 3 / 32, 9 / 32, 0, 0, 0, 0],
@@ -50,6 +51,7 @@ _RKF45 = np.array([
     [1, 16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55],
     [0, 1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55],
 ])
+_RKF45_C = (1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 
 
 @dataclass
@@ -82,11 +84,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def _stage_buffers(tableau, y):
+def _stage_buffers(tableau, c, y):
     """(G, W, stages) from y; stage i >= 1 is (c_i, W[i - 1, :i + 1], G[:i + 1], G[i + 1])."""
     G, W = np.empty((tableau.shape[1], len(y))), tableau.copy()
     G[0] = y
-    c = tableau[:len(G) - 2, 1:].sum(axis=1).tolist()  # stage i + 1 is at t + c_i h
     return G, W, tuple((ci, W[i - 1, :i + 1], G[:i + 1], G[i + 1]) for i, ci in enumerate(c, 1))
 
 
@@ -140,7 +141,7 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
     steps = _rk4_steps(t_end, step)
     f0 = f0 or f
     ts, ys = [0.0], [np.asarray(y0, dtype=float)]
-    G, W, stages = _stage_buffers(_RK4, ys[0])
+    G, W, stages = _stage_buffers(_RK4, _RK4_C, ys[0])
     t = 0.0
     for left in range(steps, 0, -1):
         h = step if left > 1 else t_end - t
@@ -171,7 +172,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     f0 = f0 or f
     y = np.asarray(y0, dtype=float)
     y_max = _max_abs(y)  # of the state each attempt starts from, for its tolerance
-    G, W, stages = _stage_buffers(_RKF45, y)
+    G, W, stages = _stage_buffers(_RKF45, _RKF45_C, y)
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
@@ -217,6 +218,15 @@ def _run(f, y0, t_end, config: IntegratorConfig, f0=None):
     return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol, f0)
 
 
+def _clear_solver(drift) -> None:
+    """Empty the drift's Legendre solver, if it keeps one, so a run is a function of its inputs.
+
+    A warm-started solve depends on the one before it at rounding level.
+    """
+    if drift.workspace is not None:
+        drift.workspace.clear()
+
+
 def _check_shapes(spec, y0) -> None:
     """Raise ``DimensionMismatchError`` where F, its Jacobian or psi's jet has the wrong shape.
 
@@ -257,11 +267,7 @@ def integrate_lift(spec, initial, t_end: float,
         raise EvaluationError("initial state has non-finite entries", coords=y0)
     with np.errstate(all="ignore"):
         _check_shapes(spec, y0)
-        # a warm-started solve depends on the one before it at rounding level;
-        # the Hamiltonian's solver is new, and emptying the drift's makes the
-        # run a function of its inputs alone
-        if spec.drift.workspace is not None:
-            spec.drift.workspace.clear()
+        _clear_solver(spec.drift)  # the Hamiltonian's solver is new
         h = build_hamiltonian(spec)
         diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 
@@ -288,9 +294,11 @@ def integrate_on_submanifold(drift, start, t_end: float,
 
     u is the chart coordinate the drift is written in (x on the psi side,
     p on the phi side).  This is the integrator behind the flows of
-    geodesic and gradient drifts.
+    geodesic and gradient drifts; like ``integrate_lift`` it first empties
+    the Legendre solver the drift keeps.
     """
     config = config or IntegratorConfig()
+    _clear_solver(drift)
 
     def f(t, u, out):
         out[:] = drift.at(u)

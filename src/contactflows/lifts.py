@@ -63,7 +63,8 @@ class DriftField:
     matrix it makes (``defect_rate_matrix``).  ``structure`` is
     ("onsager", L) on Onsager gradient flows, which the certificate samples.
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
-    own (``geodesic_drift_phi``); ``integrate_lift`` clears it.
+    own (``geodesic_drift_phi``); ``integrate_lift`` and
+    ``integrate_on_submanifold`` clear it before they run.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
     dimensions as the callable gave it and convert any other result;
     ``at`` raises ``DimensionMismatchError`` for a result not of shape (n,).

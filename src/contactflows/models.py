@@ -24,7 +24,11 @@ from .potentials import ConvexPotential, quadratic_potential, spin_potential
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Series-circuit constants; T0 = 0 selects the plain (non-thermal) model."""
+    """Series-circuit constants, shared by the plain and the thermal builders.
+
+    The builder's name selects the model, not T0: a plain builder (``rc_spec``)
+    ignores T0, and a thermal one (``rc_thermal_spec``) rejects T0 = 0.
+    """
 
     R: float
     C: Optional[float] = None

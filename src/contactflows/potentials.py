@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -220,25 +220,12 @@ BUILTIN_POTENTIALS = {
 
 @dataclass(frozen=True)
 class LegendreTransformResult:
-    """The conjugate's value phi(p) and the solution x* of grad psi(x) = p.
-
-    ``hessian`` is the unchecked Hess psi(x*) when the solve evaluated it
-    at x* (a start accepted as it was), and None otherwise.
-    """
+    """The conjugate's value phi(p) and the solution x* of grad psi(x) = p."""
 
     phi_value: float
     x_star: np.ndarray
     iterations: int
     residual: float
-    hessian: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-def _checked_hessian(psi: ConvexPotential, x, H):
-    """Hess psi(x), checked positive definite; ``H`` is its unchecked value, or None."""
-    if H is None:
-        return psi.hessian_at(x)
-    psi._check_spd(H, x)
-    return H
 
 
 def legendre_transform(
@@ -258,27 +245,25 @@ def legendre_transform(
     replaces many short iterations, each with a checked Hessian.  x* comes back
     read-only, so a memo can hand it out.  The residual tolerance is
     ``NEWTON_TOL``, or without a ``gradient`` callable at least the central
-    difference's rounding noise.  The start is evaluated by one ``jet_at``:
-    a converged start is accepted with that psi value and keeps that
-    Hessian in the result, and any other start's first Newton step checks
-    and uses it.  Overflow past the dual chart, or a start that is not
-    finite, ends in ``NewtonConvergenceError``, not a warning; its message
+    difference's rounding noise.  psi is read by ``gradient_at`` for each
+    residual, the checked ``hessian_at`` for each Newton and polish step and
+    ``value_at`` for psi(x*).  A p or a start that is not finite, or
+    overflow past the dual chart, ends in a typed error, not a warning:
+    ``EvaluationError`` for p, else ``NewtonConvergenceError``, whose message
     names the cause and the iterations run.
     """
     p = _float_array(p, 1)
     if len(p) != psi.n:
         raise DimensionMismatchError(f"p has length {len(p)}, expected {psi.n}")
+    if not np.isfinite(p).all():
+        raise EvaluationError("p has non-finite entries", coords=p)
     x = np.array(x0, dtype=float, ndmin=1) if x0 is not None else np.zeros(psi.n)
 
     with np.errstate(all="ignore"):
-        value, g, H = psi.jet_at(x)  # psi and its Hessian at x, None once x moves
-        H = _float_array(H, 2)
-        r = g - p
+        r = psi.gradient_at(x) - p
         norm = float(np.abs(r).max())
         tol = NEWTON_TOL
-        # a residual within tol is finite, and so is p: only another start checks p
-        if not norm <= tol and not np.isfinite(p).all():
-            raise EvaluationError("p has non-finite entries", coords=p)
+        value = None  # psi(x), read where the tolerance or phi needs it
         best_x, best_norm = x, norm
         for it in range(NEWTON_MAX_ITER):
             if norm < best_norm:
@@ -292,22 +277,20 @@ def legendre_transform(
                 # (matters where the dual chart is ill-conditioned, e.g. saturated spin)
                 if norm > 4 * _EPS and norm > 4 * _EPS * float(np.abs(p).max()):
                     try:
-                        x_p = x - np.linalg.solve(_checked_hessian(psi, x, H), r)
+                        x_p = x - np.linalg.solve(psi.hessian_at(x), r)
                         norm_p = float(np.abs(psi.gradient_at(x_p) - p).max())
                         if norm_p < norm:
-                            x, norm, value, H = x_p, norm_p, None, None
+                            x, norm, value = x_p, norm_p, None
                     except (StrictConvexityError, np.linalg.LinAlgError):
                         pass
-                if value is None:
-                    value = psi.value_at(x)
-                phi = float(x @ p) - float(value)
+                phi = float(x @ p) - (psi.value_at(x) if value is None else value)
                 if not math.isfinite(phi):  # as it is whenever x or psi(x) is not
                     cause = "x or psi(x) not finite"
                     break
                 x.flags.writeable = False
-                return LegendreTransformResult(phi, x, it, norm, H)
+                return LegendreTransformResult(phi, x, it, norm)
             try:
-                step = np.linalg.solve(_checked_hessian(psi, x, H), r)
+                step = np.linalg.solve(psi.hessian_at(x), r)
             except (StrictConvexityError, np.linalg.LinAlgError):
                 # iterate escaped into a flat region (e.g. p outside the dual
                 # chart drives x to infinity): report non-convergence
@@ -339,7 +322,7 @@ def legendre_transform(
                     x_new, r_new, f_new = x_try, r_try, f_try
                     s *= 2
                 norm = float(np.abs(r_new).max())
-            x, r, value, H = x_new, r_new, None, None
+            x, r, value = x_new, r_new, None
         else:
             it, cause = NEWTON_MAX_ITER, "iteration budget exhausted"
     raise NewtonConvergenceError(
@@ -391,8 +374,7 @@ class DuallyFlatWorkspace:
     stays bounded however long a run is; repeated lookups at one p solve
     once, and ``jet`` reads the conjugate's value, gradient and Hessian
     with one lookup.  Each new p is solved together with the inverse
-    (Hess psi(x*))^-1, taken of the Hessian the solve left in its result,
-    or of Hess psi(x*) evaluated again if it left none.  A new p starts
+    (Hess psi(x*))^-1, of the unchecked ``hessian_at(x*)``.  A new p starts
     Newton at the first-order predictor x*_prev + (Hess psi(x*_prev))^-1
     (p - p_prev); if the warm solve fails, it is retried cold from the
     origin.  Warm and cold solves agree to rounding level, so a result may
@@ -425,11 +407,8 @@ class DuallyFlatWorkspace:
                 pass
         if res is None:
             res = legendre_transform(self.psi, p)
-        H = res.hessian
-        if H is None:
-            H = self.psi.hessian_at(res.x_star, check_spd=False)
         # read-only: every caller at p and the next warm start share it
-        inv_hessian = np.linalg.inv(H)
+        inv_hessian = np.linalg.inv(self.psi.hessian_at(res.x_star, check_spd=False))
         inv_hessian.flags.writeable = False
         self._key, self._p, self._res, self._inv_hessian = key, p.copy(), res, inv_hessian
         return res

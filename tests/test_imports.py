@@ -1,7 +1,9 @@
-"""Every import in ``src/`` and ``tests/`` is used.
+"""Every import in ``src/`` and ``tests/`` is used, and so is every private name in ``src/``.
 
-CI runs no linter, so this AST scan is the check.  A package's
-``__init__.py`` re-exports what it imports and is exempt.
+CI runs no linter, so these AST scans are the check.  A package's
+``__init__.py`` re-exports what it imports and is exempt from the import
+scan.  A module-level name of ``src/`` that starts with one underscore is
+private to the package: some module of ``src/`` must read it.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
                if path.name != "__init__.py")
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -29,11 +32,49 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(sources):
+    """(index of the source, name) of every module-level private name no source reads.
+
+    A name is read where it is loaded, named as an attribute or imported by
+    another module; dunders are exempt.
+    """
+    defined, read = [], set()
+    for i, source in enumerate(sources):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((i, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((i, t.id) for target in targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((i, name) for i, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np.pi, e)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
 
 
+def test_scan_finds_an_unused_private_name():
+    a = "_A = 1\n_B, C = 2, 3\n__all__ = []\n\ndef _f():\n    return _A\n\nclass _K:\n    pass\n"
+    b = "from a import _f\nimport a\n\ndef g(_z):\n    _local = a._K\n    return _local\n"
+    assert unused_private_names([a, b]) == [(0, "_B")]
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unused_private_name_in_src():
+    unused = unused_private_names([path.read_text() for path in SRC])
+    assert [(str(SRC[i].relative_to(ROOT)), name) for i, name in unused] == []

@@ -1,5 +1,6 @@
 """Lifted vector fields, defect decay, stability certificates, densities."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,9 @@ from contactflows.geometry import (
     invariant_density,
     phase_compressibility,
 )
-from contactflows.integrate import IntegratorConfig, integrate_lift
+from contactflows.integrate import IntegratorConfig, integrate_lift, integrate_on_submanifold
 from contactflows.lifts import (
+    APPROACHES_FIXED_POINT,
     APPROACHES_SUBMANIFOLD,
     DriftField,
     LiftSpec,
@@ -46,6 +48,7 @@ from contactflows.models import (
     CircuitParams,
     OnsagerParams,
     SpinParams,
+    onsager_spec,
     rc_spec,
     rc_thermal_spec,
     rlc_spec,
@@ -350,8 +353,6 @@ class TestGeodesicAndGradientDrifts:
         drift = geodesic_drift_psi(psi, p_from, p_to)
         x0 = legendre_transform(psi, p_from).x_star
         # integrate dx/dt = F and check p(t) = grad psi(x(t)) stays linear
-        from contactflows.integrate import integrate_on_submanifold
-
         for t in (0.25, 0.5, 1.0):
             x_t = integrate_on_submanifold(drift, x0, t)
             p_t = psi.gradient_at(np.atleast_1d(x_t))
@@ -364,8 +365,6 @@ class TestGeodesicAndGradientDrifts:
         target_p = np.array([0.5])
         drift = gradient_drift_psi(psi, legendre_transform(psi, target_p).x_star)
         x0 = legendre_transform(psi, np.array([-0.2])).x_star
-        from contactflows.integrate import integrate_on_submanifold
-
         x1 = integrate_on_submanifold(drift, x0, 1.0)
         p1 = psi.gradient_at(np.atleast_1d(x1))
         expect = target_p + (np.array([-0.2]) - target_p) * np.exp(-1.0)
@@ -375,8 +374,6 @@ class TestGeodesicAndGradientDrifts:
         psi = quadratic_potential(np.eye(2))
         target = np.array([0.3, -0.1])
         drift = gradient_drift_psi(psi, target)
-        from contactflows.integrate import integrate_on_submanifold
-
         x = np.array([1.5, 1.0])
         prev = canonical_divergence(psi, x, target)
         for t in (0.2, 0.4, 0.8, 1.6):
@@ -398,7 +395,8 @@ class TestGeodesicAndGradientDrifts:
         x_from, x_to, target_p = np.array([0.1, -0.4]), np.array([0.7, 0.2]), np.array([0.3, -0.2])
         geodesic = geodesic_drift_phi(psi, x_from, x_to)
         gradient = gradient_drift_phi(psi, target_p)
-        # each keeps a solver of its own, which integrate_lift clears; a
+        # each keeps a solver of its own, which integrate_lift and
+        # integrate_on_submanifold clear; a
         # closed-form conjugate needs none
         solvers = [geodesic.workspace, gradient.workspace]
         if psi.closed_conjugate is None:
@@ -413,6 +411,21 @@ class TestGeodesicAndGradientDrifts:
             assert np.allclose(geodesic.at(p), expected, rtol=1e-12, atol=1e-14)
             expected = -H @ (x_star - x_target)
             assert np.allclose(gradient.at(p), expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("start, elsewhere", [([-0.54, 0.75], [0.03, -0.61]),
+                                                  ([-0.74, 0.05], [-0.07, -0.7])])
+    @pytest.mark.parametrize("kind", ["geodesic", "gradient"])
+    def test_phi_drift_flow_independent_of_its_solver_history(self, kind, start, elsewhere):
+        # a warm solve depends on the one before it at rounding level; each of
+        # these second flows from the start differed from the first in its last
+        # bits while integrate_on_submanifold left the drift's solver as it was
+        psi = spin_potential(2)
+        drift = (geodesic_drift_phi(psi, np.array([-0.45, 0.2]), np.array([0.3, -0.6]))
+                 if kind == "geodesic" else gradient_drift_phi(psi, np.array([0.3, -0.4])))
+        first = integrate_on_submanifold(drift, np.array(start), 0.5)
+        integrate_on_submanifold(drift, np.array(elsewhere), 0.5)
+        again = integrate_on_submanifold(drift, np.array(start), 0.5)
+        assert first.tobytes() == again.tobytes()
 
 
 class TestStabilityCertificates:
@@ -605,6 +618,83 @@ def test_certified_decay_catches_a_planted_mutation(monkeypatch, certified_start
         missed.append(spec)
     assert [caught(s) for s in missed] == [False] * len(missed)
     assert len(missed) < len(starts)
+
+
+# ---------------------------------------------------------------------------
+# The Onsager certificate as a property.  For F = -L grad U and a linear
+# Gamma, R(u) = J(u) + gamma0 I with J = -L Hess U, and the defects move as
+# dD/dt = -R^T D, so d(D.L.D)/dt = -2 D.sym(R L).D <= -2 lam |D|^2 wherever
+# lam bounds the least eigenvalue of sym(R L) = gamma0 L - L Hess U L, and
+# |D|^2 >= D.L.D / |L|_2.  Hence
+#     D(t).L.D(t) <= D(0).L.D(0) exp(-2 lam t / |L|_2).
+# The certificate's ``min eigenvalue`` is such a lam at every state on both
+# charts, for the default quadratic U = x.L^-1.x / 2, whose Hess U is
+# constant, and for the spin U, whose Hess U = diag(sech^2) <= I has its
+# worst case at the origin, where the certificate samples.
+
+ONSAGER_L = np.array([[2.0, 0.3], [0.3, 1.0]])
+# (U, gamma0, grad U, its inverse x*): D = grad U(x) - p on the psi chart, x - x*(p) on the phi
+ONSAGER_CASES = [
+    (U, gamma0, grad, inverse)
+    for U, gammas, grad, inverse in (
+        (None, (1.2, 2.0), lambda x: np.linalg.solve(ONSAGER_L, x), ONSAGER_L.dot),
+        (spin_potential(2), (5.0, 10.0), np.tanh, np.arctanh))
+    for gamma0 in gammas]
+
+
+def onsager_case_spec(U, gamma0, side):
+    return replace(onsager_spec(OnsagerParams(L_matrix=ONSAGER_L, U=U, gamma0=gamma0)),
+                   side=side)
+
+
+def onsager_defect_energies(spec, grad_u, x_star, t_end=0.5):
+    """(times, D.L.D at every state, its bound, the integrator's slack on sqrt(D.L.D)).
+
+    RKF45 at its default tolerances keeps a state within DECAY_TOL (1 + max
+    |state|), as ``assert_certified_decay`` allows.  D moves by at most
+    1 + |Hess| times that, with Hess the chart potential's Hessian: below
+    |L|_2 = 2.1 on these states (1 / (1 - p^2) <= 1.4 for the spin
+    conjugate), and the slack takes 10 for that factor.  sqrt(D.L.D) then
+    moves by at most |L|_2^1/2 times D's error.
+    """
+    lam = stability_certificate(spec).checks["min eigenvalue"]
+    norm_l = float(np.linalg.norm(ONSAGER_L, 2))
+    traj = integrate_lift(spec, start(spec, np.random.default_rng(8)), t_end)
+    assert not traj.truncated
+    x, p = traj.states[:, :2], traj.states[:, 2:4]
+    d = grad_u(x.T).T - p if spec.side == "psi" else x - x_star(p.T).T
+    energy = np.einsum("ti,ij,tj->t", d, ONSAGER_L, d)
+    bound = energy[0] * np.exp(-2 * lam * traj.times / norm_l)
+    slack = math.sqrt(norm_l) * 10 * DECAY_TOL * (1.0 + float(np.max(np.abs(traj.states))))
+    return traj.times, energy, bound, slack
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+@pytest.mark.parametrize("U, gamma0, grad_u, x_star", ONSAGER_CASES,
+                         ids=["quadratic-1.2", "quadratic-2", "spin-5", "spin-10"])
+def test_onsager_certificate_bounds_the_defect_energy(side, U, gamma0, grad_u, x_star):
+    spec = onsager_case_spec(U, gamma0, side)
+    assert stability_certificate(spec).verdict == APPROACHES_FIXED_POINT
+    times, energy, bound, slack = onsager_defect_energies(spec, grad_u, x_star)
+    assert len(times) > 10
+    assert np.all(np.sqrt(energy) <= np.sqrt(bound) + slack)
+
+
+def flip_defect_rate_term(spec, x, p, dp, hz):
+    # D.R enters the base jet's dp with a plus sign, R = J + Gamma'(D0) I
+    n = spec.n
+    d = spec.potential.gradient_at(x) - p
+    return dp - 2 * d.dot(spec.drift.jacobian_at(x) - hz * np.eye(n))
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+def test_onsager_bound_catches_a_planted_mutation(monkeypatch, side):
+    # the sign of D.R flipped: D.L.D grows, by 1.33x the bound at gamma0 = 1.2
+    plant(monkeypatch, flip_defect_rate_term)
+    for U, gamma0, grad_u, x_star in ONSAGER_CASES[:2]:  # the default U
+        spec = onsager_case_spec(U, gamma0, side)
+        _, energy, bound, slack = onsager_defect_energies(spec, grad_u, x_star)
+        assert np.any(np.sqrt(energy) > np.sqrt(bound) + slack)
 
 
 def test_restoring_function_warns_on_a_nonzero_root():

@@ -151,15 +151,24 @@ class TestLegendreTransform:
         start[0] = 99.0
         assert res.x_star[0] == 0.2
 
-    def test_accepted_start_keeps_its_hessian(self):
-        # the start's jet holds Hess psi(x*) only while x* is the start itself
+    def test_accepted_start_gives_the_solved_conjugate(self):
+        # a start at x* is accepted as it is, with psi(x*) read there as after
+        # any solve; no result keeps a Hessian
         psi = quadratic_potential(NON_DIAGONAL_M)
         p = np.array([0.4, -0.9])
         solved = legendre_transform(psi, p)
-        assert solved.iterations > 0 and solved.hessian is None
+        assert solved.iterations > 0 and not hasattr(solved, "hessian")
         accepted = legendre_transform(psi, p, x0=solved.x_star)
-        assert accepted.iterations == 0 and np.array_equal(accepted.hessian, NON_DIAGONAL_M)
+        assert accepted.iterations == 0 and not hasattr(accepted, "hessian")
         assert accepted.phi_value == solved.phi_value
+
+    @pytest.mark.parametrize("x0", [[0.1, 0.2, 0.3], [0.1], [[0.1, 0.2]]],
+                             ids=["long", "short", "2-d"])
+    def test_start_of_the_wrong_shape_is_a_dimension_mismatch(self, x0):
+        # the start residual is read by gradient_at, which checks x's shape
+        expected = re.escape(str(np.shape(x0)))
+        with pytest.raises(DimensionMismatchError, match=f"x has shape {expected}"):
+            legendre_transform(spin_potential(2), np.array([0.3, -0.2]), x0=x0)
 
     @pytest.mark.parametrize("start, p, cause", [
         ([np.nan], [0.5], "Hessian not positive definite after 0 "),
@@ -224,7 +233,8 @@ class TestLegendreTransform:
     def test_warm_phi_spin_lift_does_not_expand(self, monkeypatch):
         # a warm start converges quadratically, so no step is expanded: the
         # lift makes as many gradient and Hessian calls as with no expansion
-        # (each of its 613 solves reads psi at its start by the spin jet)
+        # (each of its 613 solves reads its start residual by gradient_at,
+        # and every step by a checked hessian_at)
         calls = {"gradient_at": 0, "hessian_at": 0}
         for name in calls:
             method = getattr(ConvexPotential, name)
@@ -240,7 +250,7 @@ class TestLegendreTransform:
         start = CanonicalPoint(np.array([0.3, -0.2]), np.array([0.2, 0.1]), 0.4)
         traj = integrate_lift(spec, start, 5.0)
         assert traj.abort_reason is None and len(traj.times) == 103
-        assert calls == {"gradient_at": 1207, "hessian_at": 1207}
+        assert calls == {"gradient_at": 1820, "hessian_at": 1820}
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-0.99, 0.99))
@@ -698,14 +708,17 @@ class TestJet:
         for res, iterations in ((accepted, 0), (iterated, 1)):
             assert res.iterations == iterations and np.array_equal(res.x_star, [0.5, 1.0])
             assert type(res.phi_value) is float and res.phi_value == 1.25
-        assert accepted.hessian.dtype == np.float64
-        assert np.array_equal(accepted.hessian, 2 * np.eye(2))
+        # the solver inverts the jet's list of ints, read as a float64 Hessian
+        inv_hessian = DuallyFlatWorkspace(psi).jet(np.array([1.0, 2.0]))[2]
+        assert inv_hessian.dtype == np.float64
+        assert np.array_equal(inv_hessian, 0.5 * np.eye(2))
 
-    def test_warm_phi_field_call_reads_psi_by_one_jet(self, monkeypatch, workspaces):
-        # a warm solve that accepts its predictor takes the residual, psi(x*)
-        # and the Hessian the workspace inverts from one jet of psi; the
-        # Hamiltonian looks up the conjugate's jet once, when it is built,
-        # so the jets are counted where they are defined
+    def test_warm_phi_field_call_reads_psi_once_per_quantity(self, monkeypatch, workspaces):
+        # a warm solve that accepts its predictor reads the residual by
+        # gradient_at and psi(x*) by value_at, and the workspace inverts an
+        # unchecked hessian_at; psi's own jet is not read.  The Hamiltonian
+        # looks up the conjugate's jet once, when it is built, so the jets
+        # are counted where they are defined
         calls = []
         for name in ("value_at", "gradient_at", "hessian_at"):
             method = getattr(ConvexPotential, name)
@@ -729,8 +742,8 @@ class TestJet:
         for k in range(1, 4):
             calls.clear()
             h.field(y + 1e-3 * k)
-            # the conjugate's jet, then the one of psi inside its warm solve
-            assert calls == ["conjugate jet", "psi jet"]
+            # the conjugate's jet, then psi once per quantity its warm solve reads
+            assert calls == ["conjugate jet", "gradient_at", "value_at", "hessian_at"]
             assert ws._res.iterations == 0
 
     def test_phi_spin_run_inverts_once_per_new_p(self, monkeypatch):

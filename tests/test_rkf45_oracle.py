@@ -8,8 +8,9 @@ and works those scalars in Python floats; on every ODE the two must give
 the same times, states, abort reason and sequence of right-hand-side
 calls, bit for bit.  Both form a stage input, the new state and the
 error vector as one dot of a weight row with the stacked buffer; one
-step of either method is also held to the textbook sums in exact
-rational arithmetic, within a bound fixed by float64's epsilon.
+step of either method is also held to the textbook stage times and to the
+textbook sums in exact rational arithmetic, within a bound fixed by
+float64's epsilon.
 """
 
 import sys
@@ -41,10 +42,10 @@ _ERROR = [p - q for p, q in zip(FEHLBERG["b"], FEHLBERG["b4"])]  # b5 - b4
 # --- the oracle: the previous integrate.py's loop, with a naive step -------
 
 # [1 | A] rows of k2 ... k6, of y5 and of y5 - y4, each entry rounded once;
-# a stage's c is the sum of its rounded row, in order
+# a stage's c is the exact sum of its row, rounded once
 _ROWS = np.array([[1] + [float(w) for w in row] + [0] * (6 - len(row))
                   for row in FEHLBERG["a"] + [FEHLBERG["b"]]] + [[0] + [float(w) for w in _ERROR]])
-_C = [sum(row[1:].tolist()) for row in _ROWS[:5]]
+_C = [float(sum(row)) for row in FEHLBERG["a"]]
 
 
 def _rkf45_step(f, t, y, h, f0):
@@ -276,28 +277,33 @@ def one_steps(draw):
     b = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
     f = draw(st.sampled_from([linear(A, b), blow_up(draw(st.floats(0.1, 5.0)))]))
     y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
-    return draw(st.sampled_from(["rk4", "rkf45"])), f, y, draw(st.floats(1e-6, 0.5))
+    return (draw(st.sampled_from(["rk4", "rkf45"])), f, y, draw(st.floats(0.0, 10.0)),
+            draw(st.floats(1e-6, 0.5)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(one_steps())
 def test_one_step_is_the_textbook_step(case):
-    # every stage input, the new state and (RKF45) max |y5 - y4| against the
-    # exact sums over the stage rows the step wrote
-    method, f, y, h = case
-    tableau, step, exact = {"rk4": (integrate._RK4, integrate._rk4_step, RK4),
-                            "rkf45": (integrate._RKF45, integrate._rkf45_step, FEHLBERG)}[method]
-    inputs = []
+    # every stage's time t + c_i h with the textbook c_i, the sum of its row
+    # of A; every stage input, the new state and (RKF45) max |y5 - y4|
+    # against the exact sums over the stage rows the step wrote
+    method, f, y, t, h = case
+    tableau, c, step, exact = {
+        "rk4": (integrate._RK4, integrate._RK4_C, integrate._rk4_step, RK4),
+        "rkf45": (integrate._RKF45, integrate._RKF45_C, integrate._rkf45_step, FEHLBERG)}[method]
+    times, inputs = [], []
 
     def rhs(t, u, out):
+        times.append(t)
         inputs.append(u.copy())
         out[:] = f(t, u)
 
-    G, W, stages = integrate._stage_buffers(tableau, y)
+    G, W, stages = integrate._stage_buffers(tableau, c, y)
     np.multiply(tableau[:, 1:], h, out=W[:, 1:])
     with np.errstate(all="ignore"):
-        y_new, err = (step(rhs, 0.0, h, rhs, G, W, stages), None) if method == "rk4" \
-            else step(rhs, 0.0, h, rhs, G, W, stages)
+        y_new, err = (step(rhs, t, h, rhs, G, W, stages), None) if method == "rk4" \
+            else step(rhs, t, h, rhs, G, W, stages)
+    assert times == [t] + [t + float(sum(row)) * h for row in exact["a"]]
     assume(np.isfinite(G).all())
     K = G[1:]
     assert len(inputs) == len(K)
