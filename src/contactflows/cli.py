@@ -61,7 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        with np.errstate(all="ignore"):  # a span that overflows is rejected below
+            axis = np.linspace(float(start), float(stop), int(count))
+        if len(axis) < 1 or not np.isfinite(axis).all():
+            raise ValueError
+        return axis
     except ValueError:
         raise ValueError(f"grid must be START:STOP:COUNT, got {text!r}")
 

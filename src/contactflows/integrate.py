@@ -20,6 +20,7 @@ Each solve keeps one stacked buffer G = [y; k1; ...; ks] and weights W(h) =
 [1 | h A], set once per step size, whose rows (the tableau's stages, update
 and, for RKF45, error b5 - b4, 0 on y) each make one ``ndarray.dot`` with
 G[:i + 1].  A right-hand side ``f(t, y, out)`` writes dy/dt into its row of G.
+Scaling A by h first keeps a stage input finite where A . K alone overflows.
 """
 
 from __future__ import annotations

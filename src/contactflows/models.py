@@ -2,7 +2,9 @@
 
 All quantities are dimensionless after the usual normalizations (the spin
 field is theta = H/(k_B T_abs), temperatures divide entropy-conjugate
-pairs); there is no unit system.
+pairs); there is no unit system.  A nonlinear circuit element, such as a
+capacitor with a quartic stored energy, is a ``LiftSpec`` of its own
+potential and drift; ``CircuitParams`` holds the linear circuits' constants.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def onsager_spec(params: OnsagerParams) -> LiftSpec:
         psi = quadratic_potential(M)
         drift = replace(affine_drift(-L.dot(M)), structure=("onsager", L))
     else:
-        drift = onsager_drift(L, psi.gradient_at, psi.hessian_at)
+        drift = onsager_drift(L, psi.gradient_at, lambda x: psi.hessian_at(x, check_spd=False))
     return LiftSpec(side="psi", potential=psi, drift=drift,
                     restoring=linear_restoring(params.gamma0))
 

@@ -6,7 +6,9 @@ the quadratic potential does).  For every other potential each quantity on
 the dual side goes through the unique solution x*(p) of grad psi(x) = p,
 obtained by damped Newton.  ``conjugate`` returns the closed form, or
 packages that solve as a potential of p, so the dual side reuses every
-psi-side construction through the Legendre swap.
+psi-side construction through the Legendre swap.  What reads only psi
+takes psi, and makes any solver it needs; ``conjugate`` is the one public
+call that takes a solver.
 """
 
 from __future__ import annotations

@@ -1,27 +1,10 @@
 """Scenario files: parse, build a model spec, integrate, report.
 
-A scenario is flat key-value text (INI sections) with one section per
-concern:
-
-    [model]
-    name = rc            ; rc | rc_thermal | rl | rl_thermal | rlc |
-    R = 1.0              ; rlc_thermal | spin | onsager
-    C = 1.0
-
-    [initial]
-    x = 1.0              ; chart coordinate(s) -> auto-embedded; or give
-                         ; x, p, z (and x_extra, p_extra) in full
-
-    [integrator]
-    method = rkf45       ; rk4 needs step; rkf45 takes rel_tol/abs_tol
-    t_end = 1.0
-
-    [outputs]
-    trajectory_csv = traj.csv
-    invariant_report = report.txt
-
-Numbers are decimal doubles (scientific notation allowed); vectors are
-whitespace-separated; matrices separate rows with ';'.
+A scenario is flat key-value text, one INI section per concern: [model],
+[initial], [integrator] and [outputs], or [model] and [points] for the
+``pythagorean`` kind.  Numbers are decimal doubles; vectors are
+whitespace-separated; matrices separate rows with ';'.  README.md gives
+the keys of each section with an example.
 """
 
 from __future__ import annotations

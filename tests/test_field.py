@@ -240,6 +240,11 @@ class TestInitialState:
         with pytest.raises(DimensionMismatchError):
             integrate_lift(thermal, np.array([1.0, 0.5, 0.2]), 1.0)
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.inf, np.nan])
+    def test_t_end_not_positive_and_finite_rejected(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            integrate_lift(self.spec, np.array([1.0, 0.5, 0.2]), t_end)
+
 
 # ---------------------------------------------------------------------------
 # The diagnostics the step loop records against a per-state reference through points.

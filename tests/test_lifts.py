@@ -316,6 +316,10 @@ class TestRestrictedFields:
         assert np.allclose(v.dp, r.dp, atol=1e-10)
         assert v.dz == pytest.approx(r.dz, abs=1e-10)
 
+    def test_dual_spec_needs_a_phi_side_lift(self):
+        with pytest.raises(ValueError, match="phi-side lift"):
+            dual_spec(make_spec(side="psi", n=1))
+
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_base_lift_formulas_reject_an_anchor(self, side):
         # the triangular system of delta_velocities is the base lift's

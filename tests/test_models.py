@@ -61,6 +61,10 @@ class TestParams:
         with pytest.raises(ValueError):
             OnsagerParams(L_matrix=np.diag([1.0, -1.0]))
 
+    def test_non_symmetric_onsager_rejected(self):
+        with pytest.raises(ValueError, match="L must be symmetric"):
+            OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.0, 1.0]]))
+
     def test_m_matrix_is_inverse(self):
         params = OnsagerParams(L_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
         assert np.allclose(params.M_matrix @ params.L_matrix, np.eye(2), atol=1e-12)
@@ -292,3 +296,17 @@ class TestOnsager:
         traj = integrate_lift(spec, embed(spec, np.array([1.0, -0.5])), 3.0)
         assert len(traj.times) > 10 and not traj.truncated
         assert calls == []
+
+    def test_custom_potential_jacobian_factors_no_hessian(self, monkeypatch):
+        # the drift's Jacobian -L Hess U needs no positive-definiteness check,
+        # so a stage reads the unchecked Hessian and factors nothing
+        params = OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.3, 1.0]]),
+                               U=spin_potential(2), gamma0=10.0)
+        drift = onsager_spec(params).drift
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        x = np.array([0.4, -1.1])
+        J = drift.jacobian_at(x)
+        assert calls == []
+        assert np.array_equal(J, -params.L_matrix.dot(np.diag(1.0 / np.cosh(x) ** 2)))

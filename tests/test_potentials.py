@@ -613,6 +613,43 @@ class TestCentralDifferences:
         assert worst <= 1e-5
 
 
+class TestGradientOnlyPotential:
+    """A potential given a value and a gradient, no Hessian: psi(x) = sum x_a^2 / 2 + x_a^4 / 4.
+
+    ``hessian_at`` then takes central differences of the gradient
+    g_a(x) = x_a + x_a^3 with step s = eps^(1/3) max(1, |x_a|) and
+    symmetrises them.  Component b of g reads x_b alone, so a step in x_a
+    leaves it bit for bit unchanged: every off-diagonal entry is exactly 0.
+    On the diagonal the difference of the cubic is 3 x_a^2 + s^2 exactly,
+    a truncation of s^2.  Rounding adds at most 3 eps |g_a| per evaluated
+    gradient entry and eps/2 |x_a + s| per rounded argument, each moved
+    through a slope of at most G' = 1 + 3 (|x_a| + s)^2; over the divisor
+    2s both sides together stay below (3 eps G + eps X G' / 2) / s, with G
+    the largest |g_a| and X = |x_a| + s.  The bound allows twice that.
+    """
+
+    psi = ConvexPotential(n=2, value=lambda x: float(np.sum(0.5 * x * x + 0.25 * x ** 4)),
+                          gradient=lambda x: x + x ** 3)
+
+    @pytest.mark.parametrize("x", TestCentralDifferences.POINTS)
+    def test_hessian_is_the_symmetrised_difference_of_the_gradient(self, x):
+        x = np.array(x)
+        H = self.psi.hessian_at(x)
+        assert H[0, 1] == 0.0 and H[1, 0] == 0.0
+        eps = np.finfo(float).eps
+        s = eps ** (1 / 3) * np.maximum(1.0, np.abs(x))
+        X = np.abs(x) + s
+        G, slope = X + X ** 3, 1 + 3 * X ** 2
+        bound = s * s + 2 * (3 * eps * G + eps * X * slope / 2) / s
+        assert np.all(np.abs(np.diag(H) - (1 + 3 * x ** 2)) <= bound)
+
+    def test_checked_call_on_a_concave_gradient_raises(self):
+        concave = ConvexPotential(n=2, value=lambda x: -0.5 * float(x @ x), gradient=lambda x: -x)
+        with pytest.raises(StrictConvexityError):
+            concave.hessian_at(np.array([0.3, -0.2]))
+        assert np.allclose(concave.hessian_at(np.array([0.3, -0.2]), check_spd=False), -np.eye(2))
+
+
 # psi(x) = e^x0 + ln cosh x1 + 3 x2^2 / 2, and per coordinate its conjugate's
 # x*(p) and phi(p)  [DERIVED: invert exp, tanh and 3x]
 SEPARABLE_PIECES = [

@@ -40,6 +40,8 @@ FEHLBERG = dict(
 _ERROR = [p - q for p, q in zip(FEHLBERG["b"], FEHLBERG["b4"])]  # b5 - b4
 
 # --- the oracle: the previous integrate.py's loop, with a naive step -------
+# (it loops while t < t_end, with a step floor of at least 5e-324, as the
+# library has since it dropped the 1e-15 margin and the floor that rounds to 0)
 
 # [1 | A] rows of k2 ... k6, of y5 and of y5 - y4, each entry rounded once;
 # a stage's c is the exact sum of its row, rounded once
@@ -67,10 +69,10 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     ts, ys = [0.0], [y]
     t = 0.0
     h = min(1e-2, t_end)
-    h_min = t_end * 1e-14
+    h_min = max(t_end * 1e-14, 5e-324)
     steps = 0
     failure = ""  # the stage error that rejected a step since the last accepted one
-    while t < t_end - 1e-15:
+    while t < t_end:
         h = min(h, t_end - t)
         try:
             y_new, err = _rkf45_step(f, t, y, h, f0)
@@ -196,6 +198,15 @@ def test_blow_up_ends_in_the_step_floor_or_a_non_finite_state():
     assert_same(results)
     reason = results[0][0].abort_reason
     assert reason.startswith(("step floor", "non-finite state"))
+
+
+def test_step_that_lands_one_ulp_short_is_followed_by_the_last_one():
+    # 0.21 + (t_end - 0.21) rounds to t_end - 1 ulp, so one step of 1 ulp ends the run on t_end
+    t_end = 0.7661814713047405
+    results = run_both(linear([[0.0]], [1.0]), [0.0], t_end, 1e-10, 1e-12)
+    assert_same(results)
+    times = results[0][0].times
+    assert times[-1] == t_end and times[-2] == np.nextafter(t_end, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -409,6 +409,13 @@ class TestParsing:
         assert result.exit_code == EXIT_USAGE
         assert result.message.startswith("[model]") and "'n'" in result.message
 
+    def test_pythagorean_unknown_potential_rejected(self, tmp_path):
+        text = (SCENARIOS / "pythagorean.scenario").read_text().replace(
+            "potential = quadratic", "potential = cubic")
+        result = run_scenario(write(tmp_path, text), write_outputs=False)
+        assert result.exit_code == EXIT_USAGE
+        assert result.message == "[model]: unknown potential 'cubic'"
+
     def test_pythagorean_without_right_angle_exits_2(self, tmp_path):
         text = (SCENARIOS / "pythagorean.scenario").read_text().replace("x3 = 1.0 1.0",
                                                                         "x3 = 2.0 1.0")
@@ -728,6 +735,18 @@ class TestCLI:
     def test_legendre_bad_dimension_exit_two(self, capsys):
         assert cli_main(["legendre", "--potential", "quadratic",
                          "--p", "1.0 2.0"]) == EXIT_USAGE
+
+    def test_usage_error_exit_two(self, capsys):
+        assert cli_main(["legendre", "--potential", "spin"]) == EXIT_USAGE
+        assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:0", "1:2:-1", "nan:1:3", "1:inf:3",
+                                      "-1e308:1e308:3"])
+    def test_malformed_grid_exit_two(self, grid, capsys):
+        assert cli_main(["divergence", "--potential", "spin", f"--grid={grid}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid must be START:STOP:COUNT" in captured.err
 
     def test_divergence_subcommand(self, tmp_path):
         out = tmp_path / "div.csv"
