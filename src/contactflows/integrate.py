@@ -8,9 +8,11 @@ only the final state is evaluated once more.  A state whose diagnostics
 could not be evaluated (a numerical error in its field evaluation) keeps
 its row with NaN diagnostics.
 
-A non-finite state, a numerical error (``errors.NUMERICAL_ERRORS``) raised
-during an RK4 step, the RKF45 step floor and its step budget all stop a
-run the same way: the states accepted so far are returned with
+Both integrate functions reject a t_end that is not positive and finite
+(``ValueError``), and both integrators end on t_end exactly.  A non-finite
+state, a numerical error (``errors.NUMERICAL_ERRORS``) raised during an
+RK4 step, the RKF45 step floor and its step budget all stop a run short
+of it the same way: the states accepted so far are returned with
 ``abort_reason`` "<cause> at t = ..., h = ...".  RKF45 treats a numerical
 error in a stage as a rejected step and shrinks it, so such an error stops
 it only at the step floor; a ``DimensionMismatchError``, which no smaller
@@ -163,7 +165,7 @@ def solve_fixed(f, y0, t_end, step, f0=None) -> Trajectory:
 
 def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
                    abs_tol=DEFAULT_ABS_TOL, f0=None) -> Trajectory:
-    """RKF45 with standard step control; accepted steps only are recorded.
+    """RKF45 with standard step control, recording accepted steps; the last ends on t_end.
 
     ``f0`` is as in ``solve_fixed``; a rejected step calls it again at the
     same state.  A stage that raises a numerical error rejects the step
@@ -181,7 +183,12 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
     steps = 0
     failure = ""  # the stage error that rejected a step since the last accepted one
     while t < t_end:
-        h = min(h, t_end - t)
+        if h < h_min:
+            return _stop(ts, ys, f"step floor {h_min:.3g} reached{failure}", t, h)
+        if steps > MAX_STEP_ATTEMPTS:
+            return _stop(ts, ys, f"step budget {MAX_STEP_ATTEMPTS} exhausted", t, h)
+        rest = t_end - t
+        h = min(h, rest)
         np.multiply(_RKF45[:, 1:], h, out=W[:, 1:])
         try:
             y_new, err = _rkf45_step(f, t, h, f0, G, W, stages)
@@ -194,7 +201,7 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
                 return _stop(ts, ys, "non-finite state", t, h)
             tol = abs_tol + rel_tol * max(1.0, y_max)
             if err <= tol:
-                t += h
+                t = t_end if h == rest else t + h
                 y = G[0] = y_new
                 y_max = _max_abs(y)
                 ts.append(t)
@@ -202,30 +209,23 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
                 failure = ""
             factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
         h *= min(4.0, max(0.1, factor))
-        if h < h_min:
-            return _stop(ts, ys, f"step floor {h_min:.3g} reached{failure}", t, h)
         steps += 1
-        if steps > MAX_STEP_ATTEMPTS:
-            return _stop(ts, ys, f"step budget {MAX_STEP_ATTEMPTS} exhausted", t, h)
     return Trajectory(np.array(ts), np.array(ys))
 
 
 # ---------------------------------------------------------------------------
 # Lift-aware integration with per-step diagnostics.
 
-def _run(f, y0, t_end, config: IntegratorConfig, f0=None):
+def _run(drift, f, y0, t_end, config: Optional[IntegratorConfig], f0=None) -> Trajectory:
+    """Check t_end, empty the drift's solver so a run is a function of its inputs, and solve."""
+    if not np.isfinite(t_end) or t_end <= 0:
+        raise ValueError("t_end must be positive and finite")
+    if drift.workspace is not None:
+        drift.workspace.clear()
+    config = config or IntegratorConfig()
     if config.method == "rk4":
         return solve_fixed(f, y0, t_end, config.step, f0)
     return solve_adaptive(f, y0, t_end, config.rel_tol, config.abs_tol, f0)
-
-
-def _clear_solver(drift) -> None:
-    """Empty the drift's Legendre solver, if it keeps one, so a run is a function of its inputs.
-
-    A warm-started solve depends on the one before it at rounding level.
-    """
-    if drift.workspace is not None:
-        drift.workspace.clear()
 
 
 def _check_shapes(spec, y0) -> None:
@@ -257,8 +257,6 @@ def integrate_lift(spec, initial, t_end: float,
     its Jacobian or psi's jet has the wrong shape or fails.  NumPy's
     floating-point warnings are off: a non-finite value stops the run.
     """
-    if not np.isfinite(t_end) or t_end <= 0:
-        raise ValueError("t_end must be positive and finite")
     y0 = np.asarray(initial, dtype=float) if isinstance(initial, np.ndarray) \
         else np.concatenate([initial.x, initial.p, [initial.z]])
     dim = 2 * (spec.n + (spec.anchor is not None)) + 1
@@ -268,7 +266,6 @@ def integrate_lift(spec, initial, t_end: float,
         raise EvaluationError("initial state has non-finite entries", coords=y0)
     with np.errstate(all="ignore"):
         _check_shapes(spec, y0)
-        _clear_solver(spec.drift)  # the Hamiltonian's solver is new
         h = build_hamiltonian(spec)
         diags = {}  # time of an accepted state -> the diagnostics its field evaluation stored
 
@@ -278,7 +275,7 @@ def integrate_lift(spec, initial, t_end: float,
         def f0(t, y, out):
             hamiltonian_vector_field(h, y, diags.setdefault(t, {}), out)
 
-        traj = _run(f, y0, t_end, config or IntegratorConfig(), f0)
+        traj = _run(spec.drift, f, y0, t_end, config, f0)
         if traj.times[-1] not in diags:  # no step started from the final state
             with contextlib.suppress(*NUMERICAL_ERRORS):
                 h.field(traj.final_state, diags.setdefault(traj.times[-1], {}))
@@ -295,16 +292,14 @@ def integrate_on_submanifold(drift, start, t_end: float,
 
     u is the chart coordinate the drift is written in (x on the psi side,
     p on the phi side).  This is the integrator behind the flows of
-    geodesic and gradient drifts; like ``integrate_lift`` it first empties
-    the Legendre solver the drift keeps.
+    geodesic and gradient drifts.  As ``integrate_lift`` does, it rejects
+    a t_end that is not positive and finite and empties the drift's solver.
     """
-    config = config or IntegratorConfig()
-    _clear_solver(drift)
 
     def f(t, u, out):
         out[:] = drift.at(u)
 
-    traj = _run(f, np.atleast_1d(np.asarray(start, dtype=float)), t_end, config)
+    traj = _run(drift, f, np.atleast_1d(np.asarray(start, dtype=float)), t_end, config)
     if traj.truncated:
         raise IntegrationAbort(f"submanifold flow truncated: {traj.abort_reason}",
                                trajectory=traj)

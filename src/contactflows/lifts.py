@@ -63,8 +63,8 @@ class DriftField:
     matrix it makes (``defect_rate_matrix``).  ``structure`` is
     ("onsager", L) on Onsager gradient flows, which the certificate samples.
     ``workspace`` is the Legendre solver a dual-chart drift keeps of its
-    own (``geodesic_drift_phi``); ``integrate_lift`` and
-    ``integrate_on_submanifold`` clear it before they run.
+    own (``geodesic_drift_phi``); both integrate functions empty it before
+    they run.
     ``at`` and ``jacobian_at`` return a float64 array of one or two
     dimensions as the callable gave it and convert any other result;
     ``at`` raises ``DimensionMismatchError`` for a result not of shape (n,).
@@ -118,18 +118,27 @@ def rotational_drift(omega: float) -> DriftField:
     return affine_drift([[0.0, omega], [-omega, 0.0]])
 
 
-def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
-    """F(x) = -L grad U(x) for an SPD coefficient matrix L."""
+def onsager_coefficients(L) -> np.ndarray:
+    """L as a float matrix; ``ValueError`` unless it is finite, symmetric and positive definite."""
     L = np.atleast_2d(np.asarray(L, dtype=float))
-    np.linalg.cholesky(L)  # SPD gate
+    if not np.isfinite(L).all():
+        raise ValueError("L must have finite entries")
+    if not np.allclose(L, L.T):
+        raise ValueError("L must be symmetric")
+    try:
+        np.linalg.cholesky(L)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("L must be positive definite") from exc
+    return L
+
+
+def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
+    """F(x) = -L grad U(x) for an SPD coefficient matrix L (``onsager_coefficients``)."""
+    L = onsager_coefficients(L)
     return DriftField(
         n=L.shape[0],
-        eval=lambda x: -L.dot(np.atleast_1d(np.asarray(u_gradient(x), dtype=float))),
-        jacobian=(
-            (lambda x: -L.dot(np.atleast_2d(np.asarray(u_hessian(x), dtype=float))))
-            if u_hessian is not None
-            else None
-        ),
+        eval=lambda x: -L.dot(_float_array(u_gradient(x), 1)),
+        jacobian=None if u_hessian is None else lambda x: -L.dot(_float_array(u_hessian(x), 2)),
         structure=("onsager", L),
     )
 

@@ -19,6 +19,7 @@ from .lifts import (
     affine_drift,
     linear_drift,
     linear_restoring,
+    onsager_coefficients,
     onsager_drift,
 )
 from .potentials import ConvexPotential, quadratic_potential, spin_potential
@@ -86,16 +87,7 @@ class OnsagerParams:
     gamma0: float = 1.0
 
     def __post_init__(self):
-        L = np.atleast_2d(np.asarray(self.L_matrix, dtype=float))
-        if not np.isfinite(L).all():
-            raise ValueError("L must have finite entries")
-        if not np.allclose(L, L.T):
-            raise ValueError("L must be symmetric")
-        try:
-            np.linalg.cholesky(L)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("L must be positive definite") from exc
-        object.__setattr__(self, "L_matrix", L)
+        object.__setattr__(self, "L_matrix", onsager_coefficients(self.L_matrix))
         if not np.isfinite(self.gamma0) or self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive and finite")
 

@@ -413,11 +413,12 @@ def _trajectory_grid(traj: Trajectory, spec: LiftSpec):
 # ---------------------------------------------------------------------------
 # Divergence tables.
 
+@np.errstate(all="ignore")
 def divergence_table(psi: ConvexPotential, pairs) -> List[dict]:
     """Rows of D(x||x') and the asymmetry D(x||x') - D(x'||x) over point pairs.
 
-    Numerical failures (``NUMERICAL_ERRORS``) are recorded per row in the
-    error column; any other exception propagates.
+    Numerical failures (``NUMERICAL_ERRORS``) and non-finite divergences are
+    recorded per row in the error column; any other exception propagates.
     """
     rows = []
     for x, x_prime in pairs:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactflows.errors import DimensionMismatchError, EvaluationError, IntegrationAbort
 from contactflows.geometry import CanonicalPoint
@@ -16,8 +18,9 @@ from contactflows.integrate import (
     solve_adaptive,
     solve_fixed,
 )
+from contactflows.lifts import DriftField, geodesic_drift_psi
 from contactflows.models import CircuitParams, rc_spec
-from contactflows.potentials import embed_psi
+from contactflows.potentials import embed_psi, quadratic_potential
 
 from fitting import fit_decay_rate
 
@@ -134,8 +137,7 @@ class TestRKF45:
 
 
 def blow_up_spec():
-    from contactflows.lifts import DriftField, LiftSpec, linear_restoring
-    from contactflows.potentials import quadratic_potential
+    from contactflows.lifts import LiftSpec, linear_restoring
 
     # finite-time blow-up: dx/dt = x^3 from x = 2 diverges at t = 1/8
     blow = DriftField(n=1, eval=lambda x: x ** 3,
@@ -211,7 +213,7 @@ class TestAborts:
         assert 0.5 - 1e-9 < traj.times[-1] <= 0.5
 
     def test_state_whose_field_fails_keeps_its_row_with_nan_diagnostics(self):
-        from contactflows.lifts import DriftField, LiftSpec, embed, linear_restoring
+        from contactflows.lifts import LiftSpec, embed, linear_restoring
         from contactflows.potentials import spin_potential
 
         # dp/dt = e^{4p}: the last accepted RK4 step lands past the spin dual
@@ -256,8 +258,6 @@ class TestAborts:
             solve_fixed(in_row(lambda t, y: None + y), np.array([1.0]), 1.0, 0.1)
 
     def test_overflowing_submanifold_flow_raises_with_partial_trajectory(self):
-        from contactflows.lifts import DriftField
-
         # du/dt = 100 u: the drift stays finite while u overflows near t = 7.1
         growth = DriftField(n=1, eval=lambda u: 100.0 * u)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,6 +300,37 @@ def test_rkf45_stops_when_its_step_rounds_to_zero():
     assert traj.abort_reason.startswith("step floor") and len(calls) == 1
 
 
+class TestRunInterval:
+    # both integrate functions check t_end in one prologue, and a run cut to
+    # reach t_end ends on it: where t + (t_end - t) rounded 1 ulp short, RKF45
+    # took a sliver step after it and reported the step floor from t_end (the
+    # pinned y' = 1 draw is test_rkf45_oracle.py::test_step_cut_to_t_end_lands_on_it)
+    @CONFIGS
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+    def test_submanifold_flow_rejects_t_end_not_positive_and_finite(self, config, t_end):
+        drift = DriftField(n=1, eval=lambda u: -u)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            integrate_on_submanifold(drift, np.array([1.0]), t_end, config)
+
+    def test_dual_geodesic_ends_on_t_end(self, monkeypatch):
+        t_end, runs = 0.19294744168816022, []
+        monkeypatch.setattr(integrate_module, "solve_adaptive",
+                            lambda *args: runs.append(solve_adaptive(*args)) or runs[-1])
+        drift = geodesic_drift_psi(quadratic_potential(np.eye(2)), [0.0, 0.0], [1.0, 0.5])
+        end = integrate_on_submanifold(drift, np.zeros(2), t_end)
+        (traj,) = runs
+        assert traj.abort_reason is None and traj.times[-1] == t_end
+        assert np.diff(traj.times).min() > 1e-3
+        assert end == pytest.approx([t_end, t_end / 2], rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(-10.0, 10.0))
+    def test_constant_drift_ends_on_t_end(self, t_end, v):
+        traj = solve_adaptive(in_row(lambda t, y: np.full(1, v)), np.zeros(1), t_end)
+        assert traj.abort_reason is None and traj.times[-1] == t_end
+        assert traj.final_state[0] == pytest.approx(v * t_end, rel=1e-9, abs=1e-300)
+
+
 class TestDriftOfTheWrongLength:
     # a 2-d drift whose result has 1 or 3 entries stops the run with a typed
     # error; the previous version broadcast du/dt = (-u0, -u0) and returned
@@ -310,8 +341,6 @@ class TestDriftOfTheWrongLength:
     def test_submanifold_flow_raises_with_the_start(self, config, wrong):
         # no smaller step mends a shape error: RKF45 stops at the first call,
         # where it used to shrink the step 13 times down to the step floor
-        from contactflows.lifts import DriftField
-
         calls = []
         drift = DriftField(n=2, eval=lambda u: calls.append(u) or wrong(u))
         with pytest.raises(IntegrationAbort) as info:
@@ -324,8 +353,7 @@ class TestDriftOfTheWrongLength:
     @CONFIGS
     @pytest.mark.parametrize("side", ["psi", "phi"])
     def test_anchored_lift_stops_at_its_start(self, side, config, wrong):
-        from contactflows.lifts import DriftField, LiftSpec, build_hamiltonian, linear_restoring
-        from contactflows.potentials import quadratic_potential
+        from contactflows.lifts import LiftSpec, build_hamiltonian, linear_restoring
 
         spec = LiftSpec(side=side, potential=quadratic_potential(np.eye(2)),
                         drift=DriftField(n=2, eval=wrong), restoring=linear_restoring(1.0),

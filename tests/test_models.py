@@ -17,6 +17,7 @@ from contactflows.lifts import (
     embed,
     gradient_drift_psi,
     linear_restoring,
+    onsager_drift,
     restricted_field,
     stability_certificate,
 )
@@ -64,6 +65,18 @@ class TestParams:
     def test_non_symmetric_onsager_rejected(self):
         with pytest.raises(ValueError, match="L must be symmetric"):
             OnsagerParams(L_matrix=np.array([[2.0, 0.3], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("L, message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "L must have finite entries"),
+        ([[2.0, 5.0], [0.0, 2.0]], "L must be symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "L must be positive definite")],
+        ids=["nan", "non-symmetric", "indefinite"])
+    def test_onsager_drift_checks_l_as_the_params_do(self, L, message):
+        # the drift's gate read only the lower triangle, through a Cholesky factorisation
+        with pytest.raises(ValueError, match=message):
+            onsager_drift(np.array(L), lambda x: x)
+        with pytest.raises(ValueError, match=message):
+            OnsagerParams(L_matrix=np.array(L))
 
     def test_m_matrix_is_inverse(self):
         params = OnsagerParams(L_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))

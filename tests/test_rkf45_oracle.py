@@ -41,7 +41,9 @@ _ERROR = [p - q for p, q in zip(FEHLBERG["b"], FEHLBERG["b4"])]  # b5 - b4
 
 # --- the oracle: the previous integrate.py's loop, with a naive step -------
 # (it loops while t < t_end, with a step floor of at least 5e-324, as the
-# library has since it dropped the 1e-15 margin and the floor that rounds to 0)
+# library has since it dropped the 1e-15 margin and the floor that rounds to 0;
+# the step cut to reach t_end ends on t_end, as RK4's last step does, and a run
+# there meets no step floor or budget)
 
 # [1 | A] rows of k2 ... k6, of y5 and of y5 - y4, each entry rounded once;
 # a stage's c is the exact sum of its row, rounded once
@@ -83,13 +85,15 @@ def solve_adaptive(f, y0, t_end, rel_tol=DEFAULT_REL_TOL,
                 return _stop(ts, ys, "non-finite state", t, h)
             tol = abs_tol + rel_tol * max(1.0, float(np.abs(y).max()))
             if err <= tol:
-                t += h
+                t = t_end if h == t_end - t else t + h
                 y = y_new
                 ts.append(t)
                 ys.append(y)
                 failure = ""
             factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
         h *= min(4.0, max(0.1, factor))
+        if t == t_end:
+            break
         if h < h_min:
             return _stop(ts, ys, f"step floor {h_min:.3g} reached{failure}", t, h)
         steps += 1
@@ -200,13 +204,17 @@ def test_blow_up_ends_in_the_step_floor_or_a_non_finite_state():
     assert reason.startswith(("step floor", "non-finite state"))
 
 
-def test_step_that_lands_one_ulp_short_is_followed_by_the_last_one():
-    # 0.21 + (t_end - 0.21) rounds to t_end - 1 ulp, so one step of 1 ulp ends the run on t_end
+def test_step_cut_to_t_end_lands_on_it():
+    # t + (t_end - t) rounds to t_end - 1 ulp from the last t; the cut step
+    # ends on t_end instead, with no sliver step of 1 ulp after it
     t_end = 0.7661814713047405
     results = run_both(linear([[0.0]], [1.0]), [0.0], t_end, 1e-10, 1e-12)
     assert_same(results)
-    times = results[0][0].times
-    assert times[-1] == t_end and times[-2] == np.nextafter(t_end, 0.0)
+    traj = results[0][0]
+    t = traj.times[-2]
+    assert t + (t_end - t) == np.nextafter(t_end, 0.0)
+    assert traj.times[-1] == t_end and traj.abort_reason is None
+    assert np.all(np.diff(traj.times) > 1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

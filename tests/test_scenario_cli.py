@@ -768,6 +768,18 @@ class TestCLI:
         with open(out, newline="") as fh:
             assert printed == list(csv.reader(fh))
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_divergence_that_overflows_exit_zero(self, n, capsys):
+        # psi(1e308) is finite, but -2|x| in the spin value, and x . p' at n = 2,
+        # overflow: the n = 1 rows read D = 0, the n = 2 rows carry the error
+        args = ["divergence", "--potential", "spin", "--n", n, "--grid=1e308:1e308:2"]
+        assert cli_main(args) == EXIT_PASS
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 4 ** int(n)
+        for row in rows:
+            assert (row["D"], row["error"]) == (("0.0", "") if n == "1"
+                                               else ("", "non-finite divergence"))
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "contactflows.cli", "check",
