@@ -39,6 +39,7 @@ from .integrate import (
     Trajectory,
     integrate_lift,
     integrate_on_submanifold,
+    pythagorean_residual,
 )
 from .lifts import (
     DriftField,
@@ -82,7 +83,6 @@ from .potentials import (
     delta_psi,
     embed_psi,
     legendre_transform,
-    pythagorean_residual,
     quadratic_potential,
     separable_potential,
     spin_potential,

@@ -1,4 +1,5 @@
-"""Fixed-step RK4 and adaptive RKF45 integration of lifted flows.
+"""Fixed-step RK4 and adaptive RKF45 integration of lifted flows, and the
+Pythagorean identity checked along the geodesic flows it integrates.
 
 States are flat arrays: (x, p, z) for a base lift, (x, x_extra, p, p_extra, z)
 for an extended one.  Diagnostics (h, defect norms, compressibility,
@@ -34,13 +35,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort
-from .geometry import _all_finite, hamiltonian_vector_field
-from .lifts import build_hamiltonian
+from .errors import (NUMERICAL_ERRORS, DimensionMismatchError, EvaluationError, IntegrationAbort,
+                     PythagoreanConfigError)
+from .geometry import _all_finite, _float_array, hamiltonian_vector_field
+from .lifts import build_hamiltonian, geodesic_drift_phi, geodesic_drift_psi
+from .potentials import ConvexPotential, canonical_divergence, legendre_transform
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-12
 MAX_STEP_ATTEMPTS = 2_000_000  # RK4 steps, or RKF45 step attempts accepted or rejected
+PYTHAGOREAN_ORTHO_TOL = 1e-6  # relative right-angle tolerance of a Pythagorean triple
+GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic lands
 
 _RK4 = np.array([[1, 1 / 2, 0, 0, 0], [1, 0, 1 / 2, 0, 0], [1, 0, 0, 1, 0],
                  [1, 1 / 6, 1 / 3, 1 / 3, 1 / 6]])
@@ -234,11 +239,10 @@ def _check_shapes(spec, y0) -> None:
     Checked once, at the start's chart coordinate, so the per-stage path
     pays nothing; psi's jet only on the psi side, where the lift's jet reads it.
     """
-    n, J = spec.n, spec.drift.jacobian
+    n = spec.n
     u = y0[:n] if spec.side == "psi" else y0[len(y0) // 2:][:n]
     spec.drift.at(u)  # which checks its own shape
-    found = {"drift Jacobian": (J if isinstance(J, np.ndarray) else spec.drift.jacobian_at(u),
-                                (n, n))}
+    found = {"drift Jacobian": (spec.drift.jacobian_at(u), (n, n))}
     if spec.side == "psi":
         _, g, H = spec.potential.jet_at(u)
         found.update({"gradient of psi": (g, (n,)), "Hessian of psi": (H, (n, n))})
@@ -305,3 +309,42 @@ def integrate_on_submanifold(drift, start, t_end: float,
                                trajectory=traj)
     return traj.final_state
 
+
+def pythagorean_residual(psi: ConvexPotential, x1, x2, x3) -> float:
+    """Three-term divergence identity residual for a right-angled triple.
+
+    ``x1``/``x2``/``x3`` are x-coordinates of the endpoints and the corner:
+    the corner x2 joins x1 by a dual-side geodesic and x3 by a primal-side
+    geodesic.  The right angle requires (x3 - x2).(p2 - p1) = 0; violating
+    it raises.  Unless x1 = x2, the two geodesic drifts are integrated for
+    unit time and checked to land on the supplied points; a flow that stops
+    raises ``IntegrationAbort`` naming its geodesic.
+    """
+
+    def flow(name, drift, start):
+        try:
+            return integrate_on_submanifold(drift, start, 1.0)
+        except IntegrationAbort as exc:
+            raise IntegrationAbort(f"{name}: {exc}", trajectory=exc.trajectory) from exc
+
+    x1, x2, x3 = (_float_array(x, 1) for x in (x1, x2, x3))
+    p1 = psi.gradient_at(x1)
+    p2 = psi.gradient_at(x2)
+    ortho = float((x3 - x2) @ (p2 - p1))
+    scale = max(1.0, float(np.linalg.norm(x3 - x2) * np.linalg.norm(p2 - p1)))
+    if abs(ortho) > PYTHAGOREAN_ORTHO_TOL * scale:
+        raise PythagoreanConfigError(
+            f"not a Pythagorean configuration: inner product {ortho:.3g}"
+        )
+    if not np.allclose(x1, x2):
+        x_end = flow("dual geodesic x1 -> x2", geodesic_drift_psi(psi, p1, p2), x1)
+        if float(np.max(np.abs(psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
+            raise PythagoreanConfigError("dual geodesic does not reach the corner")
+        p_end = flow("primal geodesic x2 -> x3", geodesic_drift_phi(psi, x2, x3), p2)
+        x_end = legendre_transform(psi, p_end).x_star
+        if float(np.max(np.abs(x_end - x3))) > GEODESIC_ENDPOINT_TOL:
+            raise PythagoreanConfigError("primal geodesic does not reach the endpoint")
+    d31 = canonical_divergence(psi, x3, x1)
+    d32 = canonical_divergence(psi, x3, x2)
+    d21 = canonical_divergence(psi, x2, x1)
+    return abs(d31 - d32 - d21)

@@ -24,9 +24,7 @@ from .errors import (
     NUMERICAL_ERRORS,
     DimensionMismatchError,
     EvaluationError,
-    IntegrationAbort,
     NewtonConvergenceError,
-    PythagoreanConfigError,
     StrictConvexityError,
 )
 from .geometry import (CanonicalPoint, _as_vector, _float_array, central_hessian,
@@ -42,8 +40,6 @@ _EPS = float(np.finfo(float).eps)
 # a central-difference gradient's rounding noise over |psi|: eps |psi| over the
 # step eps^(1/3), seen up to 1.5 eps^(2/3) on the quartic of the tests
 _FD_GRADIENT_NOISE = 4 * _EPS ** (2 / 3)
-PYTHAGOREAN_ORTHO_TOL = 1e-6  # relative right-angle tolerance of a Pythagorean triple
-GEODESIC_ENDPOINT_TOL = 1e-6  # sup-norm miss allowed where a unit-time geodesic lands
 
 
 def _cholesky_or_raise(H, where=""):
@@ -134,7 +130,7 @@ class ConvexPotential:
             H = central_jacobian(self.gradient_at, x)
             H = 0.5 * (H + H.T)
         if check_spd:
-            self._check_spd(H, x)
+            _cholesky_or_raise(H, where=np.array2string(x, precision=4))
         return H
 
     def jet_at(self, x):
@@ -142,11 +138,6 @@ class ConvexPotential:
         if self.jet is not None:
             return self.jet(np.asarray(x, dtype=float))
         return self.value_at(x), self.gradient_at(x), self.hessian_at(x, check_spd=False)
-
-    def _check_spd(self, H, x):
-        """Factor H, Hess psi(x), unless it is the declared matrix, factored already."""
-        if H is not self.hessian:
-            _cholesky_or_raise(H, where=np.array2string(x, precision=4))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +172,10 @@ def spin_potential(n: int = 1) -> ConvexPotential:
     """psi(x) = sum_a ln cosh x_a + n ln 2: the two-state partition log."""
 
     def value(x):
-        # log(2 cosh t) written stably for large |t|
-        return float(np.sum(np.abs(x) + np.log1p(np.exp(-2 * np.abs(x)))))
+        # log(2 cosh t) written stably for large |t|; |t| clipped at 1e300, where
+        # the log1p term is 0 already, so that doubling it cannot overflow
+        a = np.abs(x)
+        return float(np.sum(a + np.log1p(np.exp(-2 * np.minimum(a, 1e300)))))
 
     @np.errstate(over="ignore")  # cosh^2 overflows past |x| ~ 355, where 1 / cosh^2 is 0
     def hessian(x):
@@ -445,46 +438,3 @@ def canonical_divergence(psi: ConvexPotential, x, x_prime) -> float:
     # phi(p') = x'.p' - psi(x') exactly, no solve needed on-graph
     phi_p = float(x_prime @ p_prime) - psi.value_at(x_prime)
     return psi.value_at(x) + phi_p - float(x @ p_prime)
-
-
-def pythagorean_residual(psi: ConvexPotential, x1, x2, x3) -> float:
-    """Three-term divergence identity residual for a right-angled triple.
-
-    ``x1``/``x2``/``x3`` are x-coordinates of the endpoints and the corner:
-    the corner x2 joins x1 by a dual-side geodesic and x3 by a primal-side
-    geodesic.  The right angle requires (x3 - x2).(p2 - p1) = 0; violating
-    it raises.  Unless x1 = x2, the two geodesic drifts are integrated for
-    unit time and checked to land on the supplied points; a flow that stops
-    raises ``IntegrationAbort`` naming its geodesic.
-    """
-    from .integrate import integrate_on_submanifold
-    from .lifts import geodesic_drift_phi, geodesic_drift_psi
-
-    def flow(name, drift, start):
-        try:
-            return integrate_on_submanifold(drift, start, 1.0)
-        except IntegrationAbort as exc:
-            raise IntegrationAbort(f"{name}: {exc}", trajectory=exc.trajectory) from exc
-
-    x1, x2, x3 = (_float_array(x, 1) for x in (x1, x2, x3))
-    p1 = psi.gradient_at(x1)
-    p2 = psi.gradient_at(x2)
-    ortho = float((x3 - x2) @ (p2 - p1))
-    scale = max(1.0, float(np.linalg.norm(x3 - x2) * np.linalg.norm(p2 - p1)))
-    if abs(ortho) > PYTHAGOREAN_ORTHO_TOL * scale:
-        raise PythagoreanConfigError(
-            f"not a Pythagorean configuration: inner product {ortho:.3g}"
-        )
-    if not np.allclose(x1, x2):
-        x_end = flow("dual geodesic x1 -> x2", geodesic_drift_psi(psi, p1, p2), x1)
-        if float(np.max(np.abs(psi.gradient_at(x_end) - p2))) > GEODESIC_ENDPOINT_TOL:
-            raise PythagoreanConfigError("dual geodesic does not reach the corner")
-        p_end = flow("primal geodesic x2 -> x3", geodesic_drift_phi(psi, x2, x3), p2)
-        x_end = legendre_transform(psi, p_end).x_star
-        if float(np.max(np.abs(x_end - x3))) > GEODESIC_ENDPOINT_TOL:
-            raise PythagoreanConfigError("primal geodesic does not reach the endpoint")
-    d31 = canonical_divergence(psi, x3, x1)
-    d32 = canonical_divergence(psi, x3, x2)
-    d21 = canonical_divergence(psi, x2, x1)
-    return abs(d31 - d32 - d21)
-

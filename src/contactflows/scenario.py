@@ -21,11 +21,11 @@ import numpy as np
 from .errors import (NUMERICAL_ERRORS, ContactFlowsError, EvaluationError,
                      PythagoreanConfigError, ScenarioError)
 from .geometry import CanonicalPoint
-from .integrate import IntegratorConfig, Trajectory, _rk4_steps, integrate_lift
+from .integrate import (IntegratorConfig, Trajectory, _rk4_steps, integrate_lift,
+                        pythagorean_residual)
 from .lifts import LiftSpec, embed
 from .models import MODEL_BUILDERS, CircuitParams, OnsagerParams, SpinParams
-from .potentials import (BUILTIN_POTENTIALS, ConvexPotential, canonical_divergence,
-                         pythagorean_residual)
+from .potentials import BUILTIN_POTENTIALS, ConvexPotential, canonical_divergence
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1

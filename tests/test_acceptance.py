@@ -19,6 +19,7 @@ from contactflows.geometry import (
 from contactflows.integrate import (
     integrate_lift,
     integrate_on_submanifold,
+    pythagorean_residual,
 )
 from contactflows.lifts import (
     LiftSpec,
@@ -48,7 +49,6 @@ from contactflows.potentials import (
     canonical_divergence,
     involution_check,
     legendre_transform,
-    pythagorean_residual,
     quadratic_potential,
     spin_potential,
 )

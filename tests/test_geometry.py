@@ -1,5 +1,6 @@
 """Contact geometry core: canonical field, identities, compressibility."""
 
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from contactflows.errors import CompressibilityMismatchError, DimensionMismatchE
 from contactflows.geometry import (
     CanonicalPoint,
     _all_finite,
+    _as_vector,
     ContactHamiltonian,
     TangentVector,
     central_hessian,
@@ -60,6 +62,25 @@ class TestCanonicalPoint:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):
             CanonicalPoint(np.zeros(0), np.zeros(0), 0.0)
+
+
+POINT_2 = CanonicalPoint(np.zeros(2), np.zeros(2), 0.0)
+H_1 = ContactHamiltonian(n=1, value=lambda x, p, z: float(x @ p))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: _as_vector(np.zeros((2, 2)), "v"), "v must be a 1-d vector, got shape (2, 2)"),
+    (lambda: TangentVector(np.zeros(2), np.zeros(1), 0.0), "dx and dp lengths differ"),
+    (lambda: ContactHamiltonian(n=0, value=lambda x, p, z: 0.0), "dimension n must be >= 1"),
+    (lambda: H_1.partials(POINT_2), "point dimension 2 != Hamiltonian dimension 1"),
+    (lambda: contact_form_pairing(POINT_2, reeb_field(1)), "point dimension 2 != vector dimension 1"),
+    (lambda: reeb_field(0), "dimension n must be >= 1"),
+    (lambda: hamiltonian_vector_field(H_1, POINT_2), "point dimension 2 != Hamiltonian dimension 1"),
+], ids=["as_vector-2d", "tangent-lengths", "hamiltonian-n0", "partials", "pairing", "reeb-n0",
+        "vector-field-point"])
+def test_input_checks_raise_a_dimension_mismatch(call, fragment):
+    with pytest.raises(DimensionMismatchError, match=re.escape(fragment)):
+        call()
 
 
 class TestContactForm:

@@ -3,7 +3,8 @@
 CI runs no linter, so these AST scans are the check.  A package's
 ``__init__.py`` re-exports what it imports and is exempt from the import
 scan.  A module-level name of ``src/`` that starts with one underscore is
-private to the package: some module of ``src/`` must read it.
+private to the package: some module of ``src/`` must read it.  The modules
+of ``src/`` import at module level only, each from the layers below it.
 """
 
 import ast
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
                if path.name != "__init__.py")
 SRC = sorted((ROOT / "src").rglob("*.py"))
+LAYERS = ("errors", "geometry", "potentials", "lifts", "integrate", "models", "scenario", "cli")
 
 
 def unused_imports(source: str):
@@ -59,6 +61,13 @@ def unused_private_names(sources):
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
+def function_level_imports(source: str):
+    """Line of every ``import`` or ``from ... import`` inside a function body."""
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np.pi, e)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
@@ -78,3 +87,22 @@ def test_no_unused_import(path):
 def test_no_unused_private_name_in_src():
     unused = unused_private_names([path.read_text() for path in SRC])
     assert [(str(SRC[i].relative_to(ROOT)), name) for i, name in unused] == []
+
+
+def test_scan_finds_an_import_in_a_function_body():
+    source = ("import os\n\ndef f():\n    from . import a\n\n"
+              "class K:\n    def g(self):\n        if os:\n            import b\n")
+    assert function_level_imports(source) == [4, 9]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_import_in_a_function_body_in_src(path):
+    assert function_level_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [path for path in SRC if path.name != "__init__.py"],
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_a_module_imports_only_the_layers_below_it(path):
+    imported = {node.module for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported <= set(LAYERS[:LAYERS.index(path.stem)])

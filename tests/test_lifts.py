@@ -1,6 +1,7 @@
 """Lifted vector fields, defect decay, stability certificates, densities."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -705,6 +706,20 @@ def test_restoring_function_warns_on_a_nonzero_root():
     # Gamma(d) = d + d^2/2 vanishes at d = -2 as well as at 0
     with pytest.warns(UserWarning, match="vanishes at nonzero defect -2.0"):
         RestoringFunction(eval=lambda d: d + d * d / 2, derivative=lambda d: 1.0 + d)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: RestoringFunction(eval=lambda d: d + 1.0, derivative=lambda d: 1.0),
+     ValueError, "restoring function must vanish at zero defect"),
+    (lambda: replace(make_spec(), side="chi"), ValueError, "side must be 'psi' or 'phi', got 'chi'"),
+    (lambda: replace(make_spec(n=2), drift=linear_drift(-0.5, 1)),
+     DimensionMismatchError, "potential dimension 2 != drift dimension 1"),
+    (lambda: defects(replace(make_spec(), anchor=1.0), CanonicalPoint([0.1], [0.2], 0.3)),
+     DimensionMismatchError, "point dimension 1 != 2"),
+], ids=["restoring-at-zero", "side", "potential-vs-drift-n", "anchored-defects-point"])
+def test_input_checks_raise_typed_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
 
 
 class TestInvariantDensity:

@@ -292,7 +292,8 @@ class TestOnsager:
 
     def test_quadratic_case_declares_its_jacobian(self, monkeypatch):
         # the default U = psi quadratic gives the constant Jacobian -L M, which
-        # a field evaluation reads and never asks jacobian_at for
+        # a field evaluation reads and never asks jacobian_at for: the one call
+        # is the shape check at the start
         params = OnsagerParams(L_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]))
         spec = onsager_spec(params)
         J = spec.drift.jacobian
@@ -308,7 +309,7 @@ class TestOnsager:
                             lambda drift, u: calls.append(u) or jacobian_at(drift, u))
         traj = integrate_lift(spec, embed(spec, np.array([1.0, -0.5])), 3.0)
         assert len(traj.times) > 10 and not traj.truncated
-        assert calls == []
+        assert len(calls) == 1 and np.array_equal(calls[0], [1.0, -0.5])
 
     def test_custom_potential_jacobian_factors_no_hessian(self, monkeypatch):
         # the drift's Jacobian -L Hess U needs no positive-definiteness check,

@@ -19,7 +19,7 @@ from contactflows.errors import (
     StrictConvexityError,
 )
 from contactflows.geometry import CanonicalPoint
-from contactflows.integrate import integrate_lift
+from contactflows.integrate import integrate_lift, pythagorean_residual
 from contactflows.lifts import (
     LiftSpec,
     build_hamiltonian,
@@ -42,7 +42,6 @@ from contactflows.potentials import (
     embed_psi,
     involution_check,
     legendre_transform,
-    pythagorean_residual,
     quadratic_potential,
     separable_potential,
     spin_potential,
@@ -98,6 +97,27 @@ class TestBuiltins:
             warnings.simplefilter("error")
             for x in (400.0, -400.0):
                 assert psi.hessian_at(np.array([x]), check_spd=False)[0, 0] == 0.0
+
+    @pytest.mark.parametrize("x", [1e308, -1e308])
+    def test_spin_past_doubling_overflow_is_finite_without_warning(self, x):
+        # -2 |x| overflows past |x| ~ 9e307; there psi(x) = |x| exactly
+        psi = spin_potential(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = psi.value_at([x])
+            jet = psi.jet_at(np.array([x]))
+            pt = embed_psi(psi, [x])
+        assert value == jet[0] == pt.z == 1e308
+        assert jet[1][0] == pt.p[0] == np.sign(x) and jet[2][0, 0] == 0.0
+
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda: ConvexPotential(n=0, value=lambda x: 0.0), "dimension n must be >= 1"),
+        (lambda: delta_psi(spin_potential(1), CanonicalPoint(np.zeros(2), np.zeros(2), 0.0)),
+         "point dimension mismatch"),
+    ], ids=["n0", "delta-psi-point"])
+    def test_input_checks_raise_a_dimension_mismatch(self, call, fragment):
+        with pytest.raises(DimensionMismatchError, match=re.escape(fragment)):
+            call()
 
 
 class TestLegendreTransform:
