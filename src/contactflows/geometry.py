@@ -64,21 +64,16 @@ def _float_array(a, ndim: int) -> np.ndarray:
     return np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
 
 
-def fd_step(value: float) -> float:
-    """Central-difference step scaled to the coordinate magnitude."""
-    return _CBRT_EPS * max(1.0, abs(value))
-
-
 def central_jacobian(f, u) -> np.ndarray:
     """Central differences of f at u, one column per coordinate.
 
-    Column a is (f(u + s e_a) - f(u - s e_a)) / 2s with s = fd_step(u_a);
-    a scalar f gives its gradient.
+    Column a is (f(u + s e_a) - f(u - s e_a)) / 2s with
+    s = eps^(1/3) max(1, |u_a|); a scalar f gives its gradient.
     """
     u = np.asarray(u, dtype=float)
     cols = []
     for a in range(len(u)):
-        s = fd_step(u[a])
+        s = _CBRT_EPS * max(1.0, abs(u[a]))
         e = np.zeros(len(u))
         e[a] = s
         cols.append((np.asarray(f(u + e)) - np.asarray(f(u - e))) / (2 * s))
@@ -342,23 +337,19 @@ def verify_contact_identities(h: ContactHamiltonian,
     return ContactIdentityReport(pairing_res, abs(xh_h - rh * hval))
 
 
-def _numeric_divergence(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
-    """Euclidean divergence of the field components by central differences."""
-    y = np.concatenate([pt.x, pt.p, [pt.z]])
-    return float(np.trace(central_jacobian(lambda u: hamiltonian_vector_field(h, u), y)))
-
-
 def phase_compressibility(h: ContactHamiltonian, pt: CanonicalPoint) -> float:
     """Compressibility of X_h against the standard contact volume.
 
     In Darboux coordinates this is the Euclidean divergence of the field
-    components, which collapses to (n+1) dh/dz.  Both routes are computed
-    and must agree within ``COMPRESSIBILITY_TOL`` (relative to the analytic
-    magnitude); the analytic value is returned.
+    components, which collapses to (n+1) dh/dz.  Both routes are computed,
+    the divergence by central differences, and must agree within
+    ``COMPRESSIBILITY_TOL`` (relative to the analytic magnitude); the
+    analytic value is returned.
     """
     _, _, hz = h.partials(pt)
     analytic = (h.n + 1) * hz
-    numeric = _numeric_divergence(h, pt)
+    y = np.concatenate([pt.x, pt.p, [pt.z]])
+    numeric = float(np.trace(central_jacobian(lambda u: hamiltonian_vector_field(h, u), y)))
     if abs(numeric - analytic) > COMPRESSIBILITY_TOL * max(1.0, abs(analytic)):
         raise CompressibilityMismatchError(
             f"analytic {analytic:.6g} vs numeric {numeric:.6g} divergence"
@@ -372,7 +363,7 @@ def invariant_density(h: ContactHamiltonian, pt: CanonicalPoint, Z: float = 1.0)
     Every contact Hamiltonian has X_h h = h dh/dz and div X_h = (n+1) dh/dz,
     so div(h^-(n+1) X_h) = 0 wherever h > 0, whatever the restoring
     function; n is the Hamiltonian's canonical dimension (n+1 for an
-    extended lift).
+    extended lift).  A density past the float range raises ``EvaluationError``.
     """
     if not np.isfinite(Z) or Z <= 0:
         raise ValueError("normalization constant must be positive and finite")
@@ -381,4 +372,11 @@ def invariant_density(h: ContactHamiltonian, pt: CanonicalPoint, Z: float = 1.0)
         raise OutsideInvariantChartError(
             f"h = {hval:.6g} <= 0: point is outside the invariant chart"
         )
-    return hval ** (-(h.n + 1)) / Z
+    try:
+        density = hval ** (-(h.n + 1)) / Z
+    except OverflowError:  # a float power raises where a quotient gives inf
+        density = math.inf
+    if not math.isfinite(density):
+        raise EvaluationError(f"invariant density is not finite: h = {hval:.6g}, "
+                              f"n + 1 = {h.n + 1}, Z = {Z:.6g}")
+    return density

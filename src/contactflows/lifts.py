@@ -26,7 +26,6 @@ reached through ``embed``, ``defects`` and ``restricted_field``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -145,10 +144,11 @@ def onsager_drift(L, u_gradient, u_hessian=None) -> DriftField:
 
 @dataclass(frozen=True)
 class RestoringFunction:
-    """Scalar restoring term Gamma with Gamma(0) = 0.
+    """Scalar restoring term Gamma with Gamma(0) = 0, the constructor's one call of Gamma.
 
     ``gamma0`` is set only for a linear Gamma(d) = gamma0 d
-    (``linear_restoring``); stability certificates only reason about that case.
+    (``linear_restoring``); stability certificates only reason about that
+    case, and report a nonzero root they find of any other Gamma.
     """
 
     eval: Callable[[float], float]
@@ -158,14 +158,6 @@ class RestoringFunction:
     def __post_init__(self):
         if abs(self.eval(0.0)) > 1e-14:
             raise ValueError("restoring function must vanish at zero defect")
-        if self.gamma0 is not None:  # a linear Gamma vanishes at 0 alone; no probe
-            return
-        for d in (0.5, -0.5, 2.0, -2.0):
-            if self.eval(d) == 0.0:
-                warnings.warn(
-                    f"restoring function vanishes at nonzero defect {d}", stacklevel=2
-                )
-                break
 
 
 def linear_restoring(gamma0: float) -> RestoringFunction:
@@ -507,11 +499,13 @@ def stability_certificate(spec: LiftSpec, sample_points=None) -> StabilityVerdic
     """Classify the lift against the recognized decay classes.
 
     Linear restoring is required throughout; anything unrecognized is
-    reported inconclusive, never guessed.  An Onsager drift F = -L grad U
-    approaches a fixed point where sym(R(q) L) = gamma0 L - L Hess U(q) L
-    is positive definite, R(q) = J(q) + gamma0 I; that is sampled on the
-    caller's grid (default: the origin) and the least eigenvalue reported.
-    Any other lift with a constant defect-rate matrix R
+    reported inconclusive, never guessed: of a nonlinear Gamma the checks
+    name under "root" the first of 0.5, -0.5, 2 and -2 where the Gamma the
+    caller wrote vanishes, on either chart, or None.  An Onsager drift
+    F = -L grad U approaches a fixed point where sym(R(q) L) = gamma0 L -
+    L Hess U(q) L is positive definite, R(q) = J(q) + gamma0 I; that is
+    sampled on the caller's grid (default: the origin) and the least
+    eigenvalue reported.  Any other lift with a constant defect-rate matrix R
     (``defect_rate_matrix``) has Delta(t) = exp(-R^T t) Delta(0) and
     Delta_0(t) = Delta_0(0) exp(-gamma0 t), on both charts and with an
     anchor: it approaches the submanifold iff gamma0 > 0 and the decay
@@ -519,7 +513,8 @@ def stability_certificate(spec: LiftSpec, sample_points=None) -> StabilityVerdic
     """
     gamma0 = spec.restoring.gamma0
     if gamma0 is None:
-        return StabilityVerdict(INCONCLUSIVE, {"reason": "nonlinear restoring term"})
+        root = next((d for d in (0.5, -0.5, 2.0, -2.0) if spec.restoring.eval(d) == 0.0), None)
+        return StabilityVerdict(INCONCLUSIVE, {"reason": "nonlinear restoring term", "root": root})
     drift, s = spec.drift, spec.drift.structure
     if s is not None and s[0] == "onsager":
         if drift.jacobian is None:

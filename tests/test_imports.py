@@ -4,7 +4,8 @@ CI runs no linter, so these AST scans are the check.  A package's
 ``__init__.py`` re-exports what it imports and is exempt from the import
 scan.  A module-level name of ``src/`` that starts with one underscore is
 private to the package: some module of ``src/`` must read it.  The modules
-of ``src/`` import at module level only, each from the layers below it.
+of ``src/`` import at module level only, each from the layers below it, and
+none imports ``warnings``: the package reports with typed errors.
 """
 
 import ast
@@ -68,6 +69,20 @@ def function_level_imports(source: str):
                    for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
+def warnings_uses(source: str):
+    """Line of every import from ``warnings`` and every call of ``warnings.warn``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "warn" and getattr(node.func.value, "id", None) == "warnings"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np.pi, e)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
@@ -106,3 +121,14 @@ def test_a_module_imports_only_the_layers_below_it(path):
     imported = {node.module for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert imported <= set(LAYERS[:LAYERS.index(path.stem)])
+
+
+def test_scan_finds_a_use_of_warnings():
+    source = ("import os, warnings\nfrom warnings import warn\n\ndef f():\n"
+              "    warnings.warn('x')\n    os.warn('y')\n")
+    assert warnings_uses(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_warnings_in_src(path):
+    assert warnings_uses(path.read_text()) == []

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from contactflows.errors import DimensionMismatchError, OutsideInvariantChartError
+from contactflows.errors import (
+    DimensionMismatchError,
+    EvaluationError,
+    OutsideInvariantChartError,
+)
 from contactflows.geometry import (
     CanonicalPoint,
+    ContactHamiltonian,
     central_jacobian,
     hamiltonian_vector_field,
     invariant_density,
@@ -22,6 +28,7 @@ from contactflows.integrate import IntegratorConfig, integrate_lift, integrate_o
 from contactflows.lifts import (
     APPROACHES_FIXED_POINT,
     APPROACHES_SUBMANIFOLD,
+    INCONCLUSIVE,
     DriftField,
     LiftSpec,
     RestoringFunction,
@@ -497,23 +504,24 @@ class TestStabilityCertificates:
         assert far.verdict == "inconclusive" and not far
         assert far.checks["min eigenvalue"] == pytest.approx(-3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("drift, restoring, reason", [
+    @pytest.mark.parametrize("drift, restoring, checks", [
         (linear_drift(-0.5, 1),
          RestoringFunction(eval=lambda d: d + 0.3 * d * d, derivative=lambda d: 1 + 0.6 * d),
-         "nonlinear restoring term"),
-        (DriftField(n=1, eval=lambda u: -u), linear_restoring(1.0), "unrecognized drift class"),
+         {"reason": "nonlinear restoring term", "root": None}),
+        (DriftField(n=1, eval=lambda u: -u), linear_restoring(1.0),
+         {"reason": "unrecognized drift class"}),
         (onsager_drift(np.eye(1), lambda q: q), linear_restoring(1.0),
-         "no Hessian for the potential"),
+         {"reason": "no Hessian for the potential"}),
         (DriftField(n=1, eval=lambda u: -u, structure=("spiral", 1.0)), linear_restoring(1.0),
-         "unknown structure 'spiral'"),
+         {"reason": "unknown structure 'spiral'"}),
     ], ids=["nonlinear-restoring", "untagged-drift", "onsager-without-hessian",
             "unknown-structure"])
-    def test_unrecognized_cases_are_inconclusive(self, drift, restoring, reason):
+    def test_unrecognized_cases_are_inconclusive(self, drift, restoring, checks):
         spec = LiftSpec(side="psi", potential=quadratic_potential(np.eye(1)),
                         drift=drift, restoring=restoring)
         verdict = stability_certificate(spec)
         assert verdict.verdict == "inconclusive" and not verdict
-        assert verdict.checks == {"reason": reason}
+        assert verdict.checks == checks
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +710,45 @@ def test_onsager_bound_catches_a_planted_mutation(monkeypatch, side):
         assert np.any(np.sqrt(energy) > np.sqrt(bound) + slack)
 
 
-def test_restoring_function_warns_on_a_nonzero_root():
-    # Gamma(d) = d + d^2/2 vanishes at d = -2 as well as at 0
-    with pytest.warns(UserWarning, match="vanishes at nonzero defect -2.0"):
-        RestoringFunction(eval=lambda d: d + d * d / 2, derivative=lambda d: 1.0 + d)
+def nonlinear_gamma_lift(side, gamma, gamma_rate):
+    return LiftSpec(side=side, potential=quadratic_potential(np.eye(1)),
+                    drift=linear_drift(-1.0, 1),
+                    restoring=RestoringFunction(eval=gamma, derivative=gamma_rate))
+
+
+def test_restoring_function_evaluates_gamma_once():
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        RestoringFunction(eval=lambda d: calls.append(d) or d + d * d / 2,
+                          derivative=lambda d: 1.0 + d)
+    assert calls == [0.0]
+
+
+def test_phi_lift_of_a_gamma_with_a_nonzero_root_runs_without_a_warning():
+    # Gamma(d) = d + d^2/2 vanishes at d = -2 as well as at 0, and dual_spec's
+    # Gamma~(d) = -Gamma(-d), which every phi-side call below builds, at d = 2
+    spec = nonlinear_gamma_lift("phi", lambda d: d + d * d / 2, lambda d: 1.0 + d)
+    pt = CanonicalPoint(np.array([0.3]), np.array([0.2]), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_hamiltonian(spec)
+        embed(spec, [0.2])
+        defects(spec, pt)
+        restricted_field(spec, [0.2])
+        traj = integrate_lift(spec, pt, 1.0, IntegratorConfig(method="rkf45"))
+    assert not traj.truncated and traj.times[-1] == 1.0
+
+
+@pytest.mark.parametrize("side", ["psi", "phi"])
+@pytest.mark.parametrize("gamma, root", [
+    (lambda d: d + d * d / 2, -2.0), (lambda d: d - d * d * d / 4, 2.0),
+    (lambda d: d + d ** 3 / 3, None)], ids=["root-at-minus-2", "roots-at-2", "no-root"])
+def test_certificate_names_the_first_sampled_root_of_gamma(side, gamma, root):
+    # the root of the Gamma the caller wrote on either chart, not of dual_spec's Gamma~
+    verdict = stability_certificate(nonlinear_gamma_lift(side, gamma, lambda d: 1.0))
+    assert verdict.verdict == INCONCLUSIVE
+    assert verdict.checks == {"reason": "nonlinear restoring term", "root": root}
 
 
 @pytest.mark.parametrize("call, error, fragment", [
@@ -737,6 +780,15 @@ class TestInvariantDensity:
         for Z in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 invariant_density(h, pt, Z=Z)
+
+    @pytest.mark.parametrize("hval, Z", [(1e-200, 1.0), (0.5, 1e-310)],
+                             ids=["power-overflows", "quotient-overflows"])
+    def test_density_past_the_float_range_is_a_typed_error(self, hval, Z):
+        h = ContactHamiltonian(n=2, value=lambda x, p, z: hval)
+        pt = CanonicalPoint(np.zeros(2), np.zeros(2), 0.0)
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"h = {hval:.6g}, n + 1 = 3, Z = {Z:.6g}")):
+            invariant_density(h, pt, Z=Z)
 
     def test_outside_chart_raises(self):
         spec = make_spec()

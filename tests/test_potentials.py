@@ -464,6 +464,20 @@ class TestPythagorean:
         r = pythagorean_residual(psi, x1, x2, x3)
         assert abs(r) < 1e-8
 
+    @pytest.mark.parametrize("psi, message", [
+        (replace(quadratic_potential(np.eye(2)), hessian=2.0 * np.eye(2)),
+         "dual geodesic does not reach the corner"),
+        (replace(quadratic_potential(np.eye(2)),
+                 closed_conjugate=lambda: quadratic_potential(2.0 * np.eye(2))),
+         "primal geodesic does not reach the endpoint"),
+    ], ids=["psi-hessian-doubled", "conjugate-hessian-doubled"])
+    def test_a_geodesic_that_lands_off_target_is_rejected(self, psi, message):
+        # a Hessian twice the true one halves the geodesic's speed: after unit
+        # time it has come halfway, 0.5 from the point it was to reach
+        with pytest.raises(PythagoreanConfigError, match=f"^{message}$"):
+            pythagorean_residual(psi, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                                 np.array([1.0, 1.0]))
+
     def test_a_stopped_dual_flow_names_its_geodesic(self):
         # p2 = tanh 20 rounds to 1, the edge of the dual chart: x runs off to
         # infinity as the dual geodesic reaches the corner.  The primal case

@@ -637,6 +637,17 @@ t_end = 8.0
         failed = [c.name for c in build_invariant_report(scenario, traj).checks if not c.passed]
         assert failed == [f"{series} decay law"]
 
+    def test_truncated_run_fails_integration_completed(self, tmp_path):
+        # run_scenario exits 3 on a truncated run before any report; a report
+        # built on one anyway must not pass
+        scenario = parse_scenario(write(tmp_path, off_submanifold("rlc", 1.0)))
+        traj = integrate_lift(scenario.spec, scenario.initial, scenario.t_end, scenario.config)
+        truncated = dataclasses.replace(traj, abort_reason="step floor at t = 1, h = 1e-14")
+        report = build_invariant_report(scenario, truncated)
+        assert [c.name for c in report.checks if not c.passed] == ["integration completed"]
+        assert "[FAIL] integration completed: expected no abort" in report.render()
+        assert not report.passed
+
     def test_bundled_spin_fast(self, tmp_path):
         # gamma0 = 40: fitted rates of -40.75 and -40.18 failed this run
         result = run_scenario(SCENARIOS / "spin_fast.scenario", out_dir=tmp_path)
